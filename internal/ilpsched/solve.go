@@ -6,6 +6,7 @@ import (
 
 	"mbsp/internal/exact"
 	"mbsp/internal/graph"
+	"mbsp/internal/lp"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/mip"
 	"mbsp/internal/refine"
@@ -27,20 +28,9 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 		done = opts.Context.Done()
 	}
 
-	warm := opts.WarmStart
-	if warm == nil {
-		pl := twostage.BSPgClairvoyant(arch.G, arch.L)
-		if arch.P == 1 {
-			pl = twostage.DFSClairvoyant()
-		}
-		var err error
-		warm, err = pl.Run(g, arch)
-		if err != nil {
-			return nil, stats, fmt.Errorf("ilpsched: building baseline warm start: %w", err)
-		}
-	}
-	if err := warm.Validate(); err != nil {
-		return nil, stats, fmt.Errorf("ilpsched: warm start invalid: %w", err)
+	warm, err := warmStart(g, arch, opts)
+	if err != nil {
+		return nil, stats, err
 	}
 	best := warm
 	bestCost := warm.Cost(opts.Model)
@@ -50,17 +40,9 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 	// concurrent solver that cannot beat it may cut off immediately.
 	opts.Incumbent.Offer(bestCost)
 
-	// Build the ILP sized by the warm start plus slack.
-	skel, err := buildSkeleton(warm, opts.InitialRed)
+	skel, T, err := horizon(warm, arch, opts)
 	if err != nil {
 		return nil, stats, err
-	}
-	if opts.NoStepMerging {
-		skel = explodeSkeleton(skel, arch.P)
-	}
-	T := len(skel) + opts.ExtraSteps
-	if opts.Steps > 0 {
-		T = opts.Steps
 	}
 	im := buildModel(g, arch, opts, T)
 	stats.Steps = T
@@ -169,4 +151,58 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 	}
 	opts.Incumbent.Offer(bestCost)
 	return best, stats, nil
+}
+
+// warmStart returns the validated warm start: opts.WarmStart, or the
+// two-stage baseline when that is nil.
+func warmStart(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
+	warm := opts.WarmStart
+	if warm == nil {
+		pl := twostage.BSPgClairvoyant(arch.G, arch.L)
+		if arch.P == 1 {
+			pl = twostage.DFSClairvoyant()
+		}
+		var err error
+		warm, err = pl.Run(g, arch)
+		if err != nil {
+			return nil, fmt.Errorf("ilpsched: building baseline warm start: %w", err)
+		}
+	}
+	if err := warm.Validate(); err != nil {
+		return nil, fmt.Errorf("ilpsched: warm start invalid: %w", err)
+	}
+	return warm, nil
+}
+
+// horizon returns the warm start's skeleton and the time horizon the
+// ILP is sized by: the warm start's steps plus slack.
+func horizon(warm *mbsp.Schedule, arch mbsp.Arch, opts Options) ([]skelStep, int, error) {
+	skel, err := buildSkeleton(warm, opts.InitialRed)
+	if err != nil {
+		return nil, 0, err
+	}
+	if opts.NoStepMerging {
+		skel = explodeSkeleton(skel, arch.P)
+	}
+	T := len(skel) + opts.ExtraSteps
+	if opts.Steps > 0 {
+		T = opts.Steps
+	}
+	return skel, T, nil
+}
+
+// Relaxation returns the LP relaxation of the ILP that Solve builds for
+// g on arch under opts — the root LP of its tree search. The LP kernel
+// benchmarks factor its bases.
+func Relaxation(g *graph.DAG, arch mbsp.Arch, opts Options) (*lp.Problem, error) {
+	opts = opts.withDefaults()
+	warm, err := warmStart(g, arch, opts)
+	if err != nil {
+		return nil, err
+	}
+	_, T, err := horizon(warm, arch, opts)
+	if err != nil {
+		return nil, err
+	}
+	return buildModel(g, arch, opts, T).m.LP(), nil
 }

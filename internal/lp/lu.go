@@ -41,9 +41,8 @@ const luAbsPivot = 1e-10
 // tighter limits on the large registry models.
 const luScanLimit = 32
 
-// luEta is one product-form update: basis position `leave` was replaced
-// by a column whose FTRAN image had value piv at position leave; the
-// remaining nonzeros of that image live in the shared idx/val arrays.
+// luFactor is the LU factorization of one simplex basis plus its
+// product-form eta file, with the workspace the factorization reuses.
 type luFactor struct {
 	m int
 
@@ -70,7 +69,10 @@ type luFactor struct {
 	ucStage []int32
 	ucVal   []float64
 
-	// Product-form eta file appended by appendEta.
+	// Product-form eta file appended by appendEta. Eta e records that
+	// basis position eLeave[e] was replaced by a column whose FTRAN image
+	// had value ePiv[e] at that position; the image's other nonzeros are
+	// eIdx/eVal[ePtr[e]:ePtr[e+1]].
 	ePtr   []int32
 	eIdx   []int32
 	eVal   []float64
@@ -94,7 +96,7 @@ type luFactor struct {
 	elimRows []int32 // snapshot of the pivot column's rows
 	mergeInd []int32 // row-merge output scratch
 	mergeVal []float64
-	zs       []float64 // BTRAN stage scratch
+	zs, zs2  []float64 // BTRAN stage scratch (zs2: btran2's second chain)
 }
 
 func newLUFactor(m int) *luFactor {
@@ -116,6 +118,7 @@ func newLUFactor(m int) *luFactor {
 		acc:         make([]float64, m),
 		touched:     make([]int32, 0, m),
 		zs:          make([]float64, m),
+		zs2:         make([]float64, m),
 	}
 	return f
 }
@@ -473,6 +476,13 @@ func (f *luFactor) buildUTranspose() {
 	}
 }
 
+// The triangular-solve kernels below run over resliced locals so that
+// the compiler proves every sequential index in bounds; only the gathers
+// through stored row/position indices keep a bounds check. Each kernel
+// applies the same floating-point operations in the same order as the
+// textbook loops it implements, so the solves stay bit-for-bit functions
+// of the factor state (see DESIGN.md, "Sparse LU core").
+
 // ftran solves B·w = b in place: b is the right-hand side indexed by
 // matrix row (destroyed), w receives the solution indexed by basis
 // position. The L pass skips stages whose pivot-row value is zero (the
@@ -480,32 +490,45 @@ func (f *luFactor) buildUTranspose() {
 // nonzeros), and the eta file is applied oldest-first.
 func (f *luFactor) ftran(b, w []float64) {
 	m := f.m
-	for k := 0; k < m; k++ {
-		bk := b[f.prow[k]]
+	b, w = b[:m], w[:m]
+	prow, pcol, upiv := f.prow[:m], f.pcol[:m], f.upiv[:m]
+	lPtr, lRow, lVal := f.lPtr[:m+1], f.lRow, f.lVal
+	for k, r := range prow {
+		bk := b[r]
 		if bk == 0 {
 			continue
 		}
-		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
-			b[f.lRow[t]] -= f.lVal[t] * bk
+		lo, hi := lPtr[k], lPtr[k+1]
+		rows, vals := lRow[lo:hi], lVal[lo:hi]
+		vals = vals[:len(rows)]
+		for t, i := range rows {
+			b[i] -= vals[t] * bk
 		}
 	}
+	uPtr, uCol, uVal := f.uPtr[:m+1], f.uCol, f.uVal
 	for k := m - 1; k >= 0; k-- {
-		v := b[f.prow[k]]
-		for t := f.uPtr[k]; t < f.uPtr[k+1]; t++ {
-			v -= f.uVal[t] * w[f.uCol[t]]
+		v := b[prow[k]]
+		lo, hi := uPtr[k], uPtr[k+1]
+		cols, vals := uCol[lo:hi], uVal[lo:hi]
+		vals = vals[:len(cols)]
+		for t, c := range cols {
+			v -= vals[t] * w[c]
 		}
-		w[f.pcol[k]] = v / f.upiv[k]
+		w[pcol[k]] = v / upiv[k]
 	}
-	ne := len(f.eLeave)
-	for e := 0; e < ne; e++ {
-		lv := f.eLeave[e]
+	eLeave := f.eLeave
+	ePtr, eIdx, eVal, ePiv := f.ePtr[:len(eLeave)+1], f.eIdx, f.eVal, f.ePiv[:len(eLeave)]
+	for e, lv := range eLeave {
 		t := w[lv]
 		if t == 0 {
 			continue
 		}
-		t /= f.ePiv[e]
-		for q := f.ePtr[e]; q < f.ePtr[e+1]; q++ {
-			w[f.eIdx[q]] -= f.eVal[q] * t
+		t /= ePiv[e]
+		lo, hi := ePtr[e], ePtr[e+1]
+		idx, vals := eIdx[lo:hi], eVal[lo:hi]
+		vals = vals[:len(idx)]
+		for q, i := range idx {
+			w[i] -= vals[q] * t
 		}
 		w[lv] = t
 	}
@@ -517,32 +540,119 @@ func (f *luFactor) ftran(b, w []float64) {
 // reverse Lᵀ sweep.
 func (f *luFactor) btran(c, y []float64) {
 	m := f.m
-	for e := len(f.eLeave) - 1; e >= 0; e-- {
-		lv := f.eLeave[e]
-		v := c[lv]
-		for q := f.ePtr[e]; q < f.ePtr[e+1]; q++ {
-			v -= f.eVal[q] * c[f.eIdx[q]]
-		}
-		c[lv] = v / f.ePiv[e]
-	}
+	c, y = c[:m], y[:m]
+	f.btranEtas(c, 0, len(f.eLeave))
 	zs := f.zs[:m]
-	for k := 0; k < m; k++ {
-		cpos := f.pcol[k]
+	prow, upiv := f.prow[:m], f.upiv[:m]
+	ucPtr, ucStage, ucVal := f.ucPtr[:m+1], f.ucStage, f.ucVal
+	for k, cpos := range f.pcol[:m] {
 		v := c[cpos]
-		for q := f.ucPtr[cpos]; q < f.ucPtr[cpos+1]; q++ {
-			v -= f.ucVal[q] * zs[f.ucStage[q]]
+		lo, hi := ucPtr[cpos], ucPtr[cpos+1]
+		stages, vals := ucStage[lo:hi], ucVal[lo:hi]
+		vals = vals[:len(stages)]
+		for q, st := range stages {
+			v -= vals[q] * zs[st]
 		}
-		zs[k] = v / f.upiv[k]
+		zs[k] = v / upiv[k]
 	}
-	for k := 0; k < m; k++ {
-		y[f.prow[k]] = zs[k]
+	for k, r := range prow {
+		y[r] = zs[k]
 	}
+	lPtr, lRow, lVal := f.lPtr[:m+1], f.lRow, f.lVal
 	for k := m - 1; k >= 0; k-- {
-		v := y[f.prow[k]]
-		for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
-			v -= f.lVal[t] * y[f.lRow[t]]
+		r := prow[k]
+		v := y[r]
+		lo, hi := lPtr[k], lPtr[k+1]
+		rows, vals := lRow[lo:hi], lVal[lo:hi]
+		vals = vals[:len(rows)]
+		for t, i := range rows {
+			v -= vals[t] * y[i]
 		}
-		y[f.prow[k]] = v
+		y[r] = v
+	}
+}
+
+// btranEtas applies the transposes of etas first..end-1 to c,
+// newest-first.
+func (f *luFactor) btranEtas(c []float64, first, end int) {
+	eLeave := f.eLeave[:end]
+	ePtr, eIdx, eVal, ePiv := f.ePtr[:end+1], f.eIdx, f.eVal, f.ePiv[:end]
+	for e := end - 1; e >= first; e-- {
+		lv := eLeave[e]
+		v := c[lv]
+		lo, hi := ePtr[e], ePtr[e+1]
+		idx, vals := eIdx[lo:hi], eVal[lo:hi]
+		vals = vals[:len(idx)]
+		for q, i := range idx {
+			v -= vals[q] * c[i]
+		}
+		c[lv] = v / ePiv[e]
+	}
+}
+
+// btran2 solves two transposed systems in one pass over the factor:
+// Bᵀ·y2 = c2 against the whole eta file, and Bᵀ·y1 = c1 against the
+// factor as it stood before the newest lag etas were appended. c2 first
+// passes through those lag etas alone; from there on the two right-hand
+// sides share every index and value load, running as two independent
+// accumulation chains (the eta dot products are latency-bound, so the
+// second chain is nearly free). Each chain applies exactly the
+// operations of its own btran in the same order, so y1 and y2 equal
+// btran on the pre-lag and full factors bit for bit. c1 and c2 are
+// destroyed and must not alias.
+func (f *luFactor) btran2(c1, y1, c2, y2 []float64, lag int) {
+	m := f.m
+	c1, y1, c2, y2 = c1[:m], y1[:m], c2[:m], y2[:m]
+	ne := len(f.eLeave) - lag
+	f.btranEtas(c2, ne, ne+lag)
+	eLeave := f.eLeave[:ne]
+	ePtr, eIdx, eVal, ePiv := f.ePtr[:ne+1], f.eIdx, f.eVal, f.ePiv[:ne]
+	for e := ne - 1; e >= 0; e-- {
+		lv := eLeave[e]
+		v1, v2 := c1[lv], c2[lv]
+		lo, hi := ePtr[e], ePtr[e+1]
+		idx, vals := eIdx[lo:hi], eVal[lo:hi]
+		vals = vals[:len(idx)]
+		for q, i := range idx {
+			x := vals[q]
+			v1 -= x * c1[i]
+			v2 -= x * c2[i]
+		}
+		piv := ePiv[e]
+		c1[lv], c2[lv] = v1/piv, v2/piv
+	}
+	z1, z2 := f.zs[:m], f.zs2[:m]
+	prow, upiv := f.prow[:m], f.upiv[:m]
+	ucPtr, ucStage, ucVal := f.ucPtr[:m+1], f.ucStage, f.ucVal
+	for k, cpos := range f.pcol[:m] {
+		v1, v2 := c1[cpos], c2[cpos]
+		lo, hi := ucPtr[cpos], ucPtr[cpos+1]
+		stages, vals := ucStage[lo:hi], ucVal[lo:hi]
+		vals = vals[:len(stages)]
+		for q, st := range stages {
+			x := vals[q]
+			v1 -= x * z1[st]
+			v2 -= x * z2[st]
+		}
+		piv := upiv[k]
+		z1[k], z2[k] = v1/piv, v2/piv
+	}
+	for k, r := range prow {
+		y1[r], y2[r] = z1[k], z2[k]
+	}
+	lPtr, lRow, lVal := f.lPtr[:m+1], f.lRow, f.lVal
+	for k := m - 1; k >= 0; k-- {
+		r := prow[k]
+		v1, v2 := y1[r], y2[r]
+		lo, hi := lPtr[k], lPtr[k+1]
+		rows, vals := lRow[lo:hi], lVal[lo:hi]
+		vals = vals[:len(rows)]
+		for t, i := range rows {
+			x := vals[t]
+			v1 -= x * y1[i]
+			v2 -= x * y2[i]
+		}
+		y1[r], y2[r] = v1, v2
 	}
 }
 

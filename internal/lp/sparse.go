@@ -330,6 +330,7 @@ type spx struct {
 	y, w, rho, resid []float64
 	gamma            []float64 // Devex reference weights
 	fscratch         []float64 // FTRAN/BTRAN right-hand-side scratch, length m
+	bscratch         []float64 // second BTRAN right-hand side (rowAndDuals), length m
 	xb               []float64 // computeXB solution scratch, length m
 
 	// Dual ratio-test candidate scratch (Harris pass 2 re-reads what pass
@@ -348,7 +349,7 @@ type spx struct {
 	// reaches bit-for-bit the same factor state the live path holds, and
 	// hot reuse (skipping reconstruction entirely) cannot change a single
 	// bit of any subsequent result. See DESIGN.md ("Sparse LU core").
-	liveBasis  *Basis     // snapshot matching the live factorization, if any
+	liveBasis  *Basis // snapshot matching the live factorization, if any
 	factorOK   bool
 	anchor     []int32    // basis at the factorization anchor; immutable once set
 	script     []pivotRec // pivots applied since the anchor, in order
@@ -395,7 +396,8 @@ func (in *Instance) workspace(opts *Options) *spx {
 			artRow: make([]int32, 0, m), artSign: make([]float64, 0, m),
 			y: make([]float64, m), w: make([]float64, m),
 			rho: make([]float64, m), resid: make([]float64, m),
-			fscratch: make([]float64, m), xb: make([]float64, m),
+			fscratch: make([]float64, m), bscratch: make([]float64, m),
+			xb:    make([]float64, m),
 			gamma: make([]float64, total),
 			candJ: make([]int32, 0, total), candA: make([]float64, 0, total),
 			candR: make([]float64, 0, total), candIdx: make([]int, 0, total),
@@ -730,6 +732,27 @@ func (s *spx) btranRow(r int, y []float64) {
 	s.luBtran(b, y)
 }
 
+// rowAndDuals computes the leaving-row vector rho = B⁻ᵀ·e_r and the
+// duals y = c_B·B⁻¹ in one fused BTRAN (luFactor.btran2). With lag = 1
+// the row is taken against the factor before the newest eta — the
+// pre-pivot row of a primal iteration — while the duals see the whole
+// eta file and the updated basis. Both halves are bit-identical to
+// btranRow and duals on their factors. Only the row is counted in
+// Btrans; the caller counts the duals when it reads them.
+func (s *spx) rowAndDuals(r int, rho, c []float64, lag int) {
+	m := s.m
+	er, cb := s.fscratch[:m], s.bscratch[:m]
+	for i := range er {
+		er[i] = 0
+		cb[i] = c[s.basis[i]]
+	}
+	er[r] = 1
+	t0 := time.Now()
+	s.lu.btran2(er, rho, cb, s.y[:m], lag)
+	s.in.stats.Btrans++
+	s.in.stats.SolveNanos += int64(time.Since(t0))
+}
+
 // reducedCost returns c_j − y·a_j.
 func (s *spx) reducedCost(c []float64, j int) float64 {
 	d := c[j]
@@ -817,11 +840,21 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 	degenerate := 0
 	nondegenRun := 0
 	useBland := false
+	// yReady: s.y already holds this iteration's duals — carried over a
+	// bound flip (basis, factor and c unchanged, so a recomputation would
+	// give the same bits) or computed by the previous pivot's fused
+	// BTRAN. Either way its BTRAN is counted here, where it is consumed.
+	yReady := false
 	for it := 0; it < maxIters; it++ {
 		if it%64 == 0 && s.checkAbort() {
 			return IterLimit, it
 		}
-		s.duals(c)
+		if yReady {
+			s.in.stats.Btrans++
+			yReady = false
+		} else {
+			s.duals(c)
+		}
 		// Pricing.
 		enter := -1
 		bestScore := 0.0
@@ -1009,6 +1042,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 				s.stat[enter] = atLower
 				s.x[enter] = s.lb[enter]
 			}
+			yReady = true
 			continue
 		}
 		lv := s.basis[leave]
@@ -1021,7 +1055,12 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		}
 		gammaEnter := s.gamma[enter]
 		alphaE := w[leave]
-		if devex && !useBland {
+		// Devex needs the pre-pivot row. Unless a refactorization follows
+		// this pivot, it is fused with the next iteration's duals: append
+		// the eta first, then btran2 with lag 1 (see rowAndDuals).
+		needRow := devex && !useBland
+		fuse := needRow && s.pivots+1 < s.opts.RefactorEvery
+		if needRow && !fuse {
 			s.btranRow(leave, s.rho[:m]) // pre-pivot row
 		}
 		s.stat[enter] = basic
@@ -1029,7 +1068,11 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		if !s.pivotUpdate(enter, leave, w) {
 			return IterLimit, it // excluded by the pre-pivot magnitude check
 		}
-		if devex && !useBland {
+		if fuse {
+			s.rowAndDuals(leave, s.rho[:m], c, 1)
+			yReady = true
+		}
+		if needRow {
 			// Devex reference-weight update from the pre-pivot row.
 			s.gamma[lv] = math.Max(gammaEnter/(alphaE*alphaE), 1)
 			ratio2 := gammaEnter / (alphaE * alphaE)
@@ -1104,8 +1147,8 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		if r < 0 {
 			return Optimal, it
 		}
-		s.btranRow(r, rho)
-		s.duals(s.obj2)
+		s.rowAndDuals(r, rho, s.obj2, 0)
+		s.in.stats.Btrans++ // the duals half, read by the entering scan
 		// Entering scan: record every admissible nonbasic as a breakpoint
 		// (column, |α|, strict ratio |d|/|α|) for the bound-flipping ratio
 		// test below. An empty candidate set means no column can repair

@@ -91,6 +91,10 @@ func (m *Model) FixVar(j int, v float64) {
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.integer) }
 
+// LP returns the model's LP relaxation (integrality dropped). It is the
+// model's own problem, not a copy: callers must not modify it.
+func (m *Model) LP() *lp.Problem { return m.prob }
+
 // NumRows returns the number of constraints.
 func (m *Model) NumRows() int { return len(m.prob.Rows) }
 

@@ -29,10 +29,13 @@
 #      restart on the same directory, and assert the recovery counters
 #      plus a warm byte-identical cache hit for the surviving entry and
 #      a cold byte-identical recompute for the torn one;
-#   5. a short benchmark smoke: the portfolio experiment on the tiny
-#      dataset, emitting BENCH_portfolio.json (per-scheduler cost and
-#      timing per instance) so the portfolio's performance trajectory is
-#      comparable across PRs;
+#   5. a short benchmark smoke: BenchmarkPortfolio and the LU kernel
+#      micro-benchmarks (BenchmarkFtran/Btran/Btran2 in internal/lp, one
+#      iteration each, so they keep building and running), then the
+#      portfolio experiment on the tiny dataset, emitting
+#      BENCH_portfolio.json (per-scheduler cost and timing per instance)
+#      so the portfolio's performance trajectory is comparable across
+#      PRs;
 #   6. the solver bench smoke (scripts/bench.sh): micro-benchmarks plus
 #      the solver experiment emitting BENCH_solver.json — the
 #      parallel-solver gate. It exits nonzero on warm/cold solver
@@ -83,6 +86,9 @@ sh scripts/crash_smoke.sh
 
 echo "== bench smoke: BenchmarkPortfolio (1 iteration)"
 go test -run '^$' -bench '^BenchmarkPortfolio$' -benchtime 1x .
+
+echo "== bench smoke: LU kernels (1 iteration)"
+go test -run '^$' -bench '^Benchmark(Ftran|Btran|Btran2)$' -benchtime 1x ./internal/lp
 
 echo "== portfolio experiment -> ${outdir}/BENCH_portfolio.json"
 go run ./cmd/mbsp-bench -experiment portfolio -dataset tiny \
