@@ -412,17 +412,17 @@ func BenchmarkPortfolio(b *testing.B) {
 }
 
 // E13 — solver core micro-benchmark: one cold LP solve of a structured
-// assignment-with-side-constraints program, per pricing rule, plus the
-// preserved dense reference. Reports simplex iterations as a metric so
-// pricing regressions surface without timing noise.
+// assignment-with-side-constraints program with the sparse Devex solver
+// and with the preserved dense (Dantzig) reference. Reports simplex
+// iterations as a metric so pricing regressions surface without timing
+// noise.
 func BenchmarkLPSolve(b *testing.B) {
 	p := benchLP(28, 9)
 	for _, bc := range []struct {
 		name  string
 		solve func() lp.Result
 	}{
-		{"devex", func() lp.Result { return lp.Solve(p, lp.Options{Pricing: lp.PricingDevex}) }},
-		{"dantzig", func() lp.Result { return lp.Solve(p, lp.Options{Pricing: lp.PricingDantzig}) }},
+		{"sparse", func() lp.Result { return lp.Solve(p, lp.Options{}) }},
 		{"dense-reference", func() lp.Result { return lp.SolveDense(p, lp.Options{}) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

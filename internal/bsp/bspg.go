@@ -7,31 +7,22 @@ import (
 	"mbsp/internal/graph"
 )
 
-// BSPgOptions tunes the greedy scheduler. The zero value is replaced by
-// sensible defaults.
+// BSPgOptions tunes the greedy scheduler.
 type BSPgOptions struct {
 	// G and L are the BSP parameters used when scoring communication
 	// against work.
 	G float64
 	L float64
-	// ImbalanceRatio ends a superstep once the least-loaded processor
-	// has at least this fraction of the most-loaded one and no
-	// communication-free node is available. Default 0.7.
-	ImbalanceRatio float64
-	// MaxStepWork caps a superstep's per-processor work at this multiple
-	// of the mean node weight times ceil(n/P). Default 2.0.
-	MaxStepWork float64
 }
 
-func (o BSPgOptions) withDefaults() BSPgOptions {
-	if o.ImbalanceRatio == 0 {
-		o.ImbalanceRatio = 0.7
-	}
-	if o.MaxStepWork == 0 {
-		o.MaxStepWork = 2.0
-	}
-	return o
-}
+// imbalanceRatio ends a superstep once the least-loaded processor has at
+// least this fraction of the most-loaded one and no communication-free
+// node is available.
+const imbalanceRatio = 0.7
+
+// maxStepWork caps a superstep's per-processor work at this multiple of
+// the mean node weight times ceil(n/P).
+const maxStepWork = 2.0
 
 // BSPg is a greedy BSP list scheduler in the spirit of the BSPg heuristic
 // of Papp et al. (SPAA 2024): it grows supersteps one at a time,
@@ -44,7 +35,6 @@ func (o BSPgOptions) withDefaults() BSPgOptions {
 // Returns ErrNoProgress (or graph.ErrCyclic for a cyclic input) instead
 // of a schedule when the greedy loop cannot place every node.
 func BSPg(g *graph.DAG, p int, opts BSPgOptions) (*Schedule, error) {
-	opts = opts.withDefaults()
 	s := NewSchedule(g, p)
 	bl, err := g.BottomLevels()
 	if err != nil {
@@ -90,7 +80,7 @@ func BSPg(g *graph.DAG, p int, opts BSPgOptions) (*Schedule, error) {
 	for _, l := range lvls {
 		levels = max(levels, l)
 	}
-	quota := opts.MaxStepWork * g.TotalComp() / float64(p) / float64(max(1, levels/2))
+	quota := maxStepWork * g.TotalComp() / float64(p) / float64(max(1, levels/2))
 	if quota <= 0 {
 		quota = math.Inf(1)
 	}
@@ -156,7 +146,7 @@ func BSPg(g *graph.DAG, p int, opts BSPgOptions) (*Schedule, error) {
 				minLoad = min(minLoad, l)
 				maxLoad = max(maxLoad, l)
 			}
-			if maxLoad > 0 && minLoad >= opts.ImbalanceRatio*maxLoad &&
+			if maxLoad > 0 && minLoad >= imbalanceRatio*maxLoad &&
 				load[bestProc]+g.Comp(bestNode) > quota {
 				break
 			}

@@ -67,8 +67,6 @@ type Options struct {
 	// byte-identical determinism guarantee. 0 keeps the partition
 	// default (wall-clock budgeted only).
 	PartitionNodeLimit int
-	// GreedyPartition switches to the heuristic partitioner (ablation).
-	GreedyPartition bool
 	// MaxModelRows caps each part's scheduling sub-ILP model size
 	// (ilpsched.Options.MaxModelRows). 0 keeps the ilpsched default.
 	MaxModelRows int
@@ -151,7 +149,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 
 	pres, err := partition.Recursive(g, partition.RecursiveOptions{
 		MaxPartSize: opts.MaxPartSize,
-		UseILP:      !opts.GreedyPartition,
+		UseILP:      true,
 		TimeLimit:   opts.PartitionTimeLimit,
 		NodeLimit:   opts.PartitionNodeLimit,
 		Workers:     opts.MIPWorkers,

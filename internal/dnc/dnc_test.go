@@ -65,30 +65,6 @@ func TestSolveComparableToBaseline(t *testing.T) {
 	}
 }
 
-func TestSolveGreedyPartitionAblation(t *testing.T) {
-	inst, err := workloads.ByName("exp_N10_K8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch := mbsp.Arch{P: 4, R: 5 * inst.DAG.MinCache(), G: 1, L: 10}
-	s, stats, err := Solve(inst.DAG, arch, Options{
-		MaxPartSize:     20,
-		GreedyPartition: true,
-		SubTimeLimit:    300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, sub := range stats.SubILPStats {
-		if sub.FinalCost > sub.WarmCost+1e-9 {
-			t.Fatalf("sub-ILP made things worse: %+v", sub)
-		}
-	}
-}
-
 func TestSolveTinyDAGSinglePart(t *testing.T) {
 	inst, err := workloads.ByName("spmv_N6")
 	if err != nil {

@@ -29,7 +29,7 @@ func TestWarmStartEncodingFeasible(t *testing.T) {
 						t.Fatalf("%s: %v", inst.Name, err)
 					}
 					opts := Options{Model: model}.withDefaults()
-					skel, err := buildSkeleton(warm, nil)
+					skel, err := buildSkeleton(warm)
 					if err != nil {
 						t.Fatalf("%s: %v", inst.Name, err)
 					}
@@ -60,7 +60,7 @@ func TestWarmStartObjectiveMatchesCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Model: mbsp.Sync}.withDefaults()
-	skel, err := buildSkeleton(warm, nil)
+	skel, err := buildSkeleton(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestNoStepMergingWarmStartFeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{NoStepMerging: true}.withDefaults()
-	skel, err := buildSkeleton(warm, nil)
+	skel, err := buildSkeleton(warm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestWarmStartEncodingFeasibleRandom(t *testing.T) {
 		}
 		for _, model := range []mbsp.CostModel{mbsp.Sync, mbsp.Async} {
 			opts := Options{Model: model}.withDefaults()
-			skel, err := buildSkeleton(warm, nil)
+			skel, err := buildSkeleton(warm)
 			if err != nil {
 				t.Fatal(err)
 			}

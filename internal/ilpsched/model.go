@@ -83,16 +83,6 @@ func buildModel(g *graph.DAG, arch mbsp.Arch, opts Options, T int) *ilpModel {
 		}
 	}
 
-	initialRed := make([]map[int]bool, P)
-	for p := range initialRed {
-		initialRed[p] = map[int]bool{}
-		if p < len(opts.InitialRed) {
-			for _, v := range opts.InitialRed[p] {
-				initialRed[p][v] = true
-			}
-		}
-	}
-
 	// Variables.
 	for p := 0; p < P; p++ {
 		for v := 0; v < n; v++ {
@@ -103,16 +93,9 @@ func buildModel(g *graph.DAG, arch mbsp.Arch, opts Options, T int) *ilpModel {
 				}
 				im.load[p][v][t] = im.m.AddBinary("load", 0)
 			}
-			for t := 0; t <= T; t++ {
-				if t == 0 {
-					// Fixed initial state: create only when red.
-					if initialRed[p][v] {
-						j := im.m.AddBinary("hasred", 0)
-						im.m.FixVar(j, 1)
-						im.hasred[p][v][0] = j
-					}
-					continue
-				}
+			// hasred[p][v][0] = 0: every processor starts with an empty
+			// cache, so the variable is never created.
+			for t := 1; t <= T; t++ {
 				im.hasred[p][v][t] = im.m.AddBinary("hasred", 0)
 			}
 		}
@@ -137,7 +120,7 @@ func buildModel(g *graph.DAG, arch mbsp.Arch, opts Options, T int) *ilpModel {
 		}
 	}
 
-	im.addCoreConstraints(initialRed)
+	im.addCoreConstraints()
 	if opts.Model == mbsp.Async {
 		im.addAsyncObjective()
 	} else {
@@ -152,8 +135,8 @@ func cf(j int, v float64) lp.Coef { return lp.Coef{Var: j, Val: v} }
 
 // addCoreConstraints emits constraints (1)–(10) of Figure 3 in their
 // step-merged form, the red-pebble persistence links, and the optional
-// compute-coverage rows.
-func (im *ilpModel) addCoreConstraints(initialRed []map[int]bool) {
+// no-recomputation rows.
+func (im *ilpModel) addCoreConstraints() {
 	g, m, T, P := im.g, im.m, im.T, im.arch.P
 	n := g.N()
 	for p := 0; p < P; p++ {
@@ -291,8 +274,7 @@ func (im *ilpModel) addCoreConstraints(initialRed []map[int]bool) {
 			}
 		}
 	}
-	// (8)–(9) initial states are encoded by variable absence/fixing.
-	_ = initialRed
+	// (8)–(9) initial states are encoded by variable absence.
 	// (10) terminal blue pebbles.
 	need := map[int]bool{}
 	for _, v := range g.Sinks() {
@@ -316,7 +298,10 @@ func (im *ilpModel) addCoreConstraints(initialRed []map[int]bool) {
 		}
 		m.AddGE(1, cf(im.hasblue[v][T], 1))
 	}
-	// Compute coverage / no-recomputation.
+	// No-recomputation: each node is computed at most once.
+	if !im.opts.NoRecompute {
+		return
+	}
 	for v := 0; v < n; v++ {
 		if g.IsSource(v) {
 			continue
@@ -327,12 +312,7 @@ func (im *ilpModel) addCoreConstraints(initialRed []map[int]bool) {
 				coefs = append(coefs, cf(im.compute[p][v][t], 1))
 			}
 		}
-		if im.opts.RequireComputeAll {
-			m.AddRow(coefs, lp.GE, 1)
-		}
-		if im.opts.NoRecompute {
-			m.AddRow(coefs, lp.LE, 1)
-		}
+		m.AddRow(coefs, lp.LE, 1)
 	}
 }
 

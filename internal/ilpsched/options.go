@@ -51,10 +51,6 @@ type Options struct {
 	// step start (constraint (3) without the same-step term). The time
 	// horizon grows accordingly; only small instances remain tractable.
 	NoStepMerging bool
-	// RequireComputeAll adds Σ compute ≥ 1 per non-source node. Valid
-	// whenever every node has a path to a sink (true for all bundled
-	// workloads); tightens the relaxation. Default true.
-	RequireComputeAll bool
 	// TimeLimit bounds the branch-and-bound search. Default 10s.
 	TimeLimit time.Duration
 	// NodeLimit bounds the search tree size. Default 5000.
@@ -83,9 +79,9 @@ type Options struct {
 	// across solvers of the same instance and model; the caller owns
 	// that invariant.
 	Incumbent *mip.Incumbent
-	// Boundary conditions for divide-and-conquer subproblems.
-	InitialRed [][]int // per processor, nodes red at step 0
-	NeedBlue   []int   // nodes (besides sinks) that must be blue at the end
+	// NeedBlue is the divide-and-conquer subproblems' boundary
+	// condition: nodes (besides sinks) that must be blue at the end.
+	NeedBlue []int
 	// MIPWorkers bounds the goroutines solving branch-and-bound node
 	// relaxations concurrently (mip.Options.Workers). The solver's
 	// deterministic node accounting makes the schedule identical for any
@@ -157,10 +153,10 @@ type Stats struct {
 	// spent removing the shifts at optimality.
 	PerturbedLPs int
 	CleanupIters int
-	LocalMoves       int
-	WarmCost         float64
-	FinalCost        float64
-	Source           string // "ilp", "local-search", "exact-pebbler", or "warm-start"
-	SolveTime        time.Duration
-	ProvedBound      float64
+	LocalMoves   int
+	WarmCost     float64
+	FinalCost    float64
+	Source       string // "ilp", "local-search", "exact-pebbler", or "warm-start"
+	SolveTime    time.Duration
+	ProvedBound  float64
 }

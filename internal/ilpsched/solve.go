@@ -111,7 +111,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 	// yields a provably optimal schedule — including recomputation
 	// decisions the tree search rarely reaches.
 	if arch.P == 1 && arch.L == 0 && g.N() <= exact.MaxNodes &&
-		len(opts.InitialRed) == 0 && len(opts.NeedBlue) == 0 &&
+		len(opts.NeedBlue) == 0 &&
 		(opts.Context == nil || opts.Context.Err() == nil) {
 		res, exErr := exact.SolveOpts(g, arch.R, arch.G, exact.Options{
 			NoRecompute: opts.NoRecompute,
@@ -129,7 +129,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 		}
 	}
 
-	if !opts.DisableLocalSearch && arch.P > 1 && len(opts.InitialRed) == 0 {
+	if !opts.DisableLocalSearch && arch.P > 1 {
 		r := refine.Improve(best, refine.Options{
 			Budget:    opts.LocalSearchBudget,
 			Seed:      opts.Seed,
@@ -177,7 +177,7 @@ func warmStart(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, erro
 // horizon returns the warm start's skeleton and the time horizon the
 // ILP is sized by: the warm start's steps plus slack.
 func horizon(warm *mbsp.Schedule, arch mbsp.Arch, opts Options) ([]skelStep, int, error) {
-	skel, err := buildSkeleton(warm, opts.InitialRed)
+	skel, err := buildSkeleton(warm)
 	if err != nil {
 		return nil, 0, err
 	}

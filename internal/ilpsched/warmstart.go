@@ -26,17 +26,12 @@ type skelStep struct {
 //     at its boundary) and loads a second, so a value saved and loaded in
 //     the same superstep is blue before the load's step, as constraint
 //     (1) requires.
-func buildSkeleton(s *mbsp.Schedule, initialRed [][]int) ([]skelStep, error) {
+func buildSkeleton(s *mbsp.Schedule) ([]skelStep, error) {
 	g := s.Graph
 	P := s.Arch.P
 	red := make([]map[int]bool, P)
 	for p := 0; p < P; p++ {
 		red[p] = map[int]bool{}
-		if p < len(initialRed) {
-			for _, v := range initialRed[p] {
-				red[p][v] = true
-			}
-		}
 	}
 	memOf := func(set map[int]bool) float64 {
 		t := 0.0
@@ -191,15 +186,6 @@ func (im *ilpModel) assignment(steps []skelStep) []float64 {
 	blue := make([]bool, n)
 	for _, v := range g.Sources() {
 		blue[v] = true
-	}
-	// hasred at t=0 is fixed by the model (InitialRed); set those that
-	// exist.
-	for p := 0; p < P; p++ {
-		for v := 0; v < n; v++ {
-			if im.hasred[p][v][0] >= 0 {
-				x[im.hasred[p][v][0]] = 1
-			}
-		}
 	}
 	for t := 0; t < T; t++ {
 		if t < len(steps) {
@@ -411,17 +397,11 @@ func explodeSkeleton(steps []skelStep, P int) []skelStep {
 		}
 		return cp
 	}
-	// cur tracks the running red sets between emitted substeps.
+	// cur tracks the running red sets between emitted substeps, starting
+	// from the empty caches the skeleton starts from.
 	cur := make([]map[int]bool, P)
 	for p := range cur {
 		cur[p] = map[int]bool{}
-	}
-	if len(steps) > 0 {
-		// Initial red state equals whatever the first step assumed; the
-		// caller built the skeleton from the same InitialRed, and the
-		// first step's redAfter minus its own effects is not recoverable
-		// here, so start from empty and rely on the final-round override
-		// per original step. Intermediate rounds only ever add values.
 	}
 	var out []skelStep
 	for si := range steps {

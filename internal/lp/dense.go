@@ -13,15 +13,10 @@ import (
 // reproduces its objectives, and the solver benchmarks use it as the
 // ablation baseline. New code should call Solve or Prepare/SolveFrom.
 func SolveDense(p *Problem, opts Options) Result {
-	if opts.Eps == 0 {
-		opts.Eps = defaultEps
-	}
 	m := len(p.Rows)
 	n := p.NumVars()
-	if opts.MaxIters == 0 {
-		opts.MaxIters = 50*(m+n) + 1000
-	}
-	s := &denseSimplex{m: m, nOrig: n, eps: opts.Eps, deadline: opts.Deadline, cancel: opts.Cancel}
+	budget := iterBudget(m, n)
+	s := &denseSimplex{m: m, nOrig: n, deadline: opts.Deadline, cancel: opts.Cancel}
 
 	// Assemble columns: structural, then one slack per row, then
 	// artificials added on demand.
@@ -34,7 +29,7 @@ func SolveDense(p *Problem, opts Options) Result {
 	copy(s.lb, p.Lb)
 	copy(s.ub, p.Ub)
 	for j := 0; j < n; j++ {
-		if s.lb[j] > s.ub[j]+opts.Eps {
+		if s.lb[j] > s.ub[j]+eps {
 			return Result{Status: Infeasible}
 		}
 	}
@@ -91,7 +86,7 @@ func SolveDense(p *Problem, opts Options) Result {
 		sj := n + i
 		// Try absorbing the residual into the slack.
 		v := s.x[sj] + r[i]
-		if v >= s.lb[sj]-opts.Eps && v <= s.ub[sj]+opts.Eps {
+		if v >= s.lb[sj]-eps && v <= s.ub[sj]+eps {
 			s.x[sj] = clamp(v, s.lb[sj], s.ub[sj])
 			s.basis[i] = sj
 			s.stat[sj] = basic
@@ -125,7 +120,7 @@ func SolveDense(p *Problem, opts Options) Result {
 		for j := total; j < s.n; j++ {
 			c1[j] = 1
 		}
-		st, it := s.iterate(c1, opts.MaxIters)
+		st, it := s.iterate(c1, budget)
 		iters += it
 		if st == IterLimit {
 			return Result{Status: IterLimit, Iters: iters}
@@ -146,7 +141,7 @@ func SolveDense(p *Problem, opts Options) Result {
 
 	c2 := make([]float64, s.n)
 	copy(c2, s.obj)
-	st, it := s.iterate(c2, opts.MaxIters-iters)
+	st, it := s.iterate(c2, budget-iters)
 	iters += it
 	res := Result{Status: st, Iters: iters}
 	res.X = make([]float64, n)
@@ -170,7 +165,6 @@ type denseSimplex struct {
 	basis    []int       // basic variable per row
 	stat     []vstat
 	x        []float64
-	eps      float64
 	deadline time.Time
 	cancel   <-chan struct{}
 }
@@ -216,7 +210,7 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 		}
 		// Pricing.
 		enter := -1
-		bestViol := s.eps
+		bestViol := eps
 		var dir float64 // +1 entering increases, −1 decreases
 		for j := 0; j < s.n; j++ {
 			if s.stat[j] == basic {
@@ -232,12 +226,12 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 			var viol float64
 			var dd float64
 			switch {
-			case s.stat[j] == atLower && d < -s.eps:
+			case s.stat[j] == atLower && d < -eps:
 				viol, dd = -d, 1
-			case s.stat[j] == atLower && d > s.eps && math.IsInf(s.lb[j], -1):
+			case s.stat[j] == atLower && d > eps && math.IsInf(s.lb[j], -1):
 				// Free variable parked at 0 can also decrease.
 				viol, dd = d, -1
-			case s.stat[j] == atUpper && d > s.eps:
+			case s.stat[j] == atUpper && d > eps:
 				viol, dd = d, -1
 			default:
 				continue
@@ -269,7 +263,7 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 		leaveToUpper := false
 		for i := 0; i < m; i++ {
 			delta := -dir * w[i]
-			if delta > s.eps { // basic increases toward ub
+			if delta > eps { // basic increases toward ub
 				bi := s.basis[i]
 				if !math.IsInf(s.ub[bi], 1) {
 					t := (s.ub[bi] - s.x[bi]) / delta
@@ -277,7 +271,7 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 						tMax, leave, leaveToUpper = t, i, true
 					}
 				}
-			} else if delta < -s.eps { // basic decreases toward lb
+			} else if delta < -eps { // basic decreases toward lb
 				bi := s.basis[i]
 				if !math.IsInf(s.lb[bi], -1) {
 					t := (s.lb[bi] - s.x[bi]) / delta

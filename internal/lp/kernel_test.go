@@ -126,7 +126,7 @@ func appendRandomEta(rng *rand.Rand, f *luFactor) {
 }
 
 // TestKernelsMatchReferenceBitwise: on random sparse bases carrying 0 to
-// defaultRefactorEvery etas, ftran and btran equal the textbook loops
+// refactorEvery etas, ftran and btran equal the textbook loops
 // bit for bit; btran2 with lag 0 equals two btran calls; and btran2 with
 // lag 1 gives btran on the factor before the newest eta for the first
 // right-hand side and btran on the current factor for the second.
@@ -143,7 +143,7 @@ func TestKernelsMatchReferenceBitwise(t *testing.T) {
 		// per right-hand side.
 		var preC [2][]float64
 		var preY [2][]float64
-		for ne := 0; ne <= defaultRefactorEvery; ne++ {
+		for ne := 0; ne <= refactorEvery; ne++ {
 			if ne > 0 {
 				for s := range preC {
 					preC[s] = kernelRHS(rng, m, s == 0)
@@ -188,4 +188,167 @@ func TestKernelsMatchReferenceBitwise(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ratioTestTwoPassRef is the Harris two-pass primal ratio test at band
+// zero, the form ratioTest collapses: pass 1 takes the smallest ratio
+// with every blocking bound widened by band·max(1,|bound|), pass 2 the
+// largest |α| among rows whose exact ratio fits under that limit. It also
+// reports the unbounded verdict, which it takes from the pass-1 limit.
+func ratioTestTwoPassRef(s *spx, w []float64, dir, tFlip float64) (tMax float64, leave int, toUpper, unbounded bool) {
+	band := 0.0
+	tMax, leave = tFlip, -1
+	tLim := tFlip
+	for i := range w {
+		delta := -dir * w[i]
+		if delta > eps {
+			bi := s.basis[i]
+			if ub := s.ub[bi]; !math.IsInf(ub, 1) {
+				if t := (ub - s.x[bi] + band*boundScale(ub)) / delta; t < tLim {
+					tLim = t
+				}
+			}
+		} else if delta < -eps {
+			bi := s.basis[i]
+			if lb := s.lb[bi]; !math.IsInf(lb, -1) {
+				if t := (lb - s.x[bi] - band*boundScale(lb)) / delta; t < tLim {
+					tLim = t
+				}
+			}
+		}
+	}
+	if math.IsInf(tLim, 1) {
+		return tMax, leave, toUpper, true
+	}
+	bestPiv := 0.0
+	for i := range w {
+		delta := -dir * w[i]
+		if delta > eps {
+			bi := s.basis[i]
+			if ub := s.ub[bi]; !math.IsInf(ub, 1) {
+				if t := (ub - s.x[bi]) / delta; t <= tLim && delta > bestPiv {
+					bestPiv, tMax, leave, toUpper = delta, t, i, true
+				}
+			}
+		} else if delta < -eps {
+			bi := s.basis[i]
+			if lb := s.lb[bi]; !math.IsInf(lb, -1) {
+				if t := (lb - s.x[bi]) / delta; t <= tLim && -delta > bestPiv {
+					bestPiv, tMax, leave, toUpper = -delta, t, i, false
+				}
+			}
+		}
+	}
+	if leave < 0 {
+		tMax = tFlip
+	}
+	return tMax, leave, toUpper, math.IsInf(tMax, 1)
+}
+
+// TestRatioTestMatchesTwoPassBitwise pins the one-pass primal ratio test
+// to the two-pass zero-band reference on inputs built to hit its edge
+// cases: exact ratio ties at different |α| (power-of-two gaps and
+// pivots), ±0 ratios (bounds and values of both zero signs), rows whose
+// ratio equals the bound-flip distance, infinite bounds and flips, and
+// pivots at exactly ±eps (ineligible) or one ulp above it.
+func TestRatioTestMatchesTwoPassBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	negZero := math.Copysign(0, -1)
+	zeros := []float64{0, negZero}
+	pivots := []float64{0, eps, math.Nextafter(eps, 1), 0.25, 0.5, 1, 2, 4}
+	gaps := []float64{0, 0.5, 1, 2, 4, 8}
+	pick := func(vals []float64) float64 { return vals[rng.Intn(len(vals))] }
+	ties, flipTies, negZeroRatios, flips := 0, 0, 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		m := 1 + rng.Intn(10)
+		s := &spx{
+			m: m, basis: make([]int, m),
+			x: make([]float64, m), lb: make([]float64, m), ub: make([]float64, m),
+		}
+		w := make([]float64, m)
+		for i := 0; i < m; i++ {
+			s.basis[i] = m - 1 - i // basis position ≠ column index
+			bi := s.basis[i]
+			x := pick(zeros)
+			if rng.Intn(3) == 0 {
+				x = float64(rng.Intn(5) - 2)
+			}
+			s.x[bi] = x
+			s.lb[bi], s.ub[bi] = x-pick(gaps), x+pick(gaps)
+			if s.lb[bi] == 0 {
+				s.lb[bi] = pick(zeros)
+			}
+			if s.ub[bi] == 0 {
+				s.ub[bi] = pick(zeros)
+			}
+			switch rng.Intn(5) {
+			case 0:
+				s.lb[bi] = math.Inf(-1)
+			case 1:
+				s.ub[bi] = math.Inf(1)
+			}
+			w[i] = pick(pivots)
+			if rng.Intn(2) == 0 {
+				w[i] = -w[i]
+			}
+		}
+		dir := 1.0
+		if rng.Intn(2) == 0 {
+			dir = -1
+		}
+		tFlip := pick(gaps) / pick(pivots[3:])
+		switch rng.Intn(4) {
+		case 0:
+			tFlip = math.Inf(1)
+		case 1:
+			tFlip = pick(zeros)
+		}
+
+		gotT, gotLeave, gotUp := s.ratioTest(w, dir, tFlip)
+		wantT, wantLeave, wantUp, wantUnb := ratioTestTwoPassRef(s, w, dir, tFlip)
+		if gotUnb := math.IsInf(gotT, 1); gotUnb != wantUnb {
+			t.Fatalf("trial %d: unbounded=%v want %v (w=%v dir=%v tFlip=%v)", trial, gotUnb, wantUnb, w, dir, tFlip)
+		}
+		if wantUnb {
+			continue // the caller returns Unbounded; the step is unused
+		}
+		if math.Float64bits(gotT) != math.Float64bits(wantT) || gotLeave != wantLeave || gotUp != wantUp {
+			t.Fatalf("trial %d: got (t=%v leave=%d up=%v) want (t=%v leave=%d up=%v)\nw=%v dir=%v tFlip=%v x=%v lb=%v ub=%v",
+				trial, gotT, gotLeave, gotUp, wantT, wantLeave, wantUp, w, dir, tFlip, s.x, s.lb, s.ub)
+		}
+		// Coverage of the edge cases the generator exists for.
+		if wantLeave < 0 {
+			flips++
+		} else {
+			if wantT == tFlip {
+				flipTies++
+			}
+			if wantT == 0 && math.Signbit(wantT) {
+				negZeroRatios++
+			}
+			for i := range w {
+				if i != wantLeave && math.Abs(w[i]) != math.Abs(w[wantLeave]) && rowBlocksAt(s, w, dir, i, wantT) {
+					ties++
+					break
+				}
+			}
+		}
+	}
+	t.Logf("%d |α| ties, %d flip ties, %d −0 ratios, %d bound flips", ties, flipTies, negZeroRatios, flips)
+	if ties < 500 || flipTies < 100 || negZeroRatios < 100 || flips < 500 {
+		t.Fatalf("generator lost its edge cases: %d |α| ties, %d flip ties, %d −0 ratios, %d bound flips",
+			ties, flipTies, negZeroRatios, flips)
+	}
+}
+
+// rowBlocksAt reports whether row i blocks the move at exactly ratio t.
+func rowBlocksAt(s *spx, w []float64, dir float64, i int, t float64) bool {
+	bi := s.basis[i]
+	switch delta := -dir * w[i]; {
+	case delta > eps && !math.IsInf(s.ub[bi], 1):
+		return (s.ub[bi]-s.x[bi])/delta == t
+	case delta < -eps && !math.IsInf(s.lb[bi], -1):
+		return (s.lb[bi]-s.x[bi])/delta == t
+	}
+	return false
 }

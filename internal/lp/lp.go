@@ -1,7 +1,7 @@
 // Package lp implements a linear-programming solver: a bounded-variable
 // simplex method over sparse column-major (CSC) constraint storage with
-// Devex (approximate steepest-edge) pricing, a Dantzig/Bland fallback,
-// and periodic basis refactorization.
+// Devex (approximate steepest-edge) pricing, Bland's rule under prolonged
+// degeneracy, and periodic basis refactorization.
 //
 // Two entry points serve the MILP branch-and-bound in package mip:
 //
@@ -133,43 +133,16 @@ type Result struct {
 	// reported (see CleanupIters).
 	Perturbed bool
 	// CleanupIters is the number of simplex iterations (included in Iters)
-	// the clean-up re-solve spent removing the EXPAND shifts and Harris
-	// tolerance-band residuals at the end of the solve.
+	// the clean-up re-solve spent removing the EXPAND shifts and any
+	// residual bound violations at the end of the solve.
 	CleanupIters int
 }
 
-// Pricing selects the primal pricing rule.
-type Pricing int8
-
-const (
-	// PricingDevex is the default: approximate steepest-edge reference
-	// weights, falling back to Bland's rule under prolonged degeneracy.
-	PricingDevex Pricing = iota
-	// PricingDantzig selects the classical most-negative-reduced-cost
-	// rule (the dense reference solver's rule); kept for ablations.
-	PricingDantzig
-)
-
-// Options tunes the solver. Zero values select defaults.
+// Options tunes the solver. The zero value solves without a deadline,
+// perturbation or fault injection.
 type Options struct {
-	MaxIters int             // default 50·(m+n)
-	Eps      float64         // feasibility/optimality tolerance, default 1e-7
 	Deadline time.Time       // abort with IterLimit when exceeded (checked periodically)
 	Cancel   <-chan struct{} // abort with IterLimit when closed (checked periodically)
-	// Pricing selects the primal pricing rule (default Devex).
-	Pricing Pricing
-	// RefactorEvery rebuilds the basis inverse from scratch after this
-	// many pivots to bound numerical drift (default 128).
-	RefactorEvery int
-	// FreshFactor forces SolveFrom to reconstruct the factorization from
-	// the basis snapshot even when the snapshot matches the instance's
-	// live factorization. Since the sparse LU core, reconstruction
-	// replays the snapshot's recipe to the same bits the live state
-	// holds, so results are identical either way and branch-and-bound no
-	// longer needs the flag for determinism — it survives as the
-	// hot-path ablation switch (and for tests pinning hot vs replayed
-	// equality).
-	FreshFactor bool
 	// Perturb enables deterministic EXPAND-style bound perturbation: every
 	// finite working bound is expanded outward by a tiny pseudo-random
 	// amount derived from (instance fingerprint, PerturbSeq, column), which
@@ -205,8 +178,16 @@ type FaultInjector interface {
 	SingularRefactor(fprint, seq uint64) bool
 }
 
-const defaultEps = 1e-7
-const defaultRefactorEvery = 128
+// eps is the feasibility/optimality tolerance of both solvers.
+const eps = 1e-7
+
+// refactorEvery is the number of pivots after which the basis inverse is
+// rebuilt from scratch to bound numerical drift.
+const refactorEvery = 128
+
+// iterBudget is the simplex iteration budget of one solve of an m-row,
+// n-column problem.
+func iterBudget(m, n int) int { return 50*(m+n) + 1000 }
 
 // variable status markers
 type vstat int8

@@ -282,10 +282,9 @@ func uintToHex(u uint64) string {
 // TestHotMatchesReplayBitwise is the determinism keystone of the LU
 // core: re-solving from a basis snapshot must produce bit-identical
 // results whether the instance still holds the live factorization that
-// captured the snapshot (hot reuse), reconstructs it by replaying the
-// snapshot's recipe on a fresh instance, or is forced to reconstruct via
-// FreshFactor. Branch-and-bound's worker-count determinism rests on
-// exactly this equivalence.
+// captured the snapshot (hot reuse) or reconstructs it by replaying the
+// snapshot's recipe on a fresh instance. Branch-and-bound's worker-count
+// determinism rests on exactly this equivalence.
 func TestHotMatchesReplayBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	checked := 0
@@ -310,20 +309,11 @@ func TestHotMatchesReplayBitwise(t *testing.T) {
 			inFresh := Prepare(p)
 			inFresh.Solve(p.Lb, p.Ub, Options{}) // unrelated state to overwrite
 			replay := inFresh.SolveFrom(res.Basis, lb, ub, opts)
-			// Forced reconstruction on a third instance.
-			inForced := Prepare(p)
-			forced := inForced.SolveFrom(res.Basis, lb, ub, Options{
-				Perturb: perturb, PerturbSeq: uint64(trial), FreshFactor: true,
-			})
 			if hotStats.HotSolves < 1 {
 				t.Fatalf("trial %d perturb=%v: hot path did not fire (stats %+v)", trial, perturb, hotStats)
 			}
-			hb, rb, fb := resultBits(hot), resultBits(replay), resultBits(forced)
-			if hb != rb {
+			if hb, rb := resultBits(hot), resultBits(replay); hb != rb {
 				t.Fatalf("trial %d perturb=%v: hot and replayed solves diverged\nhot:    %s\nreplay: %s", trial, perturb, hb, rb)
-			}
-			if hb != fb {
-				t.Fatalf("trial %d perturb=%v: hot and FreshFactor solves diverged\nhot:    %s\nforced: %s", trial, perturb, hb, fb)
 			}
 			checked++
 		}
@@ -380,15 +370,5 @@ func TestHotSolvesCounterFires(t *testing.T) {
 	st = in.Stats()
 	if st.HotSolves != base.HotSolves {
 		t.Fatalf("stale basis hot-reused a mismatched factorization (stats %+v)", st)
-	}
-	// FreshFactor must bypass the hot path even when it would match.
-	res3 := in.Solve(p.Lb, p.Ub, Options{})
-	base = in.Stats()
-	if r := in.SolveFrom(res3.Basis, lb, ub, Options{FreshFactor: true}); r.Status != Optimal {
-		t.Fatalf("fresh: %+v", r)
-	}
-	st = in.Stats()
-	if st.HotSolves != base.HotSolves {
-		t.Fatalf("FreshFactor did not bypass the hot path (stats %+v)", st)
 	}
 }

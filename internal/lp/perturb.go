@@ -19,7 +19,7 @@ import "math"
 // a short dual/primal clean-up re-solve repairs the residual
 // infeasibility, so callers only ever observe exact solutions.
 
-// perturbScaleFactor sizes the shifts relative to Options.Eps: shifts of
+// perturbScaleFactor sizes the shifts relative to eps: shifts of
 // ~1% of the feasibility tolerance are large enough to separate exact
 // ratio-test ties (which EXPAND needs) yet small enough that every
 // perturbed iterate is feasible for the true bounds within tolerance and
@@ -94,7 +94,7 @@ func (in *Instance) fingerprint() uint64 {
 func (s *spx) perturbBounds() {
 	in := s.in
 	seed := mix64(in.fprint ^ mix64(s.opts.PerturbSeq))
-	scale := perturbScaleFactor * s.eps
+	scale := perturbScaleFactor * eps
 	copy(s.lbTrue, s.lb[:s.nTot])
 	copy(s.ubTrue, s.ub[:s.nTot])
 	for j := 0; j < s.nTot; j++ {
@@ -126,7 +126,7 @@ func (s *spx) perturbBounds() {
 func (s *spx) perturbCosts() {
 	in := s.in
 	seed := mix64(in.fprint ^ mix64(s.opts.PerturbSeq))
-	scale := perturbScaleFactor * s.eps
+	scale := perturbScaleFactor * eps
 	for j := 0; j < s.nTot; j++ {
 		f := scale * perturbUnit(seed, uint64(2*s.nTot+j)) * (1 + math.Abs(s.obj2[j]))
 		switch s.stat[j] {

@@ -154,6 +154,7 @@ func (in *Instance) Solve(lb, ub []float64, opts Options) Result {
 	}
 	s.coldStart()
 
+	budget := iterBudget(in.m, in.nStruct)
 	iters := 0
 	if s.nArt > 0 {
 		// Phase 1: minimize the sum of artificials.
@@ -161,7 +162,7 @@ func (in *Instance) Solve(lb, ub []float64, opts Options) Result {
 		for j := s.nTot; j < s.n; j++ {
 			c1[j] = 1
 		}
-		st, it := s.primal(c1, opts.MaxIters)
+		st, it := s.primal(c1, budget)
 		iters += it
 		if st == IterLimit {
 			return s.result(IterLimit, iters, false)
@@ -179,10 +180,10 @@ func (in *Instance) Solve(lb, ub []float64, opts Options) Result {
 			s.x[j] = 0
 		}
 	}
-	st, it := s.primal(s.obj2, opts.MaxIters-iters)
+	st, it := s.primal(s.obj2, budget-iters)
 	iters += it
 	if st == Optimal {
-		st, it = s.finish(opts.MaxIters - iters)
+		st, it = s.finish(budget - iters)
 		iters += it
 		s.cleanupIters += it
 	}
@@ -220,7 +221,7 @@ func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Resu
 	// state is bitwise equal to what reconstruct() would rebuild from the
 	// snapshot's recipe, so hot reuse is purely a speed decision and the
 	// relaxation stays a pure function of (matrix, basis, bounds, seq).
-	hot := !opts.FreshFactor && basis == s.liveBasis && s.factorOK
+	hot := basis == s.liveBasis && s.factorOK
 	s.liveBasis = nil
 	if !s.resetBounds(lb, ub) {
 		return Result{Status: Infeasible}
@@ -252,11 +253,7 @@ func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Resu
 	// the degenerate scheduling models were measured to finish well inside
 	// this budget once the BFRT pivots at every crossing breakpoint; the
 	// budget is the backstop for NoPerturb runs and pathological handoffs.
-	dualBudget := 50 + s.m/4
-	if opts.MaxIters < dualBudget {
-		dualBudget = opts.MaxIters
-	}
-	st, it := s.dual(dualBudget)
+	st, it := s.dual(50 + s.m/4)
 	iters := it
 	switch st {
 	case Infeasible:
@@ -275,10 +272,11 @@ func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Resu
 	}
 	// Primal cleanup: a no-op when the dual finished cleanly, and the
 	// safety net when reduced costs drifted across the basis handoff.
-	st, it = s.primal(s.obj2, opts.MaxIters-iters)
+	budget := iterBudget(in.m, in.nStruct)
+	st, it = s.primal(s.obj2, budget-iters)
 	iters += it
 	if st == Optimal {
-		st, it = s.finish(opts.MaxIters - iters)
+		st, it = s.finish(budget - iters)
 		iters += it
 		s.cleanupIters += it
 		switch st {
@@ -333,8 +331,8 @@ type spx struct {
 	bscratch         []float64 // second BTRAN right-hand side (rowAndDuals), length m
 	xb               []float64 // computeXB solution scratch, length m
 
-	// Dual ratio-test candidate scratch (Harris pass 2 re-reads what pass
-	// 1 computed instead of re-scanning the columns).
+	// Dual ratio-test candidate scratch (the BFRT walk re-reads what the
+	// entering scan computed instead of re-scanning the columns).
 	candJ   []int32
 	candA   []float64 // |alpha| per candidate
 	candR   []float64 // strict ratio per candidate
@@ -357,32 +355,26 @@ type spx struct {
 	pivots     int        // eta updates since the last refactorization (= len(script))
 
 	opts     *Options
-	eps      float64
 	deadline time.Time
 	cancel   <-chan struct{}
 	abortSet bool
-
-	// Tolerances derived from Options.Eps in workspace(); see their uses
-	// for the roles.
-	pivotTol   float64 // unusable-pivot cutoff (was hard-coded 1e-12)
-	alphaTol   float64 // dual ratio-test pivot eligibility (was 1e-9)
-	primalBand float64 // Harris primal band: per-bound flex in ratio pass 1
-	dualBand   float64 // Harris dual band: allowed dual-feasibility slack
-	dualTol    float64 // primal-feasibility threshold of the dual's leaving row
 }
 
+// Tolerances derived from eps; see their uses for the roles. Row and
+// bound magnitudes enter through relative tests (boundScale) rather than
+// by inflating the pivot cutoffs: scaling cutoffs by the matrix norm was
+// measured to misclassify usable pivots on the scheduling models (max
+// |coefficient| ≈ 1.3e3 would put alphaTol above genuine pivot magnitudes
+// and stall the dual).
+const (
+	pivotTol = 1e-5 * eps // unusable-pivot cutoff
+	alphaTol = 1e-2 * eps // dual ratio-test pivot eligibility
+	dualTol  = eps        // primal-feasibility threshold of the dual's leaving row
+)
+
 // workspace returns the reusable solver state, (re)allocating on first
-// use, and applies option defaults.
+// use.
 func (in *Instance) workspace(opts *Options) *spx {
-	if opts.Eps == 0 {
-		opts.Eps = defaultEps
-	}
-	if opts.MaxIters == 0 {
-		opts.MaxIters = 50*(in.m+in.nStruct) + 1000
-	}
-	if opts.RefactorEvery == 0 {
-		opts.RefactorEvery = defaultRefactorEvery
-	}
 	if in.ws == nil {
 		m, nTot := in.m, in.nStruct+in.m
 		total := nTot + m // artificials at most one per row
@@ -406,27 +398,11 @@ func (in *Instance) workspace(opts *Options) *spx {
 	}
 	s := in.ws
 	s.opts = opts
-	s.eps = opts.Eps
 	s.deadline = opts.Deadline
 	s.cancel = opts.Cancel
 	s.abortSet = false
 	s.perturbed, s.didPerturb, s.costPerturbed = false, false, false
 	s.cleanupIters = 0
-	// Tolerances derive from Options.Eps instead of hard-coded absolute
-	// constants, so a caller loosening or tightening Eps moves the whole
-	// tolerance stack coherently. At the default Eps=1e-7 they reduce to
-	// the former constants 1e-12 and 1e-9. Row/bound magnitudes enter
-	// through the *relative* Harris bands (eps·max(1,|bound|) in the
-	// primal, see boundScale) rather than by inflating the pivot cutoffs:
-	// scaling cutoffs by the matrix norm was measured to misclassify
-	// usable pivots on the scheduling models (max |coefficient| ≈ 1.3e3
-	// would put alphaTol above genuine pivot magnitudes and stall the
-	// dual).
-	s.pivotTol = 1e-5 * opts.Eps
-	s.alphaTol = 1e-2 * opts.Eps
-	s.primalBand = 0 * opts.Eps
-	s.dualBand = 0 * opts.Eps
-	s.dualTol = opts.Eps
 	// liveBasis, factorOK, the anchor/script recipe and the pivot count
 	// survive between solves so that SolveFrom can reuse a still-live
 	// factorization (the hot path). The refactorization cadence stays
@@ -452,7 +428,7 @@ func (s *spx) resetBounds(lb, ub []float64) bool {
 	}
 	copy(s.obj2[:in.nStruct], in.obj)
 	for j := 0; j < in.nStruct; j++ {
-		if s.lb[j] > s.ub[j]+s.eps {
+		if s.lb[j] > s.ub[j]+eps {
 			return false
 		}
 	}
@@ -502,7 +478,7 @@ func (s *spx) coldStart() {
 	for i := 0; i < m; i++ {
 		sj := in.nStruct + i
 		v := s.x[sj] + r[i]
-		if v >= s.lb[sj]-s.eps && v <= s.ub[sj]+s.eps {
+		if v >= s.lb[sj]-eps && v <= s.ub[sj]+eps {
 			s.x[sj] = clamp(v, s.lb[sj], s.ub[sj])
 			s.basis[i] = sj
 			s.stat[sj] = basic
@@ -769,7 +745,7 @@ func (s *spx) reducedCost(c []float64, j int) float64 {
 // reconstruct the exact factor state. Reports false when the pivot
 // element is numerically unusable.
 func (s *spx) pivotUpdate(enter, leave int, w []float64) bool {
-	if math.Abs(w[leave]) < s.pivotTol {
+	if math.Abs(w[leave]) < pivotTol {
 		return false
 	}
 	s.lu.appendEta(leave, w)
@@ -817,23 +793,16 @@ func (s *spx) aborted() bool { return s.abortSet }
 const blandRecovery = 8
 
 // primal runs bounded-variable primal simplex iterations for objective c
-// until optimal, unbounded, or the budget runs out. Pricing is Devex by
-// default (Dantzig under Options.Pricing), with Bland's rule under
-// prolonged degeneracy (reverting to Devex after a nondegenerate run).
-// The ratio test is a Harris-style two-pass test: pass 1 finds the
-// smallest step attainable when every bound may flex by its feasibility
-// band, pass 2 takes the largest-magnitude pivot whose exact ratio fits
-// under that limit — on degenerate vertices this trades a zero-length
-// step on a tiny pivot for a (possibly still zero) step on a stable one,
-// and combined with the EXPAND shifts it turns exact ties into strictly
-// positive progress.
+// until optimal, unbounded, or the budget runs out. Pricing is Devex,
+// with Bland's rule under prolonged degeneracy (reverting to Devex after
+// a nondegenerate run). The ratio test (ratioTest) takes the exact
+// minimum ratio and breaks ties toward the largest pivot magnitude.
 func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 	if maxIters <= 0 {
 		return IterLimit, 0
 	}
 	m := s.m
 	w := s.w[:m]
-	devex := s.opts.Pricing == PricingDevex
 	for j := 0; j < s.n; j++ {
 		s.gamma[j] = 1
 	}
@@ -866,12 +835,12 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 			d := s.reducedCost(c, j)
 			var viol, dd float64
 			switch {
-			case s.stat[j] == atLower && d < -s.eps:
+			case s.stat[j] == atLower && d < -eps:
 				viol, dd = -d, 1
-			case s.stat[j] == atLower && d > s.eps && math.IsInf(s.lb[j], -1):
+			case s.stat[j] == atLower && d > eps && math.IsInf(s.lb[j], -1):
 				// Free column parked at 0 can also decrease.
 				viol, dd = d, -1
-			case s.stat[j] == atUpper && d > s.eps:
+			case s.stat[j] == atUpper && d > eps:
 				viol, dd = d, -1
 			default:
 				continue
@@ -880,11 +849,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 				enter, dir = j, dd
 				break
 			}
-			score := viol
-			if devex {
-				score = viol * viol / s.gamma[j]
-			}
-			if score > bestScore {
+			if score := viol * viol / s.gamma[j]; score > bestScore {
 				bestScore, enter, dir = score, j, dd
 			}
 		}
@@ -905,93 +870,38 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		} else {
 			tFlip = s.x[enter] - s.lb[enter]
 		}
-		tMax := tFlip
-		leave := -1
-		leaveToUpper := false
+		tMax, leave, leaveToUpper := tFlip, -1, false
 		if useBland {
 			// Bland mode keeps the strict textbook single-pass test (its
 			// anti-cycling argument needs exact minimal ratios; the slack
 			// scales with the pivot tolerance, not a magic 1e-12).
 			for i := 0; i < m; i++ {
 				delta := -dir * w[i]
-				if delta > s.eps { // basic increases toward ub
+				if delta > eps { // basic increases toward ub
 					bi := s.basis[i]
 					if !math.IsInf(s.ub[bi], 1) {
 						t := (s.ub[bi] - s.x[bi]) / delta
-						if t < tMax-s.pivotTol {
+						if t < tMax-pivotTol {
 							tMax, leave, leaveToUpper = t, i, true
 						}
 					}
-				} else if delta < -s.eps { // basic decreases toward lb
+				} else if delta < -eps { // basic decreases toward lb
 					bi := s.basis[i]
 					if !math.IsInf(s.lb[bi], -1) {
 						t := (s.lb[bi] - s.x[bi]) / delta
-						if t < tMax-s.pivotTol {
+						if t < tMax-pivotTol {
 							tMax, leave, leaveToUpper = t, i, false
 						}
 					}
 				}
 			}
-			if math.IsInf(tMax, 1) {
-				return Unbounded, it
-			}
 		} else {
-			// Harris pass 1: the smallest step when every blocking bound
-			// may flex by its feasibility band eps·max(1,|bound|).
-			tLim := tFlip
-			for i := 0; i < m; i++ {
-				delta := -dir * w[i]
-				if delta > s.eps {
-					bi := s.basis[i]
-					if ub := s.ub[bi]; !math.IsInf(ub, 1) {
-						if t := (ub - s.x[bi] + s.primalBand*boundScale(ub)) / delta; t < tLim {
-							tLim = t
-						}
-					}
-				} else if delta < -s.eps {
-					bi := s.basis[i]
-					if lb := s.lb[bi]; !math.IsInf(lb, -1) {
-						if t := (lb - s.x[bi] - s.primalBand*boundScale(lb)) / delta; t < tLim {
-							tLim = t
-						}
-					}
-				}
-			}
-			if math.IsInf(tLim, 1) {
-				return Unbounded, it
-			}
-			// Harris pass 2: among rows whose exact ratio fits under the
-			// relaxed limit, take the largest-magnitude pivot. The row
-			// that set tLim always qualifies (its exact ratio is below its
-			// own relaxed one), so leave < 0 means no row blocks before
-			// the bound-flip distance.
-			bestPiv := 0.0
-			for i := 0; i < m; i++ {
-				delta := -dir * w[i]
-				if delta > s.eps {
-					bi := s.basis[i]
-					if ub := s.ub[bi]; !math.IsInf(ub, 1) {
-						if t := (ub - s.x[bi]) / delta; t <= tLim && delta > bestPiv {
-							bestPiv, tMax, leave, leaveToUpper = delta, t, i, true
-						}
-					}
-				} else if delta < -s.eps {
-					bi := s.basis[i]
-					if lb := s.lb[bi]; !math.IsInf(lb, -1) {
-						if t := (lb - s.x[bi]) / delta; t <= tLim && -delta > bestPiv {
-							bestPiv, tMax, leave, leaveToUpper = -delta, t, i, false
-						}
-					}
-				}
-			}
-			if leave < 0 {
-				tMax = tFlip
-			}
-			if math.IsInf(tMax, 1) {
-				return Unbounded, it
-			}
+			tMax, leave, leaveToUpper = s.ratioTest(w, dir, tFlip)
 		}
-		if leave >= 0 && math.Abs(w[leave]) < s.pivotTol {
+		if math.IsInf(tMax, 1) {
+			return Unbounded, it
+		}
+		if leave >= 0 && math.Abs(w[leave]) < pivotTol {
 			// Numerically unusable pivot. With a fresh factorization the
 			// basis is genuinely stuck; otherwise rebuild and re-derive
 			// the direction next iteration.
@@ -1007,7 +917,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		if tMax < 0 {
 			tMax = 0
 		}
-		if tMax < s.pivotTol {
+		if tMax < pivotTol {
 			degenerate++
 			nondegenRun = 0
 			if degenerate > 3*m+50 {
@@ -1058,8 +968,8 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		// Devex needs the pre-pivot row. Unless a refactorization follows
 		// this pivot, it is fused with the next iteration's duals: append
 		// the eta first, then btran2 with lag 1 (see rowAndDuals).
-		needRow := devex && !useBland
-		fuse := needRow && s.pivots+1 < s.opts.RefactorEvery
+		needRow := !useBland
+		fuse := needRow && s.pivots+1 < refactorEvery
 		if needRow && !fuse {
 			s.btranRow(leave, s.rho[:m]) // pre-pivot row
 		}
@@ -1101,7 +1011,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 				}
 			}
 		}
-		if s.pivots >= s.opts.RefactorEvery {
+		if s.pivots >= refactorEvery {
 			if !s.refactor() {
 				return IterLimit, it
 			}
@@ -1109,6 +1019,42 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		}
 	}
 	return IterLimit, maxIters
+}
+
+// ratioTest is the primal ratio test outside Bland mode. The entering
+// column moves by t·dir ≥ 0 and basic i changes by −dir·t·w[i]; the test
+// returns the exact minimum ratio over the blocking rows with ties broken
+// toward the largest |α| (the first such row), or leave < 0 with tMax =
+// tFlip when the bound flip comes strictly first. On degenerate vertices
+// the tie-break trades a zero-length step on a tiny pivot for one on a
+// stable pivot; the EXPAND shifts make exact ties rare to begin with.
+func (s *spx) ratioTest(w []float64, dir, tFlip float64) (tMax float64, leave int, toUpper bool) {
+	tMax, leave = tFlip, -1
+	bestPiv := 0.0
+	for i, wi := range w {
+		var t, piv float64
+		up := false
+		switch delta := -dir * wi; {
+		case delta > eps:
+			bi := s.basis[i]
+			if math.IsInf(s.ub[bi], 1) {
+				continue
+			}
+			t, piv, up = (s.ub[bi]-s.x[bi])/delta, delta, true
+		case delta < -eps:
+			bi := s.basis[i]
+			if math.IsInf(s.lb[bi], -1) {
+				continue
+			}
+			t, piv = (s.lb[bi]-s.x[bi])/delta, -delta
+		default:
+			continue
+		}
+		if t < tMax || (t == tMax && piv > bestPiv) {
+			tMax, leave, toUpper, bestPiv = t, i, up, piv
+		}
+	}
+	return tMax, leave, toUpper
 }
 
 // dual runs bounded-variable dual simplex iterations on the phase-2
@@ -1133,7 +1079,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		// test would chase sub-tolerance "violations" on large bounds after
 		// every warm handoff; scaling by boundScale keeps those invisible.
 		r := -1
-		worst := s.dualTol
+		worst := dualTol
 		below := false
 		for i := 0; i < m; i++ {
 			bi := s.basis[i]
@@ -1164,7 +1110,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 				alpha += rho[row] * vals[k]
 			}
 			aAbs := math.Abs(alpha)
-			if aAbs <= s.alphaTol {
+			if aAbs <= alphaTol {
 				continue
 			}
 			free := math.IsInf(s.lb[j], -1) && math.IsInf(s.ub[j], 1)
@@ -1193,7 +1139,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 			s.candA = append(s.candA, aAbs)
 			s.candR = append(s.candR, d/aAbs)
 		}
-		// Bound-flipping ratio test (BFRT), Harris-banded. The previous
+		// Bound-flipping ratio test (BFRT). The previous
 		// scheme picked ONE entering column per iteration and, when the
 		// repair step overshot its box, flipped it and returned to the
 		// outer loop without a basis change. On the scheduling models that
@@ -1207,9 +1153,9 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		// infeasibility is flipped and the walk continues, and the
 		// iteration ends in an actual pivot (or a fully repaired row), so
 		// flip-only iterations — the raw material of the cycle — no longer
-		// exist. Breakpoints within the Harris dual band of each other are
-		// treated as one group and the largest-|α| group member that can
-		// absorb the rest pivots, keeping pivots numerically sound.
+		// exist. Breakpoints with equal ratios are treated as one group and
+		// the largest-|α| group member that can absorb the rest pivots,
+		// keeping pivots numerically sound.
 		bi := s.basis[r]
 		target := s.ub[bi]
 		if below {
@@ -1222,15 +1168,15 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		sort.SliceStable(idx, func(a, b int) bool { return s.candR[idx[a]] < s.candR[idx[b]] })
 		s.candIdx = idx
 		rem := math.Abs(s.x[bi] - target)
-		remTol := s.dualTol * boundScale(target)
+		remTol := dualTol * boundScale(target)
 		for i := 0; i < m; i++ {
 			s.acc[i] = 0
 		}
 		enter, nFlip := -1, 0
 		for pos := 0; pos < len(idx) && enter < 0 && rem > remTol; {
-			// Band group: breakpoints within dualBand of the smallest
-			// unprocessed ratio are dual-feasibility-equivalent choices.
-			lim := s.candR[idx[pos]] + s.dualBand
+			// Tie group: breakpoints at the smallest unprocessed ratio are
+			// dual-feasibility-equivalent choices.
+			lim := s.candR[idx[pos]]
 			end := pos
 			for end < len(idx) && s.candR[idx[end]] <= lim {
 				end++
@@ -1264,7 +1210,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 					break
 				}
 				if flipQ < 0 {
-					break // group exhausted by flips; next band
+					break // group exhausted by flips; next group
 				}
 				// No group member absorbs the rest: flip the one with the
 				// largest capacity and keep walking.
@@ -1313,7 +1259,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		}
 		s.ftran(enter, w)
 		alphaE := w[r]
-		if math.Abs(alphaE) < s.alphaTol {
+		if math.Abs(alphaE) < alphaTol {
 			// Factorization drift: rebuild and retry the iteration. With
 			// a fresh factorization the pivot is genuinely degenerate —
 			// bail out to the cold path. (Flips stay applied: they are
@@ -1347,7 +1293,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 			s.computeXB()
 			continue
 		}
-		if s.pivots >= s.opts.RefactorEvery {
+		if s.pivots >= refactorEvery {
 			if !s.refactor() {
 				return IterLimit, it
 			}
@@ -1371,9 +1317,9 @@ func (s *spx) entryFixed(j int) bool {
 	return s.lb[j] == s.ub[j]
 }
 
-// boundScale is the relative scaling of the Harris feasibility band for a
-// bound b: bands are eps·max(1,|b|), so the flex a bound is allowed
-// matches the relative feasibility test instead of being absolute.
+// boundScale is the relative scaling of the dual's feasibility tests for
+// a bound b: a violation counts against eps·max(1,|b|) rather than an
+// absolute eps.
 func boundScale(b float64) float64 {
 	if a := math.Abs(b); a > 1 {
 		return a
@@ -1401,10 +1347,10 @@ func (s *spx) maxViolation() float64 {
 // removes the EXPAND shifts (restore the exact bounds, snap nonbasics to
 // the exact bounds, recompute basics from them) and then re-solves the
 // residuals away — a dual pass repairs bound violations beyond the
-// feasibility tolerance left by the shifts or the Harris bands, and a
-// primal pass repairs any dual infeasibility the dual band allowed. The
-// loop runs until the primal confirms optimality without pivoting (or a
-// small round cap). The shifts are ~1e-2·Eps, so in the common case the
+// feasibility tolerance left by the shifts, and a primal pass repairs any
+// dual infeasibility the cost shifts left. The loop runs until the primal
+// confirms optimality without pivoting (or a small round cap). The
+// shifts are ~1e-2·eps, so in the common case the
 // restored basis is already feasible at the reporting tolerance and both
 // passes confirm in zero pivots; the reported point has nonbasics exactly
 // on the true bounds and basics solved exactly from them, bit-for-bit
@@ -1445,7 +1391,7 @@ func (s *spx) finish(budget int) (Status, int) {
 		st, it := s.dual(budget - total)
 		total += it
 		if st == Infeasible || st == IterLimit {
-			if s.aborted() || s.maxViolation() > s.eps {
+			if s.aborted() || s.maxViolation() > eps {
 				return st, total
 			}
 			// Residuals below the reporting tolerance: accept.

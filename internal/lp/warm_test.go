@@ -218,24 +218,3 @@ func TestPreparedReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestPricingAblation: Dantzig pricing must reach the same optimum as
-// Devex on random LPs (it is the ablation baseline in the benchmarks).
-func TestPricingAblation(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomLP(rng)
-		devex := Solve(p, Options{Pricing: PricingDevex})
-		dantzig := Solve(p, Options{Pricing: PricingDantzig})
-		if devex.Status != dantzig.Status {
-			return false
-		}
-		if devex.Status != Optimal {
-			return true
-		}
-		return math.Abs(devex.Obj-dantzig.Obj) <= 1e-9*(1+math.Abs(devex.Obj))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}

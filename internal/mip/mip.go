@@ -201,8 +201,8 @@ type Result struct {
 	WarmLPs, ColdLPs int
 	// PerturbedLPs counts node relaxations solved under EXPAND bound
 	// perturbation (all of them unless Options.NoPerturb); CleanupIters is
-	// the share of SimplexIters spent removing the shifts and Harris
-	// tolerance residuals at the end of those solves.
+	// the share of SimplexIters spent removing the shifts and their
+	// residuals at the end of those solves.
 	PerturbedLPs int
 	CleanupIters int
 	// InjectedFaults counts faults that Options.Inject actually fired
@@ -237,16 +237,21 @@ type Result struct {
 // outgrow interactive budgets even sparse.
 const DefaultMaxModelRows = 10000
 
+// intTol is the integrality tolerance: a relaxation value within intTol
+// of an integer counts as integral.
+const intTol = 1e-6
+
+// absGap is the pruning gap: a node whose relaxation bound is within
+// absGap of the best known objective cannot improve on it.
+const absGap = 1e-6
+
 // Options controls the branch-and-bound search.
 type Options struct {
-	TimeLimit  time.Duration // default 10s
-	NodeLimit  int           // default 200000
-	Eps        float64       // integrality tolerance, default 1e-6
-	WarmStart  []float64     // optional feasible solution used as incumbent
-	Logf       func(format string, args ...interface{})
-	AbsGap     float64         // stop when incumbent − bound ≤ AbsGap (default 1e-6)
-	LPMaxIters int             // per-node LP iteration limit (0: lp default)
-	Cancel     <-chan struct{} // stop the search when closed, keeping the incumbent
+	TimeLimit time.Duration // default 10s
+	NodeLimit int           // default 200000
+	WarmStart []float64     // optional feasible solution used as incumbent
+	Logf      func(format string, args ...interface{})
+	Cancel    <-chan struct{} // stop the search when closed, keeping the incumbent
 
 	// Workers bounds the goroutines concurrently solving node relaxations
 	// (default 1: the search runs entirely on the calling goroutine). The
@@ -318,12 +323,6 @@ func (m *Model) Solve(opts Options) Result {
 	}
 	if opts.NodeLimit == 0 {
 		opts.NodeLimit = 200000
-	}
-	if opts.Eps == 0 {
-		opts.Eps = 1e-6
-	}
-	if opts.AbsGap == 0 {
-		opts.AbsGap = 1e-6
 	}
 	deadline := time.Now().Add(opts.TimeLimit)
 	logf := opts.Logf

@@ -291,8 +291,7 @@ func (e *bbEngine) solveNode(w int, s *bbSlot) {
 		}
 	}
 	lpOpts := lp.Options{
-		MaxIters: e.opts.LPMaxIters, Deadline: e.deadline,
-		Cancel: e.opts.Cancel,
+		Deadline: e.deadline, Cancel: e.opts.Cancel,
 		// EXPAND perturbation keyed to the node's creation sequence: the
 		// shifts are a pure function of (matrix, seq), so the relaxation
 		// result stays a pure function of the node and the determinism
@@ -390,9 +389,9 @@ func (e *bbEngine) commit(s *bbSlot) {
 		e.truncated = true
 		return
 	case lp.IterLimit:
-		// The relaxation exhausted its pivot budget (Options.LPMaxIters,
-		// or an abort surfacing as IterLimit): the node has no valid bound
-		// and gets no children, leaving its subtree unexplored — like a
+		// The relaxation exhausted its pivot budget (or an abort surfaced
+		// as IterLimit): the node has no valid bound and gets no
+		// children, leaving its subtree unexplored — like a
 		// budget-dropped child, this demotes Optimal to Feasible and
 		// Infeasible to NoSolution. Deterministic whenever the contract
 		// applies: under node-limited runs the LP result is a pure
@@ -406,15 +405,15 @@ func (e *bbEngine) commit(s *bbSlot) {
 	if v := e.opts.SharedIncumbent.Get(); v < cutoff {
 		cutoff = v
 	}
-	if lpRes.Obj >= cutoff-e.opts.AbsGap {
-		if lpRes.Obj < res.Obj-e.opts.AbsGap {
+	if lpRes.Obj >= cutoff-absGap {
+		if lpRes.Obj < res.Obj-absGap {
 			e.sharedCut = true // own incumbent alone would not have pruned
 		}
 		return // pruned: provably not improving on the best known bound
 	}
 	// Find most fractional integer variable.
 	branch := -1
-	worst := e.opts.Eps
+	worst := intTol
 	for j := range e.m.integer {
 		if !e.m.integer[j] {
 			continue

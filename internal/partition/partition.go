@@ -16,13 +16,14 @@ import (
 	"mbsp/internal/mip"
 )
 
+// minFraction is the minimum fraction of nodes per side of every split
+// (the paper's value).
+const minFraction = 1.0 / 3.0
+
 // BipartitionOptions configures one exact bipartition solve.
 type BipartitionOptions struct {
-	// MinFraction is the minimum fraction of nodes per side (the paper
-	// uses 1/3). Default 1/3.
-	MinFraction float64
-	TimeLimit   time.Duration // default 5s
-	NodeLimit   int           // default 20000
+	TimeLimit time.Duration // default 5s
+	NodeLimit int           // default 20000
 	// ColdStartLP disables the warm-started dual re-solves inside the
 	// branch-and-bound tree (solver ablation benchmarks).
 	ColdStartLP bool
@@ -71,7 +72,7 @@ func (st *SolverStats) add(res mip.Result) {
 
 // Bipartition splits g into two parts {0,1} such that the quotient graph
 // is acyclic (every edge goes 0→0, 1→1 or 0→1), both sides hold at least
-// MinFraction of the nodes, and the number of cut edges is minimized. It
+// a third of the nodes, and the number of cut edges is minimized. It
 // solves the ILP
 //
 //	min Σ_(u,v)∈E c_uv
@@ -81,9 +82,6 @@ func (st *SolverStats) add(res mip.Result) {
 //
 // and reports whether the solution is proven optimal.
 func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, optimal bool, err error) {
-	if opts.MinFraction == 0 {
-		opts.MinFraction = 1.0 / 3.0
-	}
 	if opts.TimeLimit == 0 {
 		opts.TimeLimit = 5 * time.Second
 	}
@@ -94,7 +92,7 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 	if n < 2 {
 		return nil, 0, false, fmt.Errorf("partition: need at least 2 nodes, have %d", n)
 	}
-	lo := int(opts.MinFraction*float64(n) + 0.999999)
+	lo := int(minFraction*float64(n) + 0.999999)
 	hi := n - lo
 	if lo > hi {
 		return nil, 0, false, fmt.Errorf("partition: balance bounds infeasible for n=%d", n)
@@ -233,10 +231,8 @@ type RecursiveOptions struct {
 	// MaxPartSize: parts at or below this size stop splitting (the paper
 	// uses 60 with a commercial solver; our default is 24).
 	MaxPartSize int
-	// MinFraction per split; default 1/3 (as the paper).
-	MinFraction float64
-	// UseILP selects the exact bipartitioner (default true); the greedy
-	// fallback is always used when the ILP fails or for ablation.
+	// UseILP selects the exact bipartitioner; without it, or when the
+	// ILP fails, the greedy bipartitioner splits.
 	UseILP    bool
 	TimeLimit time.Duration // per bipartition
 	// NodeLimit bounds each bipartition's branch-and-bound tree. Unlike
@@ -255,8 +251,7 @@ type RecursiveOptions struct {
 	Inject *faultinject.Injector
 	// LUStats, when non-nil, accumulates LP factorization counters across
 	// every bipartition tree (see BipartitionOptions.LUStats).
-	LUStats     *lp.FactorStats
-	greedyForce bool
+	LUStats *lp.FactorStats
 }
 
 // Result of a recursive partitioning.
@@ -275,9 +270,6 @@ type Result struct {
 func Recursive(g *graph.DAG, opts RecursiveOptions) (Result, error) {
 	if opts.MaxPartSize == 0 {
 		opts.MaxPartSize = 24
-	}
-	if opts.MinFraction == 0 {
-		opts.MinFraction = 1.0 / 3.0
 	}
 	res := Result{Part: make([]int, g.N())}
 	type job struct {
@@ -298,12 +290,11 @@ func Recursive(g *graph.DAG, opts RecursiveOptions) (Result, error) {
 		}
 		sub, orig := g.SubDAG(j.nodes)
 		var part []int
-		if opts.UseILP && !opts.greedyForce {
+		if opts.UseILP {
 			p, _, opt, err := Bipartition(sub, BipartitionOptions{
-				MinFraction: opts.MinFraction, TimeLimit: opts.TimeLimit,
-				NodeLimit: opts.NodeLimit, ColdStartLP: opts.ColdStartLP,
-				Workers: opts.Workers, Stats: &res.Solver,
-				Inject: opts.Inject, LUStats: opts.LUStats,
+				TimeLimit: opts.TimeLimit, NodeLimit: opts.NodeLimit,
+				ColdStartLP: opts.ColdStartLP, Workers: opts.Workers,
+				Stats: &res.Solver, Inject: opts.Inject, LUStats: opts.LUStats,
 			})
 			res.ILPSolves++
 			if err == nil {
@@ -314,7 +305,7 @@ func Recursive(g *graph.DAG, opts RecursiveOptions) (Result, error) {
 			}
 		}
 		if part == nil {
-			if p, _, gerr := GreedyBipartition(sub, opts.MinFraction); gerr == nil {
+			if p, _, gerr := GreedyBipartition(sub, minFraction); gerr == nil {
 				part = p
 			}
 		}

@@ -83,9 +83,6 @@ type Config struct {
 	ComputeTimeout time.Duration
 	// MaxRequestBytes caps the request body. Default 8 MiB.
 	MaxRequestBytes int64
-	// MaxDeadline caps the per-request deadline_ms parameter. Default
-	// ComputeTimeout.
-	MaxDeadline time.Duration
 
 	// Seed, ILPNodeLimit, MaxModelRows, MIPWorkers and Workers pin the
 	// deterministic portfolio configuration; Seed, ILPNodeLimit and
@@ -129,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 8 << 20
-	}
-	if c.MaxDeadline <= 0 {
-		c.MaxDeadline = c.ComputeTimeout
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -333,8 +327,8 @@ func (s *Server) parseRequest(r *http.Request) (*request, error) {
 			return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("bad deadline_ms=%q", v)}
 		}
 		deadline = time.Duration(ms * float64(time.Millisecond))
-		if deadline > s.cfg.MaxDeadline {
-			deadline = s.cfg.MaxDeadline
+		if deadline > s.cfg.ComputeTimeout {
+			deadline = s.cfg.ComputeTimeout
 		}
 	}
 	req := &request{g: g, arch: arch, model: model, deadline: deadline}
@@ -593,7 +587,7 @@ type StatsSnapshot struct {
 		RetryAfterSeconds int `json:"retry_after_seconds"`
 	} `json:"admission"`
 	Persistence PersistenceStats `json:"persistence"`
-	Requests struct {
+	Requests    struct {
 		Accepted  int64 `json:"accepted"`
 		Completed int64 `json:"completed"`
 		Degraded  int64 `json:"degraded"`

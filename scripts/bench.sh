@@ -8,7 +8,8 @@
 # Usage: scripts/bench.sh [outdir]
 #
 #   1. BenchmarkLPSolve / BenchmarkMIPNode micro-benchmarks (one
-#      iteration: pricing-rule and warm-vs-cold iteration counts);
+#      iteration: sparse-vs-dense-reference and warm-vs-cold iteration
+#      counts);
 #   2. the solver experiment on the tiny registry dataset, which fails on
 #      warm/cold divergence, a warm-start regression, any Workers=4 vs
 #      Workers=1 divergence (the deterministic-node-accounting gate), or

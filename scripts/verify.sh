@@ -4,7 +4,10 @@
 # Usage: scripts/verify.sh [outdir]
 #
 #   1. go build ./...
-#   2. go vet ./...
+#   1b. gofmt -l .  (fails when any file is not gofmt-formatted);
+#   2. go vet ./... , then go vet in the separate perfbench module (the
+#      benchmark builds the library's option structs by field name, so a
+#      field removal that breaks it must fail here, not at bench time);
 #   2b. staticcheck ./...  (skipped with a warning when the binary is
 #       not installed — the container image does not ship it);
 #   3. go test -race ./...  (includes the solver cross-check tests: the
@@ -58,8 +61,19 @@ outdir="${1:-.}"
 echo "== go build ./..."
 go build ./...
 
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "${unformatted}" ]; then
+    echo "gofmt: these files need formatting:"
+    echo "${unformatted}"
+    exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
+
+echo "== go vet ./... (perfbench module)"
+(cd perfbench && go vet ./...)
 
 if command -v staticcheck >/dev/null 2>&1; then
     echo "== staticcheck ./..."
