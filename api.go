@@ -115,10 +115,7 @@ type ILPStats = ilpsched.Stats
 // ScheduleBaseline runs the paper's main two-stage baseline
 // (BSPg + clairvoyant eviction; DFS + clairvoyant for P=1).
 func ScheduleBaseline(g *DAG, arch Arch) (*Schedule, error) {
-	if arch.P == 1 {
-		return twostage.DFSClairvoyant().Run(g, arch)
-	}
-	return twostage.BSPgClairvoyant(arch.G, arch.L).Run(g, arch)
+	return twostage.Baseline(arch).Run(g, arch)
 }
 
 // ScheduleCilkLRU runs the application-oriented baseline: Cilk-style work

@@ -330,7 +330,8 @@ func mustInjector(seed uint64, rate float64, modeList string) *faultinject.Injec
 // instance under a short wall-clock deadline and fails unless each run
 // returns a valid schedule with a populated certificate — never an error.
 // The injector is seeded, so a failing (mode, instance, seed) triple
-// reproduces exactly.
+// reproduces exactly. A run that returns more than chaosMaxOverrun after
+// its deadline also fails: degrading is only graceful if it is prompt.
 func runChaos(insts []workloads.Instance, cfg experiments.Config, workers, mipWorkers int, deadline time.Duration, seed uint64, rate float64, modeList string) {
 	if deadline <= 0 {
 		deadline = 50 * time.Millisecond
@@ -363,12 +364,15 @@ func runChaos(insts []workloads.Instance, cfg experiments.Config, workers, mipWo
 	}
 	start := time.Now()
 	failures := 0
+	var worst time.Duration
+	worstName := ""
 	fmt.Printf("Chaos: anytime portfolio under %v deadline, fault seed %d\n", deadline, seed)
 	for _, leg := range legs {
 		inj := faultinject.New(seed, rate, 0, leg...)
 		fmt.Printf("-- injecting %v\n", inj)
 		for _, inst := range insts {
 			arch := cfg.Arch(inst.DAG)
+			runStart := time.Now()
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
 			res, err := portfolio.RunAnytime(ctx, inst.DAG, arch, portfolio.Options{
 				Model:        cfg.Model,
@@ -379,6 +383,16 @@ func runChaos(insts []workloads.Instance, cfg experiments.Config, workers, mipWo
 				Inject:       inj,
 			})
 			cancel()
+			overrun := time.Since(runStart) - deadline
+			if overrun > worst {
+				worst, worstName = overrun, inst.Name
+			}
+			if overrun > chaosMaxOverrun {
+				fmt.Printf("%-20s DEADLINE VIOLATION: returned %v after its %v deadline\n",
+					inst.Name, overrun.Round(time.Millisecond), deadline)
+				failures++
+				continue
+			}
 			switch {
 			case err != nil:
 				fmt.Printf("%-20s ANYTIME VIOLATION: error %v\n", inst.Name, err)
@@ -401,11 +415,18 @@ func runChaos(insts []workloads.Instance, cfg experiments.Config, workers, mipWo
 			fmt.Printf("%-20s%-18s %v\n", inst.Name, res.BestName, res.Certificate)
 		}
 	}
+	fmt.Printf("worst overrun past the deadline: %v (%s)\n", worst.Round(time.Millisecond), worstName)
 	fmt.Printf("(chaos took %.1fs)\n\n", time.Since(start).Seconds())
 	if failures > 0 {
 		fatal(fmt.Errorf("chaos experiment: %d anytime-contract violations", failures))
 	}
 }
+
+// chaosMaxOverrun is how long after its deadline a chaos run may return.
+// It is a constant rather than a flag so no leg can loosen it; it is
+// generous enough for -race and a loaded CI host, yet far below what an
+// unpropagated cancellation costs (seconds of branch and bound).
+const chaosMaxOverrun = 2 * time.Second
 
 // solverJSON is the schema of the solver experiment's -json output
 // (scripts/bench.sh tracks BENCH_solver.json across PRs): total simplex
@@ -682,32 +703,34 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 			// Degenerate-model regression gate: the fixture's node limit
 			// binds, so its counts are deterministic — any rise in
 			// iterations or cold fallbacks is a real anti-degeneracy
-			// regression, not noise. Baselines predating the leg skip it.
+			// regression, not noise, and fails. Baselines predating the
+			// leg skip it.
 			if prev.Degenerate != nil && out.Degenerate != nil &&
 				prev.Degenerate.Instance == out.Degenerate.Instance {
-				if out.Degenerate.SimplexIters > prev.Degenerate.SimplexIters*5/4 {
+				if out.Degenerate.SimplexIters > prev.Degenerate.SimplexIters {
 					fatal(fmt.Errorf("solver experiment: degenerate leg regressed: %d simplex iterations vs %d in %s",
 						out.Degenerate.SimplexIters, prev.Degenerate.SimplexIters, baselinePath))
 				}
-				if out.Degenerate.ColdLPs > prev.Degenerate.ColdLPs+1 {
+				if out.Degenerate.ColdLPs > prev.Degenerate.ColdLPs {
 					fatal(fmt.Errorf("solver experiment: degenerate leg regressed: %d cold fallbacks vs %d in %s",
 						out.Degenerate.ColdLPs, prev.Degenerate.ColdLPs, baselinePath))
 				}
 			}
-			// LU-leg regression gates: the node limit binds, so iteration,
-			// refactorization and fill counts are deterministic — any drift
-			// is a real factorization change, not noise. Baselines
-			// predating the leg skip it.
+			// LU-leg regression gates: the node limit binds and the
+			// search is serial, so iteration, refactorization and fill
+			// counts are deterministic — any rise is a real factorization
+			// change, not noise, and fails. Baselines predating the leg
+			// skip it.
 			if prev.LU != nil && out.LU != nil && prev.LU.Instance == out.LU.Instance {
-				if out.LU.SimplexIters > prev.LU.SimplexIters*5/4 {
+				if out.LU.SimplexIters > prev.LU.SimplexIters {
 					fatal(fmt.Errorf("solver experiment: LU leg regressed: %d simplex iterations vs %d in %s",
 						out.LU.SimplexIters, prev.LU.SimplexIters, baselinePath))
 				}
-				if out.LU.FillNnz > prev.LU.FillNnz*3/2 {
+				if out.LU.FillNnz > prev.LU.FillNnz {
 					fatal(fmt.Errorf("solver experiment: LU leg regressed: fill-in %d nnz vs %d in %s",
 						out.LU.FillNnz, prev.LU.FillNnz, baselinePath))
 				}
-				if out.LU.Refactors > prev.LU.Refactors*5/4+1 {
+				if out.LU.Refactors > prev.LU.Refactors {
 					fatal(fmt.Errorf("solver experiment: LU leg regressed: %d refactorizations vs %d in %s",
 						out.LU.Refactors, prev.LU.Refactors, baselinePath))
 				}

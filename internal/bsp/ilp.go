@@ -1,9 +1,9 @@
 package bsp
 
 import (
+	"context"
 	"time"
 
-	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
 	"mbsp/internal/lp"
 	"mbsp/internal/mip"
@@ -13,9 +13,7 @@ import (
 // stage-1 baseline, "similar to [36]").
 type ILPOptions struct {
 	G, L      float64
-	Steps     int           // superstep horizon; 0 derives it from the BSPg warm start
 	TimeLimit time.Duration // default 10s
-	NodeLimit int           // default 3000
 	// Workers bounds the goroutines solving branch-and-bound node
 	// relaxations concurrently (mip.Options.Workers); the schedule is
 	// identical for any value. Default 1.
@@ -23,10 +21,10 @@ type ILPOptions struct {
 	// MaxModelRows falls back to the BSPg schedule when the model would
 	// exceed this many rows. Default mip.DefaultMaxModelRows.
 	MaxModelRows int
-	// Inject threads the deterministic fault-injection harness into the
-	// branch-and-bound tree (mip.Options.Inject).
-	Inject *faultinject.Injector
 }
+
+// ilpNodeLimit bounds the ILP's branch-and-bound tree.
+const ilpNodeLimit = 3000
 
 // ILP formulates BSP scheduling (no memory constraints) as an integer
 // program and solves it with branch and bound, warm-started from BSPg.
@@ -47,19 +45,11 @@ func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
 	if opts.TimeLimit == 0 {
 		opts.TimeLimit = 10 * time.Second
 	}
-	if opts.NodeLimit == 0 {
-		opts.NodeLimit = 3000
-	}
 	if opts.MaxModelRows == 0 {
 		opts.MaxModelRows = mip.DefaultMaxModelRows
 	}
-	S := opts.Steps
-	if S == 0 {
-		S = warm.NumSteps + 1
-	}
-	if warm.NumSteps > S {
-		return warm, nil // cannot encode the warm start; stay with it
-	}
+	// The superstep horizon: the warm start's plus one spare.
+	S := warm.NumSteps + 1
 
 	n := g.N()
 	m := mip.NewModel()
@@ -248,9 +238,10 @@ func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
 		}
 	}
 
+	ctx, cancel := context.WithTimeout(context.Background(), opts.TimeLimit)
+	defer cancel()
 	res := m.Solve(mip.Options{
-		TimeLimit: opts.TimeLimit, NodeLimit: opts.NodeLimit,
-		WarmStart: ws, Workers: opts.Workers, Inject: opts.Inject,
+		Context: ctx, NodeLimit: ilpNodeLimit, WarmStart: ws, Workers: opts.Workers,
 	})
 	if res.X == nil {
 		return warm, nil

@@ -41,9 +41,10 @@ import (
 
 // Options configures the divide-and-conquer scheduler.
 type Options struct {
-	// Context, when non-nil, cancels the run: each sub-ILP is cancelled
-	// in place, and Solve returns ctx.Err() if cancellation strikes
-	// between parts (a partial concatenation is never a valid schedule).
+	// Context, when non-nil, cancels the run: the partitioning stage and
+	// each sub-ILP run under it, and Solve returns its error if
+	// cancellation strikes during partitioning or between parts (a
+	// partial concatenation is never a valid schedule).
 	Context context.Context
 	Model   mbsp.CostModel
 	// MaxPartSize bounds subproblem DAG size (the paper splits to parts
@@ -52,21 +53,16 @@ type Options struct {
 	// SubTimeLimit bounds each sub-ILP solve (the paper uses 30 minutes
 	// per subproblem with a commercial solver). Default 3s.
 	SubTimeLimit time.Duration
-	// SubNodeLimit bounds each sub-ILP's branch-and-bound tree. Node
-	// limits bind deterministically where wall-clock limits do not; set
-	// both SubNodeLimit and PartitionNodeLimit (with generous time
-	// limits) for byte-identical divide-and-conquer schedules. 0 keeps
-	// the ilpsched default.
-	SubNodeLimit int
+	// NodeLimit bounds every branch-and-bound tree the run searches:
+	// each bipartition ILP and each sub-ILP. Node limits bind
+	// deterministically where wall-clock limits do not, so setting it
+	// (with generous time limits) makes divide-and-conquer schedules
+	// byte-identical. 0 keeps the partition and ilpsched defaults.
+	NodeLimit int
 	// PartitionTimeLimit bounds each bipartition ILP. Default 2s, or a
-	// generous 1 minute when PartitionNodeLimit is set (so the node
-	// limit, not the clock, is what binds).
+	// generous 1 minute when NodeLimit is set (so the node limit, not
+	// the clock, is what binds).
 	PartitionTimeLimit time.Duration
-	// PartitionNodeLimit bounds each bipartition ILP's tree size — the
-	// node-limit knob that lets the partitioning stage join the
-	// byte-identical determinism guarantee. 0 keeps the partition
-	// default (wall-clock budgeted only).
-	PartitionNodeLimit int
 	// MaxModelRows caps each part's scheduling sub-ILP model size
 	// (ilpsched.Options.MaxModelRows). 0 keeps the ilpsched default.
 	MaxModelRows int
@@ -108,7 +104,7 @@ func (o Options) withDefaults() Options {
 		o.SubTimeLimit = 3 * time.Second
 	}
 	if o.PartitionTimeLimit == 0 {
-		if o.PartitionNodeLimit > 0 {
+		if o.NodeLimit > 0 {
 			o.PartitionTimeLimit = time.Minute
 		} else {
 			o.PartitionTimeLimit = 2 * time.Second
@@ -148,21 +144,22 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 	}
 
 	pres, err := partition.Recursive(g, partition.RecursiveOptions{
+		Context:     opts.Context,
 		MaxPartSize: opts.MaxPartSize,
 		UseILP:      true,
 		TimeLimit:   opts.PartitionTimeLimit,
-		NodeLimit:   opts.PartitionNodeLimit,
+		NodeLimit:   opts.NodeLimit,
 		Workers:     opts.MIPWorkers,
 		Inject:      opts.Inject,
 		LUStats:     opts.LUStats,
 	})
+	stats.PartitionSolver = pres.Solver
+	stats.SimplexIters += pres.Solver.SimplexIters
 	if err != nil {
 		return nil, stats, fmt.Errorf("dnc: partitioning: %w", err)
 	}
 	stats.Parts = pres.K
 	stats.CutEdges = pres.CutEdges
-	stats.PartitionSolver = pres.Solver
-	stats.SimplexIters += pres.Solver.SimplexIters
 	parts := partition.Parts(pres.Part, pres.K)
 
 	out := mbsp.NewSchedule(g, arch)
@@ -301,7 +298,7 @@ func schedulePart(g *graph.DAG, arch mbsp.Arch, opts Options, part []int, k int,
 		WarmStart:         warm,
 		NeedBlue:          needBlue,
 		TimeLimit:         opts.SubTimeLimit,
-		NodeLimit:         opts.SubNodeLimit,
+		NodeLimit:         opts.NodeLimit,
 		MIPWorkers:        opts.MIPWorkers,
 		LocalSearchBudget: opts.LocalSearchBudget,
 		Inject:            opts.Inject,

@@ -1,6 +1,8 @@
 package dnc
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -94,5 +96,30 @@ func TestSolveRejectsTooSmallCache(t *testing.T) {
 	arch := mbsp.Arch{P: 2, R: inst.DAG.MinCache() - 1, G: 1, L: 10}
 	if _, _, err := Solve(inst.DAG, arch, Options{}); err == nil {
 		t.Fatal("expected cache error")
+	}
+}
+
+// TestSolveCancelledSkipsPartitioning: an already-cancelled Context must
+// stop the run before the partitioning stage searches any bipartition
+// tree, not only between parts.
+func TestSolveCancelledSkipsPartitioning(t *testing.T) {
+	inst, err := workloads.ByName("CG_N5_K2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{MaxPartSize: 45}
+	if inst.DAG.N() <= opts.MaxPartSize {
+		t.Fatalf("%s has %d nodes; the fixture must need a split", inst.Name, inst.DAG.N())
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	opts.Context = ctx
+	arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
+	_, stats, err := Solve(inst.DAG, arch, opts)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if stats.PartitionSolver.Nodes != 0 {
+		t.Fatalf("cancelled run searched %d bipartition nodes, want 0", stats.PartitionSolver.Nodes)
 	}
 }

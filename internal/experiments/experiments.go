@@ -130,10 +130,7 @@ type Method struct {
 // clairvoyant for P=1).
 func Baseline() Method {
 	return Method{Name: "base", Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
-		if arch.P == 1 {
-			return twostage.DFSClairvoyant().Run(g, arch)
-		}
-		return twostage.BSPgClairvoyant(arch.G, arch.L).Run(g, arch)
+		return twostage.Baseline(arch).Run(g, arch)
 	}}
 }
 

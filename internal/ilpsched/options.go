@@ -31,8 +31,9 @@ import (
 // Options configures the ILP scheduler.
 type Options struct {
 	// Context, when non-nil, cancels the tree search and the local-search
-	// heuristic early. Solve still returns the best schedule found so far
-	// (at minimum the warm start), never an error, on cancellation.
+	// heuristic early (and skips the exact pebbler once done). Solve still
+	// returns the best schedule found so far (at minimum the warm start),
+	// never an error, on cancellation.
 	Context context.Context
 	// Model selects the synchronous or asynchronous objective.
 	Model mbsp.CostModel
@@ -40,8 +41,6 @@ type Options struct {
 	// solver slack for better solutions (Lemma 6.1 shows empty steps do
 	// not certify optimality, so slack genuinely matters). Default 2.
 	ExtraSteps int
-	// Steps overrides the time horizon T entirely when > 0.
-	Steps int
 	// NoRecompute forbids computing a node more than once across all
 	// processors and steps.
 	NoRecompute bool
@@ -51,7 +50,8 @@ type Options struct {
 	// step start (constraint (3) without the same-step term). The time
 	// horizon grows accordingly; only small instances remain tractable.
 	NoStepMerging bool
-	// TimeLimit bounds the branch-and-bound search. Default 10s.
+	// TimeLimit bounds the branch-and-bound search: Solve runs the tree
+	// search under Context narrowed by this timeout. Default 10s.
 	TimeLimit time.Duration
 	// NodeLimit bounds the search tree size. Default 5000.
 	NodeLimit int
@@ -69,8 +69,7 @@ type Options struct {
 	LocalSearchBudget int
 	// WarmStart seeds the solver with an existing MBSP schedule (the
 	// paper initializes its solver with the two-stage baseline). When
-	// nil, Solve builds the BSPg+clairvoyant baseline itself (DFS for
-	// P=1).
+	// nil, Solve builds twostage.Baseline itself.
 	WarmStart *mbsp.Schedule
 	// Incumbent, when non-nil, is a shared upper bound on the schedule
 	// cost under Model (the portfolio-wide incumbent): Solve reads it to
@@ -113,6 +112,9 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
+	if o.Context == nil {
+		o.Context = context.Background()
+	}
 	if o.ExtraSteps == 0 {
 		o.ExtraSteps = 2
 	}

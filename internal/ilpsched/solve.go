@@ -1,6 +1,7 @@
 package ilpsched
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -23,10 +24,6 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 	opts = opts.withDefaults()
 	start := time.Now()
 	var stats Stats
-	var done <-chan struct{}
-	if opts.Context != nil {
-		done = opts.Context.Done()
-	}
 
 	warm, err := warmStart(g, arch, opts)
 	if err != nil {
@@ -56,12 +53,12 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 			x = nil
 		}
 		stats.UsedILP = true
+		ctx, cancel := context.WithTimeout(opts.Context, opts.TimeLimit)
 		res := im.m.Solve(mip.Options{
-			TimeLimit:       opts.TimeLimit,
+			Context:         ctx,
 			NodeLimit:       opts.NodeLimit,
 			WarmStart:       x,
 			Logf:            opts.Logf,
-			Cancel:          done,
 			Workers:         opts.MIPWorkers,
 			ColdStart:       opts.LPColdStart,
 			ReferenceLP:     opts.LPReference,
@@ -81,6 +78,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 				}
 			},
 		})
+		cancel()
 		stats.ILPStatus = res.Status.String()
 		stats.ILPNodes = res.Nodes
 		stats.ILPLPs = res.LPs
@@ -111,8 +109,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 	// yields a provably optimal schedule — including recomputation
 	// decisions the tree search rarely reaches.
 	if arch.P == 1 && arch.L == 0 && g.N() <= exact.MaxNodes &&
-		len(opts.NeedBlue) == 0 &&
-		(opts.Context == nil || opts.Context.Err() == nil) {
+		len(opts.NeedBlue) == 0 && opts.Context.Err() == nil {
 		res, exErr := exact.SolveOpts(g, arch.R, arch.G, exact.Options{
 			NoRecompute: opts.NoRecompute,
 			StateBudget: 2_000_000,
@@ -135,7 +132,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 			Seed:      opts.Seed,
 			Model:     opts.Model,
 			ExtraSave: opts.NeedBlue,
-			Cancel:    done,
+			Context:   opts.Context,
 		})
 		stats.LocalMoves = r.Evals
 		if r.Cost < bestCost-1e-9 {
@@ -158,12 +155,8 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 func warmStart(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
 	warm := opts.WarmStart
 	if warm == nil {
-		pl := twostage.BSPgClairvoyant(arch.G, arch.L)
-		if arch.P == 1 {
-			pl = twostage.DFSClairvoyant()
-		}
 		var err error
-		warm, err = pl.Run(g, arch)
+		warm, err = twostage.Baseline(arch).Run(g, arch)
 		if err != nil {
 			return nil, fmt.Errorf("ilpsched: building baseline warm start: %w", err)
 		}
@@ -184,11 +177,7 @@ func horizon(warm *mbsp.Schedule, arch mbsp.Arch, opts Options) ([]skelStep, int
 	if opts.NoStepMerging {
 		skel = explodeSkeleton(skel, arch.P)
 	}
-	T := len(skel) + opts.ExtraSteps
-	if opts.Steps > 0 {
-		T = opts.Steps
-	}
-	return skel, T, nil
+	return skel, len(skel) + opts.ExtraSteps, nil
 }
 
 // Relaxation returns the LP relaxation of the ILP that Solve builds for

@@ -1,9 +1,6 @@
 package lp
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // SolveDense minimizes the problem with the original dense-inverse primal
 // simplex: phase-1 artificial start, explicit dense basis inverse updated
@@ -16,7 +13,7 @@ func SolveDense(p *Problem, opts Options) Result {
 	m := len(p.Rows)
 	n := p.NumVars()
 	budget := iterBudget(m, n)
-	s := &denseSimplex{m: m, nOrig: n, deadline: opts.Deadline, cancel: opts.Cancel}
+	s := &denseSimplex{m: m, nOrig: n, done: doneChan(opts.Context)}
 
 	// Assemble columns: structural, then one slack per row, then
 	// artificials added on demand.
@@ -161,12 +158,11 @@ type denseSimplex struct {
 	ub    []float64
 	b     []float64
 
-	binv     [][]float64 // m×m basis inverse
-	basis    []int       // basic variable per row
-	stat     []vstat
-	x        []float64
-	deadline time.Time
-	cancel   <-chan struct{}
+	binv  [][]float64 // m×m basis inverse
+	basis []int       // basic variable per row
+	stat  []vstat
+	x     []float64
+	done  <-chan struct{}
 }
 
 // iterate runs primal simplex iterations for objective c until optimal,
@@ -180,19 +176,9 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 	w := make([]float64, m)
 	degenerate := 0
 	useBland := false
-	checkDeadline := !s.deadline.IsZero()
 	for it := 0; it < maxIters; it++ {
-		if it%64 == 0 {
-			if checkDeadline && time.Now().After(s.deadline) {
-				return IterLimit, it
-			}
-			if s.cancel != nil {
-				select {
-				case <-s.cancel:
-					return IterLimit, it
-				default:
-				}
-			}
+		if it%64 == 0 && isDone(s.done) {
+			return IterLimit, it
 		}
 		// Duals y = c_B · B⁻¹.
 		for i := 0; i < m; i++ {

@@ -17,14 +17,16 @@
 // Prepare assembles the sparse matrix once so that branch-and-bound can
 // re-solve thousands of bound variations without re-reading the rows. The
 // original dense-inverse solver is preserved as SolveDense and serves as
-// the cross-check reference and ablation baseline. Only the Go standard
-// library is used.
+// the cross-check reference and ablation baseline. Both solvers stop
+// early, reporting IterLimit, once Options.Context is done — the one
+// cancellation and deadline carrier from the scheduler portfolio down to
+// here. Only the Go standard library is used.
 package lp
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"time"
 )
 
 // Sense is a row sense.
@@ -138,11 +140,13 @@ type Result struct {
 	CleanupIters int
 }
 
-// Options tunes the solver. The zero value solves without a deadline,
+// Options tunes the solver. The zero value solves without cancellation,
 // perturbation or fault injection.
 type Options struct {
-	Deadline time.Time       // abort with IterLimit when exceeded (checked periodically)
-	Cancel   <-chan struct{} // abort with IterLimit when closed (checked periodically)
+	// Context, when non-nil, aborts the solve with IterLimit once it is
+	// done (cancelled or past its deadline); the solver polls it every 64
+	// iterations.
+	Context context.Context
 	// Perturb enables deterministic EXPAND-style bound perturbation: every
 	// finite working bound is expanded outward by a tiny pseudo-random
 	// amount derived from (instance fingerprint, PerturbSeq, column), which
@@ -164,6 +168,25 @@ type Options struct {
 	// fingerprint, PerturbSeq) so chaos runs are reproducible. See
 	// internal/faultinject for the standard implementation.
 	Inject FaultInjector
+}
+
+// doneChan returns ctx.Done(), or nil — a channel that is never ready —
+// for a nil context.
+func doneChan(ctx context.Context) <-chan struct{} {
+	if ctx == nil {
+		return nil
+	}
+	return ctx.Done()
+}
+
+// isDone reports, without blocking, whether done is closed.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // FaultInjector is the narrow fault-injection hook SolveFrom consults.

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -260,8 +261,8 @@ func TestStatusStrings(t *testing.T) {
 }
 
 func TestDeadlineAborts(t *testing.T) {
-	// A problem big enough to take a few iterations; an already-expired
-	// deadline must abort with IterLimit.
+	// A problem big enough to take a few iterations; a context already
+	// past its deadline must abort both solvers with IterLimit.
 	p := NewProblem(50)
 	for j := 0; j < 50; j++ {
 		p.Obj[j] = -1
@@ -274,9 +275,13 @@ func TestDeadlineAborts(t *testing.T) {
 		}
 		p.AddRow(coefs, LE, float64(50+i))
 	}
-	res := Solve(p, Options{Deadline: time.Now().Add(-time.Second)})
-	if res.Status != IterLimit {
-		t.Fatalf("status=%v want iteration-limit", res.Status)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if res := Solve(p, Options{Context: ctx}); res.Status != IterLimit {
+		t.Fatalf("Solve status=%v want iteration-limit", res.Status)
+	}
+	if res := SolveDense(p, Options{Context: ctx}); res.Status != IterLimit {
+		t.Fatalf("SolveDense status=%v want iteration-limit", res.Status)
 	}
 }
 

@@ -355,8 +355,7 @@ type spx struct {
 	pivots     int        // eta updates since the last refactorization (= len(script))
 
 	opts     *Options
-	deadline time.Time
-	cancel   <-chan struct{}
+	done     <-chan struct{} // Options.Context.Done(), captured once per solve
 	abortSet bool
 }
 
@@ -398,8 +397,7 @@ func (in *Instance) workspace(opts *Options) *spx {
 	}
 	s := in.ws
 	s.opts = opts
-	s.deadline = opts.Deadline
-	s.cancel = opts.Cancel
+	s.done = doneChan(opts.Context)
 	s.abortSet = false
 	s.perturbed, s.didPerturb, s.costPerturbed = false, false, false
 	s.cleanupIters = 0
@@ -761,25 +759,12 @@ func (s *spx) pivotUpdate(enter, leave int, w []float64) bool {
 	return true
 }
 
-// checkAbort reports whether the deadline passed or the cancel channel
-// closed.
+// checkAbort reports whether the solve's context is done.
 func (s *spx) checkAbort() bool {
-	if s.abortSet {
-		return true
-	}
-	if !s.deadline.IsZero() && time.Now().After(s.deadline) {
+	if !s.abortSet && isDone(s.done) {
 		s.abortSet = true
-		return true
 	}
-	if s.cancel != nil {
-		select {
-		case <-s.cancel:
-			s.abortSet = true
-			return true
-		default:
-		}
-	}
-	return false
+	return s.abortSet
 }
 
 func (s *spx) aborted() bool { return s.abortSet }

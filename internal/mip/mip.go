@@ -1,8 +1,8 @@
 // Package mip implements a mixed-integer linear programming solver: a
 // model builder over package lp plus LP-relaxation branch-and-bound with
 // best-bound node selection, most-fractional branching, warm-start
-// incumbents and time limits. It stands in for the commercial MILP
-// solver used by the paper (see DESIGN.md).
+// incumbents, node limits and context cancellation. It stands in for the
+// commercial MILP solver used by the paper (see DESIGN.md).
 //
 // The search re-solves LPs warm: the constraint matrix is prepared once
 // (lp.Prepare), every node carries its parent's optimal basis, and child
@@ -20,9 +20,9 @@
 package mip
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"mbsp/internal/faultinject"
 	"mbsp/internal/lp"
@@ -178,7 +178,7 @@ func (s Status) String() string {
 
 // Result of a MIP solve. Every counter is deterministic: for a fixed
 // model and options, runs with any Options.Workers value report the same
-// Nodes, LPs, iteration split and solution bytes (wall-clock limits
+// Nodes, LPs, iteration split and solution bytes (context cancellation
 // aside — see Options).
 type Result struct {
 	Status Status
@@ -247,20 +247,21 @@ const absGap = 1e-6
 
 // Options controls the branch-and-bound search.
 type Options struct {
-	TimeLimit time.Duration // default 10s
-	NodeLimit int           // default 200000
-	WarmStart []float64     // optional feasible solution used as incumbent
+	// Context, when non-nil, stops the search once it is done (cancelled
+	// or past its deadline), keeping the incumbent; callers with a time
+	// budget pass a context.WithTimeout. Nil never stops the search.
+	Context   context.Context
+	NodeLimit int       // default 200000
+	WarmStart []float64 // optional feasible solution used as incumbent
 	Logf      func(format string, args ...interface{})
-	Cancel    <-chan struct{} // stop the search when closed, keeping the incumbent
 
 	// Workers bounds the goroutines concurrently solving node relaxations
 	// (default 1: the search runs entirely on the calling goroutine). The
 	// engine's deterministic node accounting makes the result — solution
 	// bytes, status, bound, and every counter — identical for any value,
 	// so callers can size the pool purely for throughput; see DESIGN.md.
-	// The effective pool is capped by the wave width. As before,
-	// wall-clock limits
-	// (TimeLimit, Cancel) cut nondeterministically: runs that must be
+	// The effective pool is capped by the wave width. Context
+	// cancellation cuts nondeterministically: runs that must be
 	// reproducible should let NodeLimit bind instead.
 	Workers int
 
@@ -300,8 +301,8 @@ type Options struct {
 	// solves, and spurious cancellations at wave boundaries. Every
 	// decision is a pure function of (instance fingerprint, node creation
 	// sequence), so node-limited chaos runs stay byte-identical for any
-	// Workers value; only the latency mode interacts with wall-clock
-	// limits.
+	// Workers value; only the latency mode interacts with the context's
+	// deadline.
 	Inject *faultinject.Injector
 
 	// LUStats, when non-nil, accumulates the LP factorization counters
@@ -318,13 +319,12 @@ type Options struct {
 // search is the deterministic parallel engine of search.go: identical
 // results for any Options.Workers value.
 func (m *Model) Solve(opts Options) Result {
-	if opts.TimeLimit == 0 {
-		opts.TimeLimit = 10 * time.Second
+	if opts.Context == nil {
+		opts.Context = context.Background()
 	}
 	if opts.NodeLimit == 0 {
 		opts.NodeLimit = 200000
 	}
-	deadline := time.Now().Add(opts.TimeLimit)
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...interface{}) {}
@@ -342,7 +342,7 @@ func (m *Model) Solve(opts Options) Result {
 		}
 	}
 
-	e := newEngine(m, &opts, &res, deadline, logf)
+	e := newEngine(m, &opts, &res, logf)
 	if opts.LUStats != nil {
 		// Deferred so every return path (abort, infeasible, optimal)
 		// reports; lazily-created worker slots may be nil.
@@ -372,8 +372,7 @@ func (m *Model) Solve(opts Options) Result {
 	}()
 
 	if e.aborted {
-		// Wall clock or cancellation cut the search: best-so-far
-		// semantics, as before.
+		// The context cut the search: best-so-far semantics.
 		if res.X != nil {
 			res.Status = Feasible
 		}
@@ -408,16 +407,3 @@ func (m *Model) Solve(opts Options) Result {
 
 // RowDef exposes row i for diagnostics.
 func (m *Model) RowDef(i int) lp.RowDef { return m.prob.Rows[i] }
-
-// cancelled reports whether the cancel channel is closed without blocking.
-func cancelled(c <-chan struct{}) bool {
-	if c == nil {
-		return false
-	}
-	select {
-	case <-c:
-		return true
-	default:
-		return false
-	}
-}

@@ -1,11 +1,11 @@
 package mip
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"mbsp/internal/lp"
 )
@@ -74,12 +74,14 @@ func TestWarmStartAccepted(t *testing.T) {
 }
 
 func TestWarmStartRespectedUnderZeroBudget(t *testing.T) {
-	// With an immediate timeout the solver must still return the warm
-	// start.
+	// With an already-cancelled context the solver must still return
+	// the warm start.
 	m := NewModel()
 	x := m.AddBinary("x", -1)
 	_ = x
-	res := m.Solve(Options{WarmStart: []float64{0}, TimeLimit: time.Nanosecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res := m.Solve(Options{WarmStart: []float64{0}, Context: ctx})
 	if res.Status != Feasible || res.Obj != 0 {
 		t.Fatalf("res=%+v", res)
 	}
@@ -202,7 +204,7 @@ func TestRandomBinaryProgramsMatchBruteForce(t *testing.T) {
 			}
 		}
 		want, feasible := bruteForceBinary(m, n)
-		res := m.Solve(Options{TimeLimit: 5 * time.Second})
+		res := m.Solve(Options{})
 		if !feasible {
 			return res.Status == Infeasible
 		}

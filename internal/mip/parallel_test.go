@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"mbsp/internal/lp"
 )
@@ -112,7 +111,6 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			for _, workers := range []int{1, 2, 4, 8} {
 				res := fx.m.Solve(Options{
-					TimeLimit: time.Minute,
 					NodeLimit: fx.nodeLimit,
 					Workers:   workers,
 					NoPerturb: fx.noPerturb,
@@ -137,7 +135,7 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 func TestParallelSharedSealedIncumbent(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m := randomMixedModel(rng)
-	base := m.Solve(Options{TimeLimit: time.Minute})
+	base := m.Solve(Options{})
 	if base.Status != Optimal {
 		t.Skipf("fixture not solved to optimality: %v", base.Status)
 	}
@@ -147,8 +145,7 @@ func TestParallelSharedSealedIncumbent(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 2, 8} {
 		res := m.Solve(Options{
-			TimeLimit: time.Minute, NodeLimit: 40,
-			Workers: workers, SharedIncumbent: inc,
+			NodeLimit: 40, Workers: workers, SharedIncumbent: inc,
 		})
 		got := solveSnapshot(res)
 		if want == "" {
@@ -169,7 +166,7 @@ func TestParallelMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomBinaryModel(rng)
 		want, feasible := bruteForceBinary(m, m.NumVars())
-		res := m.Solve(Options{TimeLimit: 5 * time.Second, Workers: 8})
+		res := m.Solve(Options{Workers: 8})
 		if !feasible {
 			if res.Status != Infeasible {
 				t.Fatalf("seed %d: want infeasible, got %v", seed, res.Status)

@@ -37,9 +37,10 @@ import (
 //   - incumbent ties break by node sequence, so even equal-cost optima
 //     resolve identically.
 //
-// Wall-clock limits (TimeLimit, Cancel, LP deadlines) remain the one
-// nondeterministic cut: runs that need byte-identical results must let a
-// node limit bind instead, exactly as before.
+// Options.Context — its cancellation or deadline, polled between waves
+// and inside every relaxation solve — is the one nondeterministic cut:
+// runs that need byte-identical results must let a node limit bind
+// instead.
 
 // waveSize is the number of nodes popped per wave. It is a fixed
 // constant, NOT derived from Options.Workers: the logical search schedule
@@ -132,17 +133,16 @@ type bbEngine struct {
 	insts   []*lp.Instance
 	lb, ub  [][]float64
 
-	deadline  time.Time
 	logf      func(string, ...interface{})
 	rootBound float64
 	rootDone  bool
 	bestSeq   int64 // sequence of the incumbent's node (−1: warm start)
 	truncated bool  // some child fell past the node budget
 	sharedCut bool  // some subtree was pruned only by the shared bound
-	aborted   bool  // wall clock or cancellation cut the search
+	aborted   bool  // the context cut the search
 }
 
-func newEngine(m *Model, opts *Options, res *Result, deadline time.Time, logf func(string, ...interface{})) *bbEngine {
+func newEngine(m *Model, opts *Options, res *Result, logf func(string, ...interface{})) *bbEngine {
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -156,11 +156,11 @@ func newEngine(m *Model, opts *Options, res *Result, deadline time.Time, logf fu
 	// and the cap is gone.
 	e := &bbEngine{
 		m: m, opts: opts, res: res,
-		workers:  workers,
-		insts:    make([]*lp.Instance, workers),
-		lb:       make([][]float64, workers),
-		ub:       make([][]float64, workers),
-		deadline: deadline, logf: logf,
+		workers:   workers,
+		insts:     make([]*lp.Instance, workers),
+		lb:        make([][]float64, workers),
+		ub:        make([][]float64, workers),
+		logf:      logf,
 		rootBound: math.Inf(-1),
 		bestSeq:   -1,
 	}
@@ -187,8 +187,8 @@ func (e *bbEngine) prepareWorker(w int) {
 	e.ub[w] = make([]float64, n)
 }
 
-// run executes the wave loop until the queue drains or a wall-clock
-// limit aborts the search.
+// run executes the wave loop until the queue drains or the context
+// aborts the search.
 func (e *bbEngine) run() {
 	root := &bbNode{bound: math.Inf(-1)}
 	if e.opts.NodeLimit < 1 {
@@ -198,7 +198,7 @@ func (e *bbEngine) run() {
 	e.open = openHeap{root}
 	e.nextSeq = 1
 	for len(e.open) > 0 {
-		if cancelled(e.opts.Cancel) || time.Now().After(e.deadline) {
+		if e.opts.Context.Err() != nil {
 			e.aborted = true
 			return
 		}
@@ -291,7 +291,7 @@ func (e *bbEngine) solveNode(w int, s *bbSlot) {
 		}
 	}
 	lpOpts := lp.Options{
-		Deadline: e.deadline, Cancel: e.opts.Cancel,
+		Context: e.opts.Context,
 		// EXPAND perturbation keyed to the node's creation sequence: the
 		// shifts are a pure function of (matrix, seq), so the relaxation
 		// result stays a pure function of the node and the determinism
@@ -317,11 +317,10 @@ func (e *bbEngine) solveNode(w int, s *bbSlot) {
 		s.res = e.insts[w].Solve(lb, ub, lpOpts)
 	default:
 		s.res = e.insts[w].SolveFrom(s.nd.basis, lb, ub, lpOpts)
-		if s.res.Status == lp.IterLimit && !s.res.ColdRestart &&
-			!cancelled(e.opts.Cancel) && !time.Now().After(e.deadline) {
+		if s.res.Status == lp.IterLimit && !s.res.ColdRestart && e.opts.Context.Err() == nil {
 			// The warm re-solve failed numerically (stalled primal after
 			// the dual handoff — SolveFrom's internal fallbacks cover the
-			// other cases) without being aborted by a wall-clock limit:
+			// other cases) without being aborted by the context:
 			// retry cold once before the commit step marks the node failed.
 			prev := s.res.Iters
 			s.res = e.insts[w].Solve(lb, ub, lpOpts)

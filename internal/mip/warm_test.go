@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"mbsp/internal/lp"
 )
@@ -50,9 +49,9 @@ func TestWarmMatchesColdAndReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomBinaryModel(rng)
-		warm := m.Solve(Options{TimeLimit: 5 * time.Second})
-		cold := m.Solve(Options{TimeLimit: 5 * time.Second, ColdStart: true})
-		ref := m.Solve(Options{TimeLimit: 5 * time.Second, ReferenceLP: true})
+		warm := m.Solve(Options{})
+		cold := m.Solve(Options{ColdStart: true})
+		ref := m.Solve(Options{ReferenceLP: true})
 		if warm.Status != cold.Status || warm.Status != ref.Status {
 			t.Logf("seed %d: warm=%v cold=%v ref=%v", seed, warm.Status, cold.Status, ref.Status)
 			return false
@@ -110,8 +109,8 @@ func TestWarmMatchesColdLarger(t *testing.T) {
 				m.AddRow(coefs, lp.LE, rhs)
 			}
 		}
-		warm := m.Solve(Options{TimeLimit: 20 * time.Second})
-		cold := m.Solve(Options{TimeLimit: 20 * time.Second, ColdStart: true})
+		warm := m.Solve(Options{})
+		cold := m.Solve(Options{ColdStart: true})
 		if warm.Status != cold.Status {
 			t.Fatalf("seed %d: warm=%v cold=%v", seed, warm.Status, cold.Status)
 		}

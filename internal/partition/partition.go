@@ -4,9 +4,14 @@
 // cut-minimizing objective, a greedy topological fallback, and a
 // recursive splitter that keeps bisecting until every part is small
 // enough for the scheduling sub-ILPs.
+//
+// Run control is a context.Context: each bipartition ILP runs under its
+// caller's Context narrowed by its own TimeLimit, and Recursive stops
+// splitting with the context's error once it is done.
 package partition
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -22,6 +27,9 @@ const minFraction = 1.0 / 3.0
 
 // BipartitionOptions configures one exact bipartition solve.
 type BipartitionOptions struct {
+	// Context, when non-nil, stops the branch-and-bound search once it is
+	// done; the best bipartition found so far is still returned.
+	Context   context.Context
 	TimeLimit time.Duration // default 5s
 	NodeLimit int           // default 20000
 	// ColdStartLP disables the warm-started dual re-solves inside the
@@ -160,8 +168,14 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 		}
 	}
 
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithTimeout(ctx, opts.TimeLimit)
+	defer cancel()
 	res := m.Solve(mip.Options{
-		TimeLimit: opts.TimeLimit, NodeLimit: opts.NodeLimit,
+		Context: ctx, NodeLimit: opts.NodeLimit,
 		WarmStart: ws, ColdStart: opts.ColdStartLP, Workers: opts.Workers,
 		Inject: opts.Inject, LUStats: opts.LUStats,
 	})
@@ -228,6 +242,10 @@ func GreedyBipartition(g *graph.DAG, minFraction float64) ([]int, int, error) {
 
 // RecursiveOptions configures Recursive.
 type RecursiveOptions struct {
+	// Context, when non-nil, cancels the partitioning: each bipartition
+	// ILP runs under it, and Recursive returns its error once it is done
+	// (a partial split is not a partitioning).
+	Context context.Context
 	// MaxPartSize: parts at or below this size stop splitting (the paper
 	// uses 60 with a commercial solver; our default is 24).
 	MaxPartSize int
@@ -240,9 +258,6 @@ type RecursiveOptions struct {
 	// generous TimeLimit) when the partitioning must be byte-identical
 	// across runs and machines. 0 keeps the Bipartition default.
 	NodeLimit int
-	// ColdStartLP disables warm-started dual re-solves in the bipartition
-	// trees (solver ablation benchmarks).
-	ColdStartLP bool
 	// Workers bounds each bipartition tree's relaxation-solving worker
 	// pool; the partitioning is identical for any value.
 	Workers int
@@ -288,13 +303,16 @@ func Recursive(g *graph.DAG, opts RecursiveOptions) (Result, error) {
 			finished = append(finished, j.nodes)
 			continue
 		}
+		if opts.Context != nil && opts.Context.Err() != nil {
+			return res, fmt.Errorf("partition: cancelled after %d bipartitions: %w", res.ILPSolves, opts.Context.Err())
+		}
 		sub, orig := g.SubDAG(j.nodes)
 		var part []int
 		if opts.UseILP {
 			p, _, opt, err := Bipartition(sub, BipartitionOptions{
-				TimeLimit: opts.TimeLimit, NodeLimit: opts.NodeLimit,
-				ColdStartLP: opts.ColdStartLP, Workers: opts.Workers,
-				Stats: &res.Solver, Inject: opts.Inject, LUStats: opts.LUStats,
+				Context: opts.Context, TimeLimit: opts.TimeLimit, NodeLimit: opts.NodeLimit,
+				Workers: opts.Workers, Stats: &res.Solver, Inject: opts.Inject,
+				LUStats: opts.LUStats,
 			})
 			res.ILPSolves++
 			if err == nil {

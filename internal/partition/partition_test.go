@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -113,6 +115,24 @@ func TestRecursiveSplitsToSize(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRecursiveCancelled: an already-cancelled Context must stop the
+// partitioning before any bipartition tree is searched.
+func TestRecursiveCancelled(t *testing.T) {
+	inst, err := workloads.ByName("CG_N5_K2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Recursive(inst.DAG, RecursiveOptions{Context: ctx, MaxPartSize: 45, UseILP: true})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.ILPSolves != 0 || res.Solver.Nodes != 0 {
+		t.Fatalf("cancelled run made %d ILP solves over %d nodes, want none", res.ILPSolves, res.Solver.Nodes)
 	}
 }
 

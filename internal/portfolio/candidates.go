@@ -141,18 +141,17 @@ func ILPCandidate() Candidate {
 func DNCCandidate(maxPart int) Candidate {
 	return Candidate{Name: "dnc-ilp", Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
 		dncOpts := dnc.Options{
-			Context:            ctx,
-			Model:              opts.Model,
-			MaxPartSize:        maxPart,
-			SubTimeLimit:       opts.ILPTimeLimit,
-			SubNodeLimit:       opts.ILPNodeLimit,
-			PartitionNodeLimit: opts.ILPNodeLimit,
-			MIPWorkers:         opts.MIPWorkers,
-			LocalSearchBudget:  opts.LocalSearchBudget / 4,
-			Inject:             opts.Inject,
-			LUStats:            opts.LUStats,
-			MaxModelRows:       opts.MaxModelRows,
-			Seed:               candidateSeed(opts.Seed, "dnc-ilp"),
+			Context:           ctx,
+			Model:             opts.Model,
+			MaxPartSize:       maxPart,
+			SubTimeLimit:      opts.ILPTimeLimit,
+			NodeLimit:         opts.ILPNodeLimit,
+			MIPWorkers:        opts.MIPWorkers,
+			LocalSearchBudget: opts.LocalSearchBudget / 4,
+			Inject:            opts.Inject,
+			LUStats:           opts.LUStats,
+			MaxModelRows:      opts.MaxModelRows,
+			Seed:              candidateSeed(opts.Seed, "dnc-ilp"),
 		}
 		if sh := opts.shared; sh != nil {
 			dncOpts.Incumbent = sh.inc

@@ -237,11 +237,7 @@ func Run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 		sh.inc = mip.NewIncumbent()
 	}
 	if ctx.Err() == nil {
-		pl := twostage.BSPgClairvoyant(arch.G, arch.L)
-		if arch.P == 1 {
-			pl = twostage.DFSClairvoyant()
-		}
-		if w, err := pl.Run(g, arch); err == nil && w.Validate() == nil {
+		if w, err := twostage.Baseline(arch).Run(g, arch); err == nil && w.Validate() == nil {
 			sh.warm = w
 			sh.warmCost = w.Cost(opts.Model)
 			sh.inc.Offer(sh.warmCost)

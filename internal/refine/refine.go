@@ -7,14 +7,16 @@
 //
 // Unlike the two-stage baseline — whose stage 1 never sees the memory
 // constraint — every candidate here is evaluated with the full MBSP cost,
-// so the search is holistic in exactly the paper's sense.
+// so the search is holistic in exactly the paper's sense. The search is
+// anytime: once Options.Context is done it returns the best schedule
+// found so far.
 package refine
 
 import (
+	"context"
 	"math/rand"
 
 	"mbsp/internal/bsp"
-	"mbsp/internal/graph"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/memmgr"
 	"mbsp/internal/twostage"
@@ -29,9 +31,9 @@ type Options struct {
 	// ExtraSave lists nodes that must be saved to slow memory when
 	// produced (divide-and-conquer boundary values).
 	ExtraSave []int
-	// Cancel stops the search early when closed; the best schedule found
-	// so far is still returned.
-	Cancel <-chan struct{}
+	// Context, when non-nil, stops the search early once it is done; the
+	// best schedule found so far is still returned.
+	Context context.Context
 }
 
 // Result reports the outcome.
@@ -118,13 +120,9 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 	curCost := bestCost
 	stale := 0
 	for res.Evals < opts.Budget && stale < 6*len(movable) {
-		if opts.Cancel != nil {
-			select {
-			case <-opts.Cancel:
-				res.Schedule, res.Cost = best, bestCost
-				return res
-			default:
-			}
+		if opts.Context != nil && opts.Context.Err() != nil {
+			res.Schedule, res.Cost = best, bestCost
+			return res
 		}
 		v := movable[rng.Intn(len(movable))]
 		move := rng.Intn(3)
@@ -166,14 +164,4 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 	}
 	res.Schedule, res.Cost = best, bestCost
 	return res
-}
-
-// ImproveFromGraph is a convenience wrapper that builds the baseline
-// schedule itself and then improves it.
-func ImproveFromGraph(g *graph.DAG, arch mbsp.Arch, opts Options) (Result, error) {
-	base, err := twostage.BSPgClairvoyant(arch.G, arch.L).Run(g, arch)
-	if err != nil {
-		return Result{}, err
-	}
-	return Improve(base, opts), nil
 }

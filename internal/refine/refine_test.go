@@ -116,18 +116,3 @@ func TestImproveDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic: (%g,%d) vs (%g,%d)", a.Cost, a.Evals, b.Cost, b.Evals)
 	}
 }
-
-func TestImproveFromGraph(t *testing.T) {
-	inst, err := workloads.ByName("k-means")
-	if err != nil {
-		t.Fatal(err)
-	}
-	arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	res, err := ImproveFromGraph(inst.DAG, arch, Options{Budget: 200, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Schedule.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -61,3 +61,13 @@ func DFSClairvoyant() Pipeline {
 		Policy: memmgr.Clairvoyant{},
 	}
 }
+
+// Baseline is the paper's main baseline for arch: BSPg+clairvoyant, or
+// DFS+clairvoyant on a single processor, where BSPg has nothing to
+// balance.
+func Baseline(arch mbsp.Arch) Pipeline {
+	if arch.P == 1 {
+		return DFSClairvoyant()
+	}
+	return BSPgClairvoyant(arch.G, arch.L)
+}

@@ -20,14 +20,16 @@
 #      hard gates on the anti-degeneracy wiring (perturbation reaching
 #      the tree search, cheap shift-removal clean-up) and a
 #      baseline-relative gate on its deterministic iteration and
-#      cold-fallback counts (skipped when the baseline predates the leg),
+#      cold-fallback counts, which fails on any increase (skipped when
+#      the baseline predates the leg),
 #      and the sparse-LU leg — a >3000-row scheduling ILP (spmv P=4)
 #      that the old dense-inverse core refused to factor — with hard
 #      gates on the unlock itself (the model must enter tree search),
 #      on factorization quality (fill-in bounded relative to the basis,
 #      at least one refactorization, warm factor reuse firing) and
 #      baseline-relative gates on its iteration count, fill-in and
-#      refactorization count (also skipped for pre-LU baselines).
+#      refactorization count, also failing on any increase (and also
+#      skipped for pre-LU baselines).
 set -eu
 
 cd "$(dirname "$0")/.."

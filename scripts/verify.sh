@@ -19,8 +19,11 @@
 #      under -race, one leg per injection mode plus all modes at once,
 #      for two distinct fault seeds (different seeds inject different
 #      fault sequences; one seed only proves one trajectory) — exits
-#      nonzero on any non-anytime error, missing certificate or invalid
-#      schedule (the graceful-degradation gate);
+#      nonzero on any non-anytime error, missing certificate, invalid
+#      schedule, or run returning more than 2s after its deadline (the
+#      graceful-degradation gate); then one more leg on the paper-tiny
+#      dataset (one fault seed, without -race), whose larger DAGs put
+#      the divide-and-conquer partitioning stage under the deadline;
 #   4b. the serving smoke (scripts/serve_smoke.sh): start mbsp-served on
 #      an ephemeral port with a durable cache, POST a registry DAG twice
 #      and assert the second response is a cache hit with a
@@ -91,6 +94,9 @@ for fault_seed in 42 1337; do
     go run -race ./cmd/mbsp-bench -experiment chaos -dataset tiny \
         -deadline 50ms -fault-seed "${fault_seed}"
 done
+echo "== chaos leg: paper-tiny, fault seed 42"
+go run ./cmd/mbsp-bench -experiment chaos -dataset paper-tiny \
+    -deadline 50ms -fault-seed 42
 
 echo "== serving smoke: mbsp-served cache hit + graceful drain"
 sh scripts/serve_smoke.sh
