@@ -190,22 +190,14 @@ func DefaultCandidates(g *DAG, arch Arch) []PortfolioCandidate {
 // SchedulePortfolio is anytime: under deadlines, cancellation, exhausted
 // node budgets, candidate panics or individual scheduler failures it
 // still returns the best validated schedule obtainable — degrading, when
-// every candidate fails, to the synchronously recomputed two-stage
-// baseline — together with a populated Result.Certificate stating the
-// cost, a proven lower bound, the gap, and which candidates completed,
-// degraded or failed. An error is returned only when the instance admits
-// no valid schedule at all (or the options are unusable).
+// every candidate fails, to the run's two-stage baseline — together with
+// a populated Result.Certificate stating the cost, a proven lower bound,
+// the gap, and which candidates completed, degraded or failed. An error
+// is returned only when the instance admits no valid schedule at all (or
+// the options are unusable). A caller that prefers failure over a
+// degraded schedule checks Certificate.FallbackUsed.
 func SchedulePortfolio(ctx context.Context, g *DAG, arch Arch, opts PortfolioOptions) (*PortfolioResult, error) {
 	return portfolio.RunAnytime(ctx, g, arch, opts)
-}
-
-// SchedulePortfolioStrict is SchedulePortfolio without the anytime
-// fallback ladder: when no candidate produces a valid schedule it
-// returns portfolio.ErrNoSchedule (and no certificate) instead of
-// degrading to the baseline. Use it when a degraded schedule is worse
-// than no schedule.
-func SchedulePortfolioStrict(ctx context.Context, g *DAG, arch Arch, opts PortfolioOptions) (*PortfolioResult, error) {
-	return portfolio.Run(ctx, g, arch, opts)
 }
 
 // Machine-readable results (the scheduling service's response shape,

@@ -380,7 +380,7 @@ func BenchmarkPortfolio(b *testing.B) {
 		winners := map[string]bool{}
 		for _, inst := range insts {
 			arch := cfg.Arch(inst.DAG)
-			res, err := portfolio.Run(context.Background(), inst.DAG, arch, portfolio.Options{
+			res, err := portfolio.RunAnytime(context.Background(), inst.DAG, arch, portfolio.Options{
 				Model:             cfg.Model,
 				ILPTimeLimit:      cfg.ILPTimeLimit,
 				LocalSearchBudget: cfg.LocalSearchBudget,

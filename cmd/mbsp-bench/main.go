@@ -277,13 +277,10 @@ func runPortfolio(insts []workloads.Instance, cfg experiments.Config, dataset st
 			Instance: inst.Name, Best: res.BestName, BestCost: res.BestCost,
 			ElapsedSec: res.Elapsed.Seconds(),
 		}
-		if cert := res.Certificate; cert != nil {
-			entry.Rung = cert.Rung
-			entry.Gap = cert.Gap
-			entry.Failed = len(cert.Failed)
-			if cert.FallbackUsed || len(cert.Failed) > 0 {
-				fmt.Printf("  certificate: %v\n", cert)
-			}
+		cert := res.Certificate
+		entry.Rung, entry.Gap, entry.Failed = cert.Rung, cert.Gap, len(cert.Failed)
+		if cert.FallbackUsed || len(cert.Failed) > 0 {
+			fmt.Printf("  certificate: %v\n", cert)
 		}
 		for _, c := range res.Candidates {
 			cj := portfolioCandsJSON{Name: c.Name, ElapsedSec: c.Elapsed.Seconds()}

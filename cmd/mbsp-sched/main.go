@@ -86,9 +86,14 @@ func main() {
 		r = *rabs
 	}
 	arch := mbsp.Arch{P: *p, R: r, G: *gcost, L: *lcost}
-	costModel := mbsp.Sync
-	if *model == "async" {
+	var costModel mbsp.CostModel
+	switch *model {
+	case "sync":
+		costModel = mbsp.Sync
+	case "async":
 		costModel = mbsp.Async
+	default:
+		fatal(fmt.Errorf("bad -model %q (sync|async)", *model))
 	}
 	fmt.Fprintf(info, "dag %s: n=%d m=%d r0=%g\n", g.Name(), g.N(), g.M(), g.MinCache())
 	fmt.Fprintf(info, "arch %v, model %v\n", arch, costModel)
@@ -146,11 +151,9 @@ func main() {
 			fmt.Fprintf(info, "  %s %-16s cost %-12g (sync %g, async %g) in %.3fs%s\n",
 				marker, c.Name, c.Cost, c.SyncCost, c.AsyncCost, c.Elapsed.Seconds(), note)
 		}
-		if cert := res.Certificate; cert != nil {
-			fmt.Fprintf(info, "certificate: %v\n", cert)
-			for _, f := range cert.Failed {
-				fmt.Fprintf(info, "  failure %-16s %s\n", f.Candidate, f.Kind)
-			}
+		fmt.Fprintf(info, "certificate: %v\n", res.Certificate)
+		for _, f := range res.Certificate.Failed {
+			fmt.Fprintf(info, "  failure %-16s %s\n", f.Candidate, f.Kind)
 		}
 		s = res.Best
 		winner = res.BestName

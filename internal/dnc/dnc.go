@@ -27,13 +27,11 @@ import (
 	"fmt"
 	"time"
 
-	"mbsp/internal/bsp"
 	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/lp"
 	"mbsp/internal/mbsp"
-	"mbsp/internal/memmgr"
 	"mbsp/internal/mip"
 	"mbsp/internal/partition"
 	"mbsp/internal/twostage"
@@ -57,12 +55,10 @@ type Options struct {
 	// each bipartition ILP and each sub-ILP. Node limits bind
 	// deterministically where wall-clock limits do not, so setting it
 	// (with generous time limits) makes divide-and-conquer schedules
-	// byte-identical. 0 keeps the partition and ilpsched defaults.
+	// byte-identical. 0 keeps the partition and ilpsched defaults. Each
+	// bipartition ILP also runs under a clock: 2s, or a generous minute
+	// when NodeLimit is set, so that the node limit is what binds.
 	NodeLimit int
-	// PartitionTimeLimit bounds each bipartition ILP. Default 2s, or a
-	// generous 1 minute when NodeLimit is set (so the node limit, not
-	// the clock, is what binds).
-	PartitionTimeLimit time.Duration
 	// MaxModelRows caps each part's scheduling sub-ILP model size
 	// (ilpsched.Options.MaxModelRows). 0 keeps the ilpsched default.
 	MaxModelRows int
@@ -93,7 +89,6 @@ type Options struct {
 	// part of Stats (see mip.Options.LUStats).
 	LUStats *lp.FactorStats
 	Seed    int64
-	Logf    func(format string, args ...interface{})
 }
 
 func (o Options) withDefaults() Options {
@@ -102,16 +97,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SubTimeLimit == 0 {
 		o.SubTimeLimit = 3 * time.Second
-	}
-	if o.PartitionTimeLimit == 0 {
-		if o.NodeLimit > 0 {
-			o.PartitionTimeLimit = time.Minute
-		} else {
-			o.PartitionTimeLimit = 2 * time.Second
-		}
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...interface{}) {}
 	}
 	return o
 }
@@ -143,11 +128,15 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 		return nil, stats, twostage.ErrCacheTooSmall
 	}
 
+	partitionLimit := 2 * time.Second
+	if opts.NodeLimit > 0 {
+		partitionLimit = time.Minute
+	}
 	pres, err := partition.Recursive(g, partition.RecursiveOptions{
 		Context:     opts.Context,
 		MaxPartSize: opts.MaxPartSize,
 		UseILP:      true,
-		TimeLimit:   opts.PartitionTimeLimit,
+		TimeLimit:   partitionLimit,
 		NodeLimit:   opts.NodeLimit,
 		Workers:     opts.MIPWorkers,
 		Inject:      opts.Inject,
@@ -266,21 +255,16 @@ func schedulePart(g *graph.DAG, arch mbsp.Arch, opts Options, part []int, k int,
 	}
 
 	// Warm start: two-stage baseline on the sub-DAG with forced saves.
-	var warm *mbsp.Schedule
-	var err error
 	var extraSaveList []int
 	for v := range extraSave {
 		extraSaveList = append(extraSaveList, v)
 	}
-	if arch.P == 1 {
-		warm, err = twostage.ConvertExtra(bsp.DFS(sub), arch, memmgr.Clairvoyant{}, extraSaveList)
-	} else {
-		b, berr := bsp.BSPg(sub, arch.P, bsp.BSPgOptions{G: arch.G, L: arch.L})
-		if berr != nil {
-			return nil, fmt.Errorf("sub-baseline: %w", berr)
-		}
-		warm, err = twostage.ConvertExtra(b, arch, memmgr.Clairvoyant{}, extraSaveList)
+	base := twostage.Baseline(arch)
+	b, err := base.Stage1(sub, arch.P)
+	if err != nil {
+		return nil, fmt.Errorf("sub-baseline: %w", err)
 	}
+	warm, err := twostage.ConvertExtra(b, arch, base.Policy, extraSaveList)
 	if err != nil {
 		return nil, fmt.Errorf("sub-baseline: %w", err)
 	}
@@ -305,7 +289,6 @@ func schedulePart(g *graph.DAG, arch mbsp.Arch, opts Options, part []int, k int,
 		LUStats:           opts.LUStats,
 		MaxModelRows:      opts.MaxModelRows,
 		Seed:              opts.Seed + int64(k),
-		Logf:              opts.Logf,
 	})
 	if err != nil {
 		return nil, err

@@ -15,10 +15,10 @@ func TestSolveValidOnSmallInstances(t *testing.T) {
 	for _, inst := range workloads.Small()[:4] {
 		arch := mbsp.Arch{P: 4, R: 5 * inst.DAG.MinCache(), G: 1, L: 10}
 		s, stats, err := Solve(inst.DAG, arch, Options{
-			MaxPartSize:        20,
-			SubTimeLimit:       500 * time.Millisecond,
-			PartitionTimeLimit: time.Second,
-			LocalSearchBudget:  50,
+			MaxPartSize:       20,
+			SubTimeLimit:      500 * time.Millisecond,
+			NodeLimit:         20,
+			LocalSearchBudget: 50,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
@@ -50,9 +50,9 @@ func TestSolveComparableToBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _, err := Solve(inst.DAG, arch, Options{
-		SubTimeLimit:       500 * time.Millisecond,
-		PartitionTimeLimit: time.Second,
-		LocalSearchBudget:  1500,
+		SubTimeLimit:      500 * time.Millisecond,
+		NodeLimit:         20,
+		LocalSearchBudget: 1500,
 	})
 	if err != nil {
 		t.Fatal(err)

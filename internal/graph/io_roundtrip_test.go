@@ -82,40 +82,46 @@ func TestRoundTripPreservesFingerprintRandom(t *testing.T) {
 	}
 }
 
+// malformedInputs covers every malformed-input class Read rejects with a
+// *graph.ParseError; FuzzRead seeds its corpus with them.
+var malformedInputs = []struct {
+	name  string
+	input string
+}{
+	{"empty", ""},
+	{"comment-only", "# nothing here\n"},
+	{"node-before-header", "node 0 1 1\n"},
+	{"edge-before-header", "edge 0 1\n"},
+	{"short-header", "dag\n"},
+	{"duplicate-header", "dag a 0 0\ndag b 0 0\n"},
+	{"bad-counts", "dag x nope nope\n"},
+	{"negative-counts", "dag x -1 0\n"},
+	{"short-node", "dag x 1 0\nnode 0 1\n"},
+	{"bad-node-id", "dag x 1 0\nnode zero 1 1\n"},
+	{"out-of-order-node", "dag x 2 0\nnode 1 1 1\nnode 0 1 1\n"},
+	{"bad-comp", "dag x 1 0\nnode 0 one 1\n"},
+	{"bad-mem", "dag x 1 0\nnode 0 1 one\n"},
+	{"negative-weight", "dag x 1 0\nnode 0 -1 1\n"},
+	{"nan-weight", "dag x 1 0\nnode 0 NaN 1\n"},
+	{"inf-weight", "dag x 1 0\nnode 0 1 +Inf\n"},
+	{"short-edge", "dag x 2 1\nnode 0 1 1\nnode 1 1 1\nedge 0\n"},
+	{"bad-edge-ids", "dag x 2 1\nnode 0 1 1\nnode 1 1 1\nedge zero 1\n"},
+	{"dangling-edge", "dag x 2 1\nnode 0 1 1\nnode 1 1 1\nedge 0 5\n"},
+	{"negative-edge", "dag x 2 1\nnode 0 1 1\nnode 1 1 1\nedge -1 1\n"},
+	{"self-loop", "dag x 1 1\nnode 0 1 1\nedge 0 0\n"},
+	{"unknown-directive", "dag x 0 0\nfrobnicate\n"},
+	{"node-count-mismatch", "dag x 3 0\nnode 0 1 1\n"},
+	{"edge-count-mismatch", "dag x 2 0\nnode 0 1 1\nnode 1 1 1\nedge 0 1\n"},
+	{"duplicate-edge-collapse", "dag x 2 2\nnode 0 1 1\nnode 1 1 1\nedge 0 1\nedge 0 1\n"},
+}
+
+// cyclicInput is well formed but cyclic: Read rejects it with ErrCyclic.
+const cyclicInput = "dag x 2 2\nnode 0 1 1\nnode 1 1 1\nedge 0 1\nedge 1 0\n"
+
 // TestReadMalformedTypedErrors: every malformed-input class returns a
 // typed error and never panics.
 func TestReadMalformedTypedErrors(t *testing.T) {
-	cases := []struct {
-		name  string
-		input string
-	}{
-		{"empty", ""},
-		{"comment-only", "# nothing here\n"},
-		{"node-before-header", "node 0 1 1\n"},
-		{"edge-before-header", "edge 0 1\n"},
-		{"short-header", "dag\n"},
-		{"duplicate-header", "dag a 0 0\ndag b 0 0\n"},
-		{"bad-counts", "dag x nope nope\n"},
-		{"negative-counts", "dag x -1 0\n"},
-		{"short-node", "dag x 1 0\nnode 0 1\n"},
-		{"bad-node-id", "dag x 1 0\nnode zero 1 1\n"},
-		{"out-of-order-node", "dag x 2 0\nnode 1 1 1\nnode 0 1 1\n"},
-		{"bad-comp", "dag x 1 0\nnode 0 one 1\n"},
-		{"bad-mem", "dag x 1 0\nnode 0 1 one\n"},
-		{"negative-weight", "dag x 1 0\nnode 0 -1 1\n"},
-		{"nan-weight", "dag x 1 0\nnode 0 NaN 1\n"},
-		{"inf-weight", "dag x 1 0\nnode 0 1 +Inf\n"},
-		{"short-edge", "dag x 2 1\nnode 0 1 1\nnode 1 1 1\nedge 0\n"},
-		{"bad-edge-ids", "dag x 2 1\nnode 0 1 1\nnode 1 1 1\nedge zero 1\n"},
-		{"dangling-edge", "dag x 2 1\nnode 0 1 1\nnode 1 1 1\nedge 0 5\n"},
-		{"negative-edge", "dag x 2 1\nnode 0 1 1\nnode 1 1 1\nedge -1 1\n"},
-		{"self-loop", "dag x 1 1\nnode 0 1 1\nedge 0 0\n"},
-		{"unknown-directive", "dag x 0 0\nfrobnicate\n"},
-		{"node-count-mismatch", "dag x 3 0\nnode 0 1 1\n"},
-		{"edge-count-mismatch", "dag x 2 0\nnode 0 1 1\nnode 1 1 1\nedge 0 1\n"},
-		{"duplicate-edge-collapse", "dag x 2 2\nnode 0 1 1\nnode 1 1 1\nedge 0 1\nedge 0 1\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedInputs {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
 				if r := recover(); r != nil {
@@ -134,8 +140,7 @@ func TestReadMalformedTypedErrors(t *testing.T) {
 	}
 
 	// Cycles are structural, not syntactic: they surface as ErrCyclic.
-	cyclic := "dag x 2 2\nnode 0 1 1\nnode 1 1 1\nedge 0 1\nedge 1 0\n"
-	if _, err := graph.Read(strings.NewReader(cyclic)); !errors.Is(err, graph.ErrCyclic) {
+	if _, err := graph.Read(strings.NewReader(cyclicInput)); !errors.Is(err, graph.ErrCyclic) {
 		t.Fatalf("want ErrCyclic for cyclic input, got %v", err)
 	}
 }

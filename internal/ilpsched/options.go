@@ -97,8 +97,6 @@ type Options struct {
 	// perturbation (mip.Options.NoPerturb); exists for the degenerate-model
 	// ablation benchmark.
 	NoPerturb bool
-	// Logf receives progress messages.
-	Logf func(format string, args ...interface{})
 	// Seed drives the local-search heuristic.
 	Seed int64
 	// Inject threads the deterministic fault-injection harness into the
@@ -129,9 +127,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LocalSearchBudget == 0 {
 		o.LocalSearchBudget = 4000
-	}
-	if o.Logf == nil {
-		o.Logf = func(string, ...interface{}) {}
 	}
 	return o
 }

@@ -48,9 +48,8 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 
 	if stats.ModelRows <= opts.MaxModelRows {
 		x := im.assignment(skel)
-		if err := im.m.CheckFeasible(x, 1e-6); err != nil {
-			opts.Logf("ilpsched: warm-start encoding rejected (%v); solving cold", err)
-			x = nil
+		if im.m.CheckFeasible(x, 1e-6) != nil {
+			x = nil // the encoding is rejected: solve cold
 		}
 		stats.UsedILP = true
 		ctx, cancel := context.WithTimeout(opts.Context, opts.TimeLimit)
@@ -58,7 +57,6 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 			Context:         ctx,
 			NodeLimit:       opts.NodeLimit,
 			WarmStart:       x,
-			Logf:            opts.Logf,
 			Workers:         opts.MIPWorkers,
 			ColdStart:       opts.LPColdStart,
 			ReferenceLP:     opts.LPReference,
@@ -94,13 +92,10 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 					best, bestCost = sched, c
 					stats.Source = "ilp"
 				}
-			} else {
-				opts.Logf("ilpsched: extraction failed: %v", err)
 			}
 		}
 	} else {
 		stats.ILPStatus = "skipped-model-too-large"
-		opts.Logf("ilpsched: model has %d rows (> %d), skipping tree search", stats.ModelRows, opts.MaxModelRows)
 	}
 
 	// Specialized exact backend: for single-processor instances small
@@ -114,15 +109,11 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 			NoRecompute: opts.NoRecompute,
 			StateBudget: 2_000_000,
 		})
-		if exErr == nil {
-			if err := res.Schedule.Validate(); err == nil {
-				if c := res.Schedule.Cost(opts.Model); c < bestCost {
-					best, bestCost = res.Schedule, c
-					stats.Source = "exact-pebbler"
-				}
+		if exErr == nil && res.Schedule.Validate() == nil {
+			if c := res.Schedule.Cost(opts.Model); c < bestCost {
+				best, bestCost = res.Schedule, c
+				stats.Source = "exact-pebbler"
 			}
-		} else {
-			opts.Logf("ilpsched: exact pebbler unavailable: %v", exErr)
 		}
 	}
 

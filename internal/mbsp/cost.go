@@ -12,28 +12,34 @@ import "fmt"
 func (s *Schedule) SyncCost() float64 {
 	total := 0.0
 	for i := range s.Steps {
-		var maxComp, maxSave, maxLoad float64
-		for p := range s.Steps[i].Procs {
-			ps := &s.Steps[i].Procs[p]
-			var comp, save, load float64
-			for _, op := range ps.Comp {
-				if op.Kind == OpCompute {
-					comp += s.Graph.Comp(op.Node)
-				}
-			}
-			for _, v := range ps.Save {
-				save += s.Arch.G * s.Graph.Mem(v)
-			}
-			for _, v := range ps.Load {
-				load += s.Arch.G * s.Graph.Mem(v)
-			}
-			maxComp = max(maxComp, comp)
-			maxSave = max(maxSave, save)
-			maxLoad = max(maxLoad, load)
-		}
-		total += maxComp + maxSave + maxLoad + s.Arch.L
+		comp, save, load := s.phaseMax(i)
+		total += comp + save + load + s.Arch.L
 	}
 	return total
+}
+
+// phaseMax returns superstep i's compute, save and load phase costs, each
+// the maximum over processors.
+func (s *Schedule) phaseMax(i int) (maxComp, maxSave, maxLoad float64) {
+	for p := range s.Steps[i].Procs {
+		ps := &s.Steps[i].Procs[p]
+		var comp, save, load float64
+		for _, op := range ps.Comp {
+			if op.Kind == OpCompute {
+				comp += s.Graph.Comp(op.Node)
+			}
+		}
+		for _, v := range ps.Save {
+			save += s.Arch.G * s.Graph.Mem(v)
+		}
+		for _, v := range ps.Load {
+			load += s.Arch.G * s.Graph.Mem(v)
+		}
+		maxComp = max(maxComp, comp)
+		maxSave = max(maxSave, save)
+		maxLoad = max(maxLoad, load)
+	}
+	return maxComp, maxSave, maxLoad
 }
 
 // CostBreakdown summarizes where a schedule's synchronous cost comes
@@ -57,28 +63,10 @@ func (c CostBreakdown) String() string {
 func (s *Schedule) SyncCostBreakdown() CostBreakdown {
 	var b CostBreakdown
 	for i := range s.Steps {
-		var maxComp, maxSave, maxLoad float64
-		for p := range s.Steps[i].Procs {
-			ps := &s.Steps[i].Procs[p]
-			var comp, save, load float64
-			for _, op := range ps.Comp {
-				if op.Kind == OpCompute {
-					comp += s.Graph.Comp(op.Node)
-				}
-			}
-			for _, v := range ps.Save {
-				save += s.Arch.G * s.Graph.Mem(v)
-			}
-			for _, v := range ps.Load {
-				load += s.Arch.G * s.Graph.Mem(v)
-			}
-			maxComp = max(maxComp, comp)
-			maxSave = max(maxSave, save)
-			maxLoad = max(maxLoad, load)
-		}
-		b.Compute += maxComp
-		b.Save += maxSave
-		b.Load += maxLoad
+		comp, save, load := s.phaseMax(i)
+		b.Compute += comp
+		b.Save += save
+		b.Load += load
 		b.Sync += s.Arch.L
 	}
 	return b

@@ -70,7 +70,7 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("mbsp: superstep %d has %d processor slots, want %d",
 				i, len(s.Steps[i].Procs), s.Arch.P)
 		}
-		if err := st.applySuperstep(s, i, nil); err != nil {
+		if err := st.applySuperstep(s, i); err != nil {
 			return err
 		}
 	}
@@ -82,16 +82,8 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// phaseCosts collects per-processor phase costs of one superstep; used by
-// both cost functions.
-type phaseCosts struct {
-	comp []float64
-	save []float64
-	load []float64
-}
-
-// applySuperstep simulates superstep i, optionally recording phase costs.
-func (st *state) applySuperstep(s *Schedule, i int, pc *phaseCosts) error {
+// applySuperstep simulates superstep i.
+func (st *state) applySuperstep(s *Schedule, i int) error {
 	g := s.Graph
 	step := &s.Steps[i]
 	fail := func(p int, op string, v int, reason string) error {
@@ -118,9 +110,6 @@ func (st *state) applySuperstep(s *Schedule, i int, pc *phaseCosts) error {
 				if !st.red[p][v] {
 					st.red[p][v] = true
 					st.redUse[p] += g.Mem(v)
-				}
-				if pc != nil {
-					pc.comp[p] += g.Comp(v)
 				}
 			case OpDelete:
 				if !st.red[p][v] {
@@ -149,9 +138,6 @@ func (st *state) applySuperstep(s *Schedule, i int, pc *phaseCosts) error {
 				return fail(p, "save", v, "no red pebble to save")
 			}
 			newBlue = append(newBlue, v)
-			if pc != nil {
-				pc.save[p] += s.Arch.G * g.Mem(v)
-			}
 		}
 	}
 	for _, v := range newBlue {
@@ -188,9 +174,6 @@ func (st *state) applySuperstep(s *Schedule, i int, pc *phaseCosts) error {
 			if st.redUse[p] > s.Arch.R+memEps {
 				return fail(p, "load", v,
 					fmt.Sprintf("memory bound exceeded: %.6g > r=%.6g", st.redUse[p], s.Arch.R))
-			}
-			if pc != nil {
-				pc.load[p] += s.Arch.G * g.Mem(v)
 			}
 		}
 	}
@@ -234,7 +217,7 @@ func (s *Schedule) MaxResidentMemory() float64 {
 		}
 	}
 	for i := range s.Steps {
-		if err := st.applySuperstep(s, i, nil); err != nil {
+		if err := st.applySuperstep(s, i); err != nil {
 			return math.NaN()
 		}
 		record()
@@ -248,7 +231,7 @@ func (s *Schedule) MaxResidentMemory() float64 {
 func (s *Schedule) FinalRedSets() ([][]int, error) {
 	st := newState(s)
 	for i := range s.Steps {
-		if err := st.applySuperstep(s, i, nil); err != nil {
+		if err := st.applySuperstep(s, i); err != nil {
 			return nil, err
 		}
 	}

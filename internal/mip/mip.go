@@ -253,7 +253,6 @@ type Options struct {
 	Context   context.Context
 	NodeLimit int       // default 200000
 	WarmStart []float64 // optional feasible solution used as incumbent
-	Logf      func(format string, args ...interface{})
 
 	// Workers bounds the goroutines concurrently solving node relaxations
 	// (default 1: the search runs entirely on the calling goroutine). The
@@ -325,24 +324,14 @@ func (m *Model) Solve(opts Options) Result {
 	if opts.NodeLimit == 0 {
 		opts.NodeLimit = 200000
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
-
 	res := Result{Status: NoSolution, Obj: math.Inf(1), Bound: math.Inf(-1)}
-	if opts.WarmStart != nil {
-		if err := m.CheckFeasible(opts.WarmStart, 1e-6); err == nil {
-			res.X = append([]float64(nil), opts.WarmStart...)
-			res.Obj = m.ObjValue(res.X)
-			res.Status = Feasible
-			logf("warm start accepted: obj=%g", res.Obj)
-		} else {
-			logf("warm start rejected: %v", err)
-		}
+	if opts.WarmStart != nil && m.CheckFeasible(opts.WarmStart, 1e-6) == nil {
+		res.X = append([]float64(nil), opts.WarmStart...)
+		res.Obj = m.ObjValue(res.X)
+		res.Status = Feasible
 	}
 
-	e := newEngine(m, &opts, &res, logf)
+	e := newEngine(m, &opts, &res)
 	if opts.LUStats != nil {
 		// Deferred so every return path (abort, infeasible, optimal)
 		// reports; lazily-created worker slots may be nil.
@@ -363,7 +352,6 @@ func (m *Model) Solve(opts Options) Result {
 		// goroutines where an escape would be fatal to the process.
 		defer func() {
 			if r := recover(); r != nil {
-				logf("branch-and-bound engine panic recovered: %v", r)
 				res.Panics++
 				e.aborted = true
 			}

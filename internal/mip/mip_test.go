@@ -91,22 +91,13 @@ func TestWarmStartRejectedIfInfeasible(t *testing.T) {
 	m := NewModel()
 	x := m.AddBinary("x", 1)
 	m.AddGE(1, lp.Coef{Var: x, Val: 1})
-	var msgs []string
 	res := m.Solve(Options{
 		WarmStart: []float64{0}, // violates the row
-		Logf:      func(f string, a ...interface{}) { msgs = append(msgs, f) },
 	})
+	// An accepted warm start would leave the infeasible x=0 (objective 0)
+	// as the incumbent; rejection makes the tree find x=1.
 	if res.Status != Optimal || math.Abs(res.Obj-1) > 1e-6 {
 		t.Fatalf("res=%+v", res)
-	}
-	found := false
-	for _, s := range msgs {
-		if s == "warm start rejected: %v" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("expected rejection log")
 	}
 }
 

@@ -109,11 +109,10 @@ func (h *openHeap) Pop() interface{} {
 type bbSlot struct {
 	nd  *bbNode
 	res lp.Result
-	// panicked records that the relaxation solve panicked; panicVal is the
-	// recovered value for the log. The commit step treats such a node like
-	// an LP iteration-limit failure: no bound, no children, result demoted.
+	// panicked records that the relaxation solve panicked. The commit
+	// step treats such a node like an LP iteration-limit failure: no
+	// bound, no children, result demoted.
 	panicked bool
-	panicVal interface{}
 }
 
 // bbEngine holds the search state shared between the wave loop and the
@@ -133,7 +132,6 @@ type bbEngine struct {
 	insts   []*lp.Instance
 	lb, ub  [][]float64
 
-	logf      func(string, ...interface{})
 	rootBound float64
 	rootDone  bool
 	bestSeq   int64 // sequence of the incumbent's node (−1: warm start)
@@ -142,7 +140,7 @@ type bbEngine struct {
 	aborted   bool  // the context cut the search
 }
 
-func newEngine(m *Model, opts *Options, res *Result, logf func(string, ...interface{})) *bbEngine {
+func newEngine(m *Model, opts *Options, res *Result) *bbEngine {
 	workers := opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -160,7 +158,6 @@ func newEngine(m *Model, opts *Options, res *Result, logf func(string, ...interf
 		insts:     make([]*lp.Instance, workers),
 		lb:        make([][]float64, workers),
 		ub:        make([][]float64, workers),
-		logf:      logf,
 		rootBound: math.Inf(-1),
 		bestSeq:   -1,
 	}
@@ -270,7 +267,6 @@ func (e *bbEngine) solveNode(w int, s *bbSlot) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.panicked = true
-			s.panicVal = r
 			s.res = lp.Result{Status: lp.IterLimit}
 		}
 	}()
@@ -350,7 +346,6 @@ func (e *bbEngine) commit(s *bbSlot) {
 		// The relaxation solve panicked (recovered in solveNode): treat the
 		// node as a failed relaxation — no bound, no children — and demote
 		// the result exactly as for an LP iteration-limit node.
-		e.logf("node %d: panic recovered: %v", res.Nodes, s.panicVal)
 		res.Panics++
 		res.ColdLPs++
 		s.nd.basis = nil
@@ -384,7 +379,6 @@ func (e *bbEngine) commit(s *bbSlot) {
 		// bounding; treat as no-prune and branch on nothing — the model
 		// author should bound the objective. The subtree stays unexplored,
 		// so the search must not claim optimality or infeasibility.
-		e.logf("node %d: unbounded relaxation", res.Nodes)
 		e.truncated = true
 		return
 	case lp.IterLimit:
@@ -396,7 +390,6 @@ func (e *bbEngine) commit(s *bbSlot) {
 		// applies: under node-limited runs the LP result is a pure
 		// function of the node, so every worker count commits the same
 		// statuses in the same order.
-		e.logf("node %d: LP iteration limit", res.Nodes)
 		e.truncated = true
 		return
 	}
@@ -443,11 +436,8 @@ func (e *bbEngine) commit(s *bbSlot) {
 		res.X = x
 		res.Status = Feasible
 		e.bestSeq = s.nd.seq
-		if improved {
-			e.logf("incumbent: obj=%g after %d nodes (node seq %d)", obj, res.Nodes, s.nd.seq)
-			if e.opts.OnIncumbent != nil {
-				e.opts.OnIncumbent(x, obj)
-			}
+		if improved && e.opts.OnIncumbent != nil {
+			e.opts.OnIncumbent(x, obj)
 		}
 		return
 	}

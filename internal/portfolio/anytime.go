@@ -17,7 +17,7 @@ import (
 // cancellation, node-limit exhaustion, scheduler failure, or a panic in
 // any candidate, RunAnytime still returns the best validated schedule it
 // can produce — falling down a deterministic degradation ladder
-// (portfolio race → two-stage baseline recomputed synchronously) — plus a
+// (portfolio race → the run's memoized two-stage baseline) — plus a
 // Certificate stating what completed, what failed and how tight the
 // result provably is. An error escapes only when no valid schedule for
 // the instance exists at all (e.g. the cache cannot hold the largest
@@ -108,12 +108,12 @@ func classify(err error) FailureKind {
 const (
 	// RungPortfolio: the racing portfolio itself produced the winner.
 	RungPortfolio = "portfolio"
-	// RungBaseline: every candidate failed; the winner is the two-stage
-	// baseline (BSPg+clairvoyant, DFS on one processor) recomputed
-	// synchronously, ignoring the expired context.
+	// RungBaseline: every candidate failed; the winner is the run's
+	// memoized BSPg+clairvoyant baseline (twostage.Baseline on P>1).
 	RungBaseline = "baseline"
-	// RungDFS: even the BSPg baseline failed; the winner is the
-	// single-processor DFS+clairvoyant schedule, the ladder's floor.
+	// RungDFS: every candidate failed and the baseline is DFS+clairvoyant
+	// (P=1), or the BSPg baseline failed too; the winner is the
+	// DFS+clairvoyant schedule, the ladder's floor.
 	RungDFS = "dfs"
 )
 
@@ -198,71 +198,60 @@ func buildCertificate(g *graph.DAG, arch mbsp.Arch, opts Options, res *Result, r
 	return cert
 }
 
-// RunAnytime is Run with the anytime contract: it returns the best
-// validated schedule obtainable under the circumstances — never an error
-// for deadlines, cancellations, exhausted node budgets, panics or
-// individual scheduler failures — together with a populated
-// Result.Certificate. When every candidate fails (e.g. the context was
-// already expired before any could start), it walks the degradation
-// ladder synchronously, ignoring the context: the BSPg+clairvoyant
-// two-stage baseline, then DFS+clairvoyant. Both are deterministic
-// greedy passes that complete in microseconds-to-milliseconds, so a
+// RunAnytime races the candidates (see run) under the anytime contract:
+// it returns the best validated schedule obtainable under the
+// circumstances — never an error for deadlines, cancellations, exhausted
+// node budgets, panics or individual scheduler failures — together with
+// a populated Result.Certificate. When every candidate fails (e.g. the
+// context was already expired before any could start), it falls back to
+// the run's memoized two-stage baseline (rung "baseline"; "dfs" on one
+// processor, where the baseline is DFS+clairvoyant), and on P>1, if that
+// failed, to DFS+clairvoyant. Both are deterministic greedy passes, so a
 // valid schedule is always produced; an error escapes only when the
-// instance admits no valid schedule at all.
+// instance admits no valid schedule at all. A caller that prefers
+// failure over a fallback schedule checks Certificate.FallbackUsed.
 func RunAnytime(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Result, error) {
-	res, err := Run(ctx, g, arch, opts)
-	if err == nil {
-		res.Certificate = buildCertificate(g, arch, opts, res, RungPortfolio)
-		return res, nil
+	opts = opts.withDefaults()
+	res, sh, err := run(ctx, g, arch, opts)
+	rung := RungPortfolio
+	if err != nil {
+		if !errors.Is(err, ErrNoSchedule) {
+			// Pre-flight failures (invalid architecture, empty candidate set)
+			// are caller bugs, not runtime faults: no schedule to degrade to.
+			return res, err
+		}
+		var s *mbsp.Schedule
+		if s, rung, err = fallback(g, arch, sh); err != nil {
+			// The ladder floor failed: the instance admits no valid
+			// schedule (cache smaller than a value, cyclic graph, ...).
+			// Not an anytime outcome — surface the real cause.
+			return res, fmt.Errorf("%w; fallback failed: %v", ErrNoSchedule, err)
+		}
+		res.Best, res.BestName, res.BestCost = s, "fallback/"+rung, s.Cost(opts.Model)
+		opts.Logf("portfolio: degraded to %s fallback: cost %g", rung, res.BestCost)
 	}
-	if !errors.Is(err, ErrNoSchedule) {
-		// Pre-flight failures (invalid architecture, empty candidate set)
-		// are caller bugs, not runtime faults: no schedule to degrade to.
-		return res, err
-	}
-	if res == nil {
-		res = &Result{}
-	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...interface{}) {}
-	}
+	res.Certificate = buildCertificate(g, arch, opts, res, rung)
+	return res, nil
+}
 
-	// Degradation ladder, off-context: the portfolio produced nothing, so
-	// compute the cheapest reliable schedule synchronously. Rung order is
-	// fixed and the pipelines are deterministic, so the fallback schedule
-	// is reproducible no matter which fault felled the portfolio.
-	type rung struct {
-		name     string
-		pipeline twostage.Pipeline
+// fallback is the degradation ladder, off-context: the run's memoized
+// baseline, else — on P>1 only, where the baseline is BSPg — the
+// DFS+clairvoyant floor. Both rungs are deterministic, so the fallback
+// schedule is reproducible no matter which fault felled the portfolio.
+func fallback(g *graph.DAG, arch mbsp.Arch, sh *sharedState) (*mbsp.Schedule, string, error) {
+	switch {
+	case sh.warm != nil && arch.P == 1:
+		return sh.warm, RungDFS, nil
+	case sh.warm != nil:
+		return sh.warm, RungBaseline, nil
+	case arch.P == 1:
+		return nil, RungDFS, sh.warmErr
 	}
-	var ladder []rung
-	if arch.P > 1 {
-		ladder = append(ladder, rung{RungBaseline, twostage.BSPgClairvoyant(arch.G, arch.L)})
-	}
-	ladder = append(ladder, rung{RungDFS, twostage.DFSClairvoyant()})
-	var lastErr error
-	for _, r := range ladder {
-		s, rerr := r.pipeline.Run(g, arch)
-		if rerr != nil {
-			logf("portfolio: fallback %s failed: %v", r.name, rerr)
-			lastErr = rerr
-			continue
-		}
+	s, err := twostage.DFSClairvoyant().Run(g, arch)
+	if err == nil {
 		if verr := s.Validate(); verr != nil {
-			logf("portfolio: fallback %s produced invalid schedule: %v", r.name, verr)
-			lastErr = fmt.Errorf("%s: %w: %v", r.name, errInvalidSchedule, verr)
-			continue
+			err = fmt.Errorf("%s: %w: %v", RungDFS, errInvalidSchedule, verr)
 		}
-		res.Best = s
-		res.BestName = "fallback/" + r.name
-		res.BestCost = s.Cost(opts.Model)
-		res.Certificate = buildCertificate(g, arch, opts, res, r.name)
-		logf("portfolio: degraded to %s fallback: cost %g", r.name, res.BestCost)
-		return res, nil
 	}
-	// The ladder floor failed: the instance admits no valid schedule
-	// (cache smaller than a value, cyclic graph, ...). Not an anytime
-	// outcome — surface the real cause.
-	return res, fmt.Errorf("%w; fallback failed: %v", ErrNoSchedule, lastErr)
+	return s, RungDFS, err
 }

@@ -32,7 +32,7 @@ func waitForGoroutines(t *testing.T, base int) {
 }
 
 // TestPortfolioCancelMidRun cancels the context while schedulers are in
-// flight: Run must return promptly with best-so-far results, mark the
+// flight: run must return promptly with best-so-far results, mark the
 // run interrupted, and leak no goroutines. A candidate that blocks until
 // cancellation guarantees the cancel strikes mid-run.
 func TestPortfolioCancelMidRun(t *testing.T) {
@@ -60,10 +60,10 @@ func TestPortfolioCancelMidRun(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	res, err := Run(ctx, inst.DAG, arch, opts)
+	res, _, err := run(ctx, inst.DAG, arch, opts)
 	elapsed := time.Since(start)
 	if elapsed > 15*time.Second {
-		t.Fatalf("Run took %v after cancellation — cancellation did not propagate", elapsed)
+		t.Fatalf("run took %v after cancellation — cancellation did not propagate", elapsed)
 	}
 	if !res.Interrupted {
 		t.Fatal("result not marked interrupted")
@@ -104,13 +104,13 @@ func TestPortfolioCancelStopsILP(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	res, err := Run(ctx, inst.DAG, arch, opts)
+	res, _, err := run(ctx, inst.DAG, arch, opts)
 	elapsed := time.Since(start)
 	if elapsed > 15*time.Second {
-		t.Fatalf("Run took %v after cancellation — solver ignored the cancel", elapsed)
+		t.Fatalf("run took %v after cancellation — solver ignored the cancel", elapsed)
 	}
 	if elapsed < 100*time.Millisecond {
-		t.Fatalf("Run finished in %v, before the cancel even fired — not a mid-run cancel", elapsed)
+		t.Fatalf("run finished in %v, before the cancel even fired — not a mid-run cancel", elapsed)
 	}
 	if !res.Interrupted {
 		t.Fatal("result not marked interrupted")
@@ -155,13 +155,13 @@ func TestPortfolioCancelMidTreeParallel(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	res, err := Run(ctx, inst.DAG, arch, opts)
+	res, _, err := run(ctx, inst.DAG, arch, opts)
 	elapsed := time.Since(start)
 	if elapsed > 15*time.Second {
-		t.Fatalf("Run took %v after cancellation — parallel tree search ignored the cancel", elapsed)
+		t.Fatalf("run took %v after cancellation — parallel tree search ignored the cancel", elapsed)
 	}
 	if elapsed < 150*time.Millisecond {
-		t.Fatalf("Run finished in %v, before the cancel even fired — not a mid-tree cancel", elapsed)
+		t.Fatalf("run finished in %v, before the cancel even fired — not a mid-tree cancel", elapsed)
 	}
 	if !res.Interrupted {
 		t.Fatal("result not marked interrupted")
@@ -189,7 +189,7 @@ func TestPortfolioPreCancelled(t *testing.T) {
 	base := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Run(ctx, inst.DAG, arch, testOpts())
+	res, _, err := run(ctx, inst.DAG, arch, testOpts())
 	if !errors.Is(err, ErrNoSchedule) {
 		t.Fatalf("want ErrNoSchedule, got %v", err)
 	}
@@ -218,12 +218,12 @@ func TestPortfolioSchedulerTimeout(t *testing.T) {
 
 	base := runtime.NumGoroutine()
 	start := time.Now()
-	res, err := Run(context.Background(), inst.DAG, arch, opts)
+	res, _, err := run(context.Background(), inst.DAG, arch, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 20*time.Second {
-		t.Fatalf("Run took %v — per-scheduler timeout did not bind", elapsed)
+		t.Fatalf("run took %v — per-scheduler timeout did not bind", elapsed)
 	}
 	if res.Interrupted {
 		t.Fatal("per-candidate timeouts must not mark the portfolio interrupted")

@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"context"
+	"strings"
 
 	"mbsp/internal/bsp"
 	"mbsp/internal/dnc"
@@ -33,12 +34,9 @@ const DNCMinNodes = 24
 // its divide-and-conquer variant. For P=1 the multiprocessor stage-1
 // schedulers reduce to DFS, so only the DFS pipelines and the ILP run.
 func DefaultCandidates(g *graph.DAG, arch mbsp.Arch) []Candidate {
-	var cands []Candidate
+	cands := []Candidate{baselineCandidate(arch)}
 	if arch.P > 1 {
 		cands = append(cands,
-			pipelineCandidate("bspg+clairvoyant", func(opts Options) twostage.Pipeline {
-				return twostage.BSPgClairvoyant(arch.G, arch.L)
-			}),
 			pipelineCandidate("bspg+lru", func(opts Options) twostage.Pipeline {
 				return twostage.Pipeline{
 					Name: "BSPg+LRU",
@@ -66,14 +64,15 @@ func DefaultCandidates(g *graph.DAG, arch mbsp.Arch) []Candidate {
 					Policy: memmgr.LRU{},
 				}
 			}),
+			// DFS runs everything on one processor: on P>1 architectures
+			// it wins when synchronization and communication dominate
+			// compute. (On P=1 it is the baseline candidate above.)
+			pipelineCandidate("dfs+clairvoyant", func(opts Options) twostage.Pipeline {
+				return twostage.DFSClairvoyant()
+			}),
 		)
 	}
 	cands = append(cands,
-		// DFS runs everything on one processor: on P>1 architectures it
-		// wins when synchronization and communication dominate compute.
-		pipelineCandidate("dfs+clairvoyant", func(opts Options) twostage.Pipeline {
-			return twostage.DFSClairvoyant()
-		}),
 		pipelineCandidate("dfs+lru", func(opts Options) twostage.Pipeline {
 			return twostage.Pipeline{
 				Name:   "DFS+LRU",
@@ -89,17 +88,29 @@ func DefaultCandidates(g *graph.DAG, arch mbsp.Arch) []Candidate {
 	return cands
 }
 
+// baselineCandidate is twostage.Baseline(arch) as a candidate, named
+// after its pipeline ("bspg+clairvoyant", or "dfs+clairvoyant" on P=1).
+// Inside a portfolio run it returns the run's memoized baseline (or the
+// error that felled it) instead of recomputing it.
+func baselineCandidate(arch mbsp.Arch) Candidate {
+	base := twostage.Baseline(arch)
+	return Candidate{Name: strings.ToLower(base.Name), Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if sh := opts.shared; sh != nil {
+			return sh.warm, sh.warmErr
+		}
+		return base.Run(g, arch)
+	}}
+}
+
 // pipelineCandidate wraps a two-stage pipeline as a candidate. The
-// pipelines are greedy and fast, so they only consult ctx up front. The
-// baseline pipeline (BSPg+clairvoyant; DFS+clairvoyant on P=1) returns
-// the run's memoized warm start instead of recomputing it.
+// pipelines are greedy and fast, so they only consult ctx up front.
 func pipelineCandidate(name string, mk func(opts Options) twostage.Pipeline) Candidate {
 	return Candidate{Name: name, Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		if sh := opts.shared; sh != nil && sh.warm != nil && name == baselineCandidateName(arch) {
-			return sh.warm, nil
 		}
 		return mk(opts).Run(g, arch)
 	}}
@@ -108,8 +119,8 @@ func pipelineCandidate(name string, mk func(opts Options) twostage.Pipeline) Can
 // ILPCandidate is the holistic ILP scheduler under the portfolio's time
 // budget. Cancellation returns its best-so-far schedule (at minimum the
 // warm start), never an error. It reuses the run's memoized baseline as
-// its warm start and prunes against (and publishes to) the shared
-// incumbent.
+// its warm start (and fails with it, rather than rebuilding it) and
+// prunes against (and publishes to) the shared incumbent.
 func ILPCandidate() Candidate {
 	return Candidate{Name: "ilp", Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
 		ilpOpts := ilpsched.Options{
@@ -125,6 +136,9 @@ func ILPCandidate() Candidate {
 			Seed:              candidateSeed(opts.Seed, "ilp"),
 		}
 		if sh := opts.shared; sh != nil {
+			if sh.warm == nil {
+				return nil, sh.warmErr
+			}
 			ilpOpts.WarmStart = sh.warm
 			ilpOpts.Incumbent = sh.inc
 		}

@@ -66,7 +66,7 @@ func TestPortfolioDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			for _, workers := range []int{1, 4} {
 				opts := deterministicOpts(workers)
-				res, err := Run(context.Background(), inst.DAG, arch, opts)
+				res, _, err := run(context.Background(), inst.DAG, arch, opts)
 				if err != nil {
 					t.Fatalf("%s (GOMAXPROCS=%d workers=%d): %v", name, procs, workers, err)
 				}
@@ -96,13 +96,13 @@ func TestDeterministicModeSealsIncumbent(t *testing.T) {
 	}
 	arch := baseArch(inst.DAG)
 	withInc := deterministicOpts(4)
-	resInc, err := Run(context.Background(), inst.DAG, arch, withInc)
+	resInc, _, err := run(context.Background(), inst.DAG, arch, withInc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	without := deterministicOpts(4)
 	without.DisableSharedIncumbent = true
-	resNo, err := Run(context.Background(), inst.DAG, arch, without)
+	resNo, _, err := run(context.Background(), inst.DAG, arch, without)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ type Options struct {
 	Inject *faultinject.Injector
 	// LUStats, when non-nil, accumulates the LP factorization counters of
 	// every ILP-based candidate's solver stack. Candidates race
-	// concurrently, so Run hands each candidate a private accumulator and
+	// concurrently, so run hands each candidate a private accumulator and
 	// sums them after the pool drains; the counters are observability
 	// only and never influence candidate selection.
 	LUStats *lp.FactorStats
@@ -119,27 +119,17 @@ type Options struct {
 	Logf func(format string, args ...interface{})
 
 	// shared carries the per-run shared state (incumbent, memoized warm
-	// start) from Run to the candidates; external candidates ignore it.
+	// start) from run to the candidates; external candidates ignore it.
 	shared *sharedState
 }
 
-// sharedState is the per-run state Run hands to every candidate: the
-// portfolio-wide incumbent and the memoized two-stage baseline that both
-// the baseline candidate and the ILP warm start would otherwise each
-// recompute.
+// sharedState is the per-run state run hands to every candidate: the
+// portfolio-wide incumbent and the memoized two-stage baseline, which is
+// a candidate, the ILP warm start and the anytime fallback at once.
 type sharedState struct {
-	inc      *mip.Incumbent
-	warm     *mbsp.Schedule // nil when the baseline pipeline failed
-	warmCost float64
-}
-
-// baselineCandidateName names the candidate whose schedule equals the
-// memoized warm start on this architecture.
-func baselineCandidateName(arch mbsp.Arch) string {
-	if arch.P == 1 {
-		return "dfs+clairvoyant"
-	}
-	return "bspg+clairvoyant"
+	inc     *mip.Incumbent
+	warm    *mbsp.Schedule // the validated baseline; nil when it failed
+	warmErr error          // why warm is nil
 }
 
 func (o Options) withDefaults() Options {
@@ -194,25 +184,26 @@ type Result struct {
 	Interrupted bool
 	Elapsed     time.Duration
 	// Certificate is the anytime-quality certificate: cost, proven lower
-	// bound, gap, degradation rung and per-candidate ledger. Populated by
-	// RunAnytime; nil after plain Run.
+	// bound, gap, degradation rung and per-candidate ledger. Set whenever
+	// RunAnytime returns no error.
 	Certificate *Certificate
 }
 
 // ErrNoSchedule is returned when no candidate produced a valid schedule.
 var ErrNoSchedule = errors.New("portfolio: no candidate produced a valid schedule")
 
-// Run races the candidates over a bounded worker pool and returns the
-// best valid schedule under opts.Model. Every candidate schedule is
-// re-validated with mbsp.Validate before it may win. On context
-// cancellation Run still waits for in-flight candidates (they are
-// cancelled in place, so no goroutine outlives the call) and returns the
-// best schedule completed so far, or ErrNoSchedule joined with the
-// context error if there is none.
-func Run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Result, error) {
+// run races the candidates over a bounded worker pool and returns the
+// best valid schedule under opts.Model, plus the run's shared state (nil
+// on a pre-flight error) so RunAnytime can fall back to its memoized
+// baseline. Every candidate schedule is re-validated with mbsp.Validate
+// before it may win. On context cancellation run still waits for
+// in-flight candidates (they are cancelled in place, so no goroutine
+// outlives the call) and returns the best schedule completed so far, or
+// ErrNoSchedule joined with the context error if there is none.
+func run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Result, *sharedState, error) {
 	start := time.Now()
 	if err := arch.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -223,27 +214,29 @@ func Run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 		cands = DefaultCandidates(g, arch)
 	}
 	if len(cands) == 0 {
-		return nil, errors.New("portfolio: no candidates")
+		return nil, nil, errors.New("portfolio: no candidates")
 	}
 
 	// Shared per-run state: memoize the two-stage baseline once — it is
-	// both a candidate and the ILP's warm start — and seed the
-	// portfolio-wide incumbent with its cost. Skipped when the context
-	// is already cancelled: the candidates will all report the context
-	// error without running, so the baseline would be wasted work that
-	// delays the prompt return.
+	// a candidate, the ILP's warm start and the anytime fallback — and
+	// seed the portfolio-wide incumbent with its cost. Built even when
+	// the context is already done, because the fallback needs it then.
 	sh := &sharedState{}
 	if !opts.DisableSharedIncumbent {
 		sh.inc = mip.NewIncumbent()
 	}
-	if ctx.Err() == nil {
-		if w, err := twostage.Baseline(arch).Run(g, arch); err == nil && w.Validate() == nil {
-			sh.warm = w
-			sh.warmCost = w.Cost(opts.Model)
-			sh.inc.Offer(sh.warmCost)
-		} else if err != nil {
-			opts.Logf("portfolio: baseline warm start unavailable: %v", err)
+	w, err := twostage.Baseline(arch).Run(g, arch)
+	if err == nil {
+		if verr := w.Validate(); verr != nil {
+			err = fmt.Errorf("%w: %v", errInvalidSchedule, verr)
 		}
+	}
+	if err == nil {
+		sh.warm = w
+		sh.inc.Offer(w.Cost(opts.Model))
+	} else {
+		sh.warmErr = err
+		opts.Logf("portfolio: baseline warm start unavailable: %v", err)
 	}
 	if opts.ILPNodeLimit > 0 {
 		// Deterministic mode: freeze the incumbent at its deterministic
@@ -327,11 +320,11 @@ func Run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			err = fmt.Errorf("%w (cancelled: %v)", ErrNoSchedule, ctxErr)
 		}
-		return res, err
+		return res, sh, err
 	}
 	b := &res.Candidates[best]
 	res.Best, res.BestName, res.BestCost = b.Schedule, b.Name, b.Cost
-	return res, nil
+	return res, sh, nil
 }
 
 // runCandidate executes one scheduler under its per-candidate timeout and

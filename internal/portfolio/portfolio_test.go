@@ -38,7 +38,7 @@ func TestPortfolioValidAndBestOnTiny(t *testing.T) {
 	for _, inst := range workloads.Tiny() {
 		arch := baseArch(inst.DAG)
 		opts := testOpts()
-		res, err := Run(context.Background(), inst.DAG, arch, opts)
+		res, _, err := run(context.Background(), inst.DAG, arch, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -109,7 +109,7 @@ func TestPortfolioAllRegistryDatasets(t *testing.T) {
 				}
 			}
 			opts.Candidates = cheap
-			res, err := Run(context.Background(), inst.DAG, arch, opts)
+			res, _, err := run(context.Background(), inst.DAG, arch, opts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", dname, inst.Name, err)
 			}
@@ -137,7 +137,7 @@ func TestPortfolioSingleProcessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 1, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	res, err := Run(context.Background(), inst.DAG, arch, testOpts())
+	res, _, err := run(context.Background(), inst.DAG, arch, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"mbsp/internal/persist"
-	"mbsp/internal/portfolio"
 	"mbsp/internal/schedcache"
 	"mbsp/internal/wire"
 )
@@ -174,19 +173,10 @@ func (p *cachePersister) stats() PersistenceStats {
 }
 
 // validateRecovered is the boot-time admission check for recovered
-// entries (see the file comment). It is deliberately the dual of
-// cacheable() plus the key equation: everything the live store path
-// guarantees, recomputed from the untrusted record.
+// entries (see the file comment): the live store path's cacheable
+// predicate plus the key equation, recomputed from the untrusted record.
 func (s *Server) validateRecovered(key string, resp *wire.Response) bool {
-	if resp == nil || resp.Schedule == "" || resp.Cache != nil {
-		return false
-	}
-	cert := resp.Certificate
-	if cert == nil || cert.Rung != portfolio.RungPortfolio || cert.Interrupted || len(cert.Degraded) > 0 {
-		return false
-	}
-	expect := keyString(resp.DAG.Fingerprint, resp.DAG.Digest,
+	return cacheable(resp) && key == keyString(resp.DAG.Fingerprint, resp.DAG.Digest,
 		resp.Arch.P, resp.Arch.R, resp.Arch.G, resp.Arch.L,
 		resp.Model, s.cfg.Seed, s.cfg.ILPNodeLimit, s.cfg.MaxModelRows)
-	return key == expect
 }

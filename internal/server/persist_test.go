@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"mbsp/internal/faultinject"
+	"mbsp/internal/persist"
+	"mbsp/internal/wire"
 )
 
 // persistConfig is testConfig plus a durable cache rooted at dir.
@@ -284,5 +287,78 @@ func TestRetryAfterEWMA(t *testing.T) {
 	}
 	if got := srv.retryAfterSecs(); got != 30 {
 		t.Fatalf("huge EWMA must clamp to 30, got %d", got)
+	}
+}
+
+// TestNonFullFidelityRecordsRejected: intact records under the current
+// key that are not full-fidelity answers — a degraded candidate, an
+// interrupted run, a fallback rung, no certificate, a per-request stamp —
+// are rejected at boot by the same predicate that keeps them out of the
+// live cache. Journaled after them, the genuine record is restored and
+// served as a byte-identical hit.
+func TestNonFullFidelityRecordsRejected(t *testing.T) {
+	src := t.TempDir()
+	const query = "p=2&rfactor=3&g=1&l=10"
+	srv1 := mustNew(t, persistConfig(src))
+	ts1 := httptest.NewServer(srv1.Handler())
+	_, cold := post(t, ts1, query, dagBody(t, "spmv_N6"))
+	ts1.Close()
+	srv1.Close()
+
+	store, rec, err := persist.Open(src, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	if len(rec.Snapshot) != 1 {
+		t.Fatalf("want one snapshot record, got %d", len(rec.Snapshot))
+	}
+	tampered := func(edit func(r *wire.Response)) []byte {
+		var e persistedEntry
+		if err := json.Unmarshal(rec.Snapshot[0], &e); err != nil {
+			t.Fatal(err)
+		}
+		edit(e.Response)
+		payload, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	payloads := [][]byte{
+		tampered(func(r *wire.Response) { r.Certificate.Degraded = []string{"ilp"} }),
+		tampered(func(r *wire.Response) { r.Certificate.Interrupted = true }),
+		tampered(func(r *wire.Response) { r.Certificate.Rung = "baseline" }),
+		tampered(func(r *wire.Response) { r.Certificate = nil }),
+		tampered(func(r *wire.Response) { r.Cache = &wire.CacheInfo{Provenance: "cold"} }),
+		rec.Snapshot[0],
+	}
+	dir := t.TempDir()
+	store, _, err = persist.Open(dir, persist.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := store.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := mustNew(t, persistConfig(dir))
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	if st := srv2.Stats().Persistence; st.RecoveredRecords != 1 || st.RejectedRecords != int64(len(payloads)-1) {
+		t.Fatalf("recovery stats: %+v", st)
+	}
+	_, hit := post(t, ts2, query, dagBody(t, "spmv_N6"))
+	if r := decode(t, hit); r.Cache == nil || !r.Cache.Hit {
+		t.Fatalf("genuine record not served as a hit: %+v", r.Cache)
+	}
+	if !bytes.Equal(stripCache(t, hit), stripCache(t, cold)) {
+		t.Fatal("recovered hit differs from the cold run")
 	}
 }

@@ -374,12 +374,17 @@ func (s *Server) portfolioOptions(model mbsp.CostModel) portfolio.Options {
 	}
 }
 
-// cacheable reports whether a computed result is a full-fidelity
-// deterministic answer: produced by the portfolio itself, with no
-// candidate cut mid-search and no interruption. Anything else is
-// timing-dependent and must not be served to future requests.
-func cacheable(res *portfolio.Result) bool {
-	cert := res.Certificate
+// cacheable reports whether resp is a full-fidelity deterministic
+// answer: produced by the portfolio itself, with no candidate cut
+// mid-search and no interruption, carrying a schedule and no per-request
+// stamp. Anything else is timing-dependent and must not be served to
+// future requests. It gates both the live store path and boot recovery,
+// whose records are untrusted input — hence the nil checks.
+func cacheable(resp *wire.Response) bool {
+	if resp == nil || resp.Schedule == "" || resp.Cache != nil {
+		return false
+	}
+	cert := resp.Certificate
 	return cert != nil && cert.Rung == portfolio.RungPortfolio &&
 		!cert.Interrupted && len(cert.Degraded) == 0
 }
@@ -447,9 +452,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	case <-rctx.Done():
 		// The per-request deadline (or a client disconnect) fired before
 		// the shared computation finished. Anytime contract: degrade to
-		// the synchronous fallback ladder — the expired context makes
-		// RunAnytime skip the race and walk the deterministic two-stage
-		// rungs directly — while the flight keeps computing for the
+		// the synchronous fallback — the expired context makes
+		// RunAnytime skip the race and return its deterministic
+		// two-stage baseline — while the flight keeps computing for the
 		// cache.
 		s.respondDegraded(w, started, req, rctx)
 	}
@@ -480,11 +485,11 @@ func (s *Server) startCompute(req *request, flight *schedcache.Flight[*wire.Resp
 			s.cache.Finish(req.key, flight, nil, werr)
 			return
 		}
-		if !cacheable(res) {
+		if !cacheable(resp) {
 			// Serve the anytime result to the requests waiting on this
 			// flight, but keep it out of the cache: it is not the
 			// deterministic full-fidelity answer.
-			s.cfg.Logf("server: %s computed non-cacheable (rung=%s)", req.key, rungOf(res))
+			s.cfg.Logf("server: %s computed non-cacheable (rung=%s)", req.key, resp.Certificate.Rung)
 			s.cache.FinishNoStore(req.key, flight, resp, nil)
 			return
 		}
@@ -531,17 +536,10 @@ func (s *Server) retryAfterSecs() int {
 	return secs
 }
 
-func rungOf(res *portfolio.Result) string {
-	if res.Certificate != nil {
-		return res.Certificate.Rung
-	}
-	return "?"
-}
-
 // respondDegraded serves the anytime fallback for a request whose
-// deadline fired mid-computation. The fallback ladder is synchronous,
-// deterministic and cheap (two greedy passes), so even a deadline of a
-// millisecond yields a valid certified schedule.
+// deadline fired mid-computation. The fallback is synchronous,
+// deterministic and cheap (one greedy two-stage pass), so even a
+// deadline of a millisecond yields a valid certified schedule.
 func (s *Server) respondDegraded(w http.ResponseWriter, started time.Time, req *request, rctx context.Context) {
 	res, err := portfolio.RunAnytime(rctx, req.g, req.arch, s.portfolioOptions(req.model))
 	if err != nil {

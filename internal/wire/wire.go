@@ -115,12 +115,7 @@ type Response struct {
 }
 
 // ModelName renders a cost model for the wire.
-func ModelName(m mbsp.CostModel) string {
-	if m == mbsp.Async {
-		return "async"
-	}
-	return "sync"
-}
+func ModelName(m mbsp.CostModel) string { return m.String() }
 
 // FromSchedule builds a Response for a bare schedule (no portfolio
 // context): the CLI's single-method path.
@@ -150,8 +145,8 @@ func FromSchedule(g *graph.DAG, arch mbsp.Arch, model mbsp.CostModel, winner str
 	return resp, nil
 }
 
-// FromResult builds a Response from a portfolio result, including the
-// anytime certificate and the per-candidate ledger.
+// FromResult builds a Response from a portfolio.RunAnytime result,
+// including the anytime certificate and the per-candidate ledger.
 func FromResult(g *graph.DAG, arch mbsp.Arch, model mbsp.CostModel, res *portfolio.Result) (*Response, error) {
 	if res == nil || res.Best == nil {
 		return nil, fmt.Errorf("wire: result has no schedule")
@@ -170,25 +165,23 @@ func FromResult(g *graph.DAG, arch mbsp.Arch, model mbsp.CostModel, res *portfol
 		}
 		resp.Candidates = append(resp.Candidates, ci)
 	}
-	if cert := res.Certificate; cert != nil {
-		wc := &CertificateInfo{
-			Cost:         cert.BestCost,
-			Bound:        cert.BestBound,
-			Gap:          cert.Gap,
-			Rung:         cert.Rung,
-			Completed:    cert.Completed,
-			Degraded:     cert.Degraded,
-			FallbackUsed: cert.FallbackUsed,
-			Interrupted:  cert.Interrupted,
+	cert := res.Certificate
+	resp.Certificate = &CertificateInfo{
+		Cost:         cert.BestCost,
+		Bound:        cert.BestBound,
+		Gap:          cert.Gap,
+		Rung:         cert.Rung,
+		Completed:    cert.Completed,
+		Degraded:     cert.Degraded,
+		FallbackUsed: cert.FallbackUsed,
+		Interrupted:  cert.Interrupted,
+	}
+	for _, f := range cert.Failed {
+		fi := FailureInfo{Candidate: f.Candidate, Kind: f.Kind.String()}
+		if f.Err != nil {
+			fi.Error = f.Err.Error()
 		}
-		for _, f := range cert.Failed {
-			fi := FailureInfo{Candidate: f.Candidate, Kind: f.Kind.String()}
-			if f.Err != nil {
-				fi.Error = f.Err.Error()
-			}
-			wc.Failed = append(wc.Failed, fi)
-		}
-		resp.Certificate = wc
+		resp.Certificate.Failed = append(resp.Certificate.Failed, fi)
 	}
 	return resp, nil
 }

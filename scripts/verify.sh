@@ -14,6 +14,10 @@
 #      sparse/warm-started simplex against the dense cold-start
 #      reference, the GOMAXPROCS/worker-count determinism suite, and the
 #      parallel branch-and-bound determinism matrix)
+#   3b. the parser fuzz leg: FuzzRead (internal/graph) for 10s over the
+#       DAG text format the server accepts as a request body — no panic,
+#       typed errors only, and every accepted DAG round-trips through
+#       graph.Write with equal fingerprint and exact digest;
 #   4. the chaos leg: the anytime portfolio on the tiny dataset under a
 #      50ms deadline with the seeded fault-injection harness live,
 #      under -race, one leg per injection mode plus all modes at once,
@@ -87,6 +91,9 @@ fi
 
 echo "== go test -race ./..."
 go test -race ./...
+
+echo "== fuzz leg: FuzzRead for 10s"
+go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/graph
 
 echo "== chaos leg: anytime portfolio under fault injection (-race)"
 for fault_seed in 42 1337; do
