@@ -229,15 +229,15 @@ var (
 	CostModelName = wire.ModelName
 )
 
-// DNCOptions configures the divide-and-conquer ILP scheduler.
-type DNCOptions = dnc.Options
-
 // DNCStats reports a divide-and-conquer run.
 type DNCStats = dnc.Stats
 
-// ScheduleDNC runs the divide-and-conquer ILP scheduler for larger DAGs.
-func ScheduleDNC(g *DAG, arch Arch, opts DNCOptions) (*Schedule, DNCStats, error) {
-	return dnc.Solve(g, arch, opts)
+// ScheduleDNC runs the divide-and-conquer ILP scheduler for larger DAGs:
+// it splits g into parts of at most maxPartSize nodes (≤ 0 selects the
+// default) and schedules each part with the ILP scheduler under opts,
+// which must leave WarmStart and NeedBlue unset.
+func ScheduleDNC(g *DAG, arch Arch, maxPartSize int, opts ILPOptions) (*Schedule, DNCStats, error) {
+	return dnc.Solve(g, arch, maxPartSize, opts)
 }
 
 // ExactResult is the outcome of the exact single-processor solver.

@@ -110,8 +110,8 @@ func TestPublicDNC(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := Arch{P: 4, R: 5 * inst.DAG.MinCache(), G: 1, L: 10}
-	s, stats, err := ScheduleDNC(inst.DAG, arch, DNCOptions{
-		SubTimeLimit:      300 * time.Millisecond,
+	s, stats, err := ScheduleDNC(inst.DAG, arch, 0, ILPOptions{
+		TimeLimit:         300 * time.Millisecond,
 		LocalSearchBudget: 100,
 	})
 	if err != nil {

@@ -349,15 +349,13 @@ func BenchmarkPartitionerAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		ri, err := partition.Recursive(inst.DAG, partition.RecursiveOptions{
-			MaxPartSize: 45, UseILP: true, TimeLimit: 2 * time.Second,
+		ri, err := partition.Recursive(inst.DAG, 45, &partition.BipartitionOptions{
+			TimeLimit: 2 * time.Second,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rg, err := partition.Recursive(inst.DAG, partition.RecursiveOptions{
-			MaxPartSize: 45, UseILP: false,
-		})
+		rg, err := partition.Recursive(inst.DAG, 45, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -219,8 +219,8 @@ func runMethod(info io.Writer, method string, g *mbsp.DAG, arch mbsp.Arch, costM
 		}
 	case "dnc":
 		var stats mbsp.DNCStats
-		s, stats, err = mbsp.ScheduleDNC(g, arch, mbsp.DNCOptions{
-			Model: costModel, SubTimeLimit: timeout, Seed: seed, MIPWorkers: mipWorkers,
+		s, stats, err = mbsp.ScheduleDNC(g, arch, 0, mbsp.ILPOptions{
+			Model: costModel, TimeLimit: timeout, Seed: seed, MIPWorkers: mipWorkers,
 		})
 		if err == nil {
 			fmt.Fprintf(info, "dnc: parts=%d cut=%d streamline-win=%g\n",

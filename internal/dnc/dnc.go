@@ -22,84 +22,16 @@
 package dnc
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
 
-	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
 	"mbsp/internal/ilpsched"
-	"mbsp/internal/lp"
 	"mbsp/internal/mbsp"
-	"mbsp/internal/mip"
 	"mbsp/internal/partition"
 	"mbsp/internal/twostage"
 )
-
-// Options configures the divide-and-conquer scheduler.
-type Options struct {
-	// Context, when non-nil, cancels the run: the partitioning stage and
-	// each sub-ILP run under it, and Solve returns its error if
-	// cancellation strikes during partitioning or between parts (a
-	// partial concatenation is never a valid schedule).
-	Context context.Context
-	Model   mbsp.CostModel
-	// MaxPartSize bounds subproblem DAG size (the paper splits to parts
-	// of at most 60 nodes). Default 45.
-	MaxPartSize int
-	// SubTimeLimit bounds each sub-ILP solve (the paper uses 30 minutes
-	// per subproblem with a commercial solver). Default 3s.
-	SubTimeLimit time.Duration
-	// NodeLimit bounds every branch-and-bound tree the run searches:
-	// each bipartition ILP and each sub-ILP. Node limits bind
-	// deterministically where wall-clock limits do not, so setting it
-	// (with generous time limits) makes divide-and-conquer schedules
-	// byte-identical. 0 keeps the partition and ilpsched defaults. Each
-	// bipartition ILP also runs under a clock: 2s, or a generous minute
-	// when NodeLimit is set, so that the node limit is what binds.
-	NodeLimit int
-	// MaxModelRows caps each part's scheduling sub-ILP model size
-	// (ilpsched.Options.MaxModelRows). 0 keeps the ilpsched default.
-	MaxModelRows int
-	// MIPWorkers bounds the relaxation-solving worker pool of every
-	// branch-and-bound tree this run searches — the bipartition ILPs of
-	// the partitioning stage and each part's scheduling sub-ILP. The
-	// schedule is identical for any value (deterministic node
-	// accounting), so the knob only trades goroutines for throughput.
-	MIPWorkers int
-	// LocalSearchBudget for each sub-ILP's primal heuristic.
-	LocalSearchBudget int
-	// Incumbent, when non-nil, is the portfolio-wide shared bound on the
-	// full-schedule cost under Model. Subschedule costs are additive
-	// across parts, so once the concatenated prefix alone reaches the
-	// bound the run cannot win and Solve returns ErrIncumbentCutoff.
-	// (Streamlining can recover a little cost afterwards, so the cutoff
-	// is a heuristic: it may abandon a run that would have finished
-	// within a streamline-win of the bound — acceptable for a portfolio
-	// candidate whose result would at best tie.)
-	Incumbent *mip.Incumbent
-	// Inject threads the deterministic fault-injection harness into every
-	// branch-and-bound tree this run searches — the bipartition ILPs and
-	// each part's scheduling sub-ILP.
-	Inject *faultinject.Injector
-	// LUStats, when non-nil, accumulates the LP factorization counters of
-	// every tree this run searches — the partitioning-stage bipartition
-	// ILPs and each part's scheduling sub-ILP. Observability only; not
-	// part of Stats (see mip.Options.LUStats).
-	LUStats *lp.FactorStats
-	Seed    int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxPartSize == 0 {
-		o.MaxPartSize = 45
-	}
-	if o.SubTimeLimit == 0 {
-		o.SubTimeLimit = 3 * time.Second
-	}
-	return o
-}
 
 // ErrIncumbentCutoff reports that a divide-and-conquer run stopped early
 // because the schedule prefix already cost at least the shared incumbent
@@ -120,30 +52,51 @@ type Stats struct {
 	StreamlineWin   float64 // cost reduction achieved by streamlining
 }
 
-// Solve schedules g on arch with the divide-and-conquer ILP method.
-func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, error) {
-	opts = opts.withDefaults()
+// Solve schedules g on arch with the divide-and-conquer ILP method,
+// splitting g into parts of at most maxPartSize nodes (≤ 0 selects 45;
+// the paper splits to parts of at most 60). opts configures the run as it
+// would one holistic ILP; the ilpsched.Options doc lists the fields Solve
+// reads. Each part's sub-ILP runs under a copy of opts with that part's
+// WarmStart and NeedBlue, so the caller must leave both unset. A done
+// opts.Context stops the run with its error during partitioning or
+// between parts (a partial concatenation is never a valid schedule).
+//
+// opts.Incumbent, when non-nil, is the portfolio-wide shared bound on the
+// full-schedule cost under Model. Subschedule costs are additive across
+// parts, so once the concatenated prefix alone reaches the bound the run
+// cannot win and Solve returns ErrIncumbentCutoff. (Streamlining can
+// recover a little cost afterwards, so the cutoff is a heuristic: it may
+// abandon a run that would have finished within a streamline-win of the
+// bound — acceptable for a portfolio candidate whose result would at best
+// tie.)
+func Solve(g *graph.DAG, arch mbsp.Arch, maxPartSize int, opts ilpsched.Options) (*mbsp.Schedule, Stats, error) {
 	var stats Stats
+	if opts.WarmStart != nil || opts.NeedBlue != nil {
+		return nil, stats, errors.New("dnc: WarmStart and NeedBlue are set per part, not by the caller")
+	}
+	if maxPartSize <= 0 {
+		maxPartSize = 45
+	}
 	if g.MinCache() > arch.R {
 		return nil, stats, twostage.ErrCacheTooSmall
 	}
 
+	// Each bipartition ILP runs under a clock: 2s, or a generous minute
+	// when NodeLimit is set, so that the node limit is what binds.
 	partitionLimit := 2 * time.Second
 	if opts.NodeLimit > 0 {
 		partitionLimit = time.Minute
 	}
-	pres, err := partition.Recursive(g, partition.RecursiveOptions{
-		Context:     opts.Context,
-		MaxPartSize: opts.MaxPartSize,
-		UseILP:      true,
-		TimeLimit:   partitionLimit,
-		NodeLimit:   opts.NodeLimit,
-		Workers:     opts.MIPWorkers,
-		Inject:      opts.Inject,
-		LUStats:     opts.LUStats,
+	pres, err := partition.Recursive(g, maxPartSize, &partition.BipartitionOptions{
+		Context:   opts.Context,
+		TimeLimit: partitionLimit,
+		NodeLimit: opts.NodeLimit,
+		Workers:   opts.MIPWorkers,
+		Stats:     &stats.PartitionSolver,
+		Inject:    opts.Inject,
+		LUStats:   opts.LUStats,
 	})
-	stats.PartitionSolver = pres.Solver
-	stats.SimplexIters += pres.Solver.SimplexIters
+	stats.SimplexIters += stats.PartitionSolver.SimplexIters
 	if err != nil {
 		return nil, stats, fmt.Errorf("dnc: partitioning: %w", err)
 	}
@@ -183,7 +136,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 
 // schedulePart builds and solves the subproblem of part k and returns its
 // subschedule translated to global node ids, ending with a cache flush.
-func schedulePart(g *graph.DAG, arch mbsp.Arch, opts Options, part []int, k int, nodes []int, stats *Stats) (*mbsp.Schedule, error) {
+func schedulePart(g *graph.DAG, arch mbsp.Arch, opts ilpsched.Options, part []int, k int, nodes []int, stats *Stats) (*mbsp.Schedule, error) {
 	// Sub-DAG: the part plus boundary inputs from earlier parts (which
 	// become sources of the sub-DAG, i.e. loadable values).
 	inSet := map[int]bool{}
@@ -276,20 +229,12 @@ func schedulePart(g *graph.DAG, arch mbsp.Arch, opts Options, part []int, k int,
 		return mbsp.NewSchedule(g, arch), nil
 	}
 
-	subSched, subStats, err := ilpsched.Solve(sub, arch, ilpsched.Options{
-		Context:           opts.Context,
-		Model:             opts.Model,
-		WarmStart:         warm,
-		NeedBlue:          needBlue,
-		TimeLimit:         opts.SubTimeLimit,
-		NodeLimit:         opts.NodeLimit,
-		MIPWorkers:        opts.MIPWorkers,
-		LocalSearchBudget: opts.LocalSearchBudget,
-		Inject:            opts.Inject,
-		LUStats:           opts.LUStats,
-		MaxModelRows:      opts.MaxModelRows,
-		Seed:              opts.Seed + int64(k),
-	})
+	subOpts := opts
+	subOpts.WarmStart = warm
+	subOpts.NeedBlue = needBlue
+	subOpts.Incumbent = nil
+	subOpts.Seed += int64(k)
+	subSched, subStats, err := ilpsched.Solve(sub, arch, subOpts)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/twostage"
 	"mbsp/internal/workloads"
@@ -14,9 +15,8 @@ import (
 func TestSolveValidOnSmallInstances(t *testing.T) {
 	for _, inst := range workloads.Small()[:4] {
 		arch := mbsp.Arch{P: 4, R: 5 * inst.DAG.MinCache(), G: 1, L: 10}
-		s, stats, err := Solve(inst.DAG, arch, Options{
-			MaxPartSize:       20,
-			SubTimeLimit:      500 * time.Millisecond,
+		s, stats, err := Solve(inst.DAG, arch, 20, ilpsched.Options{
+			TimeLimit:         500 * time.Millisecond,
 			NodeLimit:         20,
 			LocalSearchBudget: 50,
 		})
@@ -49,8 +49,8 @@ func TestSolveComparableToBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := Solve(inst.DAG, arch, Options{
-		SubTimeLimit:      500 * time.Millisecond,
+	s, _, err := Solve(inst.DAG, arch, 0, ilpsched.Options{
+		TimeLimit:         500 * time.Millisecond,
 		NodeLimit:         20,
 		LocalSearchBudget: 1500,
 	})
@@ -73,9 +73,8 @@ func TestSolveTinyDAGSinglePart(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 2, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	s, stats, err := Solve(inst.DAG, arch, Options{
-		MaxPartSize:  100, // whole DAG in one part
-		SubTimeLimit: 500 * time.Millisecond,
+	s, stats, err := Solve(inst.DAG, arch, 100, ilpsched.Options{ // whole DAG in one part
+		TimeLimit: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,8 +93,31 @@ func TestSolveRejectsTooSmallCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 2, R: inst.DAG.MinCache() - 1, G: 1, L: 10}
-	if _, _, err := Solve(inst.DAG, arch, Options{}); err == nil {
+	if _, _, err := Solve(inst.DAG, arch, 0, ilpsched.Options{}); err == nil {
 		t.Fatal("expected cache error")
+	}
+}
+
+// TestSolveRejectsPerPartOptions: WarmStart and NeedBlue are boundary
+// conditions dnc sets for each part, so a caller setting either is an
+// error rather than a silently overridden option.
+func TestSolveRejectsPerPartOptions(t *testing.T) {
+	inst, err := workloads.ByName("spmv_N6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := mbsp.Arch{P: 2, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
+	warm, err := twostage.Baseline(arch).Run(inst.DAG, arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opts := range map[string]ilpsched.Options{
+		"WarmStart": {WarmStart: warm},
+		"NeedBlue":  {NeedBlue: []int{0}},
+	} {
+		if _, _, err := Solve(inst.DAG, arch, 100, opts); err == nil {
+			t.Errorf("%s set by the caller: want an error", name)
+		}
 	}
 }
 
@@ -107,15 +129,14 @@ func TestSolveCancelledSkipsPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{MaxPartSize: 45}
-	if inst.DAG.N() <= opts.MaxPartSize {
+	const maxPartSize = 45
+	if inst.DAG.N() <= maxPartSize {
 		t.Fatalf("%s has %d nodes; the fixture must need a split", inst.Name, inst.DAG.N())
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	opts.Context = ctx
 	arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	_, stats, err := Solve(inst.DAG, arch, opts)
+	_, stats, err := Solve(inst.DAG, arch, maxPartSize, ilpsched.Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"mbsp/internal/dnc"
 	"mbsp/internal/graph"
+	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/workloads"
 )
@@ -63,10 +64,9 @@ func Table4(insts []workloads.Instance, cfg Config) (map[string]*Table, error) {
 // DNCMethod is the divide-and-conquer ILP used on the small dataset.
 func DNCMethod(maxPart int, subLimit time.Duration) Method {
 	return Method{Name: "dnc-ilp", Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
-		s, _, err := dnc.Solve(g, arch, dnc.Options{
+		s, _, err := dnc.Solve(g, arch, maxPart, ilpsched.Options{
 			Model:             cfg.Model,
-			MaxPartSize:       maxPart,
-			SubTimeLimit:      subLimit,
+			TimeLimit:         subLimit,
 			MIPWorkers:        cfg.MIPWorkers,
 			LocalSearchBudget: cfg.LocalSearchBudget / 4,
 			Seed:              cfg.Seed,

@@ -28,7 +28,12 @@ import (
 	"mbsp/internal/mip"
 )
 
-// Options configures the ILP scheduler.
+// Options configures the ILP scheduler. The divide-and-conquer scheduler
+// (package dnc) takes the same Options and reads these fields: Context,
+// NodeLimit, MIPWorkers, Inject and LUStats for its partitioning stage;
+// Model and Incumbent for its between-parts cutoff; and all of them for
+// each part's sub-ILP, which runs under a copy with the part's own
+// WarmStart and NeedBlue, Seed+k for part k, and no Incumbent.
 type Options struct {
 	// Context, when non-nil, cancels the tree search and the local-search
 	// heuristic early (and skips the exact pebbler once done). Solve still

@@ -1160,9 +1160,12 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		enter, nFlip := -1, 0
 		for pos := 0; pos < len(idx) && enter < 0 && rem > remTol; {
 			// Tie group: breakpoints at the smallest unprocessed ratio are
-			// dual-feasibility-equivalent choices.
+			// dual-feasibility-equivalent choices. The group holds at least
+			// its first breakpoint: a NaN ratio (non-finite model data)
+			// compares false even with itself, and an empty group would
+			// never advance pos.
 			lim := s.candR[idx[pos]]
-			end := pos
+			end := pos + 1
 			for end < len(idx) && s.candR[idx[end]] <= lim {
 				end++
 			}

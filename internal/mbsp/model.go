@@ -13,6 +13,7 @@ package mbsp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"mbsp/internal/graph"
@@ -33,8 +34,10 @@ func (a Arch) Validate() error {
 	if a.P < 1 {
 		return fmt.Errorf("mbsp: need at least one processor, got P=%d", a.P)
 	}
-	if a.R < 0 || a.G < 0 || a.L < 0 {
-		return fmt.Errorf("mbsp: negative architecture parameter (r=%g, g=%g, L=%g)", a.R, a.G, a.L)
+	for _, v := range []float64{a.R, a.G, a.L} {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("mbsp: architecture parameters must be finite and non-negative (r=%g, g=%g, L=%g)", a.R, a.G, a.L)
+		}
 	}
 	return nil
 }

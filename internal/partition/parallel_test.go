@@ -77,13 +77,14 @@ func TestRecursiveParallelDeterminism(t *testing.T) {
 	}
 	var want string
 	for _, workers := range []int{1, 4} {
-		res, err := Recursive(inst.DAG, RecursiveOptions{
-			MaxPartSize: 24, TimeLimit: time.Minute, NodeLimit: 2000, Workers: workers,
+		var stats SolverStats
+		res, err := Recursive(inst.DAG, 24, &BipartitionOptions{
+			TimeLimit: time.Minute, NodeLimit: 2000, Workers: workers, Stats: &stats,
 		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got := fmt.Sprintf("%+v", res)
+		got := fmt.Sprintf("%+v %+v", res, stats)
 		if want == "" {
 			want = got
 			continue

@@ -240,51 +240,28 @@ func GreedyBipartition(g *graph.DAG, minFraction float64) ([]int, int, error) {
 	return part, bestCut, nil
 }
 
-// RecursiveOptions configures Recursive.
-type RecursiveOptions struct {
-	// Context, when non-nil, cancels the partitioning: each bipartition
-	// ILP runs under it, and Recursive returns its error once it is done
-	// (a partial split is not a partitioning).
-	Context context.Context
-	// MaxPartSize: parts at or below this size stop splitting (the paper
-	// uses 60 with a commercial solver; our default is 24).
-	MaxPartSize int
-	// UseILP selects the exact bipartitioner; without it, or when the
-	// ILP fails, the greedy bipartitioner splits.
-	UseILP    bool
-	TimeLimit time.Duration // per bipartition
-	// NodeLimit bounds each bipartition's branch-and-bound tree. Unlike
-	// the wall-clock TimeLimit it binds deterministically: set it (with a
-	// generous TimeLimit) when the partitioning must be byte-identical
-	// across runs and machines. 0 keeps the Bipartition default.
-	NodeLimit int
-	// Workers bounds each bipartition tree's relaxation-solving worker
-	// pool; the partitioning is identical for any value.
-	Workers int
-	// Inject threads the deterministic fault-injection harness into every
-	// bipartition tree.
-	Inject *faultinject.Injector
-	// LUStats, when non-nil, accumulates LP factorization counters across
-	// every bipartition tree (see BipartitionOptions.LUStats).
-	LUStats *lp.FactorStats
-}
-
 // Result of a recursive partitioning.
 type Result struct {
 	Part      []int // node -> part id, 0..K-1, topologically numbered
 	K         int
 	CutEdges  int
 	ILPSolves int
-	Optimal   int         // bipartitions proven optimal
-	Solver    SolverStats // branch-and-bound counters across all bipartition ILPs
+	Optimal   int // bipartitions proven optimal
 }
 
-// Recursive splits g into acyclic parts of at most MaxPartSize nodes by
+// Recursive splits g into acyclic parts of at most maxPartSize nodes
+// (≤ 0 selects 24; the paper uses 60 with a commercial solver) by
 // recursive bipartitioning. Part ids are assigned so that the quotient
 // graph respects a topological order of the parts.
-func Recursive(g *graph.DAG, opts RecursiveOptions) (Result, error) {
-	if opts.MaxPartSize == 0 {
-		opts.MaxPartSize = 24
+//
+// A nil ilp splits greedily. Otherwise every split solves the exact
+// bipartition ILP under *ilp — its Stats accumulate the counters of every
+// tree — and falls back to the greedy split when the ILP fails. A done
+// ilp.Context stops the partitioning with its error (a partial split is
+// not a partitioning).
+func Recursive(g *graph.DAG, maxPartSize int, ilp *BipartitionOptions) (Result, error) {
+	if maxPartSize <= 0 {
+		maxPartSize = 24
 	}
 	res := Result{Part: make([]int, g.N())}
 	type job struct {
@@ -299,21 +276,17 @@ func Recursive(g *graph.DAG, opts RecursiveOptions) (Result, error) {
 	for len(queue) > 0 {
 		j := queue[0]
 		queue = queue[1:]
-		if len(j.nodes) <= opts.MaxPartSize {
+		if len(j.nodes) <= maxPartSize {
 			finished = append(finished, j.nodes)
 			continue
 		}
-		if opts.Context != nil && opts.Context.Err() != nil {
-			return res, fmt.Errorf("partition: cancelled after %d bipartitions: %w", res.ILPSolves, opts.Context.Err())
+		if ilp != nil && ilp.Context != nil && ilp.Context.Err() != nil {
+			return res, fmt.Errorf("partition: cancelled after %d bipartitions: %w", res.ILPSolves, ilp.Context.Err())
 		}
 		sub, orig := g.SubDAG(j.nodes)
 		var part []int
-		if opts.UseILP {
-			p, _, opt, err := Bipartition(sub, BipartitionOptions{
-				Context: opts.Context, TimeLimit: opts.TimeLimit, NodeLimit: opts.NodeLimit,
-				Workers: opts.Workers, Stats: &res.Solver, Inject: opts.Inject,
-				LUStats: opts.LUStats,
-			})
+		if ilp != nil {
+			p, _, opt, err := Bipartition(sub, *ilp)
 			res.ILPSolves++
 			if err == nil {
 				part = p

@@ -87,9 +87,7 @@ func TestGreedyBipartitionBalanced(t *testing.T) {
 
 func TestRecursiveSplitsToSize(t *testing.T) {
 	for _, inst := range workloads.Small()[:3] {
-		res, err := Recursive(inst.DAG, RecursiveOptions{
-			MaxPartSize: 30, UseILP: true, TimeLimit: 2 * time.Second,
-		})
+		res, err := Recursive(inst.DAG, 30, &BipartitionOptions{TimeLimit: 2 * time.Second})
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -127,12 +125,13 @@ func TestRecursiveCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := Recursive(inst.DAG, RecursiveOptions{Context: ctx, MaxPartSize: 45, UseILP: true})
+	var stats SolverStats
+	res, err := Recursive(inst.DAG, 45, &BipartitionOptions{Context: ctx, Stats: &stats})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res.ILPSolves != 0 || res.Solver.Nodes != 0 {
-		t.Fatalf("cancelled run made %d ILP solves over %d nodes, want none", res.ILPSolves, res.Solver.Nodes)
+	if res.ILPSolves != 0 || stats.Nodes != 0 {
+		t.Fatalf("cancelled run made %d ILP solves over %d nodes, want none", res.ILPSolves, stats.Nodes)
 	}
 }
 
@@ -141,7 +140,7 @@ func TestRecursiveGreedyOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Recursive(inst.DAG, RecursiveOptions{MaxPartSize: 25, UseILP: false})
+	res, err := Recursive(inst.DAG, 25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestRecursiveGreedyOnly(t *testing.T) {
 
 func TestRecursiveSmallInputNoSplit(t *testing.T) {
 	g := graph.Diamond()
-	res, err := Recursive(g, RecursiveOptions{MaxPartSize: 10, UseILP: true})
+	res, err := Recursive(g, 10, &BipartitionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,6 +116,24 @@ func pipelineCandidate(name string, mk func(opts Options) twostage.Pipeline) Can
 	}}
 }
 
+// ilpOptions is the ilpsched configuration both ILP-based candidates run
+// under: the portfolio's model, budgets and plumbing, and the candidate's
+// own seed.
+func ilpOptions(ctx context.Context, opts Options, name string) ilpsched.Options {
+	return ilpsched.Options{
+		Context:           ctx,
+		Model:             opts.Model,
+		TimeLimit:         opts.ILPTimeLimit,
+		NodeLimit:         opts.ILPNodeLimit,
+		MIPWorkers:        opts.MIPWorkers,
+		LocalSearchBudget: opts.LocalSearchBudget,
+		Inject:            opts.Inject,
+		LUStats:           opts.LUStats,
+		MaxModelRows:      opts.MaxModelRows,
+		Seed:              candidateSeed(opts.Seed, name),
+	}
+}
+
 // ILPCandidate is the holistic ILP scheduler under the portfolio's time
 // budget. Cancellation returns its best-so-far schedule (at minimum the
 // warm start), never an error. It reuses the run's memoized baseline as
@@ -123,18 +141,7 @@ func pipelineCandidate(name string, mk func(opts Options) twostage.Pipeline) Can
 // prunes against (and publishes to) the shared incumbent.
 func ILPCandidate() Candidate {
 	return Candidate{Name: "ilp", Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
-		ilpOpts := ilpsched.Options{
-			Context:           ctx,
-			Model:             opts.Model,
-			TimeLimit:         opts.ILPTimeLimit,
-			NodeLimit:         opts.ILPNodeLimit,
-			MIPWorkers:        opts.MIPWorkers,
-			LocalSearchBudget: opts.LocalSearchBudget,
-			Inject:            opts.Inject,
-			LUStats:           opts.LUStats,
-			MaxModelRows:      opts.MaxModelRows,
-			Seed:              candidateSeed(opts.Seed, "ilp"),
-		}
+		ilpOpts := ilpOptions(ctx, opts, "ilp")
 		if sh := opts.shared; sh != nil {
 			if sh.warm == nil {
 				return nil, sh.warmErr
@@ -148,29 +155,20 @@ func ILPCandidate() Candidate {
 }
 
 // DNCCandidate is the divide-and-conquer ILP scheduler; maxPart ≤ 0
-// selects the dnc default part size. Under Options.ILPNodeLimit both the
-// partitioning ILPs and the per-part scheduling ILPs run node-limited, so
-// dnc-ilp joins the byte-identical determinism guarantee; the shared
-// incumbent cuts hopeless runs off between parts.
+// selects the dnc default part size. Each part's sub-ILP runs with a
+// quarter of the local-search budget and no shared warm start. Under
+// Options.ILPNodeLimit both the partitioning ILPs and the per-part
+// scheduling ILPs run node-limited, so dnc-ilp joins the byte-identical
+// determinism guarantee; the shared incumbent cuts hopeless runs off
+// between parts.
 func DNCCandidate(maxPart int) Candidate {
 	return Candidate{Name: "dnc-ilp", Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
-		dncOpts := dnc.Options{
-			Context:           ctx,
-			Model:             opts.Model,
-			MaxPartSize:       maxPart,
-			SubTimeLimit:      opts.ILPTimeLimit,
-			NodeLimit:         opts.ILPNodeLimit,
-			MIPWorkers:        opts.MIPWorkers,
-			LocalSearchBudget: opts.LocalSearchBudget / 4,
-			Inject:            opts.Inject,
-			LUStats:           opts.LUStats,
-			MaxModelRows:      opts.MaxModelRows,
-			Seed:              candidateSeed(opts.Seed, "dnc-ilp"),
-		}
+		dncOpts := ilpOptions(ctx, opts, "dnc-ilp")
+		dncOpts.LocalSearchBudget /= 4
 		if sh := opts.shared; sh != nil {
 			dncOpts.Incumbent = sh.inc
 		}
-		s, _, err := dnc.Solve(g, arch, dncOpts)
+		s, _, err := dnc.Solve(g, arch, maxPart, dncOpts)
 		return s, err
 	}}
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"mbsp/internal/graph"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/workloads"
 )
@@ -53,22 +54,47 @@ func snapshot(t *testing.T, res *Result) []byte {
 // partitioning and sub-ILP stages are node-limited through the knob, and
 // the warm-started dual-simplex ILP path — must land in the guarantee;
 // the sealed shared incumbent must not break it either.
+//
+// The guarantee covers node-bound candidates only: one cut by its clock
+// returns a timing-dependent best-so-far schedule (Degraded), so the
+// fixture asserts none was. As in TestChaosDeterministicByteIdentical,
+// MaxModelRows keeps the registry instances' holistic models (5949 to
+// 31989 rows at P=4, seconds per cold root relaxation) on the warm-start
+// + local-search path, and a small P=1 DAG's 586-row model is where the
+// node-limited tree search runs.
 func TestPortfolioDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type fixture struct {
+		g    *graph.DAG
+		arch mbsp.Arch
+	}
+	var fixtures []fixture
 	for _, name := range []string{"spmv_N6", "CG_N2_K2", "k-means"} {
 		inst, err := workloads.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		arch := baseArch(inst.DAG)
+		fixtures = append(fixtures, fixture{inst.DAG, baseArch(inst.DAG)})
+	}
+	tree := graph.RandomLayered("determinism-tree", 4, 4, 0.5, 9, 5, 2)
+	fixtures = append(fixtures, fixture{tree, mbsp.Arch{P: 1, R: 3 * tree.MinCache(), G: 1, L: 10}})
+	for _, fx := range fixtures {
+		name, arch := fx.g.Name(), fx.arch
 		var want []byte
 		for _, procs := range []int{1, 2, 8} {
 			runtime.GOMAXPROCS(procs)
 			for _, workers := range []int{1, 4} {
 				opts := deterministicOpts(workers)
-				res, _, err := run(context.Background(), inst.DAG, arch, opts)
+				opts.MaxModelRows = 3000
+				res, _, err := run(context.Background(), fx.g, arch, opts)
 				if err != nil {
 					t.Fatalf("%s (GOMAXPROCS=%d workers=%d): %v", name, procs, workers, err)
+				}
+				for _, c := range res.Candidates {
+					if c.Degraded {
+						t.Fatalf("%s (GOMAXPROCS=%d workers=%d): candidate %s was cut by its clock after %v, not its node limit",
+							name, procs, workers, c.Name, c.Elapsed)
+					}
 				}
 				got := snapshot(t, res)
 				if want == nil {

@@ -273,20 +273,26 @@ func (s *Server) parseRequest(r *http.Request) (*request, error) {
 		}
 	}
 	q := r.URL.Query()
+	bad := func(name string) error {
+		return &httpError{http.StatusBadRequest, fmt.Sprintf("bad %s=%q", name, q.Get(name))}
+	}
+	// num parses a whole query value as a finite number.
 	num := func(name string, def float64) (float64, error) {
 		v := q.Get(name)
 		if v == "" {
 			return def, nil
 		}
-		var f float64
-		if _, err := fmt.Sscanf(v, "%g", &f); err != nil {
-			return 0, &httpError{http.StatusBadRequest, fmt.Sprintf("bad %s=%q", name, v)}
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+			return 0, bad(name)
 		}
 		return f, nil
 	}
-	p, err := num("p", 4)
-	if err != nil {
-		return nil, err
+	p := 4
+	if v := q.Get("p"); v != "" {
+		if p, err = strconv.Atoi(v); err != nil {
+			return nil, bad("p")
+		}
 	}
 	gcost, err := num("g", 1)
 	if err != nil {
@@ -308,7 +314,7 @@ func (s *Server) parseRequest(r *http.Request) (*request, error) {
 	if rabs > 0 {
 		rv = rabs
 	}
-	arch := mbsp.Arch{P: int(p), R: rv, G: gcost, L: lcost}
+	arch := mbsp.Arch{P: p, R: rv, G: gcost, L: lcost}
 	if err := arch.Validate(); err != nil {
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
@@ -324,11 +330,12 @@ func (s *Server) parseRequest(r *http.Request) (*request, error) {
 	if v := q.Get("deadline_ms"); v != "" {
 		ms, err := num("deadline_ms", 0)
 		if err != nil || ms < 0 {
-			return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("bad deadline_ms=%q", v)}
+			return nil, bad("deadline_ms")
 		}
-		deadline = time.Duration(ms * float64(time.Millisecond))
-		if deadline > s.cfg.ComputeTimeout {
-			deadline = s.cfg.ComputeTimeout
+		// Cap in float space: a huge finite value would overflow Duration.
+		deadline = s.cfg.ComputeTimeout
+		if d := ms * float64(time.Millisecond); d < float64(deadline) {
+			deadline = time.Duration(d)
 		}
 	}
 	req := &request{g: g, arch: arch, model: model, deadline: deadline}

@@ -403,6 +403,36 @@ func TestDeadlineDegradesNever500(t *testing.T) {
 	}
 }
 
+// badRequests are malformed DAGs and parameters with the typed 4xx
+// status each must map to. FuzzParseRequest seeds its corpus with their
+// queries.
+var badRequests = []struct {
+	name   string
+	query  string
+	body   string
+	status int
+}{
+	{"empty-body", "p=2", "", http.StatusBadRequest},
+	{"malformed", "p=2", "dag x 1 0\nnode zero 1 1\n", http.StatusBadRequest},
+	{"self-loop", "p=2", "dag x 1 1\nnode 0 1 1\nedge 0 0\n", http.StatusBadRequest},
+	{"cyclic", "p=2", "dag x 2 2\nnode 0 1 1\nnode 1 1 1\nedge 0 1\nedge 1 0\n", http.StatusBadRequest},
+	{"bad-p", "p=zero", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"zero-p", "p=0", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"bad-model", "p=2&model=psync", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"bad-deadline", "p=2&deadline_ms=-5", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"trailing-p", "p=4x", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"fractional-p", "p=2.7", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"nan-g", "p=2&g=NaN", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"nan-rfactor", "p=2&rfactor=NaN", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"inf-rfactor", "p=2&rfactor=Inf", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"nan-r", "p=2&r=NaN", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"inf-l", "p=2&l=Inf", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"trailing-g", "p=2&g=1x", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"nan-deadline", "p=2&deadline_ms=NaN", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"inf-deadline", "p=2&deadline_ms=Inf", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"oversized", "p=2", "# " + strings.Repeat("x", 1<<17) + "\n", http.StatusRequestEntityTooLarge},
+}
+
 // TestBadRequests: malformed DAGs and parameters map to 4xx typed
 // responses, never a panic or a 500.
 func TestBadRequests(t *testing.T) {
@@ -413,23 +443,7 @@ func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	cases := []struct {
-		name   string
-		query  string
-		body   string
-		status int
-	}{
-		{"empty-body", "p=2", "", http.StatusBadRequest},
-		{"malformed", "p=2", "dag x 1 0\nnode zero 1 1\n", http.StatusBadRequest},
-		{"self-loop", "p=2", "dag x 1 1\nnode 0 1 1\nedge 0 0\n", http.StatusBadRequest},
-		{"cyclic", "p=2", "dag x 2 2\nnode 0 1 1\nnode 1 1 1\nedge 0 1\nedge 1 0\n", http.StatusBadRequest},
-		{"bad-p", "p=zero", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
-		{"zero-p", "p=0", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
-		{"bad-model", "p=2&model=psync", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
-		{"bad-deadline", "p=2&deadline_ms=-5", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
-		{"oversized", "p=2", "# " + strings.Repeat("x", 1<<17) + "\n", http.StatusRequestEntityTooLarge},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequests {
 		t.Run(tc.name, func(t *testing.T) {
 			buf := bytes.NewBufferString(tc.body)
 			resp, data := post(t, ts, tc.query, buf)

@@ -17,7 +17,10 @@
 #   3b. the parser fuzz leg: FuzzRead (internal/graph) for 10s over the
 #       DAG text format the server accepts as a request body — no panic,
 #       typed errors only, and every accepted DAG round-trips through
-#       graph.Write with equal fingerprint and exact digest;
+#       graph.Write with equal fingerprint and exact digest; then
+#       FuzzParseRequest (internal/server) for 10s over the request's
+#       architecture query — 400-only typed errors, and every accepted
+#       query yields P ≥ 1, finite non-negative r/g/L and a stable key;
 #   4. the chaos leg: the anytime portfolio on the tiny dataset under a
 #      50ms deadline with the seeded fault-injection harness live,
 #      under -race, one leg per injection mode plus all modes at once,
@@ -94,6 +97,9 @@ go test -race ./...
 
 echo "== fuzz leg: FuzzRead for 10s"
 go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/graph
+
+echo "== fuzz leg: FuzzParseRequest for 10s"
+go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/server
 
 echo "== chaos leg: anytime portfolio under fault injection (-race)"
 for fault_seed in 42 1337; do
