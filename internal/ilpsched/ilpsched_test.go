@@ -201,6 +201,22 @@ func TestSolveSkipsHugeModels(t *testing.T) {
 	if stats.ILPStatus != "skipped-model-too-large" {
 		t.Fatalf("status=%q", stats.ILPStatus)
 	}
+	// The skipped model is never built, yet its reported size is the
+	// size a build would have: the same warm start gives the same horizon.
+	warm, err := warmStart(inst.DAG, arch, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{}.withDefaults()
+	_, T, err := horizon(warm, arch, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := buildModel(inst.DAG, arch, opts, T)
+	if stats.Steps != T || stats.ModelVars != im.m.NumVars() || stats.ModelRows != im.m.NumRows() {
+		t.Fatalf("skipped model reports T=%d, %d vars, %d rows; a build has T=%d, %d vars, %d rows",
+			stats.Steps, stats.ModelVars, stats.ModelRows, T, im.m.NumVars(), im.m.NumRows())
+	}
 }
 
 // Lemma 6.1: with the minimal horizon the optimal restricted schedule may
@@ -323,6 +339,69 @@ func TestWarmStartEncodingFeasibleRandom(t *testing.T) {
 			x := im.assignment(skel)
 			if err := im.m.CheckFeasible(x, 1e-6); err != nil {
 				t.Fatalf("seed %d P=%d model=%v: %v", seed, p, model, err)
+			}
+		}
+	}
+}
+
+// TestModelSizeMatchesBuild pins modelSize, the count Solve checks
+// against MaxModelRows before it allocates anything, to what buildModel
+// actually emits: every constraint family, both objectives, the option
+// variants that add or drop rows, and a NeedBlue list shaped like the
+// ones divide-and-conquer passes (interior nodes, possibly sources)
+// with duplicates and sinks mixed in. T ∈ {1, 2} exercise every family's first-step special
+// case; the real horizon is built too while P·n·T stays modest, so the
+// test stays quick under -race. The sources-only DAG, whose t = 0
+// memory row is empty, has an empty warm start and so no horizon.
+func TestModelSizeMatchesBuild(t *testing.T) {
+	sources := graph.New("sources")
+	for i := 0; i < 3; i++ {
+		sources.AddNode(1, 1)
+	}
+	insts := append(workloads.Tiny(), workloads.Small()...)
+	insts = append(insts, workloads.Instance{Name: "sources", DAG: sources})
+	for _, inst := range insts {
+		g := inst.DAG
+		needBlue := []int{0}
+		for v := 0; v < g.N(); v += 3 {
+			needBlue = append(needBlue, v)
+		}
+		needBlue = append(needBlue, g.Sinks()...)
+		variants := map[string]Options{
+			"default":         {},
+			"no-step-merging": {NoStepMerging: true},
+			"no-recompute":    {NoRecompute: true},
+			"need-blue":       {NeedBlue: needBlue},
+		}
+		for P := 1; P <= 4; P++ {
+			arch := mbsp.Arch{P: P, R: 3 * g.MinCache(), G: 1, L: 10}
+			warm, err := warmStart(g, arch, Options{})
+			if err != nil {
+				t.Fatalf("%s P=%d: %v", inst.Name, P, err)
+			}
+			for name, opts := range variants {
+				horizons := []int{1, 2}
+				if len(warm.Steps) > 0 {
+					_, T, err := horizon(warm, arch, opts.withDefaults())
+					if err != nil {
+						t.Fatalf("%s P=%d %s: %v", inst.Name, P, name, err)
+					}
+					if P*g.N()*T <= 4000 {
+						horizons = append(horizons, T)
+					}
+				}
+				for _, model := range []mbsp.CostModel{mbsp.Sync, mbsp.Async} {
+					opts.Model = model
+					o := opts.withDefaults()
+					for _, T := range horizons {
+						im := buildModel(g, arch, o, T)
+						vars, rows := modelSize(g, arch, o, T)
+						if vars != im.m.NumVars() || rows != im.m.NumRows() {
+							t.Fatalf("%s P=%d %s %v T=%d: modelSize gives %d vars, %d rows; buildModel %d, %d",
+								inst.Name, P, name, model, T, vars, rows, im.m.NumVars(), im.m.NumRows())
+						}
+					}
+				}
 			}
 		}
 	}

@@ -129,6 +129,75 @@ func buildModel(g *graph.DAG, arch mbsp.Arch, opts Options, T int) *ilpModel {
 	return im
 }
 
+// modelSize returns, in closed form, the NumVars and NumRows that
+// buildModel(g, arch, opts, T) would report, without allocating the
+// model, so that Solve can compare the size with MaxModelRows first. It
+// counts each constraint family the way buildModel emits it (DESIGN.md,
+// "Solver substitution", tabulates the formula), with s non-source
+// nodes and E edges, Ei of them leaving a non-source. It holds for
+// T ≥ 1; horizon rejects an empty warm start.
+func modelSize(g *graph.DAG, arch mbsp.Arch, opts Options, T int) (vars, rows int) {
+	P, n := arch.P, g.N()
+	var s, E, Ei int
+	for v := 0; v < n; v++ {
+		if g.IsSource(v) {
+			continue
+		}
+		s++
+		for _, u := range g.Parents(v) {
+			E++
+			if !g.IsSource(u) {
+				Ei++
+			}
+		}
+	}
+	// compute, save, load, hasred, compstep/commstep; hasblue.
+	vars = P*T*(2*s+2*n+2) + s*T
+	// (1)–(2): at t = 0 both are FixVar bounds, not rows.
+	rows += 2 * P * (T - 1) * s
+	// (3): at t = 0 a parent is never red, so only a step-merged
+	// non-source parent leaves a row.
+	rows += P * (T - 1) * E
+	if !opts.NoStepMerging {
+		rows += P * Ei
+	}
+	rows += 2 * P * n * T // (4)
+	rows += s * (2*T - 1) // (5): no monotonicity row into t = 1
+	rows += 3 * P * T     // (6)
+	if opts.NoStepMerging {
+		rows += P * T
+	}
+	// (7): nothing is red at t = 0, so that row needs a computable node.
+	rows += P * T
+	if s > 0 {
+		rows += P
+	}
+	// (10): one row per non-source sink or NeedBlue node.
+	need := map[int]bool{}
+	for _, v := range g.Sinks() {
+		need[v] = true
+	}
+	for _, v := range opts.NeedBlue {
+		need[v] = true
+	}
+	for v := range need {
+		if !g.IsSource(v) {
+			rows++
+		}
+	}
+	if opts.NoRecompute {
+		rows += s
+	}
+	if opts.Model == mbsp.Async {
+		vars += P*T + s + 1
+		rows += P*T*(1+2*s) + P
+	} else {
+		vars += 6*T + 2*P*T
+		rows += T * (6*P + 5)
+	}
+	return vars, rows
+}
+
 // cf returns an lp.Coef referring to variable index j (which must be
 // valid).
 func cf(j int, v float64) lp.Coef { return lp.Coef{Var: j, Val: v} }

@@ -15,11 +15,11 @@ import (
 )
 
 // Solve finds an MBSP schedule for g on arch with the holistic ILP-based
-// method: it builds the ILP of Section 6, warm-starts the branch-and-bound
-// with the two-stage baseline (exactly as the paper seeds its solver), and
-// runs a holistic local-search primal heuristic alongside. The returned
-// schedule is always valid and never worse than the warm start under the
-// selected cost model.
+// method: it builds the ILP of Section 6 (when it fits MaxModelRows),
+// warm-starts the branch-and-bound with the two-stage baseline (exactly
+// as the paper seeds its solver), and runs a holistic local-search primal
+// heuristic alongside. The returned schedule is always valid and never
+// worse than the warm start under the selected cost model.
 func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
@@ -41,12 +41,13 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 	if err != nil {
 		return nil, stats, err
 	}
-	im := buildModel(g, arch, opts, T)
+	// Size the model before building it: an oversized one is never
+	// allocated.
 	stats.Steps = T
-	stats.ModelVars = im.m.NumVars()
-	stats.ModelRows = im.m.NumRows()
+	stats.ModelVars, stats.ModelRows = modelSize(g, arch, opts, T)
 
 	if stats.ModelRows <= opts.MaxModelRows {
+		im := buildModel(g, arch, opts, T)
 		x := im.assignment(skel)
 		if im.m.CheckFeasible(x, 1e-6) != nil {
 			x = nil // the encoding is rejected: solve cold

@@ -13,10 +13,10 @@ import (
 // FuzzParseRequest drives the architecture query parser with arbitrary
 // raw queries over a fixed small DAG body. parseRequest must never panic;
 // it fails only with an *httpError carrying 400, and every request it
-// accepts has at least one processor, finite non-negative r, g and L, a
-// deadline within the compute budget, and a cache key that parsing the
-// same request again reproduces. The corpus is seeded with the queries of
-// the malformed-request table and a few valid ones.
+// accepts has between 1 and maxProcs processors, finite non-negative r,
+// g and L, a deadline within the compute budget, and a cache key that
+// parsing the same request again reproduces. The corpus is seeded with
+// the queries of the malformed-request table and a few valid ones.
 //
 //	go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/server
 func FuzzParseRequest(f *testing.F) {
@@ -24,7 +24,7 @@ func FuzzParseRequest(f *testing.F) {
 	for _, tc := range badRequests {
 		f.Add(tc.query)
 	}
-	for _, q := range []string{"", "p=1", "p=3&rfactor=2.5&model=async", "p=2&r=7&g=0&l=0&deadline_ms=1e300"} {
+	for _, q := range []string{"", "p=1", "p=3&rfactor=2.5&model=async", "p=2&r=7&g=0&l=0&deadline_ms=1e300", "p=1024"} {
 		f.Add(q)
 	}
 	srv, err := New(testConfig())
@@ -49,7 +49,7 @@ func FuzzParseRequest(f *testing.F) {
 			return
 		}
 		a := req.arch
-		if a.P < 1 {
+		if a.P < 1 || a.P > maxProcs {
 			t.Fatalf("query %q: accepted P=%d", raw, a.P)
 		}
 		for _, v := range []float64{a.R, a.G, a.L} {

@@ -114,6 +114,11 @@ type Config struct {
 // instances, small enough to bound a cold request's latency.
 const DefaultNodeLimit = 20000
 
+// maxProcs is the largest processor count a request may ask for. Every
+// scheduler allocates per-processor state before it looks at the DAG, so
+// an unbounded p lets a three-node body cost hundreds of megabytes.
+const maxProcs = 1024
+
 func (c Config) withDefaults() Config {
 	if c.MaxInflight == 0 {
 		c.MaxInflight = runtime.GOMAXPROCS(0)
@@ -292,6 +297,9 @@ func (s *Server) parseRequest(r *http.Request) (*request, error) {
 	if v := q.Get("p"); v != "" {
 		if p, err = strconv.Atoi(v); err != nil {
 			return nil, bad("p")
+		}
+		if p > maxProcs {
+			return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("p=%d exceeds the %d-processor limit", p, maxProcs)}
 		}
 	}
 	gcost, err := num("g", 1)

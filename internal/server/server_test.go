@@ -418,6 +418,7 @@ var badRequests = []struct {
 	{"cyclic", "p=2", "dag x 2 2\nnode 0 1 1\nnode 1 1 1\nedge 0 1\nedge 1 0\n", http.StatusBadRequest},
 	{"bad-p", "p=zero", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 	{"zero-p", "p=0", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"huge-p", "p=100000&deadline_ms=500", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 	{"bad-model", "p=2&model=psync", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 	{"bad-deadline", "p=2&deadline_ms=-5", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 	{"trailing-p", "p=4x", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},

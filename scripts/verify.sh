@@ -20,7 +20,12 @@
 #       graph.Write with equal fingerprint and exact digest; then
 #       FuzzParseRequest (internal/server) for 10s over the request's
 #       architecture query — 400-only typed errors, and every accepted
-#       query yields P ≥ 1, finite non-negative r/g/L and a stable key;
+#       query yields 1 ≤ P ≤ 1024, finite non-negative r/g/L and a stable
+#       key; then FuzzRecoverFile (internal/persist) for 10s over a
+#       journal whose tail is appended to, overwritten or cut — no
+#       error, the file repaired to exactly the recovered records, a
+#       second recovery finding nothing to repair, and the undamaged
+#       committed records recovered as a prefix;
 #   4. the chaos leg: the anytime portfolio on the tiny dataset under a
 #      50ms deadline with the seeded fault-injection harness live,
 #      under -race, one leg per injection mode plus all modes at once,
@@ -100,6 +105,9 @@ go test -run '^$' -fuzz '^FuzzRead$' -fuzztime 10s ./internal/graph
 
 echo "== fuzz leg: FuzzParseRequest for 10s"
 go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/server
+
+echo "== fuzz leg: FuzzRecoverFile for 10s"
+go test -run '^$' -fuzz '^FuzzRecoverFile$' -fuzztime 10s ./internal/persist
 
 echo "== chaos leg: anytime portfolio under fault injection (-race)"
 for fault_seed in 42 1337; do
