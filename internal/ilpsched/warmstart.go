@@ -33,10 +33,14 @@ func buildSkeleton(s *mbsp.Schedule) ([]skelStep, error) {
 	for p := 0; p < P; p++ {
 		red[p] = map[int]bool{}
 	}
+	// memOf sums in ascending node order: a map-order float sum can
+	// differ in the last bit between calls and flip the segment test.
 	memOf := func(set map[int]bool) float64 {
 		t := 0.0
-		for v := range set {
-			t += g.Mem(v)
+		for v := 0; v < g.N(); v++ {
+			if set[v] {
+				t += g.Mem(v)
+			}
 		}
 		return t
 	}

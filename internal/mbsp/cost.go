@@ -83,11 +83,19 @@ func (s *Schedule) SyncCostBreakdown() CostBreakdown {
 func (s *Schedule) AsyncCost() float64 {
 	g := s.Graph
 	gamma := make([]float64, s.Arch.P) // current finishing time per processor
-	// Γ(v): time v first becomes available in slow memory.
-	avail := make(map[int]float64, g.N())
+	// Γ(v), the time v first becomes available in slow memory, and the
+	// minimum over the current superstep's saves of v. Times are sums of
+	// non-negative weights, so unsaved never collides with one.
+	const unsaved = -1.0
+	avail := make([]float64, g.N())
+	minThis := make([]float64, g.N())
+	for v := range avail {
+		avail[v], minThis[v] = unsaved, unsaved
+	}
 	for _, v := range g.Sources() {
 		avail[v] = 0
 	}
+	var savedNow []int // nodes with a minThis entry, in first-save order
 	for i := range s.Steps {
 		// Compute phases (deletes are free).
 		for p := range s.Steps[i].Procs {
@@ -99,38 +107,34 @@ func (s *Schedule) AsyncCost() float64 {
 			}
 		}
 		// Save phases: Γ(v) is set in the first superstep saving v, as
-		// the minimum finish time over that superstep's saves of v.
-		type savedAt struct {
-			node int
-			t    float64
-		}
-		var saves []savedAt
+		// the minimum finish time over that superstep's saves of v;
+		// saves in later supersteps never lower Γ.
+		savedNow = savedNow[:0]
 		for p := range s.Steps[i].Procs {
 			ps := &s.Steps[i].Procs[p]
 			for _, v := range ps.Save {
 				gamma[p] += s.Arch.G * g.Mem(v)
-				saves = append(saves, savedAt{v, gamma[p]})
+				switch t := minThis[v]; {
+				case t == unsaved:
+					minThis[v] = gamma[p]
+					savedNow = append(savedNow, v)
+				case gamma[p] < t:
+					minThis[v] = gamma[p]
+				}
 			}
 		}
-		// Minimum finish time per node within this superstep only;
-		// saves in later supersteps never lower Γ.
-		minThis := make(map[int]float64)
-		for _, sv := range saves {
-			if t, ok := minThis[sv.node]; !ok || sv.t < t {
-				minThis[sv.node] = sv.t
+		for _, v := range savedNow {
+			if avail[v] == unsaved {
+				avail[v] = minThis[v]
 			}
-		}
-		for v, t := range minThis {
-			if _, ok := avail[v]; !ok {
-				avail[v] = t
-			}
+			minThis[v] = unsaved
 		}
 		// Load phases.
 		for p := range s.Steps[i].Procs {
 			ps := &s.Steps[i].Procs[p]
 			for _, v := range ps.Load {
 				start := gamma[p]
-				if t, ok := avail[v]; ok && t > start {
+				if t := avail[v]; t != unsaved && t > start {
 					start = t
 				}
 				gamma[p] = start + s.Arch.G*g.Mem(v)

@@ -1,6 +1,7 @@
 package mbsp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -329,5 +330,40 @@ func TestMaxResidentMemory(t *testing.T) {
 	// After superstep 1 both s (μ=1) and c (μ=2) are resident.
 	if got := s.MaxResidentMemory(); got != 3 {
 		t.Fatalf("MaxResidentMemory=%g want 3", got)
+	}
+}
+
+func TestFinalRedSetsAscending(t *testing.T) {
+	// Six sources feed one sink; the sources are loaded out of order and
+	// never deleted, so seven red pebbles remain on processor 0.
+	g := graph.New("fan-in")
+	for i := 0; i < 6; i++ {
+		g.AddNode(0, 1)
+	}
+	sink := g.AddNode(1, 1)
+	for i := 0; i < 6; i++ {
+		g.AddEdge(i, sink)
+	}
+	s := NewSchedule(g, Arch{P: 2, R: 10, G: 1, L: 0})
+	st0 := s.AddSuperstep()
+	st0.Procs[0].Load = []int{5, 3, 1, 0, 4, 2}
+	st1 := s.AddSuperstep()
+	st1.Procs[0].Comp = []Op{{OpCompute, sink}}
+	st1.Procs[0].Save = []int{sink}
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 1, 2, 3, 4, 5, 6}
+	for rep := 0; rep < 20; rep++ {
+		reds, err := s.FinalRedSets()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(reds) != 2 || len(reds[1]) != 0 {
+			t.Fatalf("red sets %v, want processor 1 empty", reds)
+		}
+		if fmt.Sprint(reds[0]) != fmt.Sprint(want) {
+			t.Fatalf("final red set %v, want %v", reds[0], want)
+		}
 	}
 }

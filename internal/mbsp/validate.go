@@ -9,21 +9,25 @@ import (
 const memEps = 1e-9
 
 // state tracks the pebbling configuration during validation or cost
-// evaluation.
+// evaluation. Pebble sets are indexed by node id.
 type state struct {
-	red    []map[int]bool // per processor: nodes with a red pebble
-	redUse []float64      // per processor: Σ μ over red set
-	blue   map[int]bool   // shared blue pebbles
+	red    [][]bool  // per processor: nodes with a red pebble
+	redUse []float64 // per processor: Σ μ over red set
+	blue   []bool    // shared blue pebbles
+	// newBlue collects one superstep's saves; reused across supersteps.
+	newBlue []int
 }
 
 func newState(s *Schedule) *state {
+	n := s.Graph.N()
 	st := &state{
-		red:    make([]map[int]bool, s.Arch.P),
+		red:    make([][]bool, s.Arch.P),
 		redUse: make([]float64, s.Arch.P),
-		blue:   make(map[int]bool),
+		blue:   make([]bool, n),
 	}
-	for p := 0; p < s.Arch.P; p++ {
-		st.red[p] = make(map[int]bool)
+	backing := make([]bool, s.Arch.P*n)
+	for p := range st.red {
+		st.red[p] = backing[p*n : (p+1)*n : (p+1)*n]
 	}
 	for _, v := range s.Graph.Sources() {
 		st.blue[v] = true
@@ -115,7 +119,7 @@ func (st *state) applySuperstep(s *Schedule, i int) error {
 				if !st.red[p][v] {
 					return fail(p, "delete", v, "no red pebble to delete")
 				}
-				delete(st.red[p], v)
+				st.red[p][v] = false
 				st.redUse[p] -= g.Mem(v)
 			default:
 				return fail(p, op.Kind.String(), v, "only compute/delete allowed in the compute phase")
@@ -127,7 +131,7 @@ func (st *state) applySuperstep(s *Schedule, i int) error {
 		}
 	}
 	// Phase 2: save on every processor; blue set updated after all saves.
-	newBlue := make([]int, 0)
+	newBlue := st.newBlue[:0]
 	for p := range step.Procs {
 		ps := &step.Procs[p]
 		for _, v := range ps.Save {
@@ -143,6 +147,7 @@ func (st *state) applySuperstep(s *Schedule, i int) error {
 	for _, v := range newBlue {
 		st.blue[v] = true
 	}
+	st.newBlue = newBlue
 	// Phase 3: deletes.
 	for p := range step.Procs {
 		ps := &step.Procs[p]
@@ -153,7 +158,7 @@ func (st *state) applySuperstep(s *Schedule, i int) error {
 			if !st.red[p][v] {
 				return fail(p, "delete", v, "no red pebble to delete")
 			}
-			delete(st.red[p], v)
+			st.red[p][v] = false
 			st.redUse[p] -= g.Mem(v)
 		}
 	}
@@ -226,8 +231,8 @@ func (s *Schedule) MaxResidentMemory() float64 {
 }
 
 // FinalRedSets replays the schedule and returns, per processor, the nodes
-// holding a red pebble after the last superstep. The schedule must be
-// valid.
+// holding a red pebble after the last superstep, in ascending node order.
+// The schedule must be valid.
 func (s *Schedule) FinalRedSets() ([][]int, error) {
 	st := newState(s)
 	for i := range s.Steps {
@@ -237,8 +242,10 @@ func (s *Schedule) FinalRedSets() ([][]int, error) {
 	}
 	out := make([][]int, s.Arch.P)
 	for p := 0; p < s.Arch.P; p++ {
-		for v := range st.red[p] {
-			out[p] = append(out[p], v)
+		for v, red := range st.red[p] {
+			if red {
+				out[p] = append(out[p], v)
+			}
 		}
 	}
 	return out, nil

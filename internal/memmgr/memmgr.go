@@ -22,6 +22,12 @@ type Info struct {
 
 // Policy selects an eviction victim among candidates. Pick returns an
 // index into cands; cands is never empty.
+//
+// Pick must not depend on the order of cands: the converter lists them
+// in an order that follows its internal bookkeeping, not the schedule,
+// so the victim must be a function of the candidate set alone. Both
+// policies here meet this by ordering candidates totally, with node id
+// as the last tie-break.
 type Policy interface {
 	Name() string
 	Pick(cands []Info) int

@@ -109,6 +109,45 @@ func TestPolicyProperties(t *testing.T) {
 	}
 }
 
+// Property: the victim does not depend on the order of the candidates.
+// The converter lists them in resident-list order, which shifts as values
+// come and go; a Pick that read the order would change schedules.
+// Node ids are distinct (the converter offers each resident value once)
+// and the other fields are drawn from small ranges so ties are common.
+func TestPickIgnoresCandidateOrder(t *testing.T) {
+	for _, pol := range []Policy{Clairvoyant{}, LRU{}} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := 1 + rng.Intn(12)
+			cands := make([]Info, n)
+			for i, v := range rng.Perm(3 * n)[:n] {
+				next := rng.Intn(4)
+				if next == 3 {
+					next = NoUse
+				}
+				cands[i] = Info{
+					Node:    v,
+					Mem:     float64(1 + rng.Intn(2)),
+					NextUse: next,
+					LastUse: rng.Intn(4),
+					Saved:   rng.Intn(2) == 0,
+				}
+			}
+			want := cands[pol.Pick(cands)].Node
+			for k := 0; k < 8; k++ {
+				rng.Shuffle(n, func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+				if cands[pol.Pick(cands)].Node != want {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("%s: %v", pol.Name(), err)
+		}
+	}
+}
+
 func TestPolicyNames(t *testing.T) {
 	if (Clairvoyant{}).Name() != "clairvoyant" || (LRU{}).Name() != "lru" {
 		t.Fatal("policy names")

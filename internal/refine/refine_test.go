@@ -116,3 +116,24 @@ func TestImproveDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic: (%g,%d) vs (%g,%d)", a.Cost, a.Evals, b.Cost, b.Evals)
 	}
 }
+
+// BenchmarkRefineImprove times one local search at the ILP candidate's
+// budget on a small-dataset DAG at P=4; each move converts, validates
+// and costs a candidate schedule.
+//
+//	go test -run '^$' -bench '^BenchmarkRefineImprove$' -benchmem ./internal/refine
+func BenchmarkRefineImprove(b *testing.B) {
+	inst, err := workloads.ByName("CG_N5_K4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
+	base, err := twostage.BSPgClairvoyant(arch.G, arch.L).Run(inst.DAG, arch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		Improve(base, Options{Budget: 2000, Seed: 1})
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -8,6 +9,9 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"mbsp/internal/portfolio"
+	"mbsp/internal/wire"
 )
 
 // FuzzParseRequest drives the architecture query parser with arbitrary
@@ -66,6 +70,76 @@ func FuzzParseRequest(f *testing.F) {
 		}
 		if again.key != req.key {
 			t.Fatalf("query %q: keys differ across parses: %q vs %q", raw, req.key, again.key)
+		}
+	})
+}
+
+// FuzzRecoverEntry drives one persisted cache record payload through the
+// boot path's decode and admission check (admitRecovered with the
+// server's validateRecovered). The payload is untrusted: the checksum
+// only proves the bytes are what some server wrote. It must never
+// panic, and every entry it admits is one the live store path would
+// have cached (cacheable) under exactly the key this server's
+// configuration assigns to the response's own DAG, architecture and
+// model. The corpus is seeded with an admissible entry and near misses.
+//
+//	go test -run '^$' -fuzz '^FuzzRecoverEntry$' -fuzztime 10s ./internal/server
+func FuzzRecoverEntry(f *testing.F) {
+	srv, err := New(testConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer srv.Close()
+	cfg := srv.cfg
+	keyOf := func(r *wire.Response) string {
+		return keyString(r.DAG.Fingerprint, r.DAG.Digest, r.Arch.P, r.Arch.R, r.Arch.G, r.Arch.L,
+			r.Model, cfg.Seed, cfg.ILPNodeLimit, cfg.MaxModelRows)
+	}
+	resp := &wire.Response{
+		DAG:      wire.DAGInfo{Name: "chain", N: 3, M: 2, Fingerprint: "f00d", Digest: "beef"},
+		Arch:     wire.ArchInfo{P: 2, R: 7, G: 1, L: 10},
+		Model:    "sync",
+		Winner:   "ilp",
+		Cost:     12,
+		Schedule: "mbsp-schedule 2 7 1 10\nsuperstep\n",
+		Certificate: &wire.CertificateInfo{
+			Cost: 12, Bound: 10, Gap: 0.2, Rung: portfolio.RungPortfolio,
+		},
+	}
+	entry := func(key string, r *wire.Response) []byte {
+		payload, err := json.Marshal(persistedEntry{Key: key, Response: r})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return payload
+	}
+	good := entry(keyOf(resp), resp)
+	if _, ok := admitRecovered(good, srv.validateRecovered); !ok {
+		f.Fatal("seed entry is not admissible")
+	}
+	f.Add(good)
+	f.Add(entry("stale-key", resp))
+	f.Add(entry(keyOf(resp), nil))
+	stamped := *resp
+	stamped.Cache = &wire.CacheInfo{Hit: true, Provenance: "hit", Key: keyOf(resp)}
+	f.Add(entry(keyOf(resp), &stamped))
+	degraded := *resp
+	degraded.Certificate = &wire.CertificateInfo{Rung: portfolio.RungPortfolio, Degraded: []string{"ilp"}}
+	f.Add(entry(keyOf(resp), &degraded))
+	f.Add([]byte(`{"key":`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"key":"k","response":{"arch":{"p":1e400}}}`))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		e, ok := admitRecovered(payload, srv.validateRecovered)
+		if !ok {
+			return
+		}
+		if !cacheable(e.Response) {
+			t.Fatalf("payload %q: admitted an entry the store path would not cache", payload)
+		}
+		if want := keyOf(e.Response); e.Key != want {
+			t.Fatalf("payload %q: admitted under key %q, want %q", payload, e.Key, want)
 		}
 	})
 }

@@ -62,14 +62,8 @@ func openPersistence(path string, opts persist.Options, cache *schedcache.Cache[
 	p := &cachePersister{store: store, logf: logf, corrupt: int64(rec.Stats.CorruptRecords)}
 	// Snapshot first, then journal: later records win, as they did live.
 	for _, payload := range append(rec.Snapshot, rec.Journal...) {
-		var e persistedEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			// An intact checksum over bytes that do not decode is a
-			// format change, not disk corruption; same degradation.
-			p.rejected++
-			continue
-		}
-		if !validate(e.Key, e.Response) {
+		e, ok := admitRecovered(payload, validate)
+		if !ok {
 			p.rejected++
 			continue
 		}
@@ -82,6 +76,18 @@ func openPersistence(path string, opts persist.Options, cache *schedcache.Cache[
 	}
 	cache.OnStore(p.journalStore)
 	return p, nil
+}
+
+// admitRecovered decodes one recovered record payload and reports
+// whether validate admits it. An intact checksum over bytes that do not
+// decode is a format change, not disk corruption, and is rejected the
+// same way as an entry that fails validation.
+func admitRecovered(payload []byte, validate func(key string, resp *wire.Response) bool) (persistedEntry, bool) {
+	var e persistedEntry
+	if err := json.Unmarshal(payload, &e); err != nil {
+		return e, false
+	}
+	return e, validate(e.Key, e.Response)
 }
 
 // journalStore appends one stored entry to the journal (the OnStore

@@ -56,15 +56,24 @@ func ConvertExtra(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSa
 	return c.out, nil
 }
 
+// procState is one processor's pebble state. Every per-value field is a
+// slice indexed by node id.
 type procState struct {
-	seq    []int         // full compute sequence (concatenated BSP supersteps)
-	head   int           // next index into seq
-	uses   map[int][]int // value -> positions in seq consuming it
-	usePtr map[int]int   // value -> index into uses[v] of next unconsumed use
-	res    map[int]bool  // resident values (red pebbles)
-	memUse float64
-	last   map[int]int // value -> logical time of last activity
-	clock  int
+	seq  []int // full compute sequence (concatenated BSP supersteps)
+	head int   // next index into seq
+	// usePos[useOff[v]:useOff[v+1]] are the positions in seq consuming v,
+	// ascending; usePtr[v] indexes usePos at v's next unconsumed use.
+	useOff []int
+	usePos []int
+	usePtr []int
+	// Resident values (red pebbles): res[v] marks them, resList holds
+	// them in no particular order and resPos[v] is v's index there.
+	res     []bool
+	resList []int
+	resPos  []int
+	memUse  float64
+	last    []int // value -> logical time of last activity
+	clock   int
 }
 
 type converter struct {
@@ -74,39 +83,57 @@ type converter struct {
 	out    *mbsp.Schedule
 
 	procs    []*procState
-	blue     map[int]bool
+	blue     []bool
 	needSave []bool
+
+	// Buffers reused across supersteps of one conversion.
+	computedNow [][]int
+	cands       []memmgr.Info
 }
 
 func (c *converter) init(extraSave []int) {
 	g := c.b.Graph
+	n := g.N()
 	order := c.b.ComputeOrder()
 	c.procs = make([]*procState, c.arch.P)
 	for p := 0; p < c.arch.P; p++ {
 		ps := &procState{
-			uses:   make(map[int][]int),
-			usePtr: make(map[int]int),
-			res:    make(map[int]bool),
-			last:   make(map[int]int),
+			useOff: make([]int, n+1),
+			usePtr: make([]int, n),
+			resPos: make([]int, n),
+			last:   make([]int, n),
+			res:    make([]bool, n),
 		}
 		if p < c.b.P {
 			for s := 0; s < c.b.NumSteps; s++ {
 				ps.seq = append(ps.seq, order[p][s]...)
 			}
 		}
-		for i, v := range ps.seq {
+		for _, v := range ps.seq {
 			for _, u := range g.Parents(v) {
-				ps.uses[u] = append(ps.uses[u], i)
+				ps.useOff[u+1]++
 			}
 		}
+		for v := 0; v < n; v++ {
+			ps.useOff[v+1] += ps.useOff[v]
+		}
+		copy(ps.usePtr, ps.useOff[:n])
+		ps.usePos = make([]int, ps.useOff[n])
+		for i, v := range ps.seq {
+			for _, u := range g.Parents(v) {
+				ps.usePos[ps.usePtr[u]] = i
+				ps.usePtr[u]++
+			}
+		}
+		copy(ps.usePtr, ps.useOff[:n])
 		c.procs[p] = ps
 	}
-	c.blue = make(map[int]bool)
+	c.blue = make([]bool, n)
 	for _, v := range g.Sources() {
 		c.blue[v] = true
 	}
-	c.needSave = make([]bool, g.N())
-	for v := 0; v < g.N(); v++ {
+	c.needSave = make([]bool, n)
+	for v := 0; v < n; v++ {
 		if g.IsSource(v) {
 			continue
 		}
@@ -126,18 +153,45 @@ func (c *converter) init(extraSave []int) {
 			c.needSave[v] = true
 		}
 	}
+	c.computedNow = make([][]int, c.arch.P)
 }
 
 // remUses returns the number of future consumptions of v on p.
-func (ps *procState) remUses(v int) int { return len(ps.uses[v]) - ps.usePtr[v] }
+func (ps *procState) remUses(v int) int { return ps.useOff[v+1] - ps.usePtr[v] }
 
 // nextUse returns the next consumption position of v on p, or
 // memmgr.NoUse.
 func (ps *procState) nextUse(v int) int {
-	if ps.usePtr[v] < len(ps.uses[v]) {
-		return ps.uses[v][ps.usePtr[v]]
+	if ps.usePtr[v] < ps.useOff[v+1] {
+		return ps.usePos[ps.usePtr[v]]
 	}
 	return memmgr.NoUse
+}
+
+// addRes places a red pebble on v, which must not hold one.
+func (ps *procState) addRes(v int, mem float64) {
+	ps.res[v] = true
+	ps.resPos[v] = len(ps.resList)
+	ps.resList = append(ps.resList, v)
+	ps.memUse += mem
+}
+
+// dropRes removes v's red pebble by moving the last resident into its
+// slot.
+func (ps *procState) dropRes(v int, mem float64) {
+	i, last := ps.resPos[v], ps.resList[len(ps.resList)-1]
+	ps.resList[i] = last
+	ps.resPos[last] = i
+	ps.resList = ps.resList[:len(ps.resList)-1]
+	ps.res[v] = false
+	ps.memUse -= mem
+}
+
+// candInfo describes resident v on ps as an eviction candidate.
+func (c *converter) candInfo(ps *procState, v int) memmgr.Info {
+	return memmgr.Info{
+		Node: v, Mem: c.b.Graph.Mem(v), NextUse: ps.nextUse(v), LastUse: ps.last[v], Saved: c.blue[v],
+	}
 }
 
 // run drives superstep rounds until every processor exhausts its
@@ -159,9 +213,10 @@ func (c *converter) run() error {
 		progress := false
 
 		// Phase 1: compute on every processor (maximal segments).
-		computedNow := make([][]int, c.arch.P)
+		computedNow := c.computedNow
 		for p, ps := range c.procs {
 			sp := &step.Procs[p]
+			computedNow[p] = computedNow[p][:0]
 			for ps.head < len(ps.seq) {
 				v := ps.seq[ps.head]
 				okParents := true
@@ -178,8 +233,7 @@ func (c *converter) run() error {
 					break
 				}
 				sp.Comp = append(sp.Comp, mbsp.Op{Kind: mbsp.OpCompute, Node: v})
-				ps.res[v] = true
-				ps.memUse += g.Mem(v)
+				ps.addRes(v, g.Mem(v))
 				ps.clock++
 				ps.last[v] = ps.clock
 				computedNow[p] = append(computedNow[p], v)
@@ -192,8 +246,7 @@ func (c *converter) run() error {
 				for _, u := range g.Parents(v) {
 					if ps.res[u] && ps.remUses(u) == 0 && (c.blue[u] || !c.needSave[u]) {
 						sp.Comp = append(sp.Comp, mbsp.Op{Kind: mbsp.OpDelete, Node: u})
-						delete(ps.res, u)
-						ps.memUse -= g.Mem(u)
+						ps.dropRes(u, g.Mem(u))
 					}
 				}
 				ps.head++
@@ -226,8 +279,7 @@ func (c *converter) run() error {
 			for _, v := range computedNow[p] {
 				if ps.res[v] && ps.remUses(v) == 0 && c.blue[v] {
 					sp.Del = append(sp.Del, v)
-					delete(ps.res, v)
-					ps.memUse -= g.Mem(v)
+					ps.dropRes(v, g.Mem(v))
 				}
 			}
 			if ps.head >= len(ps.seq) {
@@ -247,39 +299,39 @@ func (c *converter) run() error {
 	return nil
 }
 
+// contains reports whether v is in vs.
+func contains(vs []int, v int) bool {
+	for _, u := range vs {
+		if u == v {
+			return true
+		}
+	}
+	return false
+}
+
 // makeRoomComp frees space during a compute phase: only values that are
 // already in slow memory or dead-and-unneeded may be deleted here (a save
 // is not possible mid-compute-phase). pinned values are never evicted.
 func (c *converter) makeRoomComp(p int, sp *mbsp.ProcStep, need float64, pinned []int) bool {
 	ps := c.procs[p]
 	g := c.b.Graph
-	isPinned := func(v int) bool {
-		for _, u := range pinned {
-			if u == v {
-				return true
-			}
-		}
-		return false
-	}
 	for ps.memUse+need > c.arch.R+1e-9 {
-		var cands []memmgr.Info
-		for v := range ps.res {
-			if isPinned(v) {
+		cands := c.cands[:0]
+		for _, v := range ps.resList {
+			if contains(pinned, v) {
 				continue
 			}
 			if c.blue[v] || (ps.remUses(v) == 0 && !c.needSave[v]) {
-				cands = append(cands, memmgr.Info{
-					Node: v, Mem: g.Mem(v), NextUse: ps.nextUse(v), LastUse: ps.last[v], Saved: c.blue[v],
-				})
+				cands = append(cands, c.candInfo(ps, v))
 			}
 		}
+		c.cands = cands
 		if len(cands) == 0 {
 			return false
 		}
-		victim := cands[c.policy.Pick(cands)]
-		sp.Comp = append(sp.Comp, mbsp.Op{Kind: mbsp.OpDelete, Node: victim.Node})
-		delete(ps.res, victim.Node)
-		ps.memUse -= g.Mem(victim.Node)
+		victim := cands[c.policy.Pick(cands)].Node
+		sp.Comp = append(sp.Comp, mbsp.Op{Kind: mbsp.OpDelete, Node: victim})
+		ps.dropRes(victim, g.Mem(victim))
 	}
 	return true
 }
@@ -287,30 +339,27 @@ func (c *converter) makeRoomComp(p int, sp *mbsp.ProcStep, need float64, pinned 
 // makeRoomComm frees space during the communication phase: any non-pinned
 // resident value may be evicted; live values not yet in slow memory are
 // saved first (save-before-evict).
-func (c *converter) makeRoomComm(p int, sp *mbsp.ProcStep, need float64, pinned map[int]bool) bool {
+func (c *converter) makeRoomComm(p int, sp *mbsp.ProcStep, need float64, pinned []int) bool {
 	ps := c.procs[p]
 	g := c.b.Graph
 	for ps.memUse+need > c.arch.R+1e-9 {
-		var cands []memmgr.Info
-		for v := range ps.res {
-			if pinned[v] {
-				continue
+		cands := c.cands[:0]
+		for _, v := range ps.resList {
+			if !contains(pinned, v) {
+				cands = append(cands, c.candInfo(ps, v))
 			}
-			cands = append(cands, memmgr.Info{
-				Node: v, Mem: g.Mem(v), NextUse: ps.nextUse(v), LastUse: ps.last[v], Saved: c.blue[v],
-			})
 		}
+		c.cands = cands
 		if len(cands) == 0 {
 			return false
 		}
-		victim := cands[c.policy.Pick(cands)]
-		if !c.blue[victim.Node] && (ps.remUses(victim.Node) > 0 || c.needSave[victim.Node]) {
-			sp.Save = append(sp.Save, victim.Node)
-			c.blue[victim.Node] = true
+		victim := cands[c.policy.Pick(cands)].Node
+		if !c.blue[victim] && (ps.remUses(victim) > 0 || c.needSave[victim]) {
+			sp.Save = append(sp.Save, victim)
+			c.blue[victim] = true
 		}
-		sp.Del = append(sp.Del, victim.Node)
-		delete(ps.res, victim.Node)
-		ps.memUse -= g.Mem(victim.Node)
+		sp.Del = append(sp.Del, victim)
+		ps.dropRes(victim, g.Mem(victim))
 	}
 	return true
 }
@@ -327,38 +376,35 @@ func (c *converter) planLoads(p int, sp *mbsp.ProcStep) bool {
 	g := c.b.Graph
 	v0 := ps.seq[ps.head]
 	// Availability check for the mandatory loads.
-	var missing []int
+	var needMem float64
 	for _, u := range g.Parents(v0) {
 		if !ps.res[u] {
 			if !c.blue[u] {
 				return false // produced later by another processor; idle
 			}
-			missing = append(missing, u)
+			needMem += g.Mem(u)
 		}
 	}
-	pinned := map[int]bool{}
-	for _, u := range g.Parents(v0) {
-		pinned[u] = true
-	}
-	var needMem float64
-	for _, u := range missing {
-		needMem += g.Mem(u)
-	}
 	// Reserve room for v0's output too, so the next compute phase cannot
-	// stall on space.
-	if !c.makeRoomComm(p, sp, needMem+g.Mem(v0), pinned) {
+	// stall on space. v0's parents are pinned: they are what the room is
+	// for.
+	if !c.makeRoomComm(p, sp, needMem+g.Mem(v0), g.Parents(v0)) {
 		return false
 	}
 	loadedAny := false
-	planned := map[int]bool{}
-	for _, u := range missing {
+	load := func(u int) {
 		sp.Load = append(sp.Load, u)
-		ps.res[u] = true
-		ps.memUse += g.Mem(u)
+		ps.addRes(u, g.Mem(u))
 		ps.clock++
 		ps.last[u] = ps.clock
-		planned[u] = true
 		loadedAny = true
+	}
+	// Pinned values are never evicted, so the parents resident before
+	// the eviction still are; load the rest.
+	for _, u := range g.Parents(v0) {
+		if !ps.res[u] {
+			load(u)
+		}
 	}
 	// Opportunistic prefetch for subsequent nodes: stop at the first node
 	// whose extra parents do not fit (without any further eviction) or
@@ -366,31 +412,25 @@ func (c *converter) planLoads(p int, sp *mbsp.ProcStep) bool {
 	budget := c.arch.R - ps.memUse - g.Mem(v0)
 	for i := ps.head + 1; i < len(ps.seq); i++ {
 		w := ps.seq[i]
-		var extra []int
 		var extraMem float64
 		ok := true
 		for _, u := range g.Parents(w) {
-			if ps.res[u] || planned[u] {
+			if ps.res[u] {
 				continue
 			}
 			if !c.blue[u] {
 				ok = false
 				break
 			}
-			extra = append(extra, u)
 			extraMem += g.Mem(u)
 		}
 		if !ok || extraMem+g.Mem(w) > budget+1e-9 {
 			break
 		}
-		for _, u := range extra {
-			sp.Load = append(sp.Load, u)
-			ps.res[u] = true
-			ps.memUse += g.Mem(u)
-			ps.clock++
-			ps.last[u] = ps.clock
-			planned[u] = true
-			loadedAny = true
+		for _, u := range g.Parents(w) {
+			if !ps.res[u] {
+				load(u)
+			}
 		}
 		budget -= extraMem + g.Mem(w)
 	}

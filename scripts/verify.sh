@@ -25,7 +25,11 @@
 #       journal whose tail is appended to, overwritten or cut — no
 #       error, the file repaired to exactly the recovered records, a
 #       second recovery finding nothing to repair, and the undamaged
-#       committed records recovered as a prefix;
+#       committed records recovered as a prefix; then FuzzRecoverEntry
+#       (internal/server) for 10s over one recovered cache record
+#       payload through boot's decode and admission check — no panic,
+#       and every admitted entry cacheable under exactly the key this
+#       server's configuration assigns it;
 #   4. the chaos leg: the anytime portfolio on the tiny dataset under a
 #      50ms deadline with the seeded fault-injection harness live,
 #      under -race, one leg per injection mode plus all modes at once,
@@ -47,10 +51,11 @@
 #      restart on the same directory, and assert the recovery counters
 #      plus a warm byte-identical cache hit for the surviving entry and
 #      a cold byte-identical recompute for the torn one;
-#   5. a short benchmark smoke: BenchmarkPortfolio and the LU kernel
-#      micro-benchmarks (BenchmarkFtran/Btran/Btran2 in internal/lp, one
-#      iteration each, so they keep building and running), then the
-#      portfolio experiment on the tiny dataset, emitting
+#   5. a short benchmark smoke: BenchmarkPortfolio, the LU kernel
+#      micro-benchmarks (BenchmarkFtran/Btran/Btran2 in internal/lp) and
+#      the local-search benchmark (BenchmarkRefineImprove in
+#      internal/refine), one iteration each, so they keep building and
+#      running; then the portfolio experiment on the tiny dataset, emitting
 #      BENCH_portfolio.json (per-scheduler cost and timing per instance)
 #      so the portfolio's performance trajectory is comparable across
 #      PRs;
@@ -109,6 +114,9 @@ go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/server
 echo "== fuzz leg: FuzzRecoverFile for 10s"
 go test -run '^$' -fuzz '^FuzzRecoverFile$' -fuzztime 10s ./internal/persist
 
+echo "== fuzz leg: FuzzRecoverEntry for 10s"
+go test -run '^$' -fuzz '^FuzzRecoverEntry$' -fuzztime 10s ./internal/server
+
 echo "== chaos leg: anytime portfolio under fault injection (-race)"
 for fault_seed in 42 1337; do
     echo "== chaos leg: fault seed ${fault_seed}"
@@ -130,6 +138,9 @@ go test -run '^$' -bench '^BenchmarkPortfolio$' -benchtime 1x .
 
 echo "== bench smoke: LU kernels (1 iteration)"
 go test -run '^$' -bench '^Benchmark(Ftran|Btran|Btran2)$' -benchtime 1x ./internal/lp
+
+echo "== bench smoke: BenchmarkRefineImprove (1 iteration)"
+go test -run '^$' -bench '^BenchmarkRefineImprove$' -benchtime 1x ./internal/refine
 
 echo "== portfolio experiment -> ${outdir}/BENCH_portfolio.json"
 go run ./cmd/mbsp-bench -experiment portfolio -dataset tiny \
