@@ -3,6 +3,7 @@ package ilpsched
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"mbsp/internal/mbsp"
 )
@@ -35,12 +36,18 @@ func buildSkeleton(s *mbsp.Schedule) ([]skelStep, error) {
 	}
 	// memOf sums in ascending node order: a map-order float sum can
 	// differ in the last bit between calls and flip the segment test.
+	var keys []int
 	memOf := func(set map[int]bool) float64 {
-		t := 0.0
-		for v := 0; v < g.N(); v++ {
-			if set[v] {
-				t += g.Mem(v)
+		keys = keys[:0]
+		for v, red := range set {
+			if red {
+				keys = append(keys, v)
 			}
+		}
+		sort.Ints(keys)
+		t := 0.0
+		for _, v := range keys {
+			t += g.Mem(v)
 		}
 		return t
 	}

@@ -334,8 +334,11 @@ func TestMaxResidentMemory(t *testing.T) {
 }
 
 func TestFinalRedSetsAscending(t *testing.T) {
-	// Six sources feed one sink; the sources are loaded out of order and
-	// never deleted, so seven red pebbles remain on processor 0.
+	// Six sources feed one sink; processor 0 loads the sources out of
+	// order and never deletes them, so seven red pebbles remain there.
+	// On P = 130, processors 70 and 129 (kept as list entries, not bits)
+	// load some sources and delete one each, from the middle and the
+	// head of a value's list.
 	g := graph.New("fan-in")
 	for i := 0; i < 6; i++ {
 		g.AddNode(0, 1)
@@ -344,26 +347,37 @@ func TestFinalRedSetsAscending(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		g.AddEdge(i, sink)
 	}
-	s := NewSchedule(g, Arch{P: 2, R: 10, G: 1, L: 0})
-	st0 := s.AddSuperstep()
-	st0.Procs[0].Load = []int{5, 3, 1, 0, 4, 2}
-	st1 := s.AddSuperstep()
-	st1.Procs[0].Comp = []Op{{OpCompute, sink}}
-	st1.Procs[0].Save = []int{sink}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 1, 2, 3, 4, 5, 6}
-	for rep := 0; rep < 20; rep++ {
-		reds, err := s.FinalRedSets()
-		if err != nil {
+	for _, procs := range []int{2, 130} {
+		s := NewSchedule(g, Arch{P: procs, R: 10, G: 1, L: 0})
+		st0 := s.AddSuperstep()
+		st0.Procs[0].Load = []int{5, 3, 1, 0, 4, 2}
+		st1 := s.AddSuperstep()
+		st1.Procs[0].Comp = []Op{{OpCompute, sink}}
+		st1.Procs[0].Save = []int{sink}
+		want := map[int][]int{0: {0, 1, 2, 3, 4, 5, 6}}
+		if procs > 129 {
+			st0.Procs[70].Load = []int{2, 4}
+			st0.Procs[129].Load = []int{4, 0, 2}
+			st1.Procs[70].Del = []int{2}
+			st1.Procs[129].Del = []int{0}
+			want[70], want[129] = []int{4}, []int{2, 4}
+		}
+		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		if len(reds) != 2 || len(reds[1]) != 0 {
-			t.Fatalf("red sets %v, want processor 1 empty", reds)
-		}
-		if fmt.Sprint(reds[0]) != fmt.Sprint(want) {
-			t.Fatalf("final red set %v, want %v", reds[0], want)
+		for rep := 0; rep < 20; rep++ {
+			reds, err := s.FinalRedSets()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(reds) != procs {
+				t.Fatalf("P=%d: %d red sets", procs, len(reds))
+			}
+			for p, red := range reds {
+				if fmt.Sprint(red) != fmt.Sprint(want[p]) {
+					t.Fatalf("P=%d: final red set of processor %d is %v, want %v", procs, p, red, want[p])
+				}
+			}
 		}
 	}
 }

@@ -3,17 +3,18 @@ package mbsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // epsilon tolerance for floating-point memory accounting.
 const memEps = 1e-9
 
 // state tracks the pebbling configuration during validation or cost
-// evaluation. Pebble sets are indexed by node id.
+// evaluation.
 type state struct {
-	red    [][]bool  // per processor: nodes with a red pebble
+	red    redSets   // every processor's red pebbles
 	redUse []float64 // per processor: Σ μ over red set
-	blue   []bool    // shared blue pebbles
+	blue   []bool    // node id -> has a blue pebble
 	// newBlue collects one superstep's saves; reused across supersteps.
 	newBlue []int
 }
@@ -21,18 +22,86 @@ type state struct {
 func newState(s *Schedule) *state {
 	n := s.Graph.N()
 	st := &state{
-		red:    make([][]bool, s.Arch.P),
+		red:    newRedSets(n, s.Arch.P),
 		redUse: make([]float64, s.Arch.P),
 		blue:   make([]bool, n),
-	}
-	backing := make([]bool, s.Arch.P*n)
-	for p := range st.red {
-		st.red[p] = backing[p*n : (p+1)*n : (p+1)*n]
 	}
 	for _, v := range s.Graph.Sources() {
 		st.blue[v] = true
 	}
 	return st
+}
+
+// redSets holds the red pebbles of all processors in O(n + pebbles)
+// space, whatever P is. Processors below 64 are bits of low[v]; a pebble
+// of a higher processor is an entry in v's list, which head[v] starts and
+// pool threads, with released entries chained from free. Entry 0 ends a
+// list, so a zeroed head is all-empty; head is allocated only when P > 64.
+type redSets struct {
+	low  []uint64
+	head []int
+	pool []redEntry
+	free int
+}
+
+type redEntry struct{ proc, next int }
+
+// lowProcs is the number of processors kept as bits of low.
+const lowProcs = 64
+
+func newRedSets(n, procs int) redSets {
+	r := redSets{low: make([]uint64, n)}
+	if procs > lowProcs {
+		r.head = make([]int, n)
+		r.pool = make([]redEntry, 1)
+	}
+	return r
+}
+
+// has reports whether v holds a red pebble on p.
+func (r *redSets) has(p, v int) bool {
+	if p < lowProcs {
+		return r.low[v]>>p&1 != 0
+	}
+	for e := r.head[v]; e != 0; e = r.pool[e].next {
+		if r.pool[e].proc == p {
+			return true
+		}
+	}
+	return false
+}
+
+// add places a red pebble on v on p, which must not hold one.
+func (r *redSets) add(p, v int) {
+	if p < lowProcs {
+		r.low[v] |= 1 << p
+		return
+	}
+	e := r.free
+	if e != 0 {
+		r.free = r.pool[e].next
+	} else {
+		e = len(r.pool)
+		r.pool = append(r.pool, redEntry{})
+	}
+	r.pool[e] = redEntry{proc: p, next: r.head[v]}
+	r.head[v] = e
+}
+
+// remove takes v's red pebble off p, which must hold one.
+func (r *redSets) remove(p, v int) {
+	if p < lowProcs {
+		r.low[v] &^= 1 << p
+		return
+	}
+	link := &r.head[v]
+	for r.pool[*link].proc != p {
+		link = &r.pool[*link].next
+	}
+	e := *link
+	*link = r.pool[e].next
+	r.pool[e].next = r.free
+	r.free = e
 }
 
 // ValidationError describes where a schedule violates the model rules.
@@ -107,19 +176,19 @@ func (st *state) applySuperstep(s *Schedule, i int) error {
 					return fail(p, "compute", v, "source nodes cannot be computed")
 				}
 				for _, u := range g.Parents(v) {
-					if !st.red[p][u] {
+					if !st.red.has(p, u) {
 						return fail(p, "compute", v, fmt.Sprintf("parent %d has no red pebble on proc %d", u, p))
 					}
 				}
-				if !st.red[p][v] {
-					st.red[p][v] = true
+				if !st.red.has(p, v) {
+					st.red.add(p, v)
 					st.redUse[p] += g.Mem(v)
 				}
 			case OpDelete:
-				if !st.red[p][v] {
+				if !st.red.has(p, v) {
 					return fail(p, "delete", v, "no red pebble to delete")
 				}
-				st.red[p][v] = false
+				st.red.remove(p, v)
 				st.redUse[p] -= g.Mem(v)
 			default:
 				return fail(p, op.Kind.String(), v, "only compute/delete allowed in the compute phase")
@@ -138,7 +207,7 @@ func (st *state) applySuperstep(s *Schedule, i int) error {
 			if v < 0 || v >= g.N() {
 				return fail(p, "save", v, "node out of range")
 			}
-			if !st.red[p][v] {
+			if !st.red.has(p, v) {
 				return fail(p, "save", v, "no red pebble to save")
 			}
 			newBlue = append(newBlue, v)
@@ -155,10 +224,10 @@ func (st *state) applySuperstep(s *Schedule, i int) error {
 			if v < 0 || v >= g.N() {
 				return fail(p, "delete", v, "node out of range")
 			}
-			if !st.red[p][v] {
+			if !st.red.has(p, v) {
 				return fail(p, "delete", v, "no red pebble to delete")
 			}
-			st.red[p][v] = false
+			st.red.remove(p, v)
 			st.redUse[p] -= g.Mem(v)
 		}
 	}
@@ -172,8 +241,8 @@ func (st *state) applySuperstep(s *Schedule, i int) error {
 			if !st.blue[v] {
 				return fail(p, "load", v, "no blue pebble to load from")
 			}
-			if !st.red[p][v] {
-				st.red[p][v] = true
+			if !st.red.has(p, v) {
+				st.red.add(p, v)
 				st.redUse[p] += g.Mem(v)
 			}
 			if st.redUse[p] > s.Arch.R+memEps {
@@ -241,10 +310,15 @@ func (s *Schedule) FinalRedSets() ([][]int, error) {
 		}
 	}
 	out := make([][]int, s.Arch.P)
-	for p := 0; p < s.Arch.P; p++ {
-		for v, red := range st.red[p] {
-			if red {
-				out[p] = append(out[p], v)
+	r := &st.red
+	for v, low := range r.low {
+		for ; low != 0; low &= low - 1 {
+			p := bits.TrailingZeros64(low)
+			out[p] = append(out[p], v)
+		}
+		if r.head != nil {
+			for e := r.head[v]; e != 0; e = r.pool[e].next {
+				out[r.pool[e].proc] = append(out[r.pool[e].proc], v)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"io"
@@ -81,7 +82,12 @@ func FuzzParseRequest(f *testing.F) {
 // panic, and every entry it admits is one the live store path would
 // have cached (cacheable) under exactly the key this server's
 // configuration assigns to the response's own DAG, architecture and
-// model. The corpus is seeded with an admissible entry and near misses.
+// model. Those two restate the admission check; the independent one is
+// the journal round trip: an admitted entry, written back the way the
+// store path journals it, is admitted again under the same key, and its
+// bytes are a fixed point of decode and re-encode, so a restart never
+// changes or drops what the previous boot restored. The corpus is seeded
+// with an admissible entry and near misses.
 //
 //	go test -run '^$' -fuzz '^FuzzRecoverEntry$' -fuzztime 10s ./internal/server
 func FuzzRecoverEntry(f *testing.F) {
@@ -140,6 +146,17 @@ func FuzzRecoverEntry(f *testing.F) {
 		}
 		if want := keyOf(e.Response); e.Key != want {
 			t.Fatalf("payload %q: admitted under key %q, want %q", payload, e.Key, want)
+		}
+		journaled, err := json.Marshal(e)
+		if err != nil {
+			t.Fatalf("payload %q: admitted entry does not re-encode: %v", payload, err)
+		}
+		again, ok := admitRecovered(journaled, srv.validateRecovered)
+		if !ok || again.Key != e.Key {
+			t.Fatalf("payload %q: re-journaled as %q, then admitted=%v under key %q", payload, journaled, ok, again.Key)
+		}
+		if rejournaled, err := json.Marshal(again); err != nil || !bytes.Equal(rejournaled, journaled) {
+			t.Fatalf("payload %q: journal bytes not a fixed point: %q then %q (%v)", payload, journaled, rejournaled, err)
 		}
 	})
 }

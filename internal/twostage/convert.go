@@ -17,6 +17,7 @@ package twostage
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"mbsp/internal/bsp"
 	"mbsp/internal/mbsp"
@@ -56,23 +57,31 @@ func ConvertExtra(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSa
 	return c.out, nil
 }
 
-// procState is one processor's pebble state. Every per-value field is a
-// slice indexed by node id.
+// procState is one processor's pebble state. Values are addressed by a
+// local index over the values the processor touches: seq[i] is local i,
+// and the parents of seq that are not in it follow. Every per-value field
+// is a slice over local indices, so all processors together hold O(n+m)
+// state whatever P is.
 type procState struct {
 	seq  []int // full compute sequence (concatenated BSP supersteps)
 	head int   // next index into seq
-	// usePos[useOff[v]:useOff[v+1]] are the positions in seq consuming v,
-	// ascending; usePtr[v] indexes usePos at v's next unconsumed use.
+	node []int // local index -> node id; node[:len(seq)] is seq
+	// parLoc[parOff[i]:parOff[i+1]] are the local indices of seq[i]'s
+	// parents, in g.Parents order.
+	parOff []int
+	parLoc []int
+	// usePos[useOff[x]:useOff[x+1]] are the positions in seq consuming
+	// x, ascending; usePtr[x] indexes usePos at x's next unconsumed use.
 	useOff []int
 	usePos []int
 	usePtr []int
-	// Resident values (red pebbles): res[v] marks them, resList holds
-	// them in no particular order and resPos[v] is v's index there.
+	// Resident values (red pebbles): res[x] marks them, resList holds
+	// them in no particular order and resPos[x] is x's index there.
 	res     []bool
 	resList []int
 	resPos  []int
 	memUse  float64
-	last    []int // value -> logical time of last activity
+	last    []int // local index -> logical time of last activity
 	clock   int
 }
 
@@ -83,49 +92,82 @@ type converter struct {
 	out    *mbsp.Schedule
 
 	procs    []*procState
-	blue     []bool
-	needSave []bool
+	blue     []bool // node id -> has a blue pebble
+	needSave []bool // node id -> must reach slow memory when produced
 
-	// Buffers reused across supersteps of one conversion.
+	// Buffers reused across supersteps of one conversion; candLoc[k] is
+	// the local index of cands[k].
 	computedNow [][]int
 	cands       []memmgr.Info
+	candLoc     []int
 }
 
 func (c *converter) init(extraSave []int) {
 	g := c.b.Graph
 	n := g.N()
 	order := c.b.ComputeOrder()
+	// loc maps a node to its local index on the processor being indexed,
+	// or -1; it is reset after each processor.
+	loc := make([]int, n)
+	for v := range loc {
+		loc[v] = -1
+	}
 	c.procs = make([]*procState, c.arch.P)
-	for p := 0; p < c.arch.P; p++ {
-		ps := &procState{
-			useOff: make([]int, n+1),
-			usePtr: make([]int, n),
-			resPos: make([]int, n),
-			last:   make([]int, n),
-			res:    make([]bool, n),
-		}
+	for p := range c.procs {
+		ps := &procState{}
 		if p < c.b.P {
-			for s := 0; s < c.b.NumSteps; s++ {
-				ps.seq = append(ps.seq, order[p][s]...)
+			nseq, npar := 0, 0
+			for _, bucket := range order[p] {
+				nseq += len(bucket)
+				for _, v := range bucket {
+					npar += len(g.Parents(v))
+				}
 			}
-		}
-		for _, v := range ps.seq {
-			for _, u := range g.Parents(v) {
-				ps.useOff[u+1]++
+			ps.node = make([]int, 0, nseq+npar)
+			for _, bucket := range order[p] {
+				ps.node = append(ps.node, bucket...)
 			}
+			ps.parLoc = make([]int, 0, npar)
 		}
-		for v := 0; v < n; v++ {
-			ps.useOff[v+1] += ps.useOff[v]
+		ps.seq = ps.node[:len(ps.node):len(ps.node)]
+		for i, v := range ps.seq {
+			loc[v] = i
 		}
-		copy(ps.usePtr, ps.useOff[:n])
-		ps.usePos = make([]int, ps.useOff[n])
+		ps.parOff = make([]int, len(ps.seq)+1)
 		for i, v := range ps.seq {
 			for _, u := range g.Parents(v) {
-				ps.usePos[ps.usePtr[u]] = i
-				ps.usePtr[u]++
+				if loc[u] < 0 {
+					loc[u] = len(ps.node)
+					ps.node = append(ps.node, u)
+				}
+				ps.parLoc = append(ps.parLoc, loc[u])
+			}
+			ps.parOff[i+1] = len(ps.parLoc)
+		}
+		for _, v := range ps.node {
+			loc[v] = -1
+		}
+		nl := len(ps.node)
+		ps.useOff = make([]int, nl+1)
+		for _, x := range ps.parLoc {
+			ps.useOff[x+1]++
+		}
+		for x := 0; x < nl; x++ {
+			ps.useOff[x+1] += ps.useOff[x]
+		}
+		ps.usePtr = make([]int, nl)
+		copy(ps.usePtr, ps.useOff[:nl])
+		ps.usePos = make([]int, len(ps.parLoc))
+		for i := range ps.seq {
+			for _, x := range ps.parents(i) {
+				ps.usePos[ps.usePtr[x]] = i
+				ps.usePtr[x]++
 			}
 		}
-		copy(ps.usePtr, ps.useOff[:n])
+		copy(ps.usePtr, ps.useOff[:nl])
+		ps.res = make([]bool, nl)
+		ps.resPos = make([]int, nl)
+		ps.last = make([]int, nl)
 		c.procs[p] = ps
 	}
 	c.blue = make([]bool, n)
@@ -156,42 +198,56 @@ func (c *converter) init(extraSave []int) {
 	c.computedNow = make([][]int, c.arch.P)
 }
 
-// remUses returns the number of future consumptions of v on p.
-func (ps *procState) remUses(v int) int { return ps.useOff[v+1] - ps.usePtr[v] }
+// parents returns the local indices of seq[i]'s parents.
+func (ps *procState) parents(i int) []int { return ps.parLoc[ps.parOff[i]:ps.parOff[i+1]] }
 
-// nextUse returns the next consumption position of v on p, or
+// remUses returns the number of future consumptions of x on p.
+func (ps *procState) remUses(x int) int { return ps.useOff[x+1] - ps.usePtr[x] }
+
+// nextUse returns the next consumption position of x on p, or
 // memmgr.NoUse.
-func (ps *procState) nextUse(v int) int {
-	if ps.usePtr[v] < ps.useOff[v+1] {
-		return ps.usePos[ps.usePtr[v]]
+func (ps *procState) nextUse(x int) int {
+	if ps.usePtr[x] < ps.useOff[x+1] {
+		return ps.usePos[ps.usePtr[x]]
 	}
 	return memmgr.NoUse
 }
 
-// addRes places a red pebble on v, which must not hold one.
-func (ps *procState) addRes(v int, mem float64) {
-	ps.res[v] = true
-	ps.resPos[v] = len(ps.resList)
-	ps.resList = append(ps.resList, v)
+// addRes places a red pebble on x, which must not hold one.
+func (ps *procState) addRes(x int, mem float64) {
+	ps.res[x] = true
+	ps.resPos[x] = len(ps.resList)
+	ps.resList = append(ps.resList, x)
 	ps.memUse += mem
 }
 
-// dropRes removes v's red pebble by moving the last resident into its
+// dropRes removes x's red pebble by moving the last resident into its
 // slot.
-func (ps *procState) dropRes(v int, mem float64) {
-	i, last := ps.resPos[v], ps.resList[len(ps.resList)-1]
+func (ps *procState) dropRes(x int, mem float64) {
+	i, last := ps.resPos[x], ps.resList[len(ps.resList)-1]
 	ps.resList[i] = last
 	ps.resPos[last] = i
 	ps.resList = ps.resList[:len(ps.resList)-1]
-	ps.res[v] = false
+	ps.res[x] = false
 	ps.memUse -= mem
 }
 
-// candInfo describes resident v on ps as an eviction candidate.
-func (c *converter) candInfo(ps *procState, v int) memmgr.Info {
-	return memmgr.Info{
-		Node: v, Mem: c.b.Graph.Mem(v), NextUse: ps.nextUse(v), LastUse: ps.last[v], Saved: c.blue[v],
+// addCand lists resident x on ps as an eviction candidate.
+func (c *converter) addCand(ps *procState, x int) {
+	v := ps.node[x]
+	c.cands = append(c.cands, memmgr.Info{
+		Node: v, Mem: c.b.Graph.Mem(v), NextUse: ps.nextUse(x), LastUse: ps.last[x], Saved: c.blue[v],
+	})
+	c.candLoc = append(c.candLoc, x)
+}
+
+// pickVictim returns the local index of the policy's choice among the
+// listed candidates, or -1 if there are none.
+func (c *converter) pickVictim() int {
+	if len(c.cands) == 0 {
+		return -1
 	}
+	return c.candLoc[c.policy.Pick(c.cands)]
 }
 
 // run drives superstep rounds until every processor exhausts its
@@ -213,15 +269,17 @@ func (c *converter) run() error {
 		progress := false
 
 		// Phase 1: compute on every processor (maximal segments).
+		// computedNow holds local indices, which are seq positions.
 		computedNow := c.computedNow
 		for p, ps := range c.procs {
 			sp := &step.Procs[p]
 			computedNow[p] = computedNow[p][:0]
 			for ps.head < len(ps.seq) {
-				v := ps.seq[ps.head]
+				i := ps.head
+				v, par := ps.seq[i], ps.parents(i)
 				okParents := true
-				for _, u := range g.Parents(v) {
-					if !ps.res[u] {
+				for _, x := range par {
+					if !ps.res[x] {
 						okParents = false
 						break
 					}
@@ -229,24 +287,25 @@ func (c *converter) run() error {
 				if !okParents {
 					break
 				}
-				if !c.makeRoomComp(p, sp, g.Mem(v), g.Parents(v)) {
+				if !c.makeRoomComp(p, sp, g.Mem(v), par) {
 					break
 				}
 				sp.Comp = append(sp.Comp, mbsp.Op{Kind: mbsp.OpCompute, Node: v})
-				ps.addRes(v, g.Mem(v))
+				ps.addRes(i, g.Mem(v))
 				ps.clock++
-				ps.last[v] = ps.clock
-				computedNow[p] = append(computedNow[p], v)
+				ps.last[i] = ps.clock
+				computedNow[p] = append(computedNow[p], i)
 				// Consume parents; auto-evict values that just died.
-				for _, u := range g.Parents(v) {
-					ps.usePtr[u]++
+				for _, x := range par {
+					ps.usePtr[x]++
 					ps.clock++
-					ps.last[u] = ps.clock
+					ps.last[x] = ps.clock
 				}
-				for _, u := range g.Parents(v) {
-					if ps.res[u] && ps.remUses(u) == 0 && (c.blue[u] || !c.needSave[u]) {
+				for _, x := range par {
+					u := ps.node[x]
+					if ps.res[x] && ps.remUses(x) == 0 && (c.blue[u] || !c.needSave[u]) {
 						sp.Comp = append(sp.Comp, mbsp.Op{Kind: mbsp.OpDelete, Node: u})
-						ps.dropRes(u, g.Mem(u))
+						ps.dropRes(x, g.Mem(u))
 					}
 				}
 				ps.head++
@@ -256,10 +315,10 @@ func (c *converter) run() error {
 
 		// Phase 2: production saves — every value computed this superstep
 		// that is needed by another processor or terminally.
-		for p := range c.procs {
+		for p, ps := range c.procs {
 			sp := &step.Procs[p]
-			for _, v := range computedNow[p] {
-				if c.needSave[v] && !c.blue[v] {
+			for _, i := range computedNow[p] {
+				if v := ps.seq[i]; c.needSave[v] && !c.blue[v] {
 					sp.Save = append(sp.Save, v)
 				}
 			}
@@ -276,10 +335,10 @@ func (c *converter) run() error {
 			sp := &step.Procs[p]
 			// Dead freshly-computed values can go now that they are
 			// saved.
-			for _, v := range computedNow[p] {
-				if ps.res[v] && ps.remUses(v) == 0 && c.blue[v] {
+			for _, i := range computedNow[p] {
+				if v := ps.seq[i]; ps.res[i] && ps.remUses(i) == 0 && c.blue[v] {
 					sp.Del = append(sp.Del, v)
-					ps.dropRes(v, g.Mem(v))
+					ps.dropRes(i, g.Mem(v))
 				}
 			}
 			if ps.head >= len(ps.seq) {
@@ -299,39 +358,30 @@ func (c *converter) run() error {
 	return nil
 }
 
-// contains reports whether v is in vs.
-func contains(vs []int, v int) bool {
-	for _, u := range vs {
-		if u == v {
-			return true
-		}
-	}
-	return false
-}
-
 // makeRoomComp frees space during a compute phase: only values that are
 // already in slow memory or dead-and-unneeded may be deleted here (a save
-// is not possible mid-compute-phase). pinned values are never evicted.
+// is not possible mid-compute-phase). pinned local indices are never
+// evicted.
 func (c *converter) makeRoomComp(p int, sp *mbsp.ProcStep, need float64, pinned []int) bool {
 	ps := c.procs[p]
 	g := c.b.Graph
 	for ps.memUse+need > c.arch.R+1e-9 {
-		cands := c.cands[:0]
-		for _, v := range ps.resList {
-			if contains(pinned, v) {
+		c.cands, c.candLoc = c.cands[:0], c.candLoc[:0]
+		for _, x := range ps.resList {
+			if slices.Contains(pinned, x) {
 				continue
 			}
-			if c.blue[v] || (ps.remUses(v) == 0 && !c.needSave[v]) {
-				cands = append(cands, c.candInfo(ps, v))
+			if u := ps.node[x]; c.blue[u] || (ps.remUses(x) == 0 && !c.needSave[u]) {
+				c.addCand(ps, x)
 			}
 		}
-		c.cands = cands
-		if len(cands) == 0 {
+		x := c.pickVictim()
+		if x < 0 {
 			return false
 		}
-		victim := cands[c.policy.Pick(cands)].Node
+		victim := ps.node[x]
 		sp.Comp = append(sp.Comp, mbsp.Op{Kind: mbsp.OpDelete, Node: victim})
-		ps.dropRes(victim, g.Mem(victim))
+		ps.dropRes(x, g.Mem(victim))
 	}
 	return true
 }
@@ -343,23 +393,23 @@ func (c *converter) makeRoomComm(p int, sp *mbsp.ProcStep, need float64, pinned 
 	ps := c.procs[p]
 	g := c.b.Graph
 	for ps.memUse+need > c.arch.R+1e-9 {
-		cands := c.cands[:0]
-		for _, v := range ps.resList {
-			if !contains(pinned, v) {
-				cands = append(cands, c.candInfo(ps, v))
+		c.cands, c.candLoc = c.cands[:0], c.candLoc[:0]
+		for _, x := range ps.resList {
+			if !slices.Contains(pinned, x) {
+				c.addCand(ps, x)
 			}
 		}
-		c.cands = cands
-		if len(cands) == 0 {
+		x := c.pickVictim()
+		if x < 0 {
 			return false
 		}
-		victim := cands[c.policy.Pick(cands)].Node
-		if !c.blue[victim] && (ps.remUses(victim) > 0 || c.needSave[victim]) {
+		victim := ps.node[x]
+		if !c.blue[victim] && (ps.remUses(x) > 0 || c.needSave[victim]) {
 			sp.Save = append(sp.Save, victim)
 			c.blue[victim] = true
 		}
 		sp.Del = append(sp.Del, victim)
-		ps.dropRes(victim, g.Mem(victim))
+		ps.dropRes(x, g.Mem(victim))
 	}
 	return true
 }
@@ -374,11 +424,12 @@ func (c *converter) makeRoomComm(p int, sp *mbsp.ProcStep, need float64, pinned 
 func (c *converter) planLoads(p int, sp *mbsp.ProcStep) bool {
 	ps := c.procs[p]
 	g := c.b.Graph
-	v0 := ps.seq[ps.head]
+	v0, par0 := ps.seq[ps.head], ps.parents(ps.head)
 	// Availability check for the mandatory loads.
 	var needMem float64
-	for _, u := range g.Parents(v0) {
-		if !ps.res[u] {
+	for _, x := range par0 {
+		if !ps.res[x] {
+			u := ps.node[x]
 			if !c.blue[u] {
 				return false // produced later by another processor; idle
 			}
@@ -388,22 +439,23 @@ func (c *converter) planLoads(p int, sp *mbsp.ProcStep) bool {
 	// Reserve room for v0's output too, so the next compute phase cannot
 	// stall on space. v0's parents are pinned: they are what the room is
 	// for.
-	if !c.makeRoomComm(p, sp, needMem+g.Mem(v0), g.Parents(v0)) {
+	if !c.makeRoomComm(p, sp, needMem+g.Mem(v0), par0) {
 		return false
 	}
 	loadedAny := false
-	load := func(u int) {
+	load := func(x int) {
+		u := ps.node[x]
 		sp.Load = append(sp.Load, u)
-		ps.addRes(u, g.Mem(u))
+		ps.addRes(x, g.Mem(u))
 		ps.clock++
-		ps.last[u] = ps.clock
+		ps.last[x] = ps.clock
 		loadedAny = true
 	}
 	// Pinned values are never evicted, so the parents resident before
 	// the eviction still are; load the rest.
-	for _, u := range g.Parents(v0) {
-		if !ps.res[u] {
-			load(u)
+	for _, x := range par0 {
+		if !ps.res[x] {
+			load(x)
 		}
 	}
 	// Opportunistic prefetch for subsequent nodes: stop at the first node
@@ -411,25 +463,26 @@ func (c *converter) planLoads(p int, sp *mbsp.ProcStep) bool {
 	// are not yet available.
 	budget := c.arch.R - ps.memUse - g.Mem(v0)
 	for i := ps.head + 1; i < len(ps.seq); i++ {
-		w := ps.seq[i]
 		var extraMem float64
 		ok := true
-		for _, u := range g.Parents(w) {
-			if ps.res[u] {
+		for _, x := range ps.parents(i) {
+			if ps.res[x] {
 				continue
 			}
+			u := ps.node[x]
 			if !c.blue[u] {
 				ok = false
 				break
 			}
 			extraMem += g.Mem(u)
 		}
+		w := ps.seq[i]
 		if !ok || extraMem+g.Mem(w) > budget+1e-9 {
 			break
 		}
-		for _, u := range g.Parents(w) {
-			if !ps.res[u] {
-				load(u)
+		for _, x := range ps.parents(i) {
+			if !ps.res[x] {
+				load(x)
 			}
 		}
 		budget -= extraMem + g.Mem(w)

@@ -1,6 +1,7 @@
 package twostage
 
 import (
+	"runtime"
 	"testing"
 
 	"mbsp/internal/bsp"
@@ -195,4 +196,76 @@ func TestLargerCacheNeverIncreasesBaselineLoads(t *testing.T) {
 			prevLoads = loads
 		}
 	}
+}
+
+// layeredDAG returns layers × width unit nodes; every node past the first
+// layer reads two nodes of the layer before it.
+func layeredDAG(layers, width int) *graph.DAG {
+	g := graph.New("layered")
+	for l := 0; l < layers; l++ {
+		for i := 0; i < width; i++ {
+			v := g.AddNode(1, 1)
+			if l > 0 {
+				prev := (l - 1) * width
+				g.AddEdge(prev+i, v)
+				g.AddEdge(prev+(7*i+3)%width, v)
+			}
+		}
+	}
+	return g
+}
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestConvertStateLinearAtManyProcessors bounds the pebble state that a
+// conversion and a validation allocate when P is far above the work per
+// processor: it must be O(n+m), not O(P·n). Bytes beyond the output's
+// bare superstep frame are charged per node and edge. On this input,
+// per node and edge, P dense node-indexed rows cost the converter about
+// 12 kB and the validator 360 B; maps keyed by node id cost about 500 B
+// and 50 B, and the per-processor local index and holder lists 320 B and
+// 6 B.
+func TestConvertStateLinearAtManyProcessors(t *testing.T) {
+	const p = 1024
+	const layers, width = 40, 75
+	g := layeredDAG(layers, width)
+	// Layer l runs in superstep l-1, its nodes dealt round-robin over all
+	// P processors.
+	b := bsp.NewSchedule(g, p)
+	for v := width; v < g.N(); v++ {
+		b.Assign(v, v%p, v/width-1)
+	}
+	var err error
+	arch := mbsp.Arch{P: p, R: 3 * g.MinCache(), G: 1, L: 10}
+	var s *mbsp.Schedule
+	conv := allocatedBytes(func() { s, err = ConvertExtra(b, arch, memmgr.Clairvoyant{}, nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := allocatedBytes(func() {
+		o := mbsp.NewSchedule(g, arch)
+		for range s.Steps {
+			o.AddSuperstep()
+		}
+	})
+	val := allocatedBytes(func() { err = s.Validate() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := uint64(g.N() + g.M())
+	if conv < frame || conv-frame > 1024*size {
+		t.Errorf("ConvertExtra allocated %d B beyond a %d B frame, want at most %d B (1 kB per node and edge)",
+			conv-frame, frame, 1024*size)
+	}
+	if val > 64*size {
+		t.Errorf("Validate allocated %d B, want at most %d B (64 B per node and edge)", val, 64*size)
+	}
+	t.Logf("n=%d m=%d steps=%d: convert %d B (frame %d B), validate %d B", g.N(), g.M(), len(s.Steps), conv, frame, val)
 }
