@@ -260,11 +260,13 @@ func BenchmarkEmptyStepLemma(b *testing.B) {
 // (the paper: "almost always found the optimum in negligible time").
 func BenchmarkAcyclicBipartition(b *testing.B) {
 	insts := workloads.Tiny()
+	b.ReportAllocs()
+	var stats partition.SolverStats
 	for i := 0; i < b.N; i++ {
 		optimal := 0
 		for _, inst := range insts {
 			_, _, opt, err := partition.Bipartition(inst.DAG, partition.BipartitionOptions{
-				TimeLimit: 5 * time.Second,
+				TimeLimit: 5 * time.Second, Stats: &stats,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -275,6 +277,8 @@ func BenchmarkAcyclicBipartition(b *testing.B) {
 		}
 		b.ReportMetric(float64(optimal)/float64(len(insts)), "proven-optimal-frac")
 	}
+	b.ReportMetric(float64(stats.SimplexIters)/float64(b.N), "simplex-iters/op")
+	b.ReportMetric(float64(stats.Nodes)/float64(b.N), "bb-nodes/op")
 }
 
 // Ablation: step merging on vs off. The merged formulation reaches the

@@ -81,14 +81,17 @@ func (st *SolverStats) add(res mip.Result) {
 // Bipartition splits g into two parts {0,1} such that the quotient graph
 // is acyclic (every edge goes 0→0, 1→1 or 0→1), both sides hold at least
 // a third of the nodes, and the number of cut edges is minimized. It
-// solves the ILP
+// solves the ILP over one binary per node
 //
-//	min Σ_(u,v)∈E c_uv
+//	min Σ_v part_v·(indeg v − outdeg v)
 //	s.t. part_u ≤ part_v            for every edge (u,v)   (acyclicity)
-//	     c_uv ≥ part_v − part_u     for every edge (u,v)   (cut indicator)
 //	     ⌈f·n⌉ ≤ Σ part_v ≤ ⌊(1−f)·n⌋                      (balance)
 //
-// and reports whether the solution is proven optimal.
+// whose objective is the cut: under acyclicity an edge (u,v) is cut
+// exactly when part_v − part_u = 1, and Σ_(u,v) (part_v − part_u)
+// regroups per node into the degree difference (see DESIGN.md,
+// "Bipartition without cut indicators"). It reports whether the
+// solution is proven optimal.
 func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, optimal bool, err error) {
 	if opts.TimeLimit == 0 {
 		opts.TimeLimit = 5 * time.Second
@@ -105,67 +108,16 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 	if lo > hi {
 		return nil, 0, false, fmt.Errorf("partition: balance bounds infeasible for n=%d", n)
 	}
-
-	m := mip.NewModel()
-	pv := make([]int, n)
-	for v := 0; v < n; v++ {
-		pv[v] = m.AddBinary("part", 0)
-	}
-	for u := 0; u < n; u++ {
-		for _, v := range g.Children(u) {
-			// Acyclicity: part_u ≤ part_v.
-			m.AddLE(0, lp.Coef{Var: pv[u], Val: 1}, lp.Coef{Var: pv[v], Val: -1})
-			// Cut indicator.
-			c := m.AddBinary("cut", 1)
-			m.AddGE(0, lp.Coef{Var: c, Val: 1}, lp.Coef{Var: pv[v], Val: -1}, lp.Coef{Var: pv[u], Val: 1})
-		}
-	}
-	var bal []lp.Coef
-	for v := 0; v < n; v++ {
-		bal = append(bal, lp.Coef{Var: pv[v], Val: 1})
-	}
-	m.AddRow(bal, lp.GE, float64(lo))
-	m.AddRow(bal, lp.LE, float64(hi))
-
-	// Warm start: topological prefix split.
-	ws := make([]float64, m.NumVars())
 	order, oerr := g.TopoOrder()
 	if oerr != nil {
 		return nil, 0, false, fmt.Errorf("partition: %w", oerr)
 	}
-	wsPart := make([]int, n)
-	for i, v := range order {
-		if i >= n-lo {
-			wsPart[v] = 1
-		}
-	}
-	for v := 0; v < n; v++ {
-		ws[pv[v]] = float64(wsPart[v])
-	}
-	// Cut indicators for the warm start.
-	ci := 0
-	for u := 0; u < n; u++ {
-		for _, v := range g.Children(u) {
-			_ = v
-			ci++
-		}
-	}
-	// Re-scan to fill cut warm values (cut vars interleave with part
-	// vars; identify them by name).
-	cutIdx := make([]int, 0, g.M())
-	for j := 0; j < m.NumVars(); j++ {
-		if m.Name(j) == "cut" {
-			cutIdx = append(cutIdx, j)
-		}
-	}
-	k := 0
-	for u := 0; u < n; u++ {
-		for _, v := range g.Children(u) {
-			if wsPart[u] != wsPart[v] {
-				ws[cutIdx[k]] = 1
-			}
-			k++
-		}
+	m := bipartitionModel(g, lo, hi)
+
+	// Warm start: the topological prefix split, its last lo nodes in part 1.
+	ws := make([]float64, n)
+	for _, v := range order[n-lo:] {
+		ws[v] = 1
 	}
 
 	ctx := opts.Context
@@ -185,11 +137,10 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 	}
 	part = make([]int, n)
 	for v := 0; v < n; v++ {
-		if res.X[pv[v]] > 0.5 {
+		if res.X[v] > 0.5 {
 			part[v] = 1
 		}
 	}
-	cut = 0
 	for u := 0; u < n; u++ {
 		for _, v := range g.Children(u) {
 			if part[u] != part[v] {
@@ -198,6 +149,29 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 		}
 	}
 	return part, cut, res.Status == mip.Optimal, nil
+}
+
+// bipartitionModel builds Bipartition's ILP: column v is part_v, then one
+// acyclicity row per edge and the two balance rows, so the model has
+// g.N() columns and g.M()+2 rows.
+func bipartitionModel(g *graph.DAG, lo, hi int) *mip.Model {
+	n := g.N()
+	m := mip.NewModel()
+	for v := 0; v < n; v++ {
+		m.AddBinary("part", float64(g.InDegree(v)-g.OutDegree(v)))
+	}
+	for u := 0; u < n; u++ {
+		for _, v := range g.Children(u) {
+			m.AddLE(0, lp.Coef{Var: u, Val: 1}, lp.Coef{Var: v, Val: -1})
+		}
+	}
+	bal := make([]lp.Coef, n)
+	for v := range bal {
+		bal[v] = lp.Coef{Var: v, Val: 1}
+	}
+	m.AddRow(bal, lp.GE, float64(lo))
+	m.AddRow(bal, lp.LE, float64(hi))
+	return m
 }
 
 // GreedyBipartition is the heuristic fallback: a topological prefix split
@@ -217,17 +191,20 @@ func GreedyBipartition(g *graph.DAG, minFraction float64) ([]int, int, error) {
 	for i, v := range order {
 		pos[v] = i
 	}
-	bestSplit, bestCut := -1, 1<<30
-	for split := lo; split <= n-lo; split++ {
-		cut := 0
-		for u := 0; u < n; u++ {
-			for _, v := range g.Children(u) {
-				if pos[u] < split && pos[v] >= split {
-					cut++
-				}
-			}
+	// Edge (u,v) is cut by exactly the splits in (pos u, pos v]: one
+	// difference-array sweep over the positions counts every split's cut.
+	diff := make([]int, n+1)
+	for u := 0; u < n; u++ {
+		for _, v := range g.Children(u) {
+			diff[pos[u]+1]++
+			diff[pos[v]+1]--
 		}
-		if cut < bestCut {
+	}
+	bestSplit, bestCut := -1, 1<<30
+	cut := 0
+	for split := 0; split <= n-lo; split++ {
+		cut += diff[split]
+		if split >= lo && cut < bestCut {
 			bestCut, bestSplit = cut, split
 		}
 	}
@@ -311,9 +288,9 @@ func Recursive(g *graph.DAG, maxPartSize int, ilp *BipartitionOptions) (Result, 
 			}
 		}
 		if len(a) == 0 || len(b) == 0 {
-			// Degenerate split; fall back to a hard topological halving.
-			half := len(j.nodes) / 2
-			a, b = j.nodes[:half], j.nodes[half:]
+			// Balance keeps both ILP sides non-empty, so only a body the
+			// greedy split also rejects (a cyclic one) gets here.
+			return res, fmt.Errorf("partition: degenerate split of %d nodes", len(j.nodes))
 		}
 		queue = append(queue, job{a}, job{b})
 	}

@@ -3,6 +3,7 @@ package partition
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -160,5 +161,23 @@ func TestRecursiveSmallInputNoSplit(t *testing.T) {
 	}
 	if res.K != 1 {
 		t.Fatalf("K=%d want 1", res.K)
+	}
+}
+
+// TestRecursiveCyclicInputErrors: a cyclic graph has no acyclic split,
+// so Recursive reports the degenerate split instead of inventing one.
+func TestRecursiveCyclicInputErrors(t *testing.T) {
+	g := graph.New("cycle")
+	for i := 0; i < 6; i++ {
+		g.AddNode(1, 1)
+	}
+	for i := 0; i < 6; i++ {
+		g.AddEdge(i, (i+1)%6)
+	}
+	for _, ilp := range []*BipartitionOptions{nil, {}} {
+		_, err := Recursive(g, 2, ilp)
+		if err == nil || !strings.Contains(err.Error(), "degenerate split of 6 nodes") {
+			t.Fatalf("ilp=%v: err = %v, want a degenerate split of 6 nodes", ilp != nil, err)
+		}
 	}
 }

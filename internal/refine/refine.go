@@ -86,23 +86,31 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 
 	proc := InitialAssignment(start)
 	// Candidate evaluation: assignment → BSP schedule → MBSP conversion.
+	// Most candidates are rejected, so one converter's storage serves
+	// them all. A candidate that becomes the best keeps the converter's
+	// output, and the search goes on with a fresh converter.
+	var conv twostage.Converter
 	eval := func(pr []int) (*mbsp.Schedule, float64, bool) {
 		res.Evals++
 		b, berr := bsp.FromAssignment(g, arch.P, pr)
 		if berr != nil {
 			return nil, 0, false
 		}
-		s, err := twostage.ConvertExtra(b, arch, opts.Policy, opts.ExtraSave)
+		s, err := conv.Convert(b, arch, opts.Policy, opts.ExtraSave)
 		if err != nil || s.Validate() != nil {
 			return nil, 0, false
 		}
 		return s, s.Cost(opts.Model), true
 	}
+	keep := func(s *mbsp.Schedule, c float64) {
+		best, bestCost = s, c
+		conv = twostage.Converter{}
+		res.Improved = true
+	}
 	// The re-derived schedule for the initial assignment may itself
 	// already differ from (even beat) the input.
 	if s, c, ok := eval(proc); ok && c < bestCost {
-		best, bestCost = s, c
-		res.Improved = true
+		keep(s, c)
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
@@ -155,8 +163,7 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 			cur, curCost = trial, c
 			stale = 0
 			if c < bestCost {
-				best, bestCost = s, c
-				res.Improved = true
+				keep(s, c)
 			}
 		} else {
 			stale++

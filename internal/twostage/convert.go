@@ -38,6 +38,22 @@ func Convert(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy) (*mbsp.Sched
 // memory (saved when produced), used by the divide-and-conquer scheduler
 // for values consumed by later subproblems.
 func ConvertExtra(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSave []int) (*mbsp.Schedule, error) {
+	var cv Converter
+	return cv.Convert(b, arch, policy, extraSave)
+}
+
+// A Converter runs ConvertExtra repeatedly, keeping its pebble state and
+// the storage of the schedule it returns from one call to the next, for
+// callers that convert many stage-1 schedules and keep few of the
+// results (the local search). The zero Converter is ready to use.
+type Converter struct {
+	c converter
+}
+
+// Convert is ConvertExtra on cv's storage. The schedule it returns is
+// overwritten by cv's next call; a caller that keeps it must not call cv
+// again.
+func (cv *Converter) Convert(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSave []int) (*mbsp.Schedule, error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("twostage: invalid stage-1 schedule: %w", err)
 	}
@@ -49,7 +65,14 @@ func ConvertExtra(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSa
 		return nil, ErrCacheTooSmall
 	}
 
-	c := &converter{b: b, arch: arch, policy: policy, out: mbsp.NewSchedule(g, arch)}
+	c := &cv.c
+	c.b, c.arch, c.policy = b, arch, policy
+	if c.out == nil || c.out.Graph != g {
+		c.out = mbsp.NewSchedule(g, arch)
+	} else {
+		c.out.Arch = arch
+		c.out.Steps = c.out.Steps[:0]
+	}
 	c.init(extraSave)
 	if err := c.run(); err != nil {
 		return nil, err
@@ -95,11 +118,23 @@ type converter struct {
 	blue     []bool // node id -> has a blue pebble
 	needSave []bool // node id -> must reach slow memory when produced
 
-	// Buffers reused across supersteps of one conversion; candLoc[k] is
+	// Buffers reused across supersteps and conversions; candLoc[k] is
 	// the local index of cands[k].
+	loc         []int
 	computedNow [][]int
 	cands       []memmgr.Info
 	candLoc     []int
+}
+
+// zeroed returns s resized to n zero elements, reusing its storage when
+// it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 func (c *converter) init(extraSave []int) {
@@ -108,32 +143,42 @@ func (c *converter) init(extraSave []int) {
 	order := c.b.ComputeOrder()
 	// loc maps a node to its local index on the processor being indexed,
 	// or -1; it is reset after each processor.
-	loc := make([]int, n)
+	c.loc = zeroed(c.loc, n)
+	loc := c.loc
 	for v := range loc {
 		loc[v] = -1
 	}
-	c.procs = make([]*procState, c.arch.P)
-	for p := range c.procs {
-		ps := &procState{}
+	if len(c.procs) != c.arch.P {
+		c.procs = make([]*procState, c.arch.P)
+	}
+	for p, ps := range c.procs {
+		if ps == nil {
+			ps = &procState{}
+			c.procs[p] = ps
+		}
+		ps.head, ps.memUse, ps.clock = 0, 0, 0
+		ps.resList = ps.resList[:0]
+		nseq, npar := 0, 0
 		if p < c.b.P {
-			nseq, npar := 0, 0
 			for _, bucket := range order[p] {
 				nseq += len(bucket)
 				for _, v := range bucket {
 					npar += len(g.Parents(v))
 				}
 			}
-			ps.node = make([]int, 0, nseq+npar)
+		}
+		ps.node = slices.Grow(ps.node[:0], nseq+npar)
+		ps.parLoc = slices.Grow(ps.parLoc[:0], npar)
+		if p < c.b.P {
 			for _, bucket := range order[p] {
 				ps.node = append(ps.node, bucket...)
 			}
-			ps.parLoc = make([]int, 0, npar)
 		}
 		ps.seq = ps.node[:len(ps.node):len(ps.node)]
 		for i, v := range ps.seq {
 			loc[v] = i
 		}
-		ps.parOff = make([]int, len(ps.seq)+1)
+		ps.parOff = zeroed(ps.parOff, len(ps.seq)+1)
 		for i, v := range ps.seq {
 			for _, u := range g.Parents(v) {
 				if loc[u] < 0 {
@@ -148,16 +193,16 @@ func (c *converter) init(extraSave []int) {
 			loc[v] = -1
 		}
 		nl := len(ps.node)
-		ps.useOff = make([]int, nl+1)
+		ps.useOff = zeroed(ps.useOff, nl+1)
 		for _, x := range ps.parLoc {
 			ps.useOff[x+1]++
 		}
 		for x := 0; x < nl; x++ {
 			ps.useOff[x+1] += ps.useOff[x]
 		}
-		ps.usePtr = make([]int, nl)
+		ps.usePtr = zeroed(ps.usePtr, nl)
 		copy(ps.usePtr, ps.useOff[:nl])
-		ps.usePos = make([]int, len(ps.parLoc))
+		ps.usePos = zeroed(ps.usePos, len(ps.parLoc))
 		for i := range ps.seq {
 			for _, x := range ps.parents(i) {
 				ps.usePos[ps.usePtr[x]] = i
@@ -165,16 +210,15 @@ func (c *converter) init(extraSave []int) {
 			}
 		}
 		copy(ps.usePtr, ps.useOff[:nl])
-		ps.res = make([]bool, nl)
-		ps.resPos = make([]int, nl)
-		ps.last = make([]int, nl)
-		c.procs[p] = ps
+		ps.res = zeroed(ps.res, nl)
+		ps.resPos = zeroed(ps.resPos, nl)
+		ps.last = zeroed(ps.last, nl)
 	}
-	c.blue = make([]bool, n)
+	c.blue = zeroed(c.blue, n)
 	for _, v := range g.Sources() {
 		c.blue[v] = true
 	}
-	c.needSave = make([]bool, n)
+	c.needSave = zeroed(c.needSave, n)
 	for v := 0; v < n; v++ {
 		if g.IsSource(v) {
 			continue
@@ -195,7 +239,9 @@ func (c *converter) init(extraSave []int) {
 			c.needSave[v] = true
 		}
 	}
-	c.computedNow = make([][]int, c.arch.P)
+	if len(c.computedNow) != c.arch.P {
+		c.computedNow = make([][]int, c.arch.P)
+	}
 }
 
 // parents returns the local indices of seq[i]'s parents.
@@ -265,7 +311,7 @@ func (c *converter) run() error {
 			break
 		}
 
-		step := c.out.AddSuperstep()
+		step := c.addSuperstep()
 		progress := false
 
 		// Phase 1: compute on every processor (maximal segments).
@@ -490,21 +536,41 @@ func (c *converter) planLoads(p int, sp *mbsp.ProcStep) bool {
 	return loadedAny
 }
 
+// addSuperstep appends an empty superstep to c.out, reusing the storage
+// of one that an earlier conversion left beyond the schedule's length.
+func (c *converter) addSuperstep() *mbsp.Superstep {
+	n := len(c.out.Steps)
+	if n == cap(c.out.Steps) || len(c.out.Steps[:n+1][n].Procs) != c.arch.P {
+		return c.out.AddSuperstep()
+	}
+	c.out.Steps = c.out.Steps[:n+1]
+	st := &c.out.Steps[n]
+	for p := range st.Procs {
+		sp := &st.Procs[p]
+		sp.Comp, sp.Save, sp.Del, sp.Load = sp.Comp[:0], sp.Save[:0], sp.Del[:0], sp.Load[:0]
+	}
+	return st
+}
+
 // trimEmptySupersteps removes supersteps in which no processor does
-// anything (possible when a processor idles waiting for data).
+// anything (possible when a processor idles waiting for data). It swaps
+// rather than overwrites, so every superstep's storage stays distinct
+// for addSuperstep to reuse.
 func (c *converter) trimEmptySupersteps() {
-	var kept []mbsp.Superstep
-	for i := range c.out.Steps {
+	steps := c.out.Steps
+	k := 0
+	for i := range steps {
 		empty := true
-		for p := range c.out.Steps[i].Procs {
-			if !c.out.Steps[i].Procs[p].Empty() {
+		for p := range steps[i].Procs {
+			if !steps[i].Procs[p].Empty() {
 				empty = false
 				break
 			}
 		}
 		if !empty {
-			kept = append(kept, c.out.Steps[i])
+			steps[k], steps[i] = steps[i], steps[k]
+			k++
 		}
 	}
-	c.out.Steps = kept
+	c.out.Steps = steps[:k]
 }

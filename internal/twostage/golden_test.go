@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"mbsp/internal/bsp"
@@ -93,5 +94,61 @@ func TestConvertGoldenDigest(t *testing.T) {
 	sum := sha256.Sum256(buf.Bytes())
 	if got := hex.EncodeToString(sum[:]); got != goldenConvertDigest {
 		t.Fatalf("converter golden digest = %s, want %s", got, goldenConvertDigest)
+	}
+}
+
+// TestConverterReuseMatchesFresh runs one Converter through the golden
+// cases, which switch DAG, processor count, cache size, policy and
+// extraSave from call to call, plus random processor assignments (the
+// local search's input), and checks every record against a fresh
+// ConvertExtra.
+func TestConverterReuseMatchesFresh(t *testing.T) {
+	var conv Converter
+	check := func(label string, b *bsp.Schedule, arch mbsp.Arch, pol memmgr.Policy, ex []int) {
+		t.Helper()
+		var want, got bytes.Buffer
+		s, err := ConvertExtra(b, arch, pol, ex)
+		writeGoldenRecord(&want, label, s, err)
+		s, err = conv.Convert(b, arch, pol, ex)
+		writeGoldenRecord(&got, label, s, err)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: reused converter differs from a fresh one:\n%s\nwant:\n%s", label, got.String(), want.String())
+		}
+	}
+	policies := []memmgr.Policy{memmgr.Clairvoyant{}, memmgr.LRU{}}
+	rng := rand.New(rand.NewSource(5))
+	for _, inst := range append(workloads.Tiny(), workloads.Small()...) {
+		g := inst.DAG
+		extra := extraSaveEvery(g)
+		for _, p := range []int{4, 1, 2} {
+			stage1 := []*bsp.Schedule{bsp.DFS(g)}
+			if b, err := bsp.BSPg(g, p, bsp.BSPgOptions{G: 1, L: 10}); err == nil {
+				stage1 = append(stage1, b)
+			}
+			if b, err := bsp.Cilk(g, p, 7); err == nil {
+				stage1 = append(stage1, b)
+			}
+			for range 3 {
+				proc := make([]int, g.N())
+				for v := range proc {
+					proc[v] = rng.Intn(p)
+				}
+				b, err := bsp.FromAssignment(g, p, proc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stage1 = append(stage1, b)
+			}
+			for i, b := range stage1 {
+				for _, rf := range []float64{1, 3} {
+					for _, pol := range policies {
+						for _, ex := range [][]int{nil, extra} {
+							check(fmt.Sprintf("%s P=%d stage1 %d r=%g %s extra=%d", inst.Name, p, i, rf, pol.Name(), len(ex)),
+								b, archFor(g, p, rf), pol, ex)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -52,13 +52,15 @@
 #      plus a warm byte-identical cache hit for the surviving entry and
 #      a cold byte-identical recompute for the torn one;
 #   5. a short benchmark smoke: BenchmarkPortfolio, the LU kernel
-#      micro-benchmarks (BenchmarkFtran/Btran/Btran2 in internal/lp) and
+#      micro-benchmarks (BenchmarkFtran/Btran/Btran2 in internal/lp),
 #      the local-search benchmark (BenchmarkRefineImprove in
-#      internal/refine), one iteration each, so they keep building and
-#      running; then the portfolio experiment on the tiny dataset, emitting
-#      BENCH_portfolio.json (per-scheduler cost and timing per instance)
-#      so the portfolio's performance trajectory is comparable across
-#      PRs;
+#      internal/refine) and the bipartition ILP benchmark
+#      (BenchmarkAcyclicBipartition, with its simplex-iteration and
+#      branch-and-bound node counts), one iteration each, so they keep
+#      building and running; then the portfolio experiment on the tiny
+#      dataset, emitting BENCH_portfolio.json (per-scheduler cost and
+#      timing per instance) so the portfolio's performance trajectory is
+#      comparable across PRs;
 #   6. the solver bench smoke (scripts/bench.sh): micro-benchmarks plus
 #      the solver experiment emitting BENCH_solver.json — the
 #      parallel-solver gate. It exits nonzero on warm/cold solver
@@ -141,6 +143,9 @@ go test -run '^$' -bench '^Benchmark(Ftran|Btran|Btran2)$' -benchtime 1x ./inter
 
 echo "== bench smoke: BenchmarkRefineImprove (1 iteration)"
 go test -run '^$' -bench '^BenchmarkRefineImprove$' -benchtime 1x ./internal/refine
+
+echo "== bench smoke: BenchmarkAcyclicBipartition (1 iteration)"
+go test -run '^$' -bench '^BenchmarkAcyclicBipartition$' -benchtime 1x .
 
 echo "== portfolio experiment -> ${outdir}/BENCH_portfolio.json"
 go run ./cmd/mbsp-bench -experiment portfolio -dataset tiny \
