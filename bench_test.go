@@ -314,7 +314,7 @@ func BenchmarkWarmStartAblation(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		with, sWith, err := ilpsched.Solve(g, arch, ilpsched.Options{
-			WarmStart: warm, TimeLimit: 2 * time.Second, DisableLocalSearch: true,
+			WarmStart: warm, TimeLimit: 2 * time.Second,
 		})
 		if err != nil {
 			b.Fatal(err)

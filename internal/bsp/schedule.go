@@ -232,11 +232,6 @@ func FromAssignment(g *graph.DAG, p int, proc []int) (*Schedule, error) {
 	return s, nil
 }
 
-// Summary returns a short description of the schedule for logs.
-func (s *Schedule) Summary() string {
-	return fmt.Sprintf("BSP(%s: P=%d, supersteps=%d)", s.Graph.Name(), s.P, s.NumSteps)
-}
-
 // procLoadOrder returns processors ordered by current load, then index —
 // a deterministic helper for greedy schedulers.
 func procLoadOrder(load []float64) []int {

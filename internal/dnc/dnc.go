@@ -294,19 +294,7 @@ func schedulePart(g *graph.DAG, arch mbsp.Arch, opts ilpsched.Options, part []in
 // schedule stays valid.
 func streamline(s *mbsp.Schedule, model mbsp.CostModel) {
 	cancelDeleteLoadPairs(s)
-	cost := s.Cost(model)
-	for i := 0; i+1 < len(s.Steps); {
-		trial := s.Clone()
-		mergeSteps(trial, i)
-		if trial.Validate() == nil {
-			if c := trial.Cost(model); c <= cost+1e-9 {
-				*s = *trial
-				cost = c
-				continue
-			}
-		}
-		i++
-	}
+	s.MergeSteps(model)
 }
 
 func cancelDeleteLoadPairs(s *mbsp.Schedule) {
@@ -343,15 +331,4 @@ func cancelDeleteLoadPairs(s *mbsp.Schedule) {
 			}
 		}
 	}
-}
-
-func mergeSteps(s *mbsp.Schedule, i int) {
-	a, b := &s.Steps[i], &s.Steps[i+1]
-	for p := range a.Procs {
-		a.Procs[p].Comp = append(a.Procs[p].Comp, b.Procs[p].Comp...)
-		a.Procs[p].Save = append(a.Procs[p].Save, b.Procs[p].Save...)
-		a.Procs[p].Del = append(a.Procs[p].Del, b.Procs[p].Del...)
-		a.Procs[p].Load = append(a.Procs[p].Load, b.Procs[p].Load...)
-	}
-	s.Steps = append(s.Steps[:i+1], s.Steps[i+2:]...)
 }

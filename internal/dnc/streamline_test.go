@@ -104,12 +104,3 @@ func TestStreamlineMergesAndKeepsValidity(t *testing.T) {
 		t.Fatalf("streamline found nothing on an obviously wasteful schedule:\n%s", s)
 	}
 }
-
-func TestMergeStepsFoldsOps(t *testing.T) {
-	s := buildFlushReloadSchedule(t)
-	n := len(s.Steps)
-	mergeSteps(s, 0)
-	if len(s.Steps) != n-1 {
-		t.Fatalf("steps %d want %d", len(s.Steps), n-1)
-	}
-}

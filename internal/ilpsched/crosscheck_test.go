@@ -58,10 +58,7 @@ func TestWarmStackMatchesReferenceOnRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: warm stack: %v", inst.Name, err)
 		}
-		refOpts := crossCheckOpts()
-		refOpts.LPColdStart = true
-		refOpts.LPReference = true
-		ref, refStats, err := Solve(inst.DAG, arch, refOpts)
+		ref, refStats, err := solve(inst.DAG, arch, crossCheckOpts(), true)
 		if err != nil {
 			t.Fatalf("%s: reference stack: %v", inst.Name, err)
 		}

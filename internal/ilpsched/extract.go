@@ -73,44 +73,11 @@ func (im *ilpModel) extract(x []float64) (*mbsp.Schedule, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("ilpsched: extracted schedule invalid: %w", err)
 	}
-	compact(s, im.opts.Model)
+	s.MergeSteps(im.opts.Model)
 	return s, nil
 }
 
 func redAt(im *ilpModel, x []float64, p, v, t int) bool {
 	j := im.hasred[p][v][t]
 	return j >= 0 && x[j] > 0.5
-}
-
-// compact greedily merges superstep i+1 into superstep i while the result
-// stays valid and does not increase the cost. This recovers the paper's
-// superstep structure (a compute phase followed by a communication phase)
-// from the one-step-per-superstep extraction.
-func compact(s *mbsp.Schedule, model mbsp.CostModel) {
-	cost := s.Cost(model)
-	for i := 0; i+1 < len(s.Steps); {
-		trial := s.Clone()
-		merge(trial, i)
-		if trial.Validate() == nil {
-			if c := trial.Cost(model); c <= cost+1e-9 {
-				*s = *trial
-				cost = c
-				continue // try merging the next one into position i too
-			}
-		}
-		i++
-	}
-}
-
-// merge folds superstep i+1 into superstep i, preserving per-phase op
-// order (comp then comp, save then save, ...).
-func merge(s *mbsp.Schedule, i int) {
-	a, b := &s.Steps[i], &s.Steps[i+1]
-	for p := range a.Procs {
-		a.Procs[p].Comp = append(a.Procs[p].Comp, b.Procs[p].Comp...)
-		a.Procs[p].Save = append(a.Procs[p].Save, b.Procs[p].Save...)
-		a.Procs[p].Del = append(a.Procs[p].Del, b.Procs[p].Del...)
-		a.Procs[p].Load = append(a.Procs[p].Load, b.Procs[p].Load...)
-	}
-	s.Steps = append(s.Steps[:i+1], s.Steps[i+2:]...)
 }

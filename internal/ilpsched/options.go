@@ -67,9 +67,6 @@ type Options struct {
 	// solve fine, but tree search on them still costs real time. Default
 	// mip.DefaultMaxModelRows.
 	MaxModelRows int
-	// DisableLocalSearch turns off the local-search primal heuristic
-	// (used by ablation benchmarks).
-	DisableLocalSearch bool
 	// LocalSearchBudget bounds local-search evaluations. Default 4000.
 	LocalSearchBudget int
 	// WarmStart seeds the solver with an existing MBSP schedule (the
@@ -91,13 +88,6 @@ type Options struct {
 	// deterministic node accounting makes the schedule identical for any
 	// value, so callers size it purely for throughput. Default 1.
 	MIPWorkers int
-	// LPColdStart disables the warm-started dual re-solves inside the
-	// branch-and-bound tree (every node cold-starts); LPReference
-	// additionally routes each relaxation through the preserved dense
-	// reference solver. Both exist for the cross-check tests and the
-	// solver ablation benchmarks.
-	LPColdStart bool
-	LPReference bool
 	// NoPerturb disables the solver's deterministic EXPAND anti-degeneracy
 	// perturbation (mip.Options.NoPerturb); exists for the degenerate-model
 	// ablation benchmark.

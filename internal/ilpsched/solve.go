@@ -21,6 +21,13 @@ import (
 // heuristic alongside. The returned schedule is always valid and never
 // worse than the warm start under the selected cost model.
 func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, error) {
+	return solve(g, arch, opts, false)
+}
+
+// solve is Solve; reference routes every tree-search relaxation through
+// the dense reference LP (mip.Options.ReferenceLP), which the in-package
+// cross-check compares the production stack against.
+func solve(g *graph.DAG, arch mbsp.Arch, opts Options, reference bool) (*mbsp.Schedule, Stats, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	var stats Stats
@@ -59,8 +66,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 			NodeLimit:       opts.NodeLimit,
 			WarmStart:       x,
 			Workers:         opts.MIPWorkers,
-			ColdStart:       opts.LPColdStart,
-			ReferenceLP:     opts.LPReference,
+			ReferenceLP:     reference,
 			NoPerturb:       opts.NoPerturb,
 			Inject:          opts.Inject,
 			LUStats:         opts.LUStats,
@@ -118,7 +124,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 		}
 	}
 
-	if !opts.DisableLocalSearch && arch.P > 1 {
+	if arch.P > 1 {
 		r := refine.Improve(best, refine.Options{
 			Budget:    opts.LocalSearchBudget,
 			Seed:      opts.Seed,

@@ -124,8 +124,8 @@ type Result struct {
 	// the row's slack).
 	Basis *Basis
 	// ColdRestart records that a SolveFrom call could not reuse the
-	// supplied basis (singular after bound changes, or the dual simplex
-	// stalled) and fell back to a cold solve.
+	// supplied basis (unusable or singular, or the dual, primal clean-up
+	// or shift removal stalled) and fell back to a cold solve.
 	ColdRestart bool
 	// Injected records that fault injection (Options.Inject) forced this
 	// solve onto a fallback path it would not otherwise have taken.

@@ -196,21 +196,20 @@ func (in *Instance) Solve(lb, ub []float64, opts Options) Result {
 // so a handful of dual pivots restore primal feasibility where a cold
 // solve would replay phases 1 and 2 from scratch. When the basis is the
 // instance's most recent one, the live factorization is reused; otherwise
-// the basis inverse is refactorized from the snapshot. On numerical
-// trouble or a stalled dual it transparently falls back to a cold solve
-// (Result.ColdRestart reports this).
+// the basis inverse is refactorized from the snapshot. On an unusable
+// basis, numerical trouble, or a stalled dual, primal clean-up or shift
+// removal it transparently falls back to a cold solve
+// (Result.ColdRestart reports this); only a solve cut short by its
+// context returns IterLimit without one.
 func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Result {
 	if basis == nil || len(basis.basic) != in.m || len(basis.stat) != in.nStruct+in.m {
-		res := in.Solve(lb, ub, opts)
-		res.ColdRestart = true
-		return res
+		return in.coldFallback(lb, ub, opts, 0)
 	}
 	if opts.Inject != nil && opts.Inject.ForceColdFallback(in.fprint, opts.PerturbSeq) {
 		// Injected fault: pretend the supplied basis was unusable and take
 		// the cold-restart path. Decided purely from (fprint, PerturbSeq),
 		// so the same solve injects on every run and worker.
-		res := in.Solve(lb, ub, opts)
-		res.ColdRestart = true
+		res := in.coldFallback(lb, ub, opts, 0)
 		res.Injected = true
 		return res
 	}
@@ -235,8 +234,7 @@ func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Resu
 	// would take.
 	singular := opts.Inject != nil && opts.Inject.SingularRefactor(in.fprint, opts.PerturbSeq)
 	if singular || (!hot && !s.reconstruct(basis)) {
-		res := in.Solve(lb, ub, opts)
-		res.ColdRestart = true
+		res := in.coldFallback(lb, ub, opts, 0)
 		res.Injected = singular
 		return res
 	}
@@ -265,10 +263,7 @@ func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Resu
 		if s.aborted() {
 			return s.result(IterLimit, iters, false)
 		}
-		res := in.Solve(lb, ub, opts)
-		res.ColdRestart = true
-		res.Iters += iters
-		return res
+		return in.coldFallback(lb, ub, opts, iters)
 	}
 	// Primal cleanup: a no-op when the dual finished cleanly, and the
 	// safety net when reduced costs drifted across the basis handoff.
@@ -279,23 +274,27 @@ func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Resu
 		st, it = s.finish(budget - iters)
 		iters += it
 		s.cleanupIters += it
-		switch st {
-		case Infeasible:
+		if st == Infeasible {
 			return Result{Status: Infeasible, Iters: iters, Perturbed: s.didPerturb}
-		case IterLimit:
-			if s.aborted() {
-				return s.result(IterLimit, iters, false)
-			}
-			// The clean-up stalled on this basis: cold-restart against the
-			// exact bounds rather than report a point that still carries
-			// shift residuals.
-			res := in.Solve(lb, ub, opts)
-			res.ColdRestart = true
-			res.Iters += iters
-			return res
 		}
 	}
+	if st == IterLimit && !s.aborted() && !isDone(s.done) {
+		// The primal clean-up or the shift removal stalled on this basis:
+		// cold-restart against the exact bounds rather than report a
+		// point that is not optimal or still carries shift residuals.
+		return in.coldFallback(lb, ub, opts, iters)
+	}
 	return s.result(st, iters, false)
+}
+
+// coldFallback is SolveFrom's way out of a warm re-solve it cannot
+// finish: a cold solve, marked ColdRestart, that also counts the warm
+// iters already spent.
+func (in *Instance) coldFallback(lb, ub []float64, opts Options, iters int) Result {
+	res := in.Solve(lb, ub, opts)
+	res.ColdRestart = true
+	res.Iters += iters
+	return res
 }
 
 // spx is the solver workspace: sparse simplex state reused across

@@ -88,7 +88,11 @@ func ReadSchedule(r io.Reader, g *graph.DAG) (*Schedule, error) {
 			if err1 != nil || err2 != nil || err3 != nil {
 				return nil, fmt.Errorf("mbsp: line %d: bad architecture parameters", line)
 			}
-			s = NewSchedule(g, Arch{P: p, R: rv, G: gv, L: lv})
+			arch := Arch{P: p, R: rv, G: gv, L: lv}
+			if err := arch.Validate(); err != nil {
+				return nil, fmt.Errorf("mbsp: line %d: %w", line, err)
+			}
+			s = NewSchedule(g, arch)
 		case "superstep":
 			if s == nil {
 				return nil, fmt.Errorf("mbsp: line %d: superstep before header", line)
@@ -98,6 +102,9 @@ func ReadSchedule(r io.Reader, g *graph.DAG) (*Schedule, error) {
 		case "p":
 			if cur == nil {
 				return nil, fmt.Errorf("mbsp: line %d: proc before superstep", line)
+			}
+			if len(fields) != 2 {
+				return nil, fmt.Errorf("mbsp: line %d: malformed processor line", line)
 			}
 			v, err := strconv.Atoi(fields[1])
 			if err != nil || v < 0 || v >= s.Arch.P {

@@ -78,6 +78,8 @@ func TestReadScheduleRejectsMalformed(t *testing.T) {
 		"mbsp-schedule 1 10 1 0\nsuperstep\np 5\nc 1",
 		"mbsp-schedule 1 10 1 0\nsuperstep\np 0\nz 1",
 		"mbsp-schedule x 10 1 0",
+		"mbsp-schedule 1 10 1 0\nsuperstep\np",
+		"mbsp-schedule -1 10 1 0\nsuperstep",
 	}
 	for i, c := range cases {
 		if _, err := ReadSchedule(strings.NewReader(c), g); err == nil {

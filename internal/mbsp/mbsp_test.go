@@ -381,3 +381,15 @@ func TestFinalRedSetsAscending(t *testing.T) {
 		}
 	}
 }
+
+func TestMergeStepsFoldsOps(t *testing.T) {
+	g := twoNodeDAG()
+	s := handSchedule(g, Arch{P: 1, R: 10, G: 1, L: 5})
+	s.mergeStep(0)
+	if len(s.Steps) != 1 {
+		t.Fatalf("steps %d want 1", len(s.Steps))
+	}
+	if ps := s.Steps[0].Procs[0]; len(ps.Load) != 1 || len(ps.Comp) != 1 || len(ps.Save) != 1 {
+		t.Fatalf("merged superstep lost ops: %+v", ps)
+	}
+}

@@ -174,6 +174,39 @@ func (s *Schedule) String() string {
 	return b.String()
 }
 
+// MergeSteps greedily folds superstep i+1 into superstep i while the
+// schedule stays valid and its cost under model does not grow, keeping
+// each phase's op order. It recovers the paper's superstep structure (a
+// compute phase, then a communication phase) from schedules that spread
+// work over more supersteps than they need.
+func (s *Schedule) MergeSteps(model CostModel) {
+	cost := s.Cost(model)
+	for i := 0; i+1 < len(s.Steps); {
+		trial := s.Clone()
+		trial.mergeStep(i)
+		if trial.Validate() == nil {
+			if c := trial.Cost(model); c <= cost+1e-9 {
+				*s = *trial
+				cost = c
+				continue // try merging the next one into position i too
+			}
+		}
+		i++
+	}
+}
+
+// mergeStep folds superstep i+1 into superstep i, phase by phase.
+func (s *Schedule) mergeStep(i int) {
+	a, b := &s.Steps[i], &s.Steps[i+1]
+	for p := range a.Procs {
+		a.Procs[p].Comp = append(a.Procs[p].Comp, b.Procs[p].Comp...)
+		a.Procs[p].Save = append(a.Procs[p].Save, b.Procs[p].Save...)
+		a.Procs[p].Del = append(a.Procs[p].Del, b.Procs[p].Del...)
+		a.Procs[p].Load = append(a.Procs[p].Load, b.Procs[p].Load...)
+	}
+	s.Steps = append(s.Steps[:i+1], s.Steps[i+2:]...)
+}
+
 // Clone returns a deep copy of the schedule (sharing the DAG).
 func (s *Schedule) Clone() *Schedule {
 	c := &Schedule{Graph: s.Graph, Arch: s.Arch, Steps: make([]Superstep, len(s.Steps))}

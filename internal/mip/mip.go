@@ -65,9 +65,6 @@ func (m *Model) AddInt(name string, lo, hi, obj float64) int {
 	return j
 }
 
-// SetObj overwrites the objective coefficient of variable j.
-func (m *Model) SetObj(j int, obj float64) { m.prob.Obj[j] = obj }
-
 // AddRow appends the constraint Σ coefs ◦ rhs and returns its index.
 func (m *Model) AddRow(coefs []lp.Coef, sense lp.Sense, rhs float64) int {
 	return m.prob.AddRow(coefs, sense, rhs)
@@ -78,9 +75,6 @@ func (m *Model) AddLE(rhs float64, coefs ...lp.Coef) int { return m.AddRow(coefs
 
 // AddGE is shorthand for AddRow(coefs, GE, rhs).
 func (m *Model) AddGE(rhs float64, coefs ...lp.Coef) int { return m.AddRow(coefs, lp.GE, rhs) }
-
-// AddEQ is shorthand for AddRow(coefs, EQ, rhs).
-func (m *Model) AddEQ(rhs float64, coefs ...lp.Coef) int { return m.AddRow(coefs, lp.EQ, rhs) }
 
 // FixVar clamps variable j to a single value.
 func (m *Model) FixVar(j int, v float64) {

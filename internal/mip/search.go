@@ -313,16 +313,6 @@ func (e *bbEngine) solveNode(w int, s *bbSlot) {
 		s.res = e.insts[w].Solve(lb, ub, lpOpts)
 	default:
 		s.res = e.insts[w].SolveFrom(s.nd.basis, lb, ub, lpOpts)
-		if s.res.Status == lp.IterLimit && !s.res.ColdRestart && e.opts.Context.Err() == nil {
-			// The warm re-solve failed numerically (stalled primal after
-			// the dual handoff — SolveFrom's internal fallbacks cover the
-			// other cases) without being aborted by the context:
-			// retry cold once before the commit step marks the node failed.
-			prev := s.res.Iters
-			s.res = e.insts[w].Solve(lb, ub, lpOpts)
-			s.res.ColdRestart = true
-			s.res.Iters += prev
-		}
 	}
 }
 

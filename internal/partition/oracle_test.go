@@ -94,10 +94,7 @@ func forwardOnly(g *graph.DAG, part []int) bool {
 // perSplitGreedy is the O(n·m) GreedyBipartition the difference-array
 // sweep replaced, kept as its oracle: it recounts every edge for each
 // candidate split and keeps the first minimum.
-func perSplitGreedy(g *graph.DAG, minFraction float64) ([]int, int) {
-	if minFraction == 0 {
-		minFraction = 1.0 / 3.0
-	}
+func perSplitGreedy(g *graph.DAG) ([]int, int) {
 	n := g.N()
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -132,20 +129,22 @@ func perSplitGreedy(g *graph.DAG, minFraction float64) ([]int, int) {
 }
 
 // TestGreedyBipartitionMatchesPerSplitCount: the one-sweep greedy split
-// returns exactly the part vector and cut of the per-split recount.
+// returns exactly the part vector and cut of the per-split recount, and
+// an error when no split is balanced.
 func TestGreedyBipartitionMatchesPerSplitCount(t *testing.T) {
 	for seed := int64(1); seed <= 60; seed++ {
 		n := 2 + int(seed*7)%80
 		g := graph.RandomDAG(fmt.Sprintf("rand%d", seed), n, 0.15, 4, 5, 5, seed)
-		for _, f := range []float64{0, 0.2, 0.45, 0.6} {
-			part, cut, err := GreedyBipartition(g, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantPart, wantCut := perSplitGreedy(g, f)
-			if got, want := fmt.Sprint(part, cut), fmt.Sprint(wantPart, wantCut); got != want {
-				t.Fatalf("%s (n=%d, f=%g): sweep %s, per-split %s", g.Name(), n, f, got, want)
-			}
+		part, cut, err := GreedyBipartition(g)
+		if err != nil {
+			t.Fatal(err)
 		}
+		wantPart, wantCut := perSplitGreedy(g)
+		if got, want := fmt.Sprint(part, cut), fmt.Sprint(wantPart, wantCut); got != want {
+			t.Fatalf("%s (n=%d): sweep %s, per-split %s", g.Name(), n, got, want)
+		}
+	}
+	if part, cut, err := GreedyBipartition(graph.Chain(1)); err == nil {
+		t.Fatalf("n=1: got part %v cut %d, want an error", part, cut)
 	}
 }

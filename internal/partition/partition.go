@@ -176,11 +176,9 @@ func bipartitionModel(g *graph.DAG, lo, hi int) *mip.Model {
 
 // GreedyBipartition is the heuristic fallback: a topological prefix split
 // at the position minimizing the cut subject to the balance bound.
-// Returns graph.ErrCyclic for a cyclic input graph.
-func GreedyBipartition(g *graph.DAG, minFraction float64) ([]int, int, error) {
-	if minFraction == 0 {
-		minFraction = 1.0 / 3.0
-	}
+// Returns graph.ErrCyclic for a cyclic input graph, and an error when no
+// split meets the balance bound (a one-node graph).
+func GreedyBipartition(g *graph.DAG) ([]int, int, error) {
 	n := g.N()
 	order, err := g.TopoOrder()
 	if err != nil {
@@ -207,6 +205,9 @@ func GreedyBipartition(g *graph.DAG, minFraction float64) ([]int, int, error) {
 		if split >= lo && cut < bestCut {
 			bestCut, bestSplit = cut, split
 		}
+	}
+	if bestSplit < 0 {
+		return nil, 0, fmt.Errorf("partition: balance bounds infeasible for n=%d", n)
 	}
 	part := make([]int, n)
 	for i, v := range order {
@@ -273,7 +274,7 @@ func Recursive(g *graph.DAG, maxPartSize int, ilp *BipartitionOptions) (Result, 
 			}
 		}
 		if part == nil {
-			if p, _, gerr := GreedyBipartition(sub, minFraction); gerr == nil {
+			if p, _, gerr := GreedyBipartition(sub); gerr == nil {
 				part = p
 			}
 		}

@@ -50,7 +50,7 @@ func TestBipartitionRespectsAcyclicity(t *testing.T) {
 
 func TestBipartitionBeatsOrMatchesGreedy(t *testing.T) {
 	for _, inst := range workloads.Tiny()[:6] {
-		_, gcut, gerr := GreedyBipartition(inst.DAG, 1.0/3)
+		_, gcut, gerr := GreedyBipartition(inst.DAG)
 		if gerr != nil {
 			t.Fatalf("%s: %v", inst.Name, gerr)
 		}
@@ -66,7 +66,7 @@ func TestBipartitionBeatsOrMatchesGreedy(t *testing.T) {
 
 func TestGreedyBipartitionBalanced(t *testing.T) {
 	g := workloads.SpMV(10, 3)
-	part, cut, err := GreedyBipartition(g, 1.0/3)
+	part, cut, err := GreedyBipartition(g)
 	if err != nil {
 		t.Fatal(err)
 	}

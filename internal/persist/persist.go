@@ -85,9 +85,6 @@ type Options struct {
 	// Inject corrupts writes with the deterministic filesystem fault
 	// modes (torn, short, flip). nil injects nothing.
 	Inject *faultinject.Injector
-	// NoSync skips fsync calls (tests that measure logic, not
-	// durability).
-	NoSync bool
 }
 
 // fnv1a hashes a file's base name into the injection fingerprint, so
@@ -249,7 +246,6 @@ type Journal struct {
 	f       *os.File
 	w       recordWriter
 	path    string
-	opts    Options
 	bytes   int64
 	records int64
 }
@@ -270,14 +266,14 @@ func OpenJournal(path string, opts Options) (*Journal, error) {
 	j := &Journal{
 		f:    f,
 		w:    recordWriter{f: f, opts: opts, fprint: fnv1a(filepath.Base(path))},
-		path: path, opts: opts, bytes: size,
+		path: path, bytes: size,
 	}
 	if size == 0 {
 		if _, err := f.WriteString(magic); err != nil {
 			f.Close()
 			return nil, err
 		}
-		if err := j.sync(); err != nil {
+		if err := f.Sync(); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -286,20 +282,13 @@ func OpenJournal(path string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
-func (j *Journal) sync() error {
-	if j.opts.NoSync {
-		return nil
-	}
-	return j.f.Sync()
-}
-
 // Append writes one record and fsyncs: when Append returns nil the
 // record survives power loss.
 func (j *Journal) Append(payload []byte) error {
 	if err := j.w.writeRecord(payload); err != nil {
 		return err
 	}
-	if err := j.sync(); err != nil {
+	if err := j.f.Sync(); err != nil {
 		return err
 	}
 	j.bytes += int64(recordHeaderSize + len(payload))
@@ -322,7 +311,7 @@ func (j *Journal) Reset() error {
 	if _, err := j.f.Seek(int64(headerSize), io.SeekStart); err != nil {
 		return err
 	}
-	if err := j.sync(); err != nil {
+	if err := j.f.Sync(); err != nil {
 		return err
 	}
 	j.bytes = int64(headerSize)
@@ -333,7 +322,7 @@ func (j *Journal) Reset() error {
 
 // Close fsyncs and closes the journal.
 func (j *Journal) Close() error {
-	if err := j.sync(); err != nil {
+	if err := j.f.Sync(); err != nil {
 		j.f.Close()
 		return err
 	}
@@ -361,20 +350,15 @@ func WriteSnapshot(path string, payloads [][]byte, opts Options) error {
 			return err
 		}
 	}
-	if !opts.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		return err
-	}
-	if opts.NoSync {
-		return nil
 	}
 	return syncDir(filepath.Dir(path))
 }

@@ -35,7 +35,7 @@ func isPrefix(got, want [][]byte) bool {
 
 func appendAll(t *testing.T, path string, ps [][]byte) {
 	t.Helper()
-	j, err := OpenJournal(path, Options{NoSync: true})
+	j, err := OpenJournal(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestBadHeader(t *testing.T) {
 // the post-rotation journal records.
 func TestStoreRotateAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{NoSync: true}
+	opts := Options{}
 	s, rec, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestStoreRotateAndRecover(t *testing.T) {
 // at the caller (which keys records).
 func TestCrashBetweenSnapshotAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{NoSync: true}
+	opts := Options{}
 	s, _, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestStaleSnapshotTmpRemoved(t *testing.T) {
 	if err := os.WriteFile(tmp, []byte("half-written snapshot"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, rec, err := Open(dir, Options{NoSync: true})
+	s, rec, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestInjectedFaultSweep(t *testing.T) {
 		for seed := uint64(1); seed <= 12; seed++ {
 			inj := faultinject.New(seed, 0.15, 0, ms...)
 			path := filepath.Join(t.TempDir(), "journal")
-			j, err := OpenJournal(path, Options{NoSync: true, Inject: inj})
+			j, err := OpenJournal(path, Options{Inject: inj})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,7 +376,7 @@ func TestInjectedSnapshot(t *testing.T) {
 	path := filepath.Join(dir, snapshotName)
 	want := payloads(10)
 	inj := faultinject.New(3, 0.3, 0, faultinject.ChecksumFlip)
-	if err := WriteSnapshot(path, want, Options{NoSync: true, Inject: inj}); err != nil {
+	if err := WriteSnapshot(path, want, Options{Inject: inj}); err != nil {
 		t.Fatal(err)
 	}
 	got, stats, err := RecoverFile(path)
@@ -398,7 +398,7 @@ func TestDeterministicInjection(t *testing.T) {
 	image := func() []byte {
 		inj := faultinject.New(7, 0.2, 0, faultinject.FSModes()...)
 		path := filepath.Join(t.TempDir(), "journal")
-		j, err := OpenJournal(path, Options{NoSync: true, Inject: inj})
+		j, err := OpenJournal(path, Options{Inject: inj})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,7 +430,7 @@ func TestDeterministicInjection(t *testing.T) {
 func TestOversizedRecordRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal")
-	j, err := OpenJournal(path, Options{NoSync: true})
+	j, err := OpenJournal(path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestOversizedRecordRejected(t *testing.T) {
 		if !errors.Is(err, ErrRecordTooLarge) {
 			t.Fatalf("Append(%d bytes): got %v, want ErrRecordTooLarge", size, err)
 		}
-		if err := WriteSnapshot(filepath.Join(dir, "snap"), [][]byte{make([]byte, size)}, Options{NoSync: true}); !errors.Is(err, ErrRecordTooLarge) {
+		if err := WriteSnapshot(filepath.Join(dir, "snap"), [][]byte{make([]byte, size)}, Options{}); !errors.Is(err, ErrRecordTooLarge) {
 			t.Fatalf("WriteSnapshot(%d bytes): got %v, want ErrRecordTooLarge", size, err)
 		}
 	}
