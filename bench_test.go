@@ -18,6 +18,7 @@ import (
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/lp"
 	model "mbsp/internal/mbsp"
+	"mbsp/internal/mip"
 	"mbsp/internal/partition"
 	"mbsp/internal/portfolio"
 	"mbsp/internal/twostage"
@@ -261,17 +262,16 @@ func BenchmarkEmptyStepLemma(b *testing.B) {
 func BenchmarkAcyclicBipartition(b *testing.B) {
 	insts := workloads.Tiny()
 	b.ReportAllocs()
-	var stats partition.SolverStats
+	var stats mip.Counters
 	for i := 0; i < b.N; i++ {
 		optimal := 0
 		for _, inst := range insts {
-			_, _, opt, err := partition.Bipartition(inst.DAG, partition.BipartitionOptions{
-				TimeLimit: 5 * time.Second, Stats: &stats,
-			})
+			_, _, res, err := partition.Bipartition(inst.DAG, mip.Options{NodeLimit: 20000})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if opt {
+			stats.Add(res.Counters)
+			if res.Status == mip.Optimal {
 				optimal++
 			}
 		}
@@ -353,9 +353,7 @@ func BenchmarkPartitionerAblation(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		ri, err := partition.Recursive(inst.DAG, 45, &partition.BipartitionOptions{
-			TimeLimit: 2 * time.Second,
-		})
+		ri, err := partition.Recursive(inst.DAG, 45, &mip.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -479,16 +477,13 @@ func BenchmarkMIPNode(b *testing.B) {
 	}{{"warm", false}, {"cold", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var stats partition.SolverStats
-				_, _, _, err := partition.Bipartition(inst.DAG, partition.BipartitionOptions{
-					TimeLimit: 30 * time.Second, ColdStartLP: bc.cold, Stats: &stats,
-				})
+				_, _, res, err := partition.Bipartition(inst.DAG, mip.Options{NodeLimit: 20000, ColdStart: bc.cold})
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(stats.SimplexIters), "simplex-iters")
-				if stats.Nodes > 0 {
-					b.ReportMetric(float64(stats.SimplexIters)/float64(stats.Nodes), "iters/node")
+				b.ReportMetric(float64(res.SimplexIters), "simplex-iters")
+				if res.Nodes > 0 {
+					b.ReportMetric(float64(res.SimplexIters)/float64(res.Nodes), "iters/node")
 				}
 			}
 		})

@@ -55,6 +55,7 @@ import (
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/lp"
 	"mbsp/internal/mbsp"
+	"mbsp/internal/mip"
 	"mbsp/internal/partition"
 	"mbsp/internal/portfolio"
 	"mbsp/internal/workloads"
@@ -552,35 +553,35 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 	diverged := false
 	parDiverged := false
 	// The regression gate only compares instances both paths solved to
-	// proven optimality: a TimeLimit-truncated run reports a truncated
+	// proven optimality: a clock-truncated run reports a truncated
 	// iteration count for a different tree, which would make the
 	// comparison meaningless either way.
 	gateWarm, gateCold := 0, 0
+	// bipartition searches inst's tree once: the default node limit binds
+	// deterministically, and the -timeout clock is a backstop.
+	bipartition := func(inst workloads.Instance, leg string, run mip.Options) ([]int, int, mip.Result, time.Duration) {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		defer cancel()
+		run.Context, run.NodeLimit = ctx, 20000
+		t0 := time.Now()
+		part, cut, res, err := partition.Bipartition(inst.DAG, run)
+		if err != nil {
+			fatal(fmt.Errorf("solver experiment on %s (%s): %w", inst.Name, leg, err))
+		}
+		return part, cut, res, time.Since(t0)
+	}
 	for _, inst := range insts {
 		if inst.DAG.N() < portfolio.DNCMinNodes {
 			continue // below the portfolio's DnC gate; no partitioning tree
 		}
-		var warmStats, coldStats partition.SolverStats
-		warmStart := time.Now()
-		warmPart, warmCut, warmOpt, err := partition.Bipartition(inst.DAG, partition.BipartitionOptions{
-			TimeLimit: timeout, Stats: &warmStats,
-		})
-		if err != nil {
-			fatal(fmt.Errorf("solver experiment on %s (warm): %w", inst.Name, err))
-		}
-		warmElapsed := time.Since(warmStart)
+		warmPart, warmCut, warm, warmElapsed := bipartition(inst, "warm", mip.Options{})
 		out.WarmSeconds += warmElapsed.Seconds()
-		coldStart := time.Now()
-		_, coldCut, coldOpt, err := partition.Bipartition(inst.DAG, partition.BipartitionOptions{
-			TimeLimit: timeout, ColdStartLP: true, Stats: &coldStats,
-		})
-		if err != nil {
-			fatal(fmt.Errorf("solver experiment on %s (cold): %w", inst.Name, err))
-		}
-		out.ColdSeconds += time.Since(coldStart).Seconds()
+		_, coldCut, cold, coldElapsed := bipartition(inst, "cold", mip.Options{ColdStart: true})
+		out.ColdSeconds += coldElapsed.Seconds()
+		warmOpt, coldOpt := warm.Status == mip.Optimal, cold.Status == mip.Optimal
 		entry := solverInstanceJSON{
 			Instance: inst.Name, Nodes: inst.DAG.N(),
-			WarmIters: warmStats.SimplexIters, ColdIters: coldStats.SimplexIters,
+			WarmIters: warm.SimplexIters, ColdIters: cold.SimplexIters,
 			WarmCut: warmCut, ColdCut: coldCut, Optimal: warmOpt && coldOpt,
 		}
 		if entry.WarmIters > 0 {
@@ -588,8 +589,8 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 		}
 		out.WarmIters += entry.WarmIters
 		out.ColdIters += entry.ColdIters
-		out.WarmLPs += warmStats.WarmLPs
-		out.ColdRestartLPs += warmStats.ColdLPs
+		out.WarmLPs += warm.WarmLPs
+		out.ColdRestartLPs += warm.ColdLPs
 		if entry.Optimal {
 			gateWarm += entry.WarmIters
 			gateCold += entry.ColdIters
@@ -614,35 +615,23 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 		var mismatch string
 		for k := 0; k < solverTimingSamples; k++ {
 			if k > 0 {
-				t0 := time.Now()
-				if _, _, _, err := partition.Bipartition(inst.DAG, partition.BipartitionOptions{TimeLimit: timeout}); err != nil {
-					fatal(fmt.Errorf("solver experiment on %s (serial): %w", inst.Name, err))
-				}
-				d := time.Since(t0)
+				_, _, _, d := bipartition(inst, "serial", mip.Options{})
 				serial = append(serial, d.Seconds())
 				slowest = max(slowest, d)
 			}
-			var parStats partition.SolverStats
-			t0 := time.Now()
-			parPart, parCut, parOpt, err := partition.Bipartition(inst.DAG, partition.BipartitionOptions{
-				TimeLimit: timeout, Workers: mipWorkers, Stats: &parStats,
-			})
-			if err != nil {
-				fatal(fmt.Errorf("solver experiment on %s (parallel): %w", inst.Name, err))
-			}
-			d := time.Since(t0)
+			parPart, parCut, par, d := bipartition(inst, "parallel", mip.Options{Workers: mipWorkers})
 			parallel = append(parallel, d.Seconds())
 			slowest = max(slowest, d)
-			if mismatch == "" && (!slices.Equal(warmPart, parPart) || warmCut != parCut || warmOpt != parOpt ||
-				warmStats != parStats) {
+			if mismatch == "" && (!slices.Equal(warmPart, parPart) || warmCut != parCut || warm.Status != par.Status ||
+				warm.Counters != par.Counters) {
 				mismatch = fmt.Sprintf("  PARALLEL DIVERGENCE (sample %d): serial cut=%d nodes=%d iters=%d vs %d-worker cut=%d nodes=%d iters=%d\n",
-					k+1, warmCut, warmStats.Nodes, warmStats.SimplexIters,
-					mipWorkers, parCut, parStats.Nodes, parStats.SimplexIters)
+					k+1, warmCut, warm.Nodes, warm.SimplexIters,
+					mipWorkers, parCut, par.Nodes, par.SimplexIters)
 			}
 		}
 		entry.SerialSeconds = median(serial)
 		entry.ParallelSeconds = median(parallel)
-		entry.BBNodes = warmStats.Nodes
+		entry.BBNodes = warm.Nodes
 		if entry.ParallelSeconds > 0 {
 			entry.ParallelSpeedup = entry.SerialSeconds / entry.ParallelSeconds
 		}
@@ -653,7 +642,7 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 			fmt.Printf("  note: %s ran into the %s wall-clock backstop, divergence check and throughput totals skip it (time cuts are nondeterministic by contract)\n",
 				inst.Name, timeout)
 		} else {
-			out.BBNodes += warmStats.Nodes
+			out.BBNodes += warm.Nodes
 			out.SerialSeconds += entry.SerialSeconds
 			out.ParallelSeconds += entry.ParallelSeconds
 			if mismatch != "" {

@@ -24,11 +24,11 @@ package dnc
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"mbsp/internal/graph"
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
+	"mbsp/internal/mip"
 	"mbsp/internal/partition"
 	"mbsp/internal/twostage"
 )
@@ -46,7 +46,7 @@ type Stats struct {
 	// PartitionSolver holds the branch-and-bound counters of the
 	// partitioning-stage bipartition ILPs; SimplexIters is the total
 	// across those trees plus every sub-ILP tree.
-	PartitionSolver partition.SolverStats
+	PartitionSolver mip.Counters
 	SimplexIters    int
 	FinalCost       float64
 	StreamlineWin   float64 // cost reduction achieved by streamlining
@@ -81,22 +81,15 @@ func Solve(g *graph.DAG, arch mbsp.Arch, maxPartSize int, opts ilpsched.Options)
 		return nil, stats, twostage.ErrCacheTooSmall
 	}
 
-	// Each bipartition ILP runs under a clock: 2s, or a generous minute
-	// when NodeLimit is set, so that the node limit is what binds.
-	partitionLimit := 2 * time.Second
-	if opts.NodeLimit > 0 {
-		partitionLimit = time.Minute
-	}
-	pres, err := partition.Recursive(g, maxPartSize, &partition.BipartitionOptions{
+	pres, err := partition.Recursive(g, maxPartSize, &mip.Options{
 		Context:   opts.Context,
-		TimeLimit: partitionLimit,
 		NodeLimit: opts.NodeLimit,
 		Workers:   opts.MIPWorkers,
-		Stats:     &stats.PartitionSolver,
 		Inject:    opts.Inject,
 		LUStats:   opts.LUStats,
 	})
-	stats.SimplexIters += stats.PartitionSolver.SimplexIters
+	stats.PartitionSolver = pres.Solver
+	stats.SimplexIters += pres.Solver.SimplexIters
 	if err != nil {
 		return nil, stats, fmt.Errorf("dnc: partitioning: %w", err)
 	}

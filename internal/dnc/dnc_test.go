@@ -32,6 +32,19 @@ func TestSolveValidOnSmallInstances(t *testing.T) {
 		if stats.Parts < 2 {
 			t.Fatalf("%s: expected multiple parts, got %d", inst.Name, stats.Parts)
 		}
+		// SimplexIters is the partitioning trees' total plus every
+		// sub-ILP's.
+		if stats.PartitionSolver.Nodes == 0 {
+			t.Fatalf("%s: no bipartition nodes counted for %d parts", inst.Name, stats.Parts)
+		}
+		iters := stats.PartitionSolver.SimplexIters
+		for _, sub := range stats.SubILPStats {
+			iters += sub.SimplexIters
+		}
+		if stats.SimplexIters != iters {
+			t.Fatalf("%s: SimplexIters=%d, partition %d + sub-ILPs = %d",
+				inst.Name, stats.SimplexIters, stats.PartitionSolver.SimplexIters, iters)
+		}
 		t.Logf("%s: parts=%d cut=%d cost=%g (streamline won %g)",
 			inst.Name, stats.Parts, stats.CutEdges, stats.FinalCost, stats.StreamlineWin)
 	}

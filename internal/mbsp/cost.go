@@ -1,7 +1,5 @@
 package mbsp
 
-import "fmt"
-
 // SyncCost evaluates the synchronous (Multi-BSP style) cost of the
 // schedule:
 //
@@ -40,36 +38,6 @@ func (s *Schedule) phaseMax(i int) (maxComp, maxSave, maxLoad float64) {
 		maxLoad = max(maxLoad, load)
 	}
 	return maxComp, maxSave, maxLoad
-}
-
-// CostBreakdown summarizes where a schedule's synchronous cost comes
-// from.
-type CostBreakdown struct {
-	Compute float64 // Σ max_p compute-phase cost
-	Save    float64 // Σ max_p save-phase cost
-	Load    float64 // Σ max_p load-phase cost
-	Sync    float64 // L · number of supersteps
-}
-
-// Total returns the synchronous total of the breakdown.
-func (c CostBreakdown) Total() float64 { return c.Compute + c.Save + c.Load + c.Sync }
-
-func (c CostBreakdown) String() string {
-	return fmt.Sprintf("cost{comp=%.4g save=%.4g load=%.4g sync=%.4g total=%.4g}",
-		c.Compute, c.Save, c.Load, c.Sync, c.Total())
-}
-
-// SyncCostBreakdown computes the synchronous cost split by phase kind.
-func (s *Schedule) SyncCostBreakdown() CostBreakdown {
-	var b CostBreakdown
-	for i := range s.Steps {
-		comp, save, load := s.phaseMax(i)
-		b.Compute += comp
-		b.Save += save
-		b.Load += load
-		b.Sync += s.Arch.L
-	}
-	return b
 }
 
 // AsyncCost evaluates the asynchronous cost (makespan) of the schedule.

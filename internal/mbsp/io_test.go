@@ -96,77 +96,3 @@ func TestReadScheduleValidates(t *testing.T) {
 		t.Fatal("expected validation error")
 	}
 }
-
-func TestComputeStats(t *testing.T) {
-	g := twoNodeDAG()
-	a := Arch{P: 1, R: 10, G: 2, L: 5}
-	s := handSchedule(g, a)
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.ComputeStats()
-	if st.Computes != 1 || st.Saves != 1 || st.Loads != 1 {
-		t.Fatalf("stats=%+v", st)
-	}
-	if st.WorkPerProc[0] != 3 {
-		t.Fatalf("work=%v", st.WorkPerProc)
-	}
-	// IO = g·(μ load + μ save) = 2·(1+2) = 6.
-	if st.CommVolume != 6 {
-		t.Fatalf("commvol=%g", st.CommVolume)
-	}
-	if st.Recomputed != 0 {
-		t.Fatalf("recomputed=%d", st.Recomputed)
-	}
-	if st.PeakMemory != 3 {
-		t.Fatalf("peak=%g", st.PeakMemory)
-	}
-	if !strings.Contains(st.String(), "supersteps=2") {
-		t.Fatalf("stats string: %s", st)
-	}
-}
-
-func TestStatsCountsRecomputation(t *testing.T) {
-	g := graph.Chain(2) // source 0 -> node 1
-	a := Arch{P: 1, R: 10, G: 1, L: 0}
-	s := NewSchedule(g, a)
-	st0 := s.AddSuperstep()
-	st0.Procs[0].Load = []int{0}
-	st1 := s.AddSuperstep()
-	st1.Procs[0].Comp = []Op{{OpCompute, 1}, {OpDelete, 1}, {OpCompute, 1}}
-	st1.Procs[0].Save = []int{1}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.ComputeStats()
-	if st.Recomputed != 1 || st.Computes != 2 {
-		t.Fatalf("stats=%+v", st)
-	}
-}
-
-func TestWorkImbalance(t *testing.T) {
-	g := graph.New("x")
-	s0 := g.AddNode(0, 1)
-	a := g.AddNode(4, 1)
-	b := g.AddNode(2, 1)
-	g.AddEdge(s0, a)
-	g.AddEdge(s0, b)
-	arch := Arch{P: 2, R: 10, G: 1, L: 0}
-	s := NewSchedule(g, arch)
-	st0 := s.AddSuperstep()
-	st0.Procs[0].Load = []int{s0}
-	st0.Procs[1].Load = []int{s0}
-	st1 := s.AddSuperstep()
-	st1.Procs[0].Comp = []Op{{OpCompute, a}}
-	st1.Procs[0].Save = []int{a}
-	st1.Procs[1].Comp = []Op{{OpCompute, b}}
-	st1.Procs[1].Save = []int{b}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	stats := s.ComputeStats()
-	// Work 4 vs 2: max/mean = 4/3.
-	if stats.WorkImbalance < 1.33 || stats.WorkImbalance > 1.34 {
-		t.Fatalf("imbalance=%g", stats.WorkImbalance)
-	}
-}

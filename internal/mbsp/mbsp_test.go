@@ -56,10 +56,6 @@ func TestSyncCostMinimalSchedule(t *testing.T) {
 	if got := s.SyncCost(); got != want {
 		t.Fatalf("SyncCost=%g want %g", got, want)
 	}
-	b := s.SyncCostBreakdown()
-	if b.Total() != want || b.Compute != 3 || b.Load != 2 || b.Save != 4 || b.Sync != 10 {
-		t.Fatalf("breakdown=%v", b)
-	}
 }
 
 func TestAsyncCostMinimalSchedule(t *testing.T) {
@@ -318,18 +314,6 @@ func TestArchValidate(t *testing.T) {
 func TestCostModelString(t *testing.T) {
 	if Sync.String() != "sync" || Async.String() != "async" {
 		t.Fatal("CostModel strings")
-	}
-}
-
-func TestMaxResidentMemory(t *testing.T) {
-	g := twoNodeDAG()
-	s := handSchedule(g, arch1())
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// After superstep 1 both s (μ=1) and c (μ=2) are resident.
-	if got := s.MaxResidentMemory(); got != 3 {
-		t.Fatalf("MaxResidentMemory=%g want 3", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package mbsp
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -275,28 +274,6 @@ func (s *Schedule) CheckComputesAll() error {
 		}
 	}
 	return nil
-}
-
-// MaxResidentMemory returns the maximum Σ μ over any processor's red set
-// at any point of the schedule, useful for diagnostics. The schedule must
-// be valid.
-func (s *Schedule) MaxResidentMemory() float64 {
-	st := newState(s)
-	maxUse := 0.0
-	record := func() {
-		for p := range st.redUse {
-			if st.redUse[p] > maxUse {
-				maxUse = st.redUse[p]
-			}
-		}
-	}
-	for i := range s.Steps {
-		if err := st.applySuperstep(s, i); err != nil {
-			return math.NaN()
-		}
-		record()
-	}
-	return maxUse
 }
 
 // FinalRedSets replays the schedule and returns, per processor, the nodes

@@ -63,8 +63,3 @@ func (inc *Incumbent) Seal() {
 		inc.sealed.Store(true)
 	}
 }
-
-// Sealed reports whether Seal has been called.
-func (inc *Incumbent) Sealed() bool {
-	return inc != nil && inc.sealed.Load()
-}

@@ -179,6 +179,12 @@ type Result struct {
 	Obj    float64
 	X      []float64
 	Bound  float64 // global dual (lower) bound on the optimum
+	Counters
+}
+
+// Counters are the search's deterministic work counters, embedded in
+// Result; callers that run several trees sum them with Add.
+type Counters struct {
 	// Nodes counts tree nodes whose relaxation was solved and committed;
 	// the node *budget* (Options.NodeLimit) is charged against creation
 	// sequence numbers instead, so the two can differ once the limit
@@ -209,6 +215,19 @@ type Result struct {
 	// relaxation: its subtree stays unexplored and the result is demoted
 	// exactly as for an LP iteration-limit node.
 	Panics int
+}
+
+// Add sums o into c.
+func (c *Counters) Add(o Counters) {
+	c.Nodes += o.Nodes
+	c.LPs += o.LPs
+	c.SimplexIters += o.SimplexIters
+	c.WarmLPs += o.WarmLPs
+	c.ColdLPs += o.ColdLPs
+	c.PerturbedLPs += o.PerturbedLPs
+	c.CleanupIters += o.CleanupIters
+	c.InjectedFaults += o.InjectedFaults
+	c.Panics += o.Panics
 }
 
 // DefaultMaxModelRows is the shared default row ceiling above which the

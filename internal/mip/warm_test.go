@@ -173,9 +173,6 @@ func TestIncumbentMonotoneAndSealed(t *testing.T) {
 	if inc.Offer(1) || inc.Get() != 7 {
 		t.Fatalf("sealed incumbent moved: %g", inc.Get())
 	}
-	if !inc.Sealed() {
-		t.Fatal("Sealed() false after Seal")
-	}
 	// Nil receivers are inert.
 	var nilInc *Incumbent
 	if !math.IsInf(nilInc.Get(), 1) || nilInc.Offer(1) {

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 	"testing"
-	"time"
 
 	"mbsp/internal/graph"
+	"mbsp/internal/mip"
 )
 
 // oracleDAGs are the exhaustive-oracle fixtures: seeded random DAGs of at
@@ -62,7 +62,7 @@ func TestBipartitionExhaustiveOracle(t *testing.T) {
 				best = qcut
 			}
 		}
-		got, cut, optimal, err := Bipartition(g, BipartitionOptions{TimeLimit: time.Minute})
+		got, cut, res, err := Bipartition(g, mip.Options{NodeLimit: 20000})
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name(), err)
 		}
@@ -72,7 +72,7 @@ func TestBipartitionExhaustiveOracle(t *testing.T) {
 		if !forwardOnly(g, got) {
 			t.Fatalf("%s: returned part vector %v has a 1→0 edge", g.Name(), got)
 		}
-		if optimal && cut != best {
+		if res.Status == mip.Optimal && cut != best {
 			t.Fatalf("%s: proven-optimal cut %d, exhaustive minimum %d", g.Name(), cut, best)
 		}
 	}

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
+	"mbsp/internal/mip"
 	"mbsp/internal/workloads"
 )
 
@@ -39,20 +39,18 @@ func matrixFixtures(t *testing.T) []workloads.Instance {
 func TestBipartitionParallelDeterminismMatrix(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, inst := range matrixFixtures(t) {
-		for _, nodeLimit := range []int{0, 60} {
+		for _, nodeLimit := range []int{20000, 60} {
 			var want string
 			for _, procs := range []int{1, 4} {
 				runtime.GOMAXPROCS(procs)
 				for _, workers := range []int{1, 2, 8} {
-					var stats SolverStats
-					part, cut, opt, err := Bipartition(inst.DAG, BipartitionOptions{
-						TimeLimit: time.Minute, NodeLimit: nodeLimit,
-						Workers: workers, Stats: &stats,
+					part, cut, res, err := Bipartition(inst.DAG, mip.Options{
+						NodeLimit: nodeLimit, Workers: workers,
 					})
 					if err != nil {
 						t.Fatalf("%s (limit=%d workers=%d): %v", inst.Name, nodeLimit, workers, err)
 					}
-					got := fmt.Sprintf("part=%v cut=%d opt=%v stats=%+v", part, cut, opt, stats)
+					got := fmt.Sprintf("part=%v cut=%d status=%v counters=%+v", part, cut, res.Status, res.Counters)
 					if want == "" {
 						want = got
 						continue
@@ -77,14 +75,11 @@ func TestRecursiveParallelDeterminism(t *testing.T) {
 	}
 	var want string
 	for _, workers := range []int{1, 4} {
-		var stats SolverStats
-		res, err := Recursive(inst.DAG, 24, &BipartitionOptions{
-			TimeLimit: time.Minute, NodeLimit: 2000, Workers: workers, Stats: &stats,
-		})
+		res, err := Recursive(inst.DAG, 24, &mip.Options{NodeLimit: 2000, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		got := fmt.Sprintf("%+v %+v", res, stats)
+		got := fmt.Sprintf("%+v", res)
 		if want == "" {
 			want = got
 			continue

@@ -6,8 +6,8 @@
 // enough for the scheduling sub-ILPs.
 //
 // Run control is a context.Context: each bipartition ILP runs under its
-// caller's Context narrowed by its own TimeLimit, and Recursive stops
-// splitting with the context's error once it is done.
+// caller's Context narrowed by a per-split clock (see Bipartition), and
+// Recursive stops splitting with the context's error once it is done.
 package partition
 
 import (
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"time"
 
-	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
 	"mbsp/internal/lp"
 	"mbsp/internal/mip"
@@ -24,59 +23,6 @@ import (
 // minFraction is the minimum fraction of nodes per side of every split
 // (the paper's value).
 const minFraction = 1.0 / 3.0
-
-// BipartitionOptions configures one exact bipartition solve.
-type BipartitionOptions struct {
-	// Context, when non-nil, stops the branch-and-bound search once it is
-	// done; the best bipartition found so far is still returned.
-	Context   context.Context
-	TimeLimit time.Duration // default 5s
-	NodeLimit int           // default 20000
-	// ColdStartLP disables the warm-started dual re-solves inside the
-	// branch-and-bound tree (solver ablation benchmarks).
-	ColdStartLP bool
-	// Workers bounds the goroutines solving branch-and-bound node
-	// relaxations concurrently (mip.Options.Workers). The partition — and
-	// every solver counter — is identical for any value; see DESIGN.md.
-	Workers int
-	// Stats, when non-nil, accumulates solver counters across solves.
-	Stats *SolverStats
-	// Inject, when non-nil, threads the deterministic fault-injection
-	// harness into the bipartition ILP's branch-and-bound tree
-	// (mip.Options.Inject).
-	Inject *faultinject.Injector
-	// LUStats, when non-nil, accumulates the LP factorization counters of
-	// the tree search (mip.Options.LUStats). Observability only — never
-	// folded into SolverStats, whose fields must stay byte-identical
-	// across Workers values while factorization reuse depends on worker
-	// scheduling.
-	LUStats *lp.FactorStats
-}
-
-// SolverStats accumulates branch-and-bound solver counters across
-// bipartition solves (the solver benchmark reads them).
-type SolverStats struct {
-	Nodes        int
-	LPs          int
-	SimplexIters int
-	WarmLPs      int
-	ColdLPs      int
-	PerturbedLPs int
-	CleanupIters int
-}
-
-func (st *SolverStats) add(res mip.Result) {
-	if st == nil {
-		return
-	}
-	st.Nodes += res.Nodes
-	st.LPs += res.LPs
-	st.SimplexIters += res.SimplexIters
-	st.WarmLPs += res.WarmLPs
-	st.ColdLPs += res.ColdLPs
-	st.PerturbedLPs += res.PerturbedLPs
-	st.CleanupIters += res.CleanupIters
-}
 
 // Bipartition splits g into two parts {0,1} such that the quotient graph
 // is acyclic (every edge goes 0→0, 1→1 or 0→1), both sides hold at least
@@ -90,27 +36,29 @@ func (st *SolverStats) add(res mip.Result) {
 // whose objective is the cut: under acyclicity an edge (u,v) is cut
 // exactly when part_v − part_u = 1, and Σ_(u,v) (part_v − part_u)
 // regroups per node into the degree difference (see DESIGN.md,
-// "Bipartition without cut indicators"). It reports whether the
-// solution is proven optimal.
-func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, optimal bool, err error) {
-	if opts.TimeLimit == 0 {
-		opts.TimeLimit = 5 * time.Second
-	}
-	if opts.NodeLimit == 0 {
-		opts.NodeLimit = 20000
-	}
+// "Bipartition without cut indicators").
+//
+// run configures the branch-and-bound search, with three exceptions: a
+// NodeLimit of 0 selects 20000, Bipartition's own warm start (the
+// topological prefix split) replaces run.WarmStart, and run.Context is
+// narrowed by a clock of 2s per split, or of a minute when the caller
+// sets NodeLimit, so that the node limit is what binds. res is the
+// solver's result: res.Status == mip.Optimal proves the cut minimal, and
+// res.Counters holds the tree's work even when err is set.
+func Bipartition(g *graph.DAG, run mip.Options) (part []int, cut int, res mip.Result, err error) {
+	res.Status = mip.NoSolution
 	n := g.N()
 	if n < 2 {
-		return nil, 0, false, fmt.Errorf("partition: need at least 2 nodes, have %d", n)
+		return nil, 0, res, fmt.Errorf("partition: need at least 2 nodes, have %d", n)
 	}
 	lo := int(minFraction*float64(n) + 0.999999)
 	hi := n - lo
 	if lo > hi {
-		return nil, 0, false, fmt.Errorf("partition: balance bounds infeasible for n=%d", n)
+		return nil, 0, res, fmt.Errorf("partition: balance bounds infeasible for n=%d", n)
 	}
 	order, oerr := g.TopoOrder()
 	if oerr != nil {
-		return nil, 0, false, fmt.Errorf("partition: %w", oerr)
+		return nil, 0, res, fmt.Errorf("partition: %w", oerr)
 	}
 	m := bipartitionModel(g, lo, hi)
 
@@ -120,20 +68,23 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 		ws[v] = 1
 	}
 
-	ctx := opts.Context
-	if ctx == nil {
-		ctx = context.Background()
+	limit := 2 * time.Second
+	if run.NodeLimit > 0 {
+		limit = time.Minute
 	}
-	ctx, cancel := context.WithTimeout(ctx, opts.TimeLimit)
+	if run.NodeLimit == 0 {
+		run.NodeLimit = 20000
+	}
+	if run.Context == nil {
+		run.Context = context.Background()
+	}
+	var cancel context.CancelFunc
+	run.Context, cancel = context.WithTimeout(run.Context, limit)
 	defer cancel()
-	res := m.Solve(mip.Options{
-		Context: ctx, NodeLimit: opts.NodeLimit,
-		WarmStart: ws, ColdStart: opts.ColdStartLP, Workers: opts.Workers,
-		Inject: opts.Inject, LUStats: opts.LUStats,
-	})
-	opts.Stats.add(res)
+	run.WarmStart = ws
+	res = m.Solve(run)
 	if res.X == nil {
-		return nil, 0, false, fmt.Errorf("partition: solver found no solution (%v)", res.Status)
+		return nil, 0, res, fmt.Errorf("partition: solver found no solution (%v)", res.Status)
 	}
 	part = make([]int, n)
 	for v := 0; v < n; v++ {
@@ -148,7 +99,7 @@ func Bipartition(g *graph.DAG, opts BipartitionOptions) (part []int, cut int, op
 			}
 		}
 	}
-	return part, cut, res.Status == mip.Optimal, nil
+	return part, cut, res, nil
 }
 
 // bipartitionModel builds Bipartition's ILP: column v is part_v, then one
@@ -224,7 +175,8 @@ type Result struct {
 	K         int
 	CutEdges  int
 	ILPSolves int
-	Optimal   int // bipartitions proven optimal
+	Optimal   int          // bipartitions proven optimal
+	Solver    mip.Counters // summed over every bipartition ILP
 }
 
 // Recursive splits g into acyclic parts of at most maxPartSize nodes
@@ -232,12 +184,11 @@ type Result struct {
 // recursive bipartitioning. Part ids are assigned so that the quotient
 // graph respects a topological order of the parts.
 //
-// A nil ilp splits greedily. Otherwise every split solves the exact
-// bipartition ILP under *ilp — its Stats accumulate the counters of every
-// tree — and falls back to the greedy split when the ILP fails. A done
-// ilp.Context stops the partitioning with its error (a partial split is
-// not a partitioning).
-func Recursive(g *graph.DAG, maxPartSize int, ilp *BipartitionOptions) (Result, error) {
+// A nil run splits greedily. Otherwise every split solves the exact
+// bipartition ILP under *run (see Bipartition) and falls back to the
+// greedy split when the ILP fails. A done run.Context stops the
+// partitioning with its error (a partial split is not a partitioning).
+func Recursive(g *graph.DAG, maxPartSize int, run *mip.Options) (Result, error) {
 	if maxPartSize <= 0 {
 		maxPartSize = 24
 	}
@@ -258,17 +209,18 @@ func Recursive(g *graph.DAG, maxPartSize int, ilp *BipartitionOptions) (Result, 
 			finished = append(finished, j.nodes)
 			continue
 		}
-		if ilp != nil && ilp.Context != nil && ilp.Context.Err() != nil {
-			return res, fmt.Errorf("partition: cancelled after %d bipartitions: %w", res.ILPSolves, ilp.Context.Err())
+		if run != nil && run.Context != nil && run.Context.Err() != nil {
+			return res, fmt.Errorf("partition: cancelled after %d bipartitions: %w", res.ILPSolves, run.Context.Err())
 		}
 		sub, orig := g.SubDAG(j.nodes)
 		var part []int
-		if ilp != nil {
-			p, _, opt, err := Bipartition(sub, *ilp)
+		if run != nil {
+			p, _, bres, err := Bipartition(sub, *run)
 			res.ILPSolves++
+			res.Solver.Add(bres.Counters)
 			if err == nil {
 				part = p
-				if opt {
+				if bres.Status == mip.Optimal {
 					res.Optimal++
 				}
 			}

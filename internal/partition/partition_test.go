@@ -5,22 +5,22 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"mbsp/internal/graph"
+	"mbsp/internal/mip"
 	"mbsp/internal/workloads"
 )
 
 func TestBipartitionChain(t *testing.T) {
 	g := graph.Chain(9)
-	part, cut, optimal, err := Bipartition(g, BipartitionOptions{TimeLimit: 5 * time.Second})
+	part, cut, res, err := Bipartition(g, mip.Options{NodeLimit: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cut != 1 {
 		t.Fatalf("chain cut=%d want 1", cut)
 	}
-	if !optimal {
+	if res.Status != mip.Optimal {
 		t.Fatal("chain bipartition should be proven optimal")
 	}
 	if !g.IsAcyclicPartition(part, 2) {
@@ -38,7 +38,7 @@ func TestBipartitionChain(t *testing.T) {
 
 func TestBipartitionRespectsAcyclicity(t *testing.T) {
 	for _, inst := range workloads.Tiny()[:5] {
-		part, _, _, err := Bipartition(inst.DAG, BipartitionOptions{TimeLimit: 5 * time.Second})
+		part, _, _, err := Bipartition(inst.DAG, mip.Options{NodeLimit: 20000})
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -54,7 +54,7 @@ func TestBipartitionBeatsOrMatchesGreedy(t *testing.T) {
 		if gerr != nil {
 			t.Fatalf("%s: %v", inst.Name, gerr)
 		}
-		_, icut, _, err := Bipartition(inst.DAG, BipartitionOptions{TimeLimit: 5 * time.Second})
+		_, icut, _, err := Bipartition(inst.DAG, mip.Options{NodeLimit: 20000})
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -88,7 +88,7 @@ func TestGreedyBipartitionBalanced(t *testing.T) {
 
 func TestRecursiveSplitsToSize(t *testing.T) {
 	for _, inst := range workloads.Small()[:3] {
-		res, err := Recursive(inst.DAG, 30, &BipartitionOptions{TimeLimit: 2 * time.Second})
+		res, err := Recursive(inst.DAG, 30, &mip.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -126,13 +126,12 @@ func TestRecursiveCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var stats SolverStats
-	res, err := Recursive(inst.DAG, 45, &BipartitionOptions{Context: ctx, Stats: &stats})
+	res, err := Recursive(inst.DAG, 45, &mip.Options{Context: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res.ILPSolves != 0 || stats.Nodes != 0 {
-		t.Fatalf("cancelled run made %d ILP solves over %d nodes, want none", res.ILPSolves, stats.Nodes)
+	if res.ILPSolves != 0 || res.Solver.Nodes != 0 {
+		t.Fatalf("cancelled run made %d ILP solves over %d nodes, want none", res.ILPSolves, res.Solver.Nodes)
 	}
 }
 
@@ -155,7 +154,7 @@ func TestRecursiveGreedyOnly(t *testing.T) {
 
 func TestRecursiveSmallInputNoSplit(t *testing.T) {
 	g := graph.Diamond()
-	res, err := Recursive(g, 10, &BipartitionOptions{})
+	res, err := Recursive(g, 10, &mip.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestRecursiveCyclicInputErrors(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		g.AddEdge(i, (i+1)%6)
 	}
-	for _, ilp := range []*BipartitionOptions{nil, {}} {
+	for _, ilp := range []*mip.Options{nil, {}} {
 		_, err := Recursive(g, 2, ilp)
 		if err == nil || !strings.Contains(err.Error(), "degenerate split of 6 nodes") {
 			t.Fatalf("ilp=%v: err = %v, want a degenerate split of 6 nodes", ilp != nil, err)

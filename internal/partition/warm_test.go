@@ -2,8 +2,8 @@ package partition
 
 import (
 	"testing"
-	"time"
 
+	"mbsp/internal/mip"
 	"mbsp/internal/workloads"
 )
 
@@ -22,29 +22,24 @@ func TestWarmColdBipartitionAgreeOnRegistry(t *testing.T) {
 		if inst.DAG.N() < 24 {
 			continue // a single sub-ILP window covers the whole DAG
 		}
-		var warmStats, coldStats SolverStats
-		_, warmCut, warmOpt, err := Bipartition(inst.DAG, BipartitionOptions{
-			TimeLimit: 30 * time.Second, Stats: &warmStats,
-		})
+		_, warmCut, warm, err := Bipartition(inst.DAG, mip.Options{NodeLimit: 20000})
 		if err != nil {
 			t.Fatalf("%s: warm: %v", inst.Name, err)
 		}
-		_, coldCut, coldOpt, err := Bipartition(inst.DAG, BipartitionOptions{
-			TimeLimit: 30 * time.Second, ColdStartLP: true, Stats: &coldStats,
-		})
+		_, coldCut, cold, err := Bipartition(inst.DAG, mip.Options{NodeLimit: 20000, ColdStart: true})
 		if err != nil {
 			t.Fatalf("%s: cold: %v", inst.Name, err)
 		}
 		// A proven-optimal cut size is solver-independent; the chosen
 		// partition may differ between alternate optima.
-		if warmOpt && coldOpt && warmCut != coldCut {
+		if warm.Status == mip.Optimal && cold.Status == mip.Optimal && warmCut != coldCut {
 			t.Fatalf("%s: warm optimal cut=%d vs cold optimal cut=%d", inst.Name, warmCut, coldCut)
 		}
-		if warmStats.WarmLPs == 0 && warmStats.Nodes > 2 {
-			t.Fatalf("%s: no warm re-solves in a %d-node tree", inst.Name, warmStats.Nodes)
+		if warm.WarmLPs == 0 && warm.Nodes > 2 {
+			t.Fatalf("%s: no warm re-solves in a %d-node tree", inst.Name, warm.Nodes)
 		}
-		totWarm += warmStats.SimplexIters
-		totCold += coldStats.SimplexIters
+		totWarm += warm.SimplexIters
+		totCold += cold.SimplexIters
 	}
 	if totWarm == 0 || totCold == 0 {
 		t.Fatal("no bipartition trees were searched")
