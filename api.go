@@ -115,13 +115,13 @@ type ILPStats = ilpsched.Stats
 // ScheduleBaseline runs the paper's main two-stage baseline
 // (BSPg + clairvoyant eviction; DFS + clairvoyant for P=1).
 func ScheduleBaseline(g *DAG, arch Arch) (*Schedule, error) {
-	return twostage.Baseline(arch).Run(g, arch)
+	return twostage.Baseline(arch).Run(g, arch, 0, nil)
 }
 
 // ScheduleCilkLRU runs the application-oriented baseline: Cilk-style work
 // stealing plus LRU eviction.
 func ScheduleCilkLRU(g *DAG, arch Arch, seed int64) (*Schedule, error) {
-	return twostage.CilkLRU(seed).Run(g, arch)
+	return twostage.Pipeline{Stage1: twostage.Cilk, Policy: memmgr.LRU{}}.Run(g, arch, seed, nil)
 }
 
 // ScheduleILP runs the holistic ILP-based scheduler (warm-started from

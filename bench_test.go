@@ -18,6 +18,7 @@ import (
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/lp"
 	model "mbsp/internal/mbsp"
+	"mbsp/internal/memmgr"
 	"mbsp/internal/mip"
 	"mbsp/internal/partition"
 	"mbsp/internal/portfolio"
@@ -175,7 +176,7 @@ func BenchmarkSingleProcessorPebbling(b *testing.B) {
 func BenchmarkNoRecomputationAblation(b *testing.B) {
 	z := graph.NewZipperGadget(2, 2)
 	arch := model.Arch{P: 1, R: 4, G: 6, L: 0}
-	warm, err := twostage.DFSClairvoyant().Run(z.DAG, arch)
+	warm, err := twostage.Baseline(arch).Run(z.DAG, arch, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func BenchmarkEmptyStepLemma(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		base, err := twostage.DFSClairvoyant().Run(z.DAG, arch)
+		base, err := twostage.Baseline(arch).Run(z.DAG, arch, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -308,7 +309,7 @@ func BenchmarkStepMergingAblation(b *testing.B) {
 func BenchmarkWarmStartAblation(b *testing.B) {
 	g := graph.Diamond()
 	arch := model.Arch{P: 2, R: 3 * g.MinCache(), G: 1, L: 0}
-	warm, err := twostage.BSPgClairvoyant(1, 0).Run(g, arch)
+	warm, err := twostage.Baseline(arch).Run(g, arch, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -331,11 +332,11 @@ func BenchmarkEvictionPolicyAblation(b *testing.B) {
 		var cl, lru float64
 		for _, inst := range insts {
 			arch := model.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-			sc, err := twostage.BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+			sc, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sl, err := twostage.CilkLRU(1).Run(inst.DAG, arch)
+			sl, err := twostage.Pipeline{Stage1: twostage.Cilk, Policy: memmgr.LRU{}}.Run(inst.DAG, arch, 1, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

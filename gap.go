@@ -37,7 +37,7 @@ func TwoStageGapCosts(d, m int) (twoStage, holistic float64, err error) {
 	for _, u := range gd.U {
 		b.Assign(u, 1, 0)
 	}
-	ts, err := twostage.Convert(b, arch, memmgr.Clairvoyant{})
+	ts, err := twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
 	if err != nil {
 		return 0, 0, fmt.Errorf("two-stage conversion: %w", err)
 	}

@@ -43,30 +43,26 @@ func TestLowerBoundEmptyWork(t *testing.T) {
 	}
 }
 
-// Every baseline pipeline's cost must respect the lower bound on every
+// Every two-stage pipeline's cost must respect the lower bound on every
 // tiny instance and a spread of architectures.
 func TestAllPipelinesRespectLowerBound(t *testing.T) {
 	for _, inst := range workloads.Tiny() {
 		for _, p := range []int{1, 2, 4} {
 			for _, rf := range []float64{1, 3} {
 				arch := mbsp.Arch{P: p, R: rf * inst.DAG.MinCache(), G: 1, L: 10}
-				var s *mbsp.Schedule
-				var err error
-				if p == 1 {
-					s, err = twostage.DFSClairvoyant().Run(inst.DAG, arch)
-				} else {
-					s, err = twostage.BSPgClairvoyant(arch.G, arch.L).Run(inst.DAG, arch)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if s.SyncCost() < SyncLB(inst.DAG, arch)-1e-9 {
-					t.Fatalf("%s P=%d rf=%g: sync cost %g below LB %g",
-						inst.Name, p, rf, s.SyncCost(), SyncLB(inst.DAG, arch))
-				}
-				if s.AsyncCost() < AsyncLB(inst.DAG, arch)-1e-9 {
-					t.Fatalf("%s P=%d rf=%g: async cost %g below LB %g",
-						inst.Name, p, rf, s.AsyncCost(), AsyncLB(inst.DAG, arch))
+				for _, pl := range twostage.Pipelines(arch) {
+					s, err := pl.Run(inst.DAG, arch, 1, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if s.SyncCost() < SyncLB(inst.DAG, arch)-1e-9 {
+						t.Fatalf("%s P=%d rf=%g %s: sync cost %g below LB %g",
+							inst.Name, p, rf, pl.Name(), s.SyncCost(), SyncLB(inst.DAG, arch))
+					}
+					if s.AsyncCost() < AsyncLB(inst.DAG, arch)-1e-9 {
+						t.Fatalf("%s P=%d rf=%g %s: async cost %g below LB %g",
+							inst.Name, p, rf, pl.Name(), s.AsyncCost(), AsyncLB(inst.DAG, arch))
+					}
 				}
 			}
 		}
@@ -100,7 +96,7 @@ func TestRandomSchedulesRespectLowerBound(t *testing.T) {
 		if berr != nil {
 			return false
 		}
-		s, err := twostage.Convert(b, arch, memmgr.LRU{})
+		s, err := twostage.Convert(b, arch, memmgr.LRU{}, nil)
 		if err != nil {
 			return false
 		}

@@ -43,10 +43,9 @@ func DFSOrder(g *graph.DAG) []int {
 
 // DFS builds the single-processor depth-first BSP schedule used as the
 // stage-1 baseline for P=1 (red-blue pebbling with compute costs). The
-// whole schedule is one superstep; the compute order within it is
-// DFSOrder. Note ComputeOrder re-sorts topologically, which preserves a
-// valid order; converters that want the exact DFS sequence should use
-// DFSOrder directly.
+// whole schedule is one superstep, assigned in DFSOrder; ComputeOrder
+// orders each bucket by assignment sequence (Pos), so it returns exactly
+// DFSOrder.
 func DFS(g *graph.DAG) *Schedule {
 	s := NewSchedule(g, 1)
 	for _, v := range DFSOrder(g) {

@@ -166,20 +166,19 @@ func schedulePart(g *graph.DAG, arch mbsp.Arch, opts ilpsched.Options, part []in
 			sub.AddEdge(toSub[u], toSub[v])
 		}
 	}
-	// A part-k node with all parents outside the part would look like a
-	// sub-source (never computed). Parts are built from non-trivial DAGs,
-	// so give such nodes a zero-weight anchor edge from a boundary or
-	// in-part parent — impossible by construction: a non-source global
-	// node always has parents, which are all in toSub. A global source
-	// inside the part stays a source, which is correct.
+	// Every parent of a part node is in the part or on the boundary, and
+	// every edge into a part node is copied, so a part node is a sub-DAG
+	// source exactly when it is a global source (already blue). A part
+	// node that lost its parents would never be computed.
 	for _, v := range nodes {
 		if !g.IsSource(v) && sub.IsSource(toSub[v]) {
 			return nil, fmt.Errorf("internal: node %d lost its parents in the sub-DAG", v)
 		}
 	}
 	// Values needed by later parts (or globally sinks) must end blue.
-	var needBlue []int
-	extraSave := map[int]bool{}
+	// Sub-sinks are saved by construction; the warm start still forces
+	// their save for safety.
+	var needBlue, extraSave []int
 	for _, v := range nodes {
 		if g.IsSource(v) {
 			continue
@@ -190,27 +189,17 @@ func schedulePart(g *graph.DAG, arch mbsp.Arch, opts ilpsched.Options, part []in
 				needed = true
 			}
 		}
-		if needed && !sub.IsSink(toSub[v]) {
+		if !needed {
+			continue
+		}
+		extraSave = append(extraSave, toSub[v])
+		if !sub.IsSink(toSub[v]) {
 			needBlue = append(needBlue, toSub[v])
-			extraSave[toSub[v]] = true
-		} else if needed {
-			// Sub-sinks are saved by construction; still force the save
-			// in the warm start for safety.
-			extraSave[toSub[v]] = true
 		}
 	}
 
 	// Warm start: two-stage baseline on the sub-DAG with forced saves.
-	var extraSaveList []int
-	for v := range extraSave {
-		extraSaveList = append(extraSaveList, v)
-	}
-	base := twostage.Baseline(arch)
-	b, err := base.Stage1(sub, arch.P)
-	if err != nil {
-		return nil, fmt.Errorf("sub-baseline: %w", err)
-	}
-	warm, err := twostage.ConvertExtra(b, arch, base.Policy, extraSaveList)
+	warm, err := twostage.Baseline(arch).Run(sub, arch, 0, extraSave)
 	if err != nil {
 		return nil, fmt.Errorf("sub-baseline: %w", err)
 	}

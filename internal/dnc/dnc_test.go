@@ -58,7 +58,7 @@ func TestSolveComparableToBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 4, R: 5 * inst.DAG.MinCache(), G: 1, L: 10}
-	base, err := twostage.BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+	base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestSolveRejectsPerPartOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 2, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	warm, err := twostage.Baseline(arch).Run(inst.DAG, arch)
+	warm, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

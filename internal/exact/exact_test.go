@@ -91,7 +91,7 @@ func TestRecomputationBeatsIOWhenGHigh(t *testing.T) {
 	z := graph.NewZipperGadget(3, 2)
 	g := z.DAG
 	arch := mbsp.Arch{P: 1, R: 4, G: 8, L: 0}
-	base, err := twostage.DFSClairvoyant().Run(g, arch)
+	base, err := twostage.Baseline(arch).Run(g, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBaselineNeverBelowExact(t *testing.T) {
 		}
 		arch := mbsp.Arch{P: 1, R: r, G: 2, L: 0}
 		b := bspsched.DFS(g)
-		base, err := twostage.Convert(b, arch, memmgr.Clairvoyant{})
+		base, err := twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

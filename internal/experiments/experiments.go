@@ -2,7 +2,8 @@
 // Appendix D): the baseline-vs-ILP comparisons of Tables 1 and 3, the
 // parameter sweep of Table 4, the divide-and-conquer comparison of Table
 // 2, the cost-ratio distributions of Figure 4, and the single-processor
-// and no-recomputation side experiments.
+// side experiment. The no-recomputation ablation is
+// BenchmarkNoRecomputationAblation in the module root's bench_test.go.
 //
 // Budgets are configurable: the paper ran a commercial solver for 60
 // minutes per instance on 64 cores, while the defaults here are tuned for
@@ -130,7 +131,7 @@ type Method struct {
 // clairvoyant for P=1).
 func Baseline() Method {
 	return Method{Name: "base", Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
-		return twostage.Baseline(arch).Run(g, arch)
+		return twostage.Baseline(arch).Run(g, arch, 0, nil)
 	}}
 }
 
@@ -151,8 +152,9 @@ func ILPMethod() Method {
 
 // CilkLRUMethod is the application-oriented weak baseline.
 func CilkLRUMethod() Method {
-	return Method{Name: "cilk+lru", Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
-		return twostage.CilkLRU(cfg.Seed).Run(g, arch)
+	pl := twostage.Pipeline{Stage1: twostage.Cilk, Policy: memmgr.LRU{}}
+	return Method{Name: pl.Name(), Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
+		return pl.Run(g, arch, cfg.Seed, nil)
 	}}
 }
 
@@ -166,7 +168,7 @@ func BSPILPBaseline() Method {
 		if err != nil {
 			return nil, err
 		}
-		return twostage.Convert(b, arch, memmgr.Clairvoyant{})
+		return twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
 	}}
 }
 
@@ -179,7 +181,7 @@ func BSPILPPlusILP() Method {
 		if err != nil {
 			return nil, err
 		}
-		warm, err := twostage.Convert(b, arch, memmgr.Clairvoyant{})
+		warm, err := twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -20,11 +20,7 @@ func TestWarmStartEncodingFeasible(t *testing.T) {
 			for _, p := range []int{1, 2, 4} {
 				for _, rf := range []float64{1, 3} {
 					arch := mbsp.Arch{P: p, R: rf * inst.DAG.MinCache(), G: 1, L: 10}
-					pl := twostage.BSPgClairvoyant(1, 10)
-					if p == 1 {
-						pl = twostage.DFSClairvoyant()
-					}
-					warm, err := pl.Run(inst.DAG, arch)
+					warm, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 					if err != nil {
 						t.Fatalf("%s: %v", inst.Name, err)
 					}
@@ -55,7 +51,7 @@ func TestWarmStartObjectiveMatchesCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 2, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	warm, err := twostage.BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+	warm, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +101,7 @@ func TestSolveDiamondP1Optimal(t *testing.T) {
 func TestSolveNeverWorseThanWarmStart(t *testing.T) {
 	for _, inst := range workloads.Tiny()[:6] {
 		arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-		warm, err := twostage.BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+		warm, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +225,7 @@ func TestZipperGadgetMoreStepsNeverWorse(t *testing.T) {
 	z := graph.NewZipperGadget(3, 2)
 	g := z.DAG
 	arch := mbsp.Arch{P: 1, R: 4, G: 6, L: 0}
-	warm, err := twostage.DFSClairvoyant().Run(g, arch)
+	warm, err := twostage.Baseline(arch).Run(g, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +256,7 @@ func TestZipperGadgetMoreStepsNeverWorse(t *testing.T) {
 func TestNoStepMergingWarmStartFeasible(t *testing.T) {
 	g := graph.Diamond()
 	arch := mbsp.Arch{P: 1, R: 3 * g.MinCache(), G: 1, L: 0}
-	warm, err := twostage.DFSClairvoyant().Run(g, arch)
+	warm, err := twostage.Baseline(arch).Run(g, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,11 +317,7 @@ func TestWarmStartEncodingFeasibleRandom(t *testing.T) {
 		g := graph.RandomLayered("p", 3, 3, 0.4, 4, 4, seed)
 		p := 1 + int(seed%3)
 		arch := mbsp.Arch{P: p, R: (1 + float64(seed%3)) * g.MinCache(), G: 2, L: 3}
-		pl := twostage.BSPgClairvoyant(arch.G, arch.L)
-		if p == 1 {
-			pl = twostage.DFSClairvoyant()
-		}
-		warm, err := pl.Run(g, arch)
+		warm, err := twostage.Baseline(arch).Run(g, arch, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -154,7 +154,7 @@ func warmStart(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, erro
 	warm := opts.WarmStart
 	if warm == nil {
 		var err error
-		warm, err = twostage.Baseline(arch).Run(g, arch)
+		warm, err = twostage.Baseline(arch).Run(g, arch, 0, nil)
 		if err != nil {
 			return nil, fmt.Errorf("ilpsched: building baseline warm start: %w", err)
 		}

@@ -10,6 +10,7 @@ import (
 	"mbsp/internal/dnc"
 	"mbsp/internal/graph"
 	"mbsp/internal/mbsp"
+	"mbsp/internal/memmgr"
 	"mbsp/internal/twostage"
 )
 
@@ -247,7 +248,7 @@ func fallback(g *graph.DAG, arch mbsp.Arch, sh *sharedState) (*mbsp.Schedule, st
 	case arch.P == 1:
 		return nil, RungDFS, sh.warmErr
 	}
-	s, err := twostage.DFSClairvoyant().Run(g, arch)
+	s, err := twostage.Pipeline{Stage1: twostage.DFS, Policy: memmgr.Clairvoyant{}}.Run(g, arch, 0, nil)
 	if err == nil {
 		if verr := s.Validate(); verr != nil {
 			err = fmt.Errorf("%s: %w: %v", RungDFS, errInvalidSchedule, verr)

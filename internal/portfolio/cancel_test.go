@@ -44,9 +44,7 @@ func TestPortfolioCancelMidRun(t *testing.T) {
 	opts := testOpts()
 	opts.Workers = 2
 	opts.Candidates = []Candidate{
-		pipelineCandidate("bspg+clairvoyant", func(Options) twostage.Pipeline {
-			return twostage.BSPgClairvoyant(arch.G, arch.L)
-		}),
+		pipelineCandidate(twostage.Baseline(arch), false),
 		{Name: "blocker", Run: func(ctx context.Context, _ *graph.DAG, _ mbsp.Arch, _ Options) (*mbsp.Schedule, error) {
 			<-ctx.Done()
 			return nil, ctx.Err()

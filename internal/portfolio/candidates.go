@@ -2,14 +2,11 @@ package portfolio
 
 import (
 	"context"
-	"strings"
 
-	"mbsp/internal/bsp"
 	"mbsp/internal/dnc"
 	"mbsp/internal/graph"
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
-	"mbsp/internal/memmgr"
 	"mbsp/internal/twostage"
 )
 
@@ -28,91 +25,37 @@ type Candidate struct {
 // instance set the portfolio's DnC gate selects.
 const DNCMinNodes = 24
 
-// DefaultCandidates returns every scheduler applicable to g on arch:
-// the two-stage baselines (stage-1 BSPg/Cilk/DFS × clairvoyant/LRU
-// eviction), the holistic ILP, and — for DAGs large enough to split —
-// its divide-and-conquer variant. For P=1 the multiprocessor stage-1
-// schedulers reduce to DFS, so only the DFS pipelines and the ILP run.
+// DefaultCandidates returns every scheduler applicable to g on arch: the
+// two-stage pipelines of twostage.Pipelines (stage-1 BSPg/Cilk/DFS ×
+// clairvoyant/LRU eviction, only DFS on P=1), the holistic ILP, and — for
+// DAGs large enough to split — its divide-and-conquer variant.
 func DefaultCandidates(g *graph.DAG, arch mbsp.Arch) []Candidate {
-	cands := []Candidate{baselineCandidate(arch)}
-	if arch.P > 1 {
-		cands = append(cands,
-			pipelineCandidate("bspg+lru", func(opts Options) twostage.Pipeline {
-				return twostage.Pipeline{
-					Name: "BSPg+LRU",
-					Stage1: func(g *graph.DAG, p int) (*bsp.Schedule, error) {
-						return bsp.BSPg(g, p, bsp.BSPgOptions{G: arch.G, L: arch.L})
-					},
-					Policy: memmgr.LRU{},
-				}
-			}),
-			pipelineCandidate("cilk+clairvoyant", func(opts Options) twostage.Pipeline {
-				return twostage.Pipeline{
-					Name: "Cilk+clairvoyant",
-					Stage1: func(g *graph.DAG, p int) (*bsp.Schedule, error) {
-						return bsp.Cilk(g, p, candidateSeed(opts.Seed, "cilk+clairvoyant"))
-					},
-					Policy: memmgr.Clairvoyant{},
-				}
-			}),
-			pipelineCandidate("cilk+lru", func(opts Options) twostage.Pipeline {
-				return twostage.Pipeline{
-					Name: "Cilk+LRU",
-					Stage1: func(g *graph.DAG, p int) (*bsp.Schedule, error) {
-						return bsp.Cilk(g, p, candidateSeed(opts.Seed, "cilk+lru"))
-					},
-					Policy: memmgr.LRU{},
-				}
-			}),
-			// DFS runs everything on one processor: on P>1 architectures
-			// it wins when synchronization and communication dominate
-			// compute. (On P=1 it is the baseline candidate above.)
-			pipelineCandidate("dfs+clairvoyant", func(opts Options) twostage.Pipeline {
-				return twostage.DFSClairvoyant()
-			}),
-		)
+	var cands []Candidate
+	for i, pl := range twostage.Pipelines(arch) {
+		cands = append(cands, pipelineCandidate(pl, i == 0))
 	}
-	cands = append(cands,
-		pipelineCandidate("dfs+lru", func(opts Options) twostage.Pipeline {
-			return twostage.Pipeline{
-				Name:   "DFS+LRU",
-				Stage1: func(g *graph.DAG, p int) (*bsp.Schedule, error) { return bsp.DFS(g), nil },
-				Policy: memmgr.LRU{},
-			}
-		}),
-		ILPCandidate(),
-	)
+	cands = append(cands, ILPCandidate())
 	if g.N() >= DNCMinNodes {
 		cands = append(cands, DNCCandidate(0))
 	}
 	return cands
 }
 
-// baselineCandidate is twostage.Baseline(arch) as a candidate, named
-// after its pipeline ("bspg+clairvoyant", or "dfs+clairvoyant" on P=1).
-// Inside a portfolio run it returns the run's memoized baseline (or the
-// error that felled it) instead of recomputing it.
-func baselineCandidate(arch mbsp.Arch) Candidate {
-	base := twostage.Baseline(arch)
-	return Candidate{Name: strings.ToLower(base.Name), Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if sh := opts.shared; sh != nil {
-			return sh.warm, sh.warmErr
-		}
-		return base.Run(g, arch)
-	}}
-}
-
-// pipelineCandidate wraps a two-stage pipeline as a candidate. The
-// pipelines are greedy and fast, so they only consult ctx up front.
-func pipelineCandidate(name string, mk func(opts Options) twostage.Pipeline) Candidate {
+// pipelineCandidate wraps a two-stage pipeline as a candidate named after
+// it and seeded from that name. The pipelines are greedy and fast, so
+// they only consult ctx up front. Inside a portfolio run the baseline
+// pipeline returns the run's memoized baseline (or the error that felled
+// it) instead of recomputing it.
+func pipelineCandidate(pl twostage.Pipeline, baseline bool) Candidate {
+	name := pl.Name()
 	return Candidate{Name: name, Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		return mk(opts).Run(g, arch)
+		if sh := opts.shared; baseline && sh != nil {
+			return sh.warm, sh.warmErr
+		}
+		return pl.Run(g, arch, candidateSeed(opts.Seed, name), nil)
 	}}
 }
 

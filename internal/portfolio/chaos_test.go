@@ -298,7 +298,7 @@ func TestAnytimeFallbackIsBaselineBytes(t *testing.T) {
 	}{{4, RungBaseline}, {1, RungDFS}} {
 		arch := baseArch(inst.DAG)
 		arch.P = tc.p
-		want, err := twostage.Baseline(arch).Run(inst.DAG, arch)
+		want, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

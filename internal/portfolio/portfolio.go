@@ -225,7 +225,7 @@ func run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 	if !opts.DisableSharedIncumbent {
 		sh.inc = mip.NewIncumbent()
 	}
-	w, err := twostage.Baseline(arch).Run(g, arch)
+	w, err := twostage.Baseline(arch).Run(g, arch, 0, nil)
 	if err == nil {
 		if verr := w.Validate(); verr != nil {
 			err = fmt.Errorf("%w: %v", errInvalidSchedule, verr)

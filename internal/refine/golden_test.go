@@ -35,7 +35,7 @@ func TestImproveGoldenDigest(t *testing.T) {
 		}
 		for _, p := range []int{2, 4} {
 			arch := mbsp.Arch{P: p, R: 2 * g.MinCache(), G: 1, L: 10}
-			base, err := twostage.BSPgClairvoyant(arch.G, arch.L).Run(g, arch)
+			base, err := twostage.Baseline(arch).Run(g, arch, 0, nil)
 			if err != nil {
 				t.Fatalf("%s P=%d: %v", inst.Name, p, err)
 			}

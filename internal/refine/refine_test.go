@@ -11,7 +11,7 @@ import (
 func TestImproveNeverWorse(t *testing.T) {
 	for _, inst := range workloads.Tiny()[:8] {
 		arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-		base, err := twostage.BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+		base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestImproveFindsImprovementSomewhere(t *testing.T) {
 	improved := 0
 	for _, inst := range workloads.Tiny() {
 		arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-		base, err := twostage.BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+		base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestImproveP1NoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 1, R: 3 * inst.DAG.MinCache(), G: 1, L: 0}
-	base, err := twostage.DFSClairvoyant().Run(inst.DAG, arch)
+	base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestInitialAssignment(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 2, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	base, err := twostage.BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+	base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestImproveRespectsBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	base, err := twostage.BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+	base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestImproveDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	base, err := twostage.BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+	base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func BenchmarkRefineImprove(b *testing.B) {
 		b.Fatal(err)
 	}
 	arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	base, err := twostage.BSPgClairvoyant(arch.G, arch.L).Run(inst.DAG, arch)
+	base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -29,20 +29,15 @@ import (
 var ErrCacheTooSmall = errors.New("twostage: fast memory smaller than r0, no valid schedule exists")
 
 // Convert turns a valid BSP schedule into a valid MBSP schedule on arch
-// using the given eviction policy.
-func Convert(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy) (*mbsp.Schedule, error) {
-	return ConvertExtra(b, arch, policy, nil)
-}
-
-// ConvertExtra is Convert with additional nodes that must end up in slow
-// memory (saved when produced), used by the divide-and-conquer scheduler
-// for values consumed by later subproblems.
-func ConvertExtra(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSave []int) (*mbsp.Schedule, error) {
+// using the given eviction policy. Nodes in extraSave must also end up in
+// slow memory (saved when produced); the divide-and-conquer scheduler
+// passes the values later subproblems consume.
+func Convert(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSave []int) (*mbsp.Schedule, error) {
 	var cv Converter
 	return cv.Convert(b, arch, policy, extraSave)
 }
 
-// A Converter runs ConvertExtra repeatedly, keeping its pebble state and
+// A Converter runs Convert repeatedly, keeping its pebble state and
 // the storage of the schedule it returns from one call to the next, for
 // callers that convert many stage-1 schedules and keep few of the
 // results (the local search). The zero Converter is ready to use.
@@ -50,9 +45,9 @@ type Converter struct {
 	c converter
 }
 
-// Convert is ConvertExtra on cv's storage. The schedule it returns is
-// overwritten by cv's next call; a caller that keeps it must not call cv
-// again.
+// Convert is the package-level Convert on cv's storage. The schedule it
+// returns is overwritten by cv's next call; a caller that keeps it must
+// not call cv again.
 func (cv *Converter) Convert(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSave []int) (*mbsp.Schedule, error) {
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("twostage: invalid stage-1 schedule: %w", err)

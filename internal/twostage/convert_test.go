@@ -18,17 +18,17 @@ func archFor(g *graph.DAG, p int, rFactor float64) mbsp.Arch {
 func TestConvertValidOnTinySetAllPipelines(t *testing.T) {
 	for _, inst := range workloads.Tiny() {
 		for _, rf := range []float64{1, 3, 5} {
-			for _, pl := range []Pipeline{BSPgClairvoyant(1, 10), CilkLRU(7)} {
-				arch := archFor(inst.DAG, 4, rf)
-				s, err := pl.Run(inst.DAG, arch)
+			arch := archFor(inst.DAG, 4, rf)
+			for _, pl := range Pipelines(arch) {
+				s, err := pl.Run(inst.DAG, arch, 7, nil)
 				if err != nil {
-					t.Fatalf("%s %s rf=%g: %v", inst.Name, pl.Name, rf, err)
+					t.Fatalf("%s %s rf=%g: %v", inst.Name, pl.Name(), rf, err)
 				}
 				if err := s.Validate(); err != nil {
-					t.Fatalf("%s %s rf=%g: invalid schedule: %v", inst.Name, pl.Name, rf, err)
+					t.Fatalf("%s %s rf=%g: invalid schedule: %v", inst.Name, pl.Name(), rf, err)
 				}
 				if err := s.CheckComputesAll(); err != nil {
-					t.Fatalf("%s %s rf=%g: %v", inst.Name, pl.Name, rf, err)
+					t.Fatalf("%s %s rf=%g: %v", inst.Name, pl.Name(), rf, err)
 				}
 			}
 		}
@@ -38,7 +38,7 @@ func TestConvertValidOnTinySetAllPipelines(t *testing.T) {
 func TestConvertValidOnSmallSet(t *testing.T) {
 	for _, inst := range workloads.Small() {
 		arch := archFor(inst.DAG, 4, 5)
-		s, err := BSPgClairvoyant(1, 10).Run(inst.DAG, arch)
+		s, err := Baseline(arch).Run(inst.DAG, arch, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -51,7 +51,7 @@ func TestConvertValidOnSmallSet(t *testing.T) {
 func TestConvertP1DFS(t *testing.T) {
 	for _, inst := range workloads.Tiny() {
 		arch := archFor(inst.DAG, 1, 3)
-		s, err := DFSClairvoyant().Run(inst.DAG, arch)
+		s, err := Baseline(arch).Run(inst.DAG, arch, 0, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -64,7 +64,7 @@ func TestConvertP1DFS(t *testing.T) {
 func TestConvertRejectsTooSmallCache(t *testing.T) {
 	g := workloads.SpMV(6, 1)
 	arch := mbsp.Arch{P: 2, R: g.MinCache() - 1, G: 1, L: 10}
-	if _, err := BSPgClairvoyant(1, 10).Run(g, arch); err != ErrCacheTooSmall {
+	if _, err := Baseline(arch).Run(g, arch, 0, nil); err != ErrCacheTooSmall {
 		t.Fatalf("expected ErrCacheTooSmall, got %v", err)
 	}
 }
@@ -76,7 +76,7 @@ func TestConvertChainSingleProc(t *testing.T) {
 	g := graph.Chain(m + 1)
 	arch := mbsp.Arch{P: 1, R: 100, G: 1, L: 0}
 	b := bsp.DFS(g)
-	s, err := Convert(b, arch, memmgr.Clairvoyant{})
+	s, err := Convert(b, arch, memmgr.Clairvoyant{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,14 +105,14 @@ func TestConvertTightCacheForcesReloads(t *testing.T) {
 	}
 	tight := mbsp.Arch{P: 2, R: float64(gd.D) + 2, G: 1, L: 0}
 	loose := mbsp.Arch{P: 2, R: 4 * float64(gd.D+2), G: 1, L: 0}
-	st, err := Convert(b, tight, memmgr.Clairvoyant{})
+	st, err := Convert(b, tight, memmgr.Clairvoyant{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sl, err := Convert(b, loose, memmgr.Clairvoyant{})
+	sl, err := Convert(b, loose, memmgr.Clairvoyant{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +139,11 @@ func TestClairvoyantNotWorseThanLRUOnAverage(t *testing.T) {
 		if berr != nil {
 			t.Fatal(berr)
 		}
-		sc, err := Convert(b, arch, memmgr.Clairvoyant{})
+		sc, err := Convert(b, arch, memmgr.Clairvoyant{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sl, err := Convert(b, arch, memmgr.LRU{})
+		sl, err := Convert(b, arch, memmgr.LRU{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestClairvoyantNotWorseThanLRUOnAverage(t *testing.T) {
 func TestConvertAsyncCostComputable(t *testing.T) {
 	for _, inst := range workloads.Tiny()[:4] {
 		arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 0}
-		s, err := BSPgClairvoyant(1, 0).Run(inst.DAG, arch)
+		s, err := Baseline(arch).Run(inst.DAG, arch, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestLargerCacheNeverIncreasesBaselineLoads(t *testing.T) {
 		var prevLoads = 1 << 30
 		for _, rf := range []float64{1, 2, 3, 5, 10} {
 			arch := archFor(inst.DAG, 4, rf)
-			s, err := Convert(b, arch, memmgr.Clairvoyant{})
+			s, err := Convert(b, arch, memmgr.Clairvoyant{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +245,7 @@ func TestConvertStateLinearAtManyProcessors(t *testing.T) {
 	var err error
 	arch := mbsp.Arch{P: p, R: 3 * g.MinCache(), G: 1, L: 10}
 	var s *mbsp.Schedule
-	conv := allocatedBytes(func() { s, err = ConvertExtra(b, arch, memmgr.Clairvoyant{}, nil) })
+	conv := allocatedBytes(func() { s, err = Convert(b, arch, memmgr.Clairvoyant{}, nil) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestConvertStateLinearAtManyProcessors(t *testing.T) {
 	}
 	size := uint64(g.N() + g.M())
 	if conv < frame || conv-frame > 1024*size {
-		t.Errorf("ConvertExtra allocated %d B beyond a %d B frame, want at most %d B (1 kB per node and edge)",
+		t.Errorf("Convert allocated %d B beyond a %d B frame, want at most %d B (1 kB per node and edge)",
 			conv-frame, frame, 1024*size)
 	}
 	if val > 64*size {

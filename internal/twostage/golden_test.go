@@ -82,7 +82,7 @@ func TestConvertGoldenDigest(t *testing.T) {
 					arch := archFor(g, p, rf)
 					for _, pol := range policies {
 						for _, ex := range [][]int{nil, extra} {
-							s, err := ConvertExtra(b, arch, pol, ex)
+							s, err := Convert(b, arch, pol, ex)
 							label := fmt.Sprintf("%s P=%d %s r=%g %s extra=%d", inst.Name, p, st.name, rf, pol.Name(), len(ex))
 							writeGoldenRecord(&buf, label, s, err)
 						}
@@ -101,13 +101,13 @@ func TestConvertGoldenDigest(t *testing.T) {
 // cases, which switch DAG, processor count, cache size, policy and
 // extraSave from call to call, plus random processor assignments (the
 // local search's input), and checks every record against a fresh
-// ConvertExtra.
+// Convert.
 func TestConverterReuseMatchesFresh(t *testing.T) {
 	var conv Converter
 	check := func(label string, b *bsp.Schedule, arch mbsp.Arch, pol memmgr.Policy, ex []int) {
 		t.Helper()
 		var want, got bytes.Buffer
-		s, err := ConvertExtra(b, arch, pol, ex)
+		s, err := Convert(b, arch, pol, ex)
 		writeGoldenRecord(&want, label, s, err)
 		s, err = conv.Convert(b, arch, pol, ex)
 		writeGoldenRecord(&got, label, s, err)

@@ -9,65 +9,70 @@ import (
 	"mbsp/internal/memmgr"
 )
 
-// Pipeline names a complete two-stage baseline: a stage-1 scheduler plus
-// an eviction policy.
+// Stage1 selects a stage-1 BSP scheduler.
+type Stage1 uint8
+
+const (
+	// BSPg is the greedy BSP scheduler, scoring communication with the
+	// architecture's g and L.
+	BSPg Stage1 = iota
+	// Cilk is Cilk-style randomized work stealing.
+	Cilk
+	// DFS is a depth-first order on one processor (red-blue pebbling with
+	// compute costs).
+	DFS
+)
+
+var stage1Names = [...]string{BSPg: "bspg", Cilk: "cilk", DFS: "dfs"}
+
+// Pipeline is a complete two-stage scheduler: a stage-1 scheduler plus an
+// eviction policy.
 type Pipeline struct {
-	Name   string
-	Stage1 func(g *graph.DAG, p int) (*bsp.Schedule, error)
+	Stage1 Stage1
 	Policy memmgr.Policy
 }
 
-// Run executes the pipeline on g for the given architecture.
-func (pl Pipeline) Run(g *graph.DAG, arch mbsp.Arch) (*mbsp.Schedule, error) {
-	b, err := pl.Stage1(g, arch.P)
+// Name is the pipeline's lowercase name, e.g. "bspg+clairvoyant".
+func (pl Pipeline) Name() string { return stage1Names[pl.Stage1] + "+" + pl.Policy.Name() }
+
+// Run executes the pipeline on g for arch. seed drives the Cilk stage's
+// randomness; extraSave is passed to Convert.
+func (pl Pipeline) Run(g *graph.DAG, arch mbsp.Arch, seed int64, extraSave []int) (*mbsp.Schedule, error) {
+	var b *bsp.Schedule
+	var err error
+	switch pl.Stage1 {
+	case BSPg:
+		b, err = bsp.BSPg(g, arch.P, bsp.BSPgOptions{G: arch.G, L: arch.L})
+	case Cilk:
+		b, err = bsp.Cilk(g, arch.P, seed)
+	case DFS:
+		b = bsp.DFS(g)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("twostage: stage-1 scheduler %s: %w", pl.Name, err)
+		return nil, fmt.Errorf("twostage: stage-1 scheduler %s: %w", pl.Name(), err)
 	}
-	return Convert(b, arch, pl.Policy)
+	return Convert(b, arch, pl.Policy, extraSave)
 }
 
-// BSPgClairvoyant is the paper's main baseline: the BSPg greedy scheduler
-// combined with the clairvoyant eviction policy.
-func BSPgClairvoyant(g1, l float64) Pipeline {
-	return Pipeline{
-		Name: "BSPg+clairvoyant",
-		Stage1: func(g *graph.DAG, p int) (*bsp.Schedule, error) {
-			return bsp.BSPg(g, p, bsp.BSPgOptions{G: g1, L: l})
-		},
-		Policy: memmgr.Clairvoyant{},
+// Pipelines lists the two-stage pipelines applicable on arch: each of
+// BSPg, Cilk and DFS, with clairvoyant and then LRU eviction. On a single
+// processor BSPg and Cilk reduce to DFS, so only the DFS pipelines are
+// listed; on more, DFS leaves all but one processor idle and wins when
+// synchronization and communication dominate compute. The first entry is
+// the paper's main baseline.
+func Pipelines(arch mbsp.Arch) []Pipeline {
+	stages := []Stage1{BSPg, Cilk, DFS}
+	if arch.P == 1 {
+		stages = []Stage1{DFS}
 	}
-}
-
-// CilkLRU is the paper's "application-oriented" baseline: a Cilk-style
-// work-stealing scheduler combined with LRU eviction.
-func CilkLRU(seed int64) Pipeline {
-	return Pipeline{
-		Name: "Cilk+LRU",
-		Stage1: func(g *graph.DAG, p int) (*bsp.Schedule, error) {
-			return bsp.Cilk(g, p, seed)
-		},
-		Policy: memmgr.LRU{},
+	out := make([]Pipeline, 0, 2*len(stages))
+	for _, s := range stages {
+		out = append(out, Pipeline{s, memmgr.Clairvoyant{}}, Pipeline{s, memmgr.LRU{}})
 	}
-}
-
-// DFSClairvoyant is the single-processor baseline (red-blue pebbling with
-// compute costs): a depth-first order plus clairvoyant eviction.
-func DFSClairvoyant() Pipeline {
-	return Pipeline{
-		Name: "DFS+clairvoyant",
-		Stage1: func(g *graph.DAG, p int) (*bsp.Schedule, error) {
-			return bsp.DFS(g), nil
-		},
-		Policy: memmgr.Clairvoyant{},
-	}
+	return out
 }
 
 // Baseline is the paper's main baseline for arch: BSPg+clairvoyant, or
 // DFS+clairvoyant on a single processor, where BSPg has nothing to
 // balance.
-func Baseline(arch mbsp.Arch) Pipeline {
-	if arch.P == 1 {
-		return DFSClairvoyant()
-	}
-	return BSPgClairvoyant(arch.G, arch.L)
-}
+func Baseline(arch mbsp.Arch) Pipeline { return Pipelines(arch)[0] }

@@ -38,7 +38,7 @@ func TestConvertPropertyRandom(t *testing.T) {
 			}
 		}
 		for _, pol := range []memmgr.Policy{memmgr.Clairvoyant{}, memmgr.LRU{}} {
-			s, err := Convert(b, arch, pol)
+			s, err := Convert(b, arch, pol, nil)
 			if err != nil {
 				return false
 			}
@@ -71,7 +71,7 @@ func TestConvertMonotoneSegments(t *testing.T) {
 		var prevSteps = 1 << 30
 		for _, rf := range []float64{1, 2, 4, 8} {
 			arch := mbsp.Arch{P: 2, R: rf * g.MinCache(), G: 1, L: 10}
-			s, err := Convert(b, arch, memmgr.Clairvoyant{})
+			s, err := Convert(b, arch, memmgr.Clairvoyant{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
