@@ -8,6 +8,7 @@ package bsp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mbsp/internal/graph"
@@ -92,24 +93,101 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
+// Sequences lists every processor's nodes in compute order: by
+// superstep, and by Pos within a superstep. Processor p's nodes are
+// Nodes[Off[p]:Off[p+1]]. Fill overwrites it, reusing its storage, so
+// one Sequences serves many schedules.
+type Sequences struct {
+	Nodes []int
+	Off   []int
+	// Scratch for Fill: the node at each Pos (or -1), the nodes ordered
+	// by (superstep, Pos), and a counter per superstep.
+	byPos  []int
+	byStep []int
+	count  []int
+}
+
+// resized returns s with length n, reusing its storage when it is large
+// enough; the contents are unspecified.
+func resized(s []int, n int) []int {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// Fill sets q to the compute sequences of s's assigned non-source
+// nodes. Pos is unique among them (Assign numbers assignments), so
+// listing the nodes by Pos is a counting sort on Pos; two stable
+// counting sorts, by superstep and then by processor, finish the order
+// without a comparison sort.
+func (q *Sequences) Fill(s *Schedule) {
+	g := s.Graph
+	listed := func(v int) bool { return !g.IsSource(v) && s.Proc[v] >= 0 }
+	maxPos := -1
+	for v := range s.Proc {
+		if listed(v) {
+			maxPos = max(maxPos, s.Pos[v])
+		}
+	}
+	q.byPos = resized(q.byPos, maxPos+1)
+	for i := range q.byPos {
+		q.byPos[i] = -1
+	}
+	for v := range s.Proc {
+		if !listed(v) {
+			continue
+		}
+		if u := q.byPos[s.Pos[v]]; u >= 0 {
+			panic(fmt.Sprintf("bsp: nodes %d and %d share Pos %d", u, v, s.Pos[v]))
+		}
+		q.byPos[s.Pos[v]] = v
+	}
+	byPos := slices.DeleteFunc(q.byPos, func(v int) bool { return v < 0 })
+	q.byStep = resized(q.byStep, len(byPos))
+	q.count = resized(q.count, s.NumSteps)
+	clear(q.count)
+	countingSort(q.byStep, byPos, q.count, s.Step)
+	q.Nodes = resized(q.Nodes, len(byPos))
+	q.Off = resized(q.Off, s.P+1)
+	clear(q.Off)
+	countingSort(q.Nodes, q.byStep, q.Off, s.Proc)
+}
+
+// countingSort writes the nodes in src into dst ordered by key[v],
+// keeping src's order among equal keys. count holds one zero per key
+// value; it ends holding each key's first index in dst.
+func countingSort(dst, src, count, key []int) {
+	for _, v := range src {
+		count[key[v]]++
+	}
+	for k := 1; k < len(count); k++ {
+		count[k] += count[k-1]
+	}
+	for i := len(src) - 1; i >= 0; i-- {
+		k := key[src[i]]
+		count[k]--
+		dst[count[k]] = src[i]
+	}
+}
+
+// Proc returns processor p's compute sequence.
+func (q *Sequences) Proc(p int) []int { return q.Nodes[q.Off[p]:q.Off[p+1]] }
+
 // ComputeOrder returns, for each (processor, superstep), the nodes
 // computed there in the scheduler's assignment order (which schedulers
 // keep consistent with the DAG). Index as order[p][s].
 func (s *Schedule) ComputeOrder() [][][]int {
+	var q Sequences
+	q.Fill(s)
 	order := make([][][]int, s.P)
 	for p := range order {
 		order[p] = make([][]int, s.NumSteps)
-	}
-	for v := 0; v < s.Graph.N(); v++ {
-		if s.Graph.IsSource(v) || s.Proc[v] < 0 {
-			continue
-		}
-		order[s.Proc[v]][s.Step[v]] = append(order[s.Proc[v]][s.Step[v]], v)
-	}
-	for p := range order {
-		for t := range order[p] {
-			bucket := order[p][t]
-			sort.Slice(bucket, func(a, b int) bool { return s.Pos[bucket[a]] < s.Pos[bucket[b]] })
+		seq := q.Proc(p)
+		for i := 0; i < len(seq); {
+			t, j := s.Step[seq[i]], i+1
+			for j < len(seq) && s.Step[seq[j]] == t {
+				j++
+			}
+			order[p][t] = seq[i:j:j]
+			i = j
 		}
 	}
 	return order
@@ -207,10 +285,24 @@ func (s *Schedule) Cost(g1, l float64) float64 {
 // different processor in the current superstep. Returns graph.ErrCyclic
 // for a cyclic input graph.
 func FromAssignment(g *graph.DAG, p int, proc []int) (*Schedule, error) {
-	s := NewSchedule(g, p)
 	order, err := g.TopoOrder()
 	if err != nil {
 		return nil, err
+	}
+	s := &Schedule{}
+	s.FromAssignment(g, p, proc, order)
+	return s, nil
+}
+
+// FromAssignment is the package-level FromAssignment on s's storage,
+// given order = g.TopoOrder(): s becomes the schedule it derives, for a
+// caller that derives many (the local search).
+func (s *Schedule) FromAssignment(g *graph.DAG, p int, proc, order []int) {
+	n := g.N()
+	s.Graph, s.P, s.NumSteps, s.nextPos = g, p, 0, 0
+	s.Proc, s.Step, s.Pos = resized(s.Proc, n), resized(s.Step, n), resized(s.Pos, n)
+	for v := 0; v < n; v++ {
+		s.Proc[v], s.Step[v], s.Pos[v] = -1, -1, -1
 	}
 	for _, v := range order {
 		if g.IsSource(v) {
@@ -229,7 +321,6 @@ func FromAssignment(g *graph.DAG, p int, proc []int) (*Schedule, error) {
 		}
 		s.Assign(v, proc[v], step)
 	}
-	return s, nil
 }
 
 // procLoadOrder returns processors ordered by current load, then index —

@@ -158,36 +158,43 @@ func CilkLRUMethod() Method {
 	}}
 }
 
-// BSPILPBaseline is the stronger two-stage baseline: ILP-based BSP
-// scheduling plus the clairvoyant policy.
-func BSPILPBaseline() Method {
-	return Method{Name: "bsp-ilp", Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
-		b, err := bsp.ILP(g, arch.P, bsp.ILPOptions{
-			G: arch.G, L: arch.L, TimeLimit: cfg.ILPTimeLimit, Workers: cfg.MIPWorkers,
+// bspILPMethods returns the stronger two-stage baseline, ILP-based BSP
+// scheduling plus the clairvoyant policy ("bsp-ilp"), and the holistic
+// ILP warm-started from it ("bsp-ilp+ilp"). The pair shares one stage-1
+// solve per instance: whichever of an instance's two cells runs first
+// solves it, and the other derives its column from the same schedule,
+// so bsp-ilp+ilp never exceeds bsp-ilp. A pair serves one grid, under
+// one Config.
+func bspILPMethods() (base, plus Method) {
+	type stage1 struct {
+		once  sync.Once
+		sched *mbsp.Schedule
+		err   error
+	}
+	var solved sync.Map // *graph.DAG → *stage1
+	warm := func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
+		v, _ := solved.LoadOrStore(g, &stage1{})
+		st := v.(*stage1)
+		st.once.Do(func() {
+			b, err := bsp.ILP(g, arch.P, bsp.ILPOptions{
+				G: arch.G, L: arch.L, TimeLimit: cfg.ILPTimeLimit, Workers: cfg.MIPWorkers,
+			})
+			if err == nil {
+				st.sched, err = twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
+			}
+			st.err = err
 		})
-		if err != nil {
-			return nil, err
-		}
-		return twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
-	}}
-}
-
-// BSPILPPlusILP warm-starts the holistic ILP from the stronger baseline.
-func BSPILPPlusILP() Method {
-	return Method{Name: "bsp-ilp+ilp", Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
-		b, err := bsp.ILP(g, arch.P, bsp.ILPOptions{
-			G: arch.G, L: arch.L, TimeLimit: cfg.ILPTimeLimit, Workers: cfg.MIPWorkers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		warm, err := twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
+		return st.sched, st.err
+	}
+	base = Method{Name: "bsp-ilp", Run: warm}
+	plus = Method{Name: "bsp-ilp+ilp", Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
+		w, err := warm(g, arch, cfg)
 		if err != nil {
 			return nil, err
 		}
 		s, _, err := ilpsched.Solve(g, arch, ilpsched.Options{
 			Model:             cfg.Model,
-			WarmStart:         warm,
+			WarmStart:         w,
 			TimeLimit:         cfg.ILPTimeLimit,
 			MIPWorkers:        cfg.MIPWorkers,
 			LocalSearchBudget: cfg.LocalSearchBudget,
@@ -195,6 +202,7 @@ func BSPILPPlusILP() Method {
 		})
 		return s, err
 	}}
+	return base, plus
 }
 
 // Run evaluates the methods on every instance and returns the table. The

@@ -154,3 +154,26 @@ func TestRenderBoxes(t *testing.T) {
 		t.Fatalf("box render:\n%s", buf.String())
 	}
 }
+
+// TestBSPILPPlusILPNotAboveBSPILP checks Table 3's last two columns on
+// every tiny instance: the holistic ILP is warm-started from the very
+// schedule the bsp-ilp column reports, so it can only match or beat it,
+// whichever of the instance's two cells reaches the shared stage-1 solve
+// first.
+func TestBSPILPPlusILPNotAboveBSPILP(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		cfg := quickCfg()
+		cfg.ILPTimeLimit = 100 * time.Millisecond
+		cfg.Workers = workers
+		base, plus := bspILPMethods()
+		tab, err := Run("bsp-ilp", workloads.Tiny(), cfg, base, plus)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, r := range tab.Rows {
+			if r.Costs[1] > r.Costs[0] {
+				t.Errorf("workers=%d %s: bsp-ilp+ilp %g > bsp-ilp %g", workers, r.Instance, r.Costs[1], r.Costs[0])
+			}
+		}
+	}
+}

@@ -11,7 +11,6 @@ package graph
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // DAG is a directed acyclic graph with per-node compute and memory weights.
@@ -185,8 +184,8 @@ func (g *DAG) TopoOrder() ([]int, error) {
 	for v := 0; v < n; v++ {
 		indeg[v] = len(g.in[v])
 	}
-	// Min-heap behaviour via sorted ready list keeps the order
-	// deterministic across runs.
+	// ready is a binary min-heap of the nodes whose parents are all
+	// ordered; nodes in ascending order already form one.
 	ready := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] == 0 {
@@ -195,14 +194,17 @@ func (g *DAG) TopoOrder() ([]int, error) {
 	}
 	order := make([]int, 0, n)
 	for len(ready) > 0 {
-		sort.Ints(ready)
 		v := ready[0]
-		ready = ready[1:]
+		last := len(ready) - 1
+		ready[0] = ready[last]
+		ready = ready[:last]
+		siftDown(ready)
 		order = append(order, v)
 		for _, w := range g.out[v] {
 			indeg[w]--
 			if indeg[w] == 0 {
 				ready = append(ready, w)
+				siftUp(ready)
 			}
 		}
 	}
@@ -210,6 +212,40 @@ func (g *DAG) TopoOrder() ([]int, error) {
 		return nil, ErrCyclic
 	}
 	return order, nil
+}
+
+// siftUp restores the min-heap order of h after its last element was
+// appended.
+func siftUp(h []int) {
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= h[i] {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+// siftDown restores the min-heap order of h after its first element was
+// replaced.
+func siftDown(h []int) {
+	i := 0
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l] < h[least] {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r] < h[least] {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // Levels returns, for each node, its level: sources are level 0 and

@@ -21,8 +21,9 @@ import (
 const goldenImproveDigest = "85778857965d2ddda1fe8b2a7cd573359bdb38b9d1dccd9994ba0503efdb1e64"
 
 // TestImproveGoldenDigest pins the local search byte for byte: each move
-// re-runs the converter, the validator and the cost, so a changed victim,
-// verdict or cost bit anywhere along the walk changes the result.
+// re-runs the converter and the cost, and each adopted move the
+// validator, so a changed victim, verdict or cost bit anywhere along the
+// walk changes the result. Every result must also validate.
 func TestImproveGoldenDigest(t *testing.T) {
 	var buf bytes.Buffer
 	for _, inst := range workloads.Tiny() {
@@ -44,6 +45,9 @@ func TestImproveGoldenDigest(t *testing.T) {
 					for i, ex := range [][]int{nil, extra} {
 						seed := int64(11*p + i)
 						res := Improve(base, Options{Budget: 150, Seed: seed, Model: model, Policy: pol, ExtraSave: ex})
+						if err := res.Schedule.Validate(); err != nil {
+							t.Fatalf("%s P=%d %s %s extra=%d: result invalid: %v", inst.Name, p, pol.Name(), model, len(ex), err)
+						}
 						fmt.Fprintf(&buf, "== %s P=%d %s %s extra=%d seed=%d\n", inst.Name, p, pol.Name(), model, len(ex), seed)
 						fmt.Fprintf(&buf, "cost %x evals %d improved %v\n", math.Float64bits(res.Cost), res.Evals, res.Improved)
 						if err := mbsp.WriteSchedule(&buf, res.Schedule); err != nil {

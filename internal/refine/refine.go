@@ -85,31 +85,33 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 	}
 
 	proc := InitialAssignment(start)
-	// Candidate evaluation: assignment → BSP schedule → MBSP conversion.
-	// Most candidates are rejected, so one converter's storage serves
-	// them all. A candidate that becomes the best keeps the converter's
-	// output, and the search goes on with a fresh converter.
+	// Candidate evaluation: assignment → BSP schedule → MBSP conversion
+	// → cost. Most candidates are rejected, so the topological order is
+	// computed once, and one BSP schedule's and one converter's storage
+	// serve every move. A candidate is validated only when the search
+	// would adopt it; a new best is copied out of the converter.
+	order, topoErr := g.TopoOrder()
+	var b bsp.Schedule
 	var conv twostage.Converter
 	eval := func(pr []int) (*mbsp.Schedule, float64, bool) {
 		res.Evals++
-		b, berr := bsp.FromAssignment(g, arch.P, pr)
-		if berr != nil {
+		if topoErr != nil {
 			return nil, 0, false
 		}
-		s, err := conv.Convert(b, arch, opts.Policy, opts.ExtraSave)
-		if err != nil || s.Validate() != nil {
+		b.FromAssignment(g, arch.P, pr, order)
+		s, err := conv.Convert(&b, arch, opts.Policy, opts.ExtraSave)
+		if err != nil {
 			return nil, 0, false
 		}
 		return s, s.Cost(opts.Model), true
 	}
 	keep := func(s *mbsp.Schedule, c float64) {
-		best, bestCost = s, c
-		conv = twostage.Converter{}
+		best, bestCost = s.Clone(), c
 		res.Improved = true
 	}
 	// The re-derived schedule for the initial assignment may itself
 	// already differ from (even beat) the input.
-	if s, c, ok := eval(proc); ok && c < bestCost {
+	if s, c, ok := eval(proc); ok && c < bestCost && s.Validate() == nil {
 		keep(s, c)
 	}
 
@@ -125,6 +127,7 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 		return res
 	}
 	cur := append([]int(nil), proc...)
+	trial := make([]int, len(cur))
 	curCost := bestCost
 	stale := 0
 	for res.Evals < opts.Budget && stale < 6*len(movable) {
@@ -134,7 +137,7 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 		}
 		v := movable[rng.Intn(len(movable))]
 		move := rng.Intn(3)
-		trial := append([]int(nil), cur...)
+		copy(trial, cur)
 		switch move {
 		case 0: // move one node to a random other processor
 			q := rng.Intn(arch.P)
@@ -159,8 +162,8 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 			trial[v], trial[w] = trial[w], trial[v]
 		}
 		s, c, ok := eval(trial)
-		if ok && c < curCost-1e-9 {
-			cur, curCost = trial, c
+		if ok && c < curCost-1e-9 && s.Validate() == nil {
+			cur, trial, curCost = trial, cur, c
 			stale = 0
 			if c < bestCost {
 				keep(s, c)

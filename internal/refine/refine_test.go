@@ -118,8 +118,9 @@ func TestImproveDeterministic(t *testing.T) {
 }
 
 // BenchmarkRefineImprove times one local search at the ILP candidate's
-// budget on a small-dataset DAG at P=4; each move converts, validates
-// and costs a candidate schedule.
+// budget on a small-dataset DAG at P=4, once per cost model. Each move
+// derives a BSP schedule from the trial assignment, converts it and
+// costs it; only a candidate the search would adopt is validated.
 //
 //	go test -run '^$' -bench '^BenchmarkRefineImprove$' -benchmem ./internal/refine
 func BenchmarkRefineImprove(b *testing.B) {
@@ -132,8 +133,12 @@ func BenchmarkRefineImprove(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		Improve(base, Options{Budget: 2000, Seed: 1})
+	for _, model := range []mbsp.CostModel{mbsp.Sync, mbsp.Async} {
+		b.Run(model.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Improve(base, Options{Budget: 2000, Seed: 1, Model: model})
+			}
+		})
 	}
 }

@@ -115,6 +115,7 @@ type converter struct {
 
 	// Buffers reused across supersteps and conversions; candLoc[k] is
 	// the local index of cands[k].
+	seqs        bsp.Sequences
 	loc         []int
 	computedNow [][]int
 	cands       []memmgr.Info
@@ -135,7 +136,7 @@ func zeroed[T any](s []T, n int) []T {
 func (c *converter) init(extraSave []int) {
 	g := c.b.Graph
 	n := g.N()
-	order := c.b.ComputeOrder()
+	c.seqs.Fill(c.b)
 	// loc maps a node to its local index on the processor being indexed,
 	// or -1; it is reset after each processor.
 	c.loc = zeroed(c.loc, n)
@@ -153,22 +154,16 @@ func (c *converter) init(extraSave []int) {
 		}
 		ps.head, ps.memUse, ps.clock = 0, 0, 0
 		ps.resList = ps.resList[:0]
-		nseq, npar := 0, 0
+		var seq []int
 		if p < c.b.P {
-			for _, bucket := range order[p] {
-				nseq += len(bucket)
-				for _, v := range bucket {
-					npar += len(g.Parents(v))
-				}
-			}
+			seq = c.seqs.Proc(p)
 		}
-		ps.node = slices.Grow(ps.node[:0], nseq+npar)
+		npar := 0
+		for _, v := range seq {
+			npar += len(g.Parents(v))
+		}
+		ps.node = append(slices.Grow(ps.node[:0], len(seq)+npar), seq...)
 		ps.parLoc = slices.Grow(ps.parLoc[:0], npar)
-		if p < c.b.P {
-			for _, bucket := range order[p] {
-				ps.node = append(ps.node, bucket...)
-			}
-		}
 		ps.seq = ps.node[:len(ps.node):len(ps.node)]
 		for i, v := range ps.seq {
 			loc[v] = i
@@ -210,12 +205,10 @@ func (c *converter) init(extraSave []int) {
 		ps.last = zeroed(ps.last, nl)
 	}
 	c.blue = zeroed(c.blue, n)
-	for _, v := range g.Sources() {
-		c.blue[v] = true
-	}
 	c.needSave = zeroed(c.needSave, n)
 	for v := 0; v < n; v++ {
 		if g.IsSource(v) {
+			c.blue[v] = true
 			continue
 		}
 		if g.IsSink(v) {
