@@ -282,6 +282,35 @@ func BenchmarkAcyclicBipartition(b *testing.B) {
 	b.ReportMetric(float64(stats.Nodes)/float64(b.N), "bb-nodes/op")
 }
 
+// BenchmarkRecursivePartitionServing splits every tiny DAG with more
+// than 45 nodes the way the divide-and-conquer candidate does when
+// served: dnc's default part size (45) and the server's 500-node limit
+// per bipartition tree, serial. It reports the Markowitz
+// refactorizations per op next to the wall time, since factoring basis
+// anchors dominates these small trees.
+func BenchmarkRecursivePartitionServing(b *testing.B) {
+	const maxPart = 45
+	var insts []workloads.Instance
+	for _, inst := range workloads.Tiny() {
+		if inst.DAG.N() > maxPart {
+			insts = append(insts, inst)
+		}
+	}
+	if len(insts) == 0 {
+		b.Fatal("no tiny DAG above the part size")
+	}
+	b.ReportAllocs()
+	var lu lp.FactorStats
+	for i := 0; i < b.N; i++ {
+		for _, inst := range insts {
+			if _, err := partition.Recursive(inst.DAG, maxPart, &mip.Options{NodeLimit: 500, LUStats: &lu}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(lu.Refactors)/float64(b.N), "refactors/op")
+}
+
 // Ablation: step merging on vs off. The merged formulation reaches the
 // same cost with a much smaller model (fewer time steps and rows).
 func BenchmarkStepMergingAblation(b *testing.B) {

@@ -442,6 +442,7 @@ type solverJSON struct {
 	ColdSeconds            float64              `json:"cold_seconds"`
 	WarmLPs                int                  `json:"warm_lps"`
 	ColdRestartLPs         int                  `json:"cold_restart_lps"`
+	WarmRefactors          int64                `json:"warm_refactors"` // serial warm trees only (see runSolver)
 	GoMaxProcs             int                  `json:"gomaxprocs"`
 	ParallelWorkers        int                  `json:"parallel_workers"`
 	BBNodes                int                  `json:"bb_nodes"`
@@ -574,7 +575,11 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 		if inst.DAG.N() < portfolio.DNCMinNodes {
 			continue // below the portfolio's DnC gate; no partitioning tree
 		}
-		warmPart, warmCut, warm, warmElapsed := bipartition(inst, "warm", mip.Options{})
+		// The serial warm tree's refactorizations are deterministic (the
+		// parallel trees' depend on which worker solves which node), so
+		// only they feed warm_refactors and its baseline gate.
+		var warmLU lp.FactorStats
+		warmPart, warmCut, warm, warmElapsed := bipartition(inst, "warm", mip.Options{LUStats: &warmLU})
 		out.WarmSeconds += warmElapsed.Seconds()
 		_, coldCut, cold, coldElapsed := bipartition(inst, "cold", mip.Options{ColdStart: true})
 		out.ColdSeconds += coldElapsed.Seconds()
@@ -643,6 +648,7 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 				inst.Name, timeout)
 		} else {
 			out.BBNodes += warm.Nodes
+			out.WarmRefactors += warmLU.Refactors
 			out.SerialSeconds += entry.SerialSeconds
 			out.ParallelSeconds += entry.ParallelSeconds
 			if mismatch != "" {
@@ -674,8 +680,8 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 		out.ParallelNodeThroughput = float64(out.BBNodes) / out.ParallelSeconds
 		out.ParallelSpeedup = out.SerialSeconds / out.ParallelSeconds
 	}
-	fmt.Printf("total: warm=%d cold=%d simplex iterations (%.2fx fewer), warm %.2fs vs cold %.2fs\n",
-		out.WarmIters, out.ColdIters, out.SpeedupIters, out.WarmSeconds, out.ColdSeconds)
+	fmt.Printf("total: warm=%d cold=%d simplex iterations (%.2fx fewer), warm %.2fs vs cold %.2fs, %d warm refactorizations\n",
+		out.WarmIters, out.ColdIters, out.SpeedupIters, out.WarmSeconds, out.ColdSeconds, out.WarmRefactors)
 	fmt.Printf("parallel: %d B&B nodes per tree set, serial %.2fs (%.0f nodes/s) vs %d workers %.2fs (%.0f nodes/s): %.2fx node throughput on GOMAXPROCS=%d\n",
 		out.BBNodes, out.SerialSeconds, out.SerialNodeThroughput,
 		out.ParallelWorkers, out.ParallelSeconds, out.ParallelNodeThroughput,
@@ -722,6 +728,14 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 				out.ParallelSpeedup < 0.6*prev.ParallelSpeedup {
 				fatal(fmt.Errorf("solver experiment: parallel node-throughput speedup regressed: %.2fx vs %.2fx in %s",
 					out.ParallelSpeedup, prev.ParallelSpeedup, baselinePath))
+			}
+			// Warm-leg refactorization gate: the serial trees are
+			// deterministic, so any rise is a real change to how warm
+			// nodes reuse factorizations. Baselines predating the field
+			// skip it.
+			if prev.WarmRefactors > 0 && prev.Dataset == out.Dataset && out.WarmRefactors > prev.WarmRefactors {
+				fatal(fmt.Errorf("solver experiment: warm trees regressed: %d refactorizations vs %d in %s",
+					out.WarmRefactors, prev.WarmRefactors, baselinePath))
 			}
 			// Degenerate-model regression gate: the fixture's node limit
 			// binds, so its counts are deterministic — any rise in

@@ -32,8 +32,8 @@ type goldenSolve struct {
 // order or counter semantics shows up here. Deliberate changes to pivot
 // paths re-record the signatures.
 var goldenSolves = []goldenSolve{
-	{"k-means", 1, 3, 20, "rows=903 nodes=20 lps=20 iters=1888 warm=19 cold=1 perturbed=20 cleanup=0 final=96 bound=0x3fc2492492492492 sched=0x268f3f7eea18631a refactors=32 etas=1886 ftrans=2922 btrans=3815"},
-	{"kNN_N4_K3", 1, 3, 20, "rows=1724 nodes=20 lps=20 iters=5511 warm=17 cold=3 perturbed=20 cleanup=0 final=81 bound=0x3f9fc3047257a99f sched=0x27da016c78d84041 refactors=61 etas=5510 ftrans=6797 btrans=11064"},
+	{"k-means", 1, 3, 20, "rows=903 nodes=20 lps=20 iters=1888 warm=19 cold=1 perturbed=20 cleanup=0 final=96 bound=0x3fc2492492492492 sched=0x268f3f7eea18631a refactors=26 etas=1886 ftrans=2740 btrans=3815"},
+	{"kNN_N4_K3", 1, 3, 20, "rows=1724 nodes=20 lps=20 iters=5511 warm=17 cold=3 perturbed=20 cleanup=0 final=81 bound=0x3f9fc3047257a99f sched=0x27da016c78d84041 refactors=57 etas=5510 ftrans=6571 btrans=11064"},
 	{"spmv_N6", 2, 3, 1, "rows=3215 nodes=1 lps=1 iters=4316 warm=0 cold=1 perturbed=1 cleanup=0 final=96 bound=0x3fb0690690690692 sched=0xceb55a3b50b9e494 refactors=34 etas=4310 ftrans=4350 btrans=8629"},
 }
 

@@ -225,9 +225,9 @@ const (
 // in each row and the bound status of every structural and slack column.
 // It is returned by optimal solves and accepted by Instance.SolveFrom,
 // which reconstructs the sparse LU factorization from the snapshot's
-// replay recipe (or reuses the live factorization when the snapshot is
-// the instance's most recent one — bit-identical either way, see
-// sparse.go). A Basis is immutable and safe to share across goroutines.
+// replay recipe, keeping the live factorization's common prefix with it
+// (bit-identical either way, see sparse.go). A Basis is immutable and
+// safe to share across goroutines.
 type Basis struct {
 	basic []int32 // length m: variable basic in each row (structural or slack)
 	stat  []vstat // length n+m: status per column

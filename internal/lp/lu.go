@@ -123,13 +123,15 @@ func newLUFactor(m int) *luFactor {
 	return f
 }
 
-// resetEtas drops the eta file (after a fresh factorization).
-func (f *luFactor) resetEtas() {
-	f.ePtr = f.ePtr[:1]
-	f.eIdx = f.eIdx[:0]
-	f.eVal = f.eVal[:0]
-	f.eLeave = f.eLeave[:0]
-	f.ePiv = f.ePiv[:0]
+// truncateEtas keeps the first k etas (append-only, so exactly as they
+// were appended) and drops the rest.
+func (f *luFactor) truncateEtas(k int) {
+	end := f.ePtr[k]
+	f.ePtr = f.ePtr[:k+1]
+	f.eIdx = f.eIdx[:end]
+	f.eVal = f.eVal[:end]
+	f.eLeave = f.eLeave[:k]
+	f.ePiv = f.ePiv[:k]
 }
 
 // appendEta records the product-form update for a basis change at
@@ -228,7 +230,7 @@ func (f *luFactor) removeRowFromCol(i int32, c int32) {
 // Any previous factorization and eta file are discarded.
 func (f *luFactor) factor(col func(pos int) ([]int32, []float64)) bool {
 	m := f.m
-	f.resetEtas()
+	f.truncateEtas(0)
 	f.lPtr = f.lPtr[:1]
 	f.lPtr[0] = 0
 	f.lRow = f.lRow[:0]

@@ -36,15 +36,15 @@ type Instance struct {
 }
 
 // FactorStats counts the factorization work an Instance has performed
-// since Prepare. The counters are workspace-level bookkeeping: hot-path
+// since Prepare. The counters are workspace-level bookkeeping: live-factor
 // reuse and refactorization cadence depend on which solves ran on this
 // instance, so they are deliberately NOT part of Result (whose fields
 // must stay byte-identical across worker schedules) — callers aggregate
 // them out of band (mip.Options.LUStats, the solver benchmark's LU leg).
 type FactorStats struct {
-	Refactors int64 // Markowitz factorizations (cold starts, reconstructions, cadence rebuilds)
-	Replays   int64 // recipe reconstructions that re-applied a nonempty eta script
-	HotSolves int64 // SolveFrom calls that reused the live factorization unchanged
+	Refactors int64 // Markowitz factorizations (cold starts, reconstructions from another anchor, cadence rebuilds)
+	Replays   int64 // SolveFrom reconstructions that recomputed at least one snapshot eta
+	HotSolves int64 // those that recomputed none: same anchor, whole script already in the live eta file
 	EtaPivots int64 // product-form updates appended across all solves
 	Ftrans    int64 // sparse triangular FTRAN solves
 	Btrans    int64 // sparse triangular BTRAN solves
@@ -148,7 +148,6 @@ func (in *Instance) Fingerprint() uint64 { return in.fprint }
 // phase-1 artificial start, then primal simplex on the true objective.
 func (in *Instance) Solve(lb, ub []float64, opts Options) Result {
 	s := in.workspace(&opts)
-	s.liveBasis = nil // the live factorization is about to be overwritten
 	if !s.resetBounds(lb, ub) {
 		return Result{Status: Infeasible}
 	}
@@ -194,13 +193,13 @@ func (in *Instance) Solve(lb, ub []float64, opts Options) Result {
 // changes, using the bounded-variable dual simplex: the supplied basis
 // stays dual feasible when only bounds moved (the branch-and-bound case),
 // so a handful of dual pivots restore primal feasibility where a cold
-// solve would replay phases 1 and 2 from scratch. When the basis is the
-// instance's most recent one, the live factorization is reused; otherwise
-// the basis inverse is refactorized from the snapshot. On an unusable
-// basis, numerical trouble, or a stalled dual, primal clean-up or shift
-// removal it transparently falls back to a cold solve
-// (Result.ColdRestart reports this); only a solve cut short by its
-// context returns IterLimit without one.
+// solve would replay phases 1 and 2 from scratch. The basis inverse is
+// rebuilt from the snapshot's recipe, keeping what the live factor
+// shares with it (see reconstruct). On an unusable basis, numerical
+// trouble, or a stalled dual, primal clean-up or shift removal it
+// transparently falls back to a cold solve (Result.ColdRestart reports
+// this); only a solve cut short by its context returns IterLimit without
+// one.
 func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Result {
 	if basis == nil || len(basis.basic) != in.m || len(basis.stat) != in.nStruct+in.m {
 		return in.coldFallback(lb, ub, opts, 0)
@@ -214,14 +213,6 @@ func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Resu
 		return res
 	}
 	s := in.workspace(&opts)
-	// Hot path: the supplied snapshot is the instance's most recent
-	// capture and the live factorization still matches it — skip
-	// reconstruction entirely. Results are unchanged either way: the live
-	// state is bitwise equal to what reconstruct() would rebuild from the
-	// snapshot's recipe, so hot reuse is purely a speed decision and the
-	// relaxation stays a pure function of (matrix, basis, bounds, seq).
-	hot := basis == s.liveBasis && s.factorOK
-	s.liveBasis = nil
 	if !s.resetBounds(lb, ub) {
 		return Result{Status: Infeasible}
 	}
@@ -233,13 +224,10 @@ func (in *Instance) SolveFrom(basis *Basis, lb, ub []float64, opts Options) Resu
 	// exercising the same numerical-failure fallback a real singular basis
 	// would take.
 	singular := opts.Inject != nil && opts.Inject.SingularRefactor(in.fprint, opts.PerturbSeq)
-	if singular || (!hot && !s.reconstruct(basis)) {
+	if singular || !s.reconstruct(basis) {
 		res := in.coldFallback(lb, ub, opts, 0)
 		res.Injected = singular
 		return res
-	}
-	if hot {
-		in.stats.HotSolves++
 	}
 	s.computeXB()
 
@@ -338,20 +326,18 @@ type spx struct {
 	candIdx []int     // candidate order scratch for the BFRT ratio sort
 	acc     []float64 // accumulated flipped-column updates (dense m-vector)
 
-	// Live-factorization identity and the replay recipe. The recipe is
-	// the determinism device: the live factor state is always exactly
-	// factor(anchor) followed by the eta script, each script eta
-	// recomputed as the FTRAN of its entering column at replay time — so
-	// a workspace that reconstructs a captured (anchor, script) recipe
-	// reaches bit-for-bit the same factor state the live path holds, and
-	// hot reuse (skipping reconstruction entirely) cannot change a single
-	// bit of any subsequent result. See DESIGN.md ("Sparse LU core").
-	liveBasis  *Basis // snapshot matching the live factorization, if any
+	// The replay recipe of the live factorization, the determinism
+	// device: while factorOK holds, the live factor state is exactly
+	// factor(anchor) followed by one eta per script pivot, each the FTRAN
+	// of its entering column against the state before it — so
+	// reconstructing a captured recipe, or keeping a common prefix of the
+	// live etas, reaches the live path's factor bit for bit. len(script)
+	// is the eta count the refactorization cadence reads. See DESIGN.md
+	// ("Sparse LU core").
 	factorOK   bool
 	anchor     []int32    // basis at the factorization anchor; immutable once set
 	script     []pivotRec // pivots applied since the anchor, in order
 	replayable bool       // false when the anchor or script references artificial columns
-	pivots     int        // eta updates since the last refactorization (= len(script))
 
 	opts     *Options
 	done     <-chan struct{} // Options.Context.Done(), captured once per solve
@@ -400,11 +386,11 @@ func (in *Instance) workspace(opts *Options) *spx {
 	s.abortSet = false
 	s.perturbed, s.didPerturb, s.costPerturbed = false, false, false
 	s.cleanupIters = 0
-	// liveBasis, factorOK, the anchor/script recipe and the pivot count
-	// survive between solves so that SolveFrom can reuse a still-live
-	// factorization (the hot path). The refactorization cadence stays
-	// deterministic because pivots always equals the live script length,
-	// which a reconstructing workspace restores identically.
+	// factorOK and the anchor/script recipe survive between solves so
+	// that SolveFrom can reuse the live factorization's common prefix
+	// with a snapshot's recipe. The refactorization cadence stays
+	// deterministic because it reads the script length, which a
+	// reconstructing workspace restores identically.
 	return s
 }
 
@@ -567,7 +553,6 @@ func (s *spx) refactor() bool {
 	m := s.m
 	if m == 0 {
 		s.factorOK = true
-		s.pivots = 0
 		s.script = s.script[:0]
 		s.anchor = emptyAnchor
 		s.replayable = true
@@ -589,40 +574,53 @@ func (s *spx) refactor() bool {
 	s.anchor = anchor
 	s.replayable = !art
 	s.script = s.script[:0]
-	s.pivots = 0
 	return true
 }
 
 var emptyAnchor = []int32{}
 
+// sameAnchor reports whether a and b are the same anchor slice.
+func sameAnchor(a, b []int32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
 // reconstruct rebuilds the workspace factorization for a snapshot basis
-// after installBasis. With a recipe it factorizes the snapshot's anchor
-// and replays the eta script — each eta recomputed as the FTRAN of its
-// entering column, which reproduces the capturing workspace's live
-// factor state bit for bit (see the spx field comments). Without a
-// recipe it factorizes the snapshot basis directly. Reports false on a
-// singular basis (the caller falls back to a cold solve).
+// after installBasis: factor(anchor) followed by the snapshot's eta
+// script, bit for bit the capturing workspace's state. If the live factor
+// has the same anchor (identity: anchors are never reused), its eta file
+// is cut to the two scripts' longest common prefix, exact because etas
+// are append-only; otherwise the anchor is factorized. The rest of the
+// script is replayed. Without a recipe it factorizes the snapshot basis.
+// Reports false on a singular basis (the caller falls back to cold).
 func (s *spx) reconstruct(b *Basis) bool {
 	if b.anchor == nil {
 		return s.refactor()
 	}
-	if !s.factorize(func(p int) int { return int(b.anchor[p]) }) {
+	k := 0
+	if s.factorOK && sameAnchor(s.anchor, b.anchor) {
+		for k < len(s.script) && k < len(b.script) && s.script[k] == b.script[k] {
+			k++
+		}
+		s.lu.truncateEtas(k)
+		if k == len(b.script) {
+			s.in.stats.HotSolves++
+		}
+	} else if !s.factorize(func(p int) int { return int(b.anchor[p]) }) {
 		return false
 	}
 	m := s.m
-	for _, rec := range b.script {
+	for _, rec := range b.script[k:] {
 		s.ftran(int(rec.enter), s.w[:m])
 		// No pivot-magnitude check on replay: the capturing workspace
 		// already validated this exact (bitwise-identical) pivot.
 		s.lu.appendEta(int(rec.leave), s.w[:m])
 	}
-	s.anchor = b.anchor // immutable; aliasing is safe
-	s.script = append(s.script[:0], b.script...)
-	s.replayable = true
-	s.pivots = len(b.script)
-	if len(b.script) > 0 {
+	if k < len(b.script) {
 		s.in.stats.Replays++
 	}
+	s.anchor = b.anchor // immutable; aliasing is safe
+	s.script = append(s.script[:k], b.script[k:]...)
+	s.replayable = true
 	return true
 }
 
@@ -753,7 +751,6 @@ func (s *spx) pivotUpdate(enter, leave int, w []float64) bool {
 		// rebuilt per solve.
 		s.replayable = false
 	}
-	s.pivots++
 	s.in.stats.EtaPivots++
 	return true
 }
@@ -889,7 +886,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 			// Numerically unusable pivot. With a fresh factorization the
 			// basis is genuinely stuck; otherwise rebuild and re-derive
 			// the direction next iteration.
-			if s.pivots == 0 {
+			if len(s.script) == 0 {
 				return IterLimit, it
 			}
 			if !s.refactor() {
@@ -953,7 +950,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		// this pivot, it is fused with the next iteration's duals: append
 		// the eta first, then btran2 with lag 1 (see rowAndDuals).
 		needRow := !useBland
-		fuse := needRow && s.pivots+1 < refactorEvery
+		fuse := needRow && len(s.script)+1 < refactorEvery
 		if needRow && !fuse {
 			s.btranRow(leave, s.rho[:m]) // pre-pivot row
 		}
@@ -995,7 +992,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 				}
 			}
 		}
-		if s.pivots >= refactorEvery {
+		if len(s.script) >= refactorEvery {
 			if !s.refactor() {
 				return IterLimit, it
 			}
@@ -1251,7 +1248,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 			// a fresh factorization the pivot is genuinely degenerate —
 			// bail out to the cold path. (Flips stay applied: they are
 			// consistent bound moves regardless of the factorization.)
-			if s.pivots == 0 {
+			if len(s.script) == 0 {
 				return IterLimit, it
 			}
 			if !s.refactor() {
@@ -1280,7 +1277,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 			s.computeXB()
 			continue
 		}
-		if s.pivots >= refactorEvery {
+		if len(s.script) >= refactorEvery {
 			if !s.refactor() {
 				return IterLimit, it
 			}
@@ -1454,14 +1451,11 @@ func (s *spx) captureBasis() *Basis {
 	if swapped || !s.replayable {
 		if !s.refactor() {
 			// Singular after the swap: hand out the snapshot without a
-			// recipe (SolveFrom will fall back to a cold solve) and keep
-			// the hot path off.
-			s.liveBasis = nil
+			// recipe (SolveFrom will fall back to a cold solve).
 			return b
 		}
 	}
 	b.anchor = s.anchor // immutable once created; aliasing is safe
 	b.script = append([]pivotRec(nil), s.script...)
-	s.liveBasis = b
 	return b
 }

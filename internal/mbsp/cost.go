@@ -49,21 +49,43 @@ func (s *Schedule) phaseMax(i int) (maxComp, maxSave, maxLoad float64) {
 // The returned value is max_p γ(last transition on p). The schedule is
 // assumed valid.
 func (s *Schedule) AsyncCost() float64 {
+	var c CostScratch
+	return c.async(s)
+}
+
+// CostScratch holds the working storage of the asynchronous cost so that
+// a caller scoring many schedules (the local search, once per move)
+// allocates it once. The zero value is ready to use; one CostScratch
+// serves schedules of any size, one at a time.
+type CostScratch struct {
+	gamma, avail, minThis []float64
+	savedNow              []int
+}
+
+// Cost evaluates s under the given cost model.
+func (c *CostScratch) Cost(s *Schedule, model CostModel) float64 {
+	if model == Async {
+		return c.async(s)
+	}
+	return s.SyncCost()
+}
+
+func (c *CostScratch) async(s *Schedule) float64 {
 	g := s.Graph
-	gamma := make([]float64, s.Arch.P) // current finishing time per processor
+	gamma := resize(c.gamma, s.Arch.P, 0) // current finishing time per processor
 	// Γ(v), the time v first becomes available in slow memory, and the
 	// minimum over the current superstep's saves of v. Times are sums of
 	// non-negative weights, so unsaved never collides with one.
 	const unsaved = -1.0
-	avail := make([]float64, g.N())
-	minThis := make([]float64, g.N())
+	avail := resize(c.avail, g.N(), unsaved)
+	minThis := resize(c.minThis, g.N(), unsaved)
+	c.gamma, c.avail, c.minThis = gamma, avail, minThis
 	for v := range avail {
-		avail[v], minThis[v] = unsaved, unsaved
+		if g.IsSource(v) {
+			avail[v] = 0
+		}
 	}
-	for _, v := range g.Sources() {
-		avail[v] = 0
-	}
-	var savedNow []int // nodes with a minThis entry, in first-save order
+	savedNow := c.savedNow[:0] // nodes with a minThis entry, in first-save order
 	for i := range s.Steps {
 		// Compute phases (deletes are free).
 		for p := range s.Steps[i].Procs {
@@ -109,6 +131,7 @@ func (s *Schedule) AsyncCost() float64 {
 			}
 		}
 	}
+	c.savedNow = savedNow
 	best := 0.0
 	for p := range gamma {
 		best = max(best, gamma[p])
@@ -116,12 +139,23 @@ func (s *Schedule) AsyncCost() float64 {
 	return best
 }
 
+// resize returns buf resized to n entries, each set to fill, reusing its
+// storage when large enough.
+func resize(buf []float64, n int, fill float64) []float64 {
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = fill
+	}
+	return buf
+}
+
 // Cost evaluates the schedule under the given cost model.
 func (s *Schedule) Cost(model CostModel) float64 {
-	if model == Async {
-		return s.AsyncCost()
-	}
-	return s.SyncCost()
+	var c CostScratch
+	return c.Cost(s, model)
 }
 
 // CostModel selects between the synchronous and asynchronous objective.

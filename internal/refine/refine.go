@@ -87,12 +87,14 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 	proc := InitialAssignment(start)
 	// Candidate evaluation: assignment → BSP schedule → MBSP conversion
 	// → cost. Most candidates are rejected, so the topological order is
-	// computed once, and one BSP schedule's and one converter's storage
-	// serve every move. A candidate is validated only when the search
-	// would adopt it; a new best is copied out of the converter.
+	// computed once, and one BSP schedule's, one converter's and one cost
+	// scratch's storage serve every move. A candidate is validated only
+	// when the search would adopt it; a new best is copied out of the
+	// converter.
 	order, topoErr := g.TopoOrder()
 	var b bsp.Schedule
 	var conv twostage.Converter
+	var cost mbsp.CostScratch
 	eval := func(pr []int) (*mbsp.Schedule, float64, bool) {
 		res.Evals++
 		if topoErr != nil {
@@ -103,7 +105,7 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 		if err != nil {
 			return nil, 0, false
 		}
-		return s, s.Cost(opts.Model), true
+		return s, cost.Cost(s, opts.Model), true
 	}
 	keep := func(s *mbsp.Schedule, c float64) {
 		best, bestCost = s.Clone(), c
@@ -159,6 +161,13 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 			}
 		default: // swap processors of two nodes
 			w := movable[rng.Intn(len(movable))]
+			if trial[v] == trial[w] {
+				// A no-op swap: the trial is cur, which always scores
+				// as cur did and is rejected. It still spends a move.
+				res.Evals++
+				stale++
+				continue
+			}
 			trial[v], trial[w] = trial[w], trial[v]
 		}
 		s, c, ok := eval(trial)

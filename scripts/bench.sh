@@ -12,9 +12,12 @@
 #      counts);
 #   2. the solver experiment on the tiny registry dataset, which fails on
 #      warm/cold divergence, a warm-start regression, any Workers=4 vs
-#      Workers=1 divergence (the deterministic-node-accounting gate), or
-#      a parallel node-throughput regression against the previous
-#      BENCH_solver.json, and writes the new BENCH_solver.json. The
+#      Workers=1 divergence (the deterministic-node-accounting gate), a
+#      parallel node-throughput regression or any rise in the serial warm
+#      trees' refactorizations (warm_refactors; only the Workers=1 trees
+#      count, since live-factor reuse in a worker pool depends on which
+#      worker solves which node) against the previous BENCH_solver.json,
+#      and writes the new BENCH_solver.json. The
 #      experiment also runs the degenerate-model leg — the P=1 k-means
 #      scheduling ILP that used to stall the warm dual re-solves — with
 #      hard gates on the anti-degeneracy wiring (perturbation reaching
