@@ -24,7 +24,10 @@ import (
 
 // Options tunes the search.
 type Options struct {
-	Budget int   // max candidate evaluations (conversions); default 4000
+	// Budget caps the moves evaluated, default 4000. Every move counts,
+	// whether it is converted and costed, screened by its lower bound,
+	// or a no-op swap.
+	Budget int
 	Seed   int64 // RNG seed
 	Model  mbsp.CostModel
 	Policy memmgr.Policy // eviction policy for candidate conversion; default clairvoyant
@@ -41,6 +44,10 @@ type Result struct {
 	Schedule *mbsp.Schedule
 	Cost     float64
 	Evals    int
+	// Screened counts the evaluations that the lower bound rejected
+	// without converting them. Like Evals, it is the same on every run
+	// that Options.Context does not cut short.
+	Screened int
 	Improved bool
 }
 
@@ -67,6 +74,9 @@ func InitialAssignment(s *mbsp.Schedule) []int {
 
 // Improve runs hill-climbing over processor assignments starting from the
 // given schedule, returning the best schedule found (possibly the input).
+// Each move derives a BSP schedule from the trial assignment. A move whose
+// lower bound already rules it out is rejected there; any other is
+// converted and costed, and validated only if the search would adopt it.
 func Improve(start *mbsp.Schedule, opts Options) Result {
 	if opts.Budget == 0 {
 		opts.Budget = 4000
@@ -85,22 +95,33 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 	}
 
 	proc := InitialAssignment(start)
-	// Candidate evaluation: assignment → BSP schedule → MBSP conversion
-	// → cost. Most candidates are rejected, so the topological order is
-	// computed once, and one BSP schedule's, one converter's and one cost
-	// scratch's storage serve every move. A candidate is validated only
-	// when the search would adopt it; a new best is copied out of the
-	// converter.
+	// Candidate evaluation: assignment → BSP schedule → lower bound →
+	// MBSP conversion → cost. Most candidates are rejected, so the
+	// topological order is computed once, and one BSP schedule's, one
+	// bound's, one converter's and one cost scratch's storage serve every
+	// move. A candidate is validated only when the search would adopt
+	// it; a new best is copied out of the converter.
 	order, topoErr := g.TopoOrder()
+	var bound *moveBound
+	if topoErr == nil {
+		bound = newMoveBound(g, arch, opts.ExtraSave)
+	}
 	var b bsp.Schedule
 	var conv twostage.Converter
 	var cost mbsp.CostScratch
-	eval := func(pr []int) (*mbsp.Schedule, float64, bool) {
+	// eval scores the trial pr, which the search adopts only at a cost
+	// below limit. A trial whose lower bound shows that it cannot cost
+	// less is screened: it counts as an evaluation but is not converted.
+	eval := func(pr []int, limit float64) (*mbsp.Schedule, float64, bool) {
 		res.Evals++
 		if topoErr != nil {
 			return nil, 0, false
 		}
 		b.FromAssignment(g, arch.P, pr, order)
+		if bound != nil && bound.lower(&b, arch, opts.Model)*(1-screenSlack) >= limit {
+			res.Screened++
+			return nil, 0, false
+		}
 		s, err := conv.Convert(&b, arch, opts.Policy, opts.ExtraSave)
 		if err != nil {
 			return nil, 0, false
@@ -113,7 +134,7 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 	}
 	// The re-derived schedule for the initial assignment may itself
 	// already differ from (even beat) the input.
-	if s, c, ok := eval(proc); ok && c < bestCost && s.Validate() == nil {
+	if s, c, ok := eval(proc, bestCost); ok && c < bestCost && s.Validate() == nil {
 		keep(s, c)
 	}
 
@@ -170,7 +191,7 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 			}
 			trial[v], trial[w] = trial[w], trial[v]
 		}
-		s, c, ok := eval(trial)
+		s, c, ok := eval(trial, curCost-1e-9)
 		if ok && c < curCost-1e-9 && s.Validate() == nil {
 			cur, trial, curCost = trial, cur, c
 			stale = 0

@@ -118,27 +118,42 @@ func TestImproveDeterministic(t *testing.T) {
 }
 
 // BenchmarkRefineImprove times one local search at the ILP candidate's
-// budget on a small-dataset DAG at P=4, once per cost model. Each move
-// derives a BSP schedule from the trial assignment, converts it and
-// costs it; only a candidate the search would adopt is validated.
+// budget. Its sync and async cases run on a small-dataset DAG at P=4,
+// where the lower bound screens almost no move; spmv_N6-P2-async runs on
+// a tiny DAG where it screens most of them. Each move derives a BSP
+// schedule from the trial assignment and bounds its cost; a move the
+// bound does not rule out is converted and costed, and only a candidate
+// the search would adopt is validated. screened/op counts the moves
+// rejected by the bound.
 //
 //	go test -run '^$' -bench '^BenchmarkRefineImprove$' -benchmem ./internal/refine
 func BenchmarkRefineImprove(b *testing.B) {
-	inst, err := workloads.ByName("CG_N5_K4")
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name, inst string
+		p          int
+		model      mbsp.CostModel
+	}{
+		{"sync", "CG_N5_K4", 4, mbsp.Sync},
+		{"async", "CG_N5_K4", 4, mbsp.Async},
+		{"spmv_N6-P2-async", "spmv_N6", 2, mbsp.Async},
 	}
-	arch := mbsp.Arch{P: 4, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
-	base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, model := range []mbsp.CostModel{mbsp.Sync, mbsp.Async} {
-		b.Run(model.String(), func(b *testing.B) {
+	for _, bc := range cases {
+		inst, err := workloads.ByName(bc.inst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		arch := mbsp.Arch{P: bc.p, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
+		base, err := twostage.Baseline(arch).Run(inst.DAG, arch, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
+			screened := 0
 			for b.Loop() {
-				Improve(base, Options{Budget: 2000, Seed: 1, Model: model})
+				screened += Improve(base, Options{Budget: 2000, Seed: 1, Model: bc.model}).Screened
 			}
+			b.ReportMetric(float64(screened)/float64(b.N), "screened/op")
 		})
 	}
 }

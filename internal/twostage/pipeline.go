@@ -38,6 +38,15 @@ func (pl Pipeline) Name() string { return stage1Names[pl.Stage1] + "+" + pl.Poli
 // Run executes the pipeline on g for arch. seed drives the Cilk stage's
 // randomness; extraSave is passed to Convert.
 func (pl Pipeline) Run(g *graph.DAG, arch mbsp.Arch, seed int64, extraSave []int) (*mbsp.Schedule, error) {
+	b, err := pl.stage1(g, arch, seed)
+	if err != nil {
+		return nil, err
+	}
+	return Convert(b, arch, pl.Policy, extraSave)
+}
+
+// stage1 runs the pipeline's stage-1 scheduler.
+func (pl Pipeline) stage1(g *graph.DAG, arch mbsp.Arch, seed int64) (*bsp.Schedule, error) {
 	var b *bsp.Schedule
 	var err error
 	switch pl.Stage1 {
@@ -51,7 +60,7 @@ func (pl Pipeline) Run(g *graph.DAG, arch mbsp.Arch, seed int64, extraSave []int
 	if err != nil {
 		return nil, fmt.Errorf("twostage: stage-1 scheduler %s: %w", pl.Name(), err)
 	}
-	return Convert(b, arch, pl.Policy, extraSave)
+	return b, nil
 }
 
 // Pipelines lists the two-stage pipelines applicable on arch: each of
