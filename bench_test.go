@@ -279,7 +279,7 @@ func BenchmarkAcyclicBipartition(b *testing.B) {
 		b.ReportMetric(float64(optimal)/float64(len(insts)), "proven-optimal-frac")
 	}
 	b.ReportMetric(float64(stats.SimplexIters)/float64(b.N), "simplex-iters/op")
-	b.ReportMetric(float64(stats.Nodes)/float64(b.N), "bb-nodes/op")
+	b.ReportMetric(float64(stats.ILPNodes)/float64(b.N), "bb-nodes/op")
 }
 
 // BenchmarkRecursivePartitionServing splits every tiny DAG with more
@@ -512,8 +512,8 @@ func BenchmarkMIPNode(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(res.SimplexIters), "simplex-iters")
-				if res.Nodes > 0 {
-					b.ReportMetric(float64(res.SimplexIters)/float64(res.Nodes), "iters/node")
+				if res.ILPNodes > 0 {
+					b.ReportMetric(float64(res.SimplexIters)/float64(res.ILPNodes), "iters/node")
 				}
 			}
 		})

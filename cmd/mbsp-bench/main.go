@@ -630,13 +630,13 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 			if mismatch == "" && (!slices.Equal(warmPart, parPart) || warmCut != parCut || warm.Status != par.Status ||
 				warm.Counters != par.Counters) {
 				mismatch = fmt.Sprintf("  PARALLEL DIVERGENCE (sample %d): serial cut=%d nodes=%d iters=%d vs %d-worker cut=%d nodes=%d iters=%d\n",
-					k+1, warmCut, warm.Nodes, warm.SimplexIters,
-					mipWorkers, parCut, par.Nodes, par.SimplexIters)
+					k+1, warmCut, warm.ILPNodes, warm.SimplexIters,
+					mipWorkers, parCut, par.ILPNodes, par.SimplexIters)
 			}
 		}
 		entry.SerialSeconds = median(serial)
 		entry.ParallelSeconds = median(parallel)
-		entry.BBNodes = warm.Nodes
+		entry.BBNodes = warm.ILPNodes
 		if entry.ParallelSeconds > 0 {
 			entry.ParallelSpeedup = entry.SerialSeconds / entry.ParallelSeconds
 		}
@@ -647,7 +647,7 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 			fmt.Printf("  note: %s ran into the %s wall-clock backstop, divergence check and throughput totals skip it (time cuts are nondeterministic by contract)\n",
 				inst.Name, timeout)
 		} else {
-			out.BBNodes += warm.Nodes
+			out.BBNodes += warm.ILPNodes
 			out.WarmRefactors += warmLU.Refactors
 			out.SerialSeconds += entry.SerialSeconds
 			out.ParallelSeconds += entry.ParallelSeconds

@@ -14,14 +14,16 @@
 // bounded worker pool and the cheapest valid schedule wins; -method is
 // then ignored. -incumbent (default on) shares a portfolio-wide bound so
 // losing candidates cut off early; -solver-stats prints the solver-core
-// counters (simplex iterations, warm vs cold LP re-solves) for the
-// ILP-based methods. -mip-workers sizes the worker pool *inside* each
-// branch-and-bound tree (parallel node relaxations): schedules are
-// byte-identical for any value thanks to the solver's deterministic node
-// accounting, so the knob trades goroutines for throughput only. 0 picks
-// GOMAXPROCS for -method ilp/dnc and an automatic candidate/tree split
-// under -portfolio. The DAG comes either from a text file (see
-// internal/graph format) or from a named benchmark instance.
+// counters (simplex iterations, warm vs cold LP re-solves, injected
+// faults, recovered panics) for the ILP-based methods. -mip-workers
+// sizes the worker pool *inside* each branch-and-bound tree (parallel
+// node relaxations): schedules are byte-identical for any value thanks
+// to the solver's deterministic node accounting, so the knob trades
+// goroutines for throughput only. 0 picks GOMAXPROCS for -method ilp/dnc
+// and an automatic candidate/tree split under -portfolio. -fault-seed
+// injects faults into the portfolio or the single method's trees. The
+// DAG comes either from a text file (see internal/graph format) or from
+// a named benchmark instance.
 //
 // With -json, stdout carries a single JSON document in the same shape as
 // the scheduling server's POST /v1/schedule response (modulo the
@@ -62,7 +64,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "portfolio worker pool size (0: GOMAXPROCS)")
 		mipWork   = flag.Int("mip-workers", 0, "worker pool size inside each branch-and-bound tree; results are identical for any value (0: GOMAXPROCS for -method ilp/dnc, automatic budget under -portfolio)")
 		incumbent = flag.Bool("incumbent", true, "share a portfolio-wide incumbent bound between schedulers so losing candidates cut off early")
-		solvStats = flag.Bool("solver-stats", false, "print solver-core counters (simplex iterations, warm/cold LP re-solves) for ILP-based methods")
+		solvStats = flag.Bool("solver-stats", false, "print solver-core counters (simplex iterations, warm/cold LP re-solves, injected faults, recovered panics) for ILP-based methods")
 		deadline  = flag.Duration("deadline", 0, "overall wall-clock deadline; under -portfolio the run degrades gracefully and still prints the best schedule found (0: none)")
 		faultSeed = flag.Uint64("fault-seed", 0, "enable the deterministic fault-injection harness with this seed (0: off); same seed, same faults")
 		faultMode = flag.String("fault-modes", "all", "comma-separated injected fault classes: cold, singular, latency, cancel, or all")
@@ -162,7 +164,7 @@ func main() {
 		if mw == 0 {
 			mw = runtime.GOMAXPROCS(0)
 		}
-		s, err = runMethod(info, *method, g, arch, costModel, *timeout, *seed, mw, *solvStats)
+		s, err = runMethod(info, *method, g, arch, costModel, *timeout, *seed, mw, inject, *solvStats)
 		if err != nil {
 			fatal(err)
 		}
@@ -195,7 +197,7 @@ func main() {
 	}
 }
 
-func runMethod(info io.Writer, method string, g *mbsp.DAG, arch mbsp.Arch, costModel mbsp.CostModel, timeout time.Duration, seed int64, mipWorkers int, solvStats bool) (*mbsp.Schedule, error) {
+func runMethod(info io.Writer, method string, g *mbsp.DAG, arch mbsp.Arch, costModel mbsp.CostModel, timeout time.Duration, seed int64, mipWorkers int, inject *mbsp.FaultInjector, solvStats bool) (*mbsp.Schedule, error) {
 	var s *mbsp.Schedule
 	var err error
 	switch method {
@@ -206,33 +208,30 @@ func runMethod(info io.Writer, method string, g *mbsp.DAG, arch mbsp.Arch, costM
 	case "ilp":
 		var stats mbsp.ILPStats
 		s, stats, err = mbsp.ScheduleILP(g, arch, mbsp.ILPOptions{
-			Model: costModel, TimeLimit: timeout, Seed: seed, MIPWorkers: mipWorkers,
+			Model: costModel, TimeLimit: timeout, Seed: seed, MIPWorkers: mipWorkers, Inject: inject,
 		})
 		if err == nil {
 			fmt.Fprintf(info, "ilp: vars=%d rows=%d status=%s nodes=%d warm=%g final=%g source=%s\n",
 				stats.ModelVars, stats.ModelRows, stats.ILPStatus, stats.ILPNodes,
 				stats.WarmCost, stats.FinalCost, stats.Source)
 			if solvStats {
-				fmt.Fprintf(info, "solver: simplex-iters=%d lp-resolves warm=%d cold=%d\n",
-					stats.SimplexIters, stats.WarmLPs, stats.ColdLPs)
+				fmt.Fprintf(info, "solver: simplex-iters=%d lp-resolves warm=%d cold=%d faults=%d panics=%d\n",
+					stats.SimplexIters, stats.WarmLPs, stats.ColdLPs, stats.InjectedFaults, stats.Panics)
 			}
 		}
 	case "dnc":
 		var stats mbsp.DNCStats
 		s, stats, err = mbsp.ScheduleDNC(g, arch, 0, mbsp.ILPOptions{
-			Model: costModel, TimeLimit: timeout, Seed: seed, MIPWorkers: mipWorkers,
+			Model: costModel, TimeLimit: timeout, Seed: seed, MIPWorkers: mipWorkers, Inject: inject,
 		})
 		if err == nil {
 			fmt.Fprintf(info, "dnc: parts=%d cut=%d streamline-win=%g\n",
 				stats.Parts, stats.CutEdges, stats.StreamlineWin)
 			if solvStats {
-				warm, cold := stats.PartitionSolver.WarmLPs, stats.PartitionSolver.ColdLPs
-				for _, st := range stats.SubILPStats {
-					warm += st.WarmLPs
-					cold += st.ColdLPs
-				}
-				fmt.Fprintf(info, "solver: simplex-iters=%d (partition %d) lp-resolves warm=%d cold=%d\n",
-					stats.SimplexIters, stats.PartitionSolver.SimplexIters, warm, cold)
+				all := stats.PartitionSolver
+				all.Add(stats.SubILPs)
+				fmt.Fprintf(info, "solver: simplex-iters=%d (partition %d) lp-resolves warm=%d cold=%d faults=%d panics=%d\n",
+					all.SimplexIters, stats.PartitionSolver.SimplexIters, all.WarmLPs, all.ColdLPs, all.InjectedFaults, all.Panics)
 			}
 		}
 	case "exact":

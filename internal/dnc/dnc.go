@@ -40,14 +40,13 @@ var ErrIncumbentCutoff = errors.New("dnc: cut off by shared incumbent bound")
 
 // Stats reports what the divide-and-conquer run did.
 type Stats struct {
-	Parts       int
-	CutEdges    int
-	SubILPStats []ilpsched.Stats
-	// PartitionSolver holds the branch-and-bound counters of the
-	// partitioning-stage bipartition ILPs; SimplexIters is the total
-	// across those trees plus every sub-ILP tree.
+	Parts    int
+	CutEdges int
+	// PartitionSolver sums the branch-and-bound counters of the
+	// partitioning-stage bipartition ILPs, SubILPs those of every
+	// part's sub-ILP tree.
 	PartitionSolver mip.Counters
-	SimplexIters    int
+	SubILPs         mip.Counters
 	FinalCost       float64
 	StreamlineWin   float64 // cost reduction achieved by streamlining
 }
@@ -89,7 +88,6 @@ func Solve(g *graph.DAG, arch mbsp.Arch, maxPartSize int, opts ilpsched.Options)
 		LUStats:   opts.LUStats,
 	})
 	stats.PartitionSolver = pres.Solver
-	stats.SimplexIters += pres.Solver.SimplexIters
 	if err != nil {
 		return nil, stats, fmt.Errorf("dnc: partitioning: %w", err)
 	}
@@ -220,8 +218,7 @@ func schedulePart(g *graph.DAG, arch mbsp.Arch, opts ilpsched.Options, part []in
 	if err != nil {
 		return nil, err
 	}
-	stats.SubILPStats = append(stats.SubILPStats, subStats)
-	stats.SimplexIters += subStats.SimplexIters
+	stats.SubILPs.Add(subStats.Counters)
 
 	// Translate to global ids.
 	glob := mbsp.NewSchedule(g, arch)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mbsp/internal/faultinject"
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/twostage"
@@ -32,18 +33,8 @@ func TestSolveValidOnSmallInstances(t *testing.T) {
 		if stats.Parts < 2 {
 			t.Fatalf("%s: expected multiple parts, got %d", inst.Name, stats.Parts)
 		}
-		// SimplexIters is the partitioning trees' total plus every
-		// sub-ILP's.
-		if stats.PartitionSolver.Nodes == 0 {
+		if stats.PartitionSolver.ILPNodes == 0 {
 			t.Fatalf("%s: no bipartition nodes counted for %d parts", inst.Name, stats.Parts)
-		}
-		iters := stats.PartitionSolver.SimplexIters
-		for _, sub := range stats.SubILPStats {
-			iters += sub.SimplexIters
-		}
-		if stats.SimplexIters != iters {
-			t.Fatalf("%s: SimplexIters=%d, partition %d + sub-ILPs = %d",
-				inst.Name, stats.SimplexIters, stats.PartitionSolver.SimplexIters, iters)
 		}
 		t.Logf("%s: parts=%d cut=%d cost=%g (streamline won %g)",
 			inst.Name, stats.Parts, stats.CutEdges, stats.FinalCost, stats.StreamlineWin)
@@ -153,7 +144,46 @@ func TestSolveCancelledSkipsPartitioning(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if stats.PartitionSolver.Nodes != 0 {
-		t.Fatalf("cancelled run searched %d bipartition nodes, want 0", stats.PartitionSolver.Nodes)
+	if stats.PartitionSolver.ILPNodes != 0 {
+		t.Fatalf("cancelled run searched %d bipartition nodes, want 0", stats.PartitionSolver.ILPNodes)
 	}
+}
+
+// TestSolveCountsSubILPFaults checks that faults injected into the
+// sub-ILP trees reach Stats: SubILPs sums every part's tree counters, and
+// a node-limited run reports the same counts each time.
+func TestSolveCountsSubILPFaults(t *testing.T) {
+	inst, err := workloads.ByName("pregel")
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := mbsp.Arch{P: 1, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
+	opts := ilpsched.Options{
+		NodeLimit:         5,
+		MIPWorkers:        1,
+		LocalSearchBudget: 1,
+		TimeLimit:         time.Hour,
+		Inject:            faultinject.New(7, 0.5, 0, faultinject.ColdFallback, faultinject.SingularFactor),
+	}
+	_, stats, err := Solve(inst.DAG, arch, 12, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Parts < 2 {
+		t.Fatalf("expected multiple parts, got %d", stats.Parts)
+	}
+	if stats.SubILPs.ILPNodes == 0 || stats.SubILPs.InjectedFaults == 0 {
+		t.Fatalf("sub-ILP counters %+v: want tree nodes and injected faults", stats.SubILPs)
+	}
+	if limit := stats.Parts * opts.NodeLimit; stats.SubILPs.ILPNodes > limit {
+		t.Fatalf("%d sub-ILP nodes over %d parts at NodeLimit %d", stats.SubILPs.ILPNodes, stats.Parts, opts.NodeLimit)
+	}
+	_, again, err := Solve(inst.DAG, arch, 12, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != stats {
+		t.Fatalf("node-limited reruns disagree:\n%+v\n%+v", stats, again)
+	}
+	t.Logf("%d parts: partition %+v, sub-ILPs %+v", stats.Parts, stats.PartitionSolver, stats.SubILPs)
 }

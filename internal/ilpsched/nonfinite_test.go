@@ -40,7 +40,7 @@ func TestNonFiniteModelHonorsContext(t *testing.T) {
 	}()
 	select {
 	case res := <-done:
-		t.Logf("status %v after %d nodes, %d simplex iterations", res.Status, res.Nodes, res.SimplexIters)
+		t.Logf("status %v after %d nodes, %d simplex iterations", res.Status, res.ILPNodes, res.SimplexIters)
 	case <-time.After(5 * time.Second):
 		t.Fatal("solve did not return within 3s of its 2s context deadline")
 	}

@@ -126,29 +126,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats reports what the solver did.
+// Stats reports what the solver did. The embedded mip.Counters are the
+// branch-and-bound tree's, zero when the tree search is skipped.
 type Stats struct {
 	ModelVars int
 	ModelRows int
 	Steps     int
 	UsedILP   bool
 	ILPStatus string
-	ILPNodes  int
-	ILPLPs    int
-	// SimplexIters is the total simplex iteration count across the
-	// branch-and-bound tree; WarmLPs/ColdLPs split the node relaxations
-	// into dual re-solves from the parent basis and cold starts.
-	SimplexIters     int
-	WarmLPs, ColdLPs int
-	// PerturbedLPs counts node relaxations solved under EXPAND
-	// perturbation; CleanupIters is the (small) share of SimplexIters
-	// spent removing the shifts at optimality.
-	PerturbedLPs int
-	CleanupIters int
-	LocalMoves   int
-	WarmCost     float64
-	FinalCost    float64
-	Source       string // "ilp", "local-search", "exact-pebbler", or "warm-start"
-	SolveTime    time.Duration
-	ProvedBound  float64
+	mip.Counters
+	LocalMoves  int
+	WarmCost    float64
+	FinalCost   float64
+	Source      string // "ilp", "local-search", "exact-pebbler", or "warm-start"
+	ProvedBound float64
 }

@@ -3,7 +3,6 @@ package ilpsched
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"mbsp/internal/exact"
 	"mbsp/internal/graph"
@@ -29,7 +28,6 @@ func Solve(g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, Stats, e
 // cross-check compares the production stack against.
 func solve(g *graph.DAG, arch mbsp.Arch, opts Options, reference bool) (*mbsp.Schedule, Stats, error) {
 	opts = opts.withDefaults()
-	start := time.Now()
 	var stats Stats
 
 	warm, err := warmStart(g, arch, opts)
@@ -85,13 +83,7 @@ func solve(g *graph.DAG, arch mbsp.Arch, opts Options, reference bool) (*mbsp.Sc
 		})
 		cancel()
 		stats.ILPStatus = res.Status.String()
-		stats.ILPNodes = res.Nodes
-		stats.ILPLPs = res.LPs
-		stats.SimplexIters = res.SimplexIters
-		stats.WarmLPs = res.WarmLPs
-		stats.ColdLPs = res.ColdLPs
-		stats.PerturbedLPs = res.PerturbedLPs
-		stats.CleanupIters = res.CleanupIters
+		stats.Counters = res.Counters
 		stats.ProvedBound = res.Bound
 		if res.X != nil {
 			if sched, err := im.extract(res.X); err == nil {
@@ -140,7 +132,6 @@ func solve(g *graph.DAG, arch mbsp.Arch, opts Options, reference bool) (*mbsp.Sc
 	}
 
 	stats.FinalCost = bestCost
-	stats.SolveTime = time.Since(start)
 	if err := best.Validate(); err != nil {
 		return nil, stats, fmt.Errorf("ilpsched: final schedule invalid: %w", err)
 	}

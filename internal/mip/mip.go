@@ -172,7 +172,7 @@ func (s Status) String() string {
 
 // Result of a MIP solve. Every counter is deterministic: for a fixed
 // model and options, runs with any Options.Workers value report the same
-// Nodes, LPs, iteration split and solution bytes (context cancellation
+// ILPNodes, ILPLPs, iteration split and solution bytes (context cancellation
 // aside — see Options).
 type Result struct {
 	Status Status
@@ -185,12 +185,12 @@ type Result struct {
 // Counters are the search's deterministic work counters, embedded in
 // Result; callers that run several trees sum them with Add.
 type Counters struct {
-	// Nodes counts tree nodes whose relaxation was solved and committed;
+	// ILPNodes counts tree nodes whose relaxation was solved and committed;
 	// the node *budget* (Options.NodeLimit) is charged against creation
 	// sequence numbers instead, so the two can differ once the limit
 	// truncates the tree.
-	Nodes int
-	LPs   int
+	ILPNodes int
+	ILPLPs   int
 	// SimplexIters is the total simplex iteration count across every LP
 	// solved in the tree — the headline metric of the warm-start
 	// optimization (BENCH_solver.json tracks it).
@@ -219,8 +219,8 @@ type Counters struct {
 
 // Add sums o into c.
 func (c *Counters) Add(o Counters) {
-	c.Nodes += o.Nodes
-	c.LPs += o.LPs
+	c.ILPNodes += o.ILPNodes
+	c.ILPLPs += o.ILPLPs
 	c.SimplexIters += o.SimplexIters
 	c.WarmLPs += o.WarmLPs
 	c.ColdLPs += o.ColdLPs

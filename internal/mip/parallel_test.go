@@ -16,7 +16,7 @@ import (
 func solveSnapshot(res Result) string {
 	s := fmt.Sprintf("status=%v obj=%x bound=%x nodes=%d lps=%d iters=%d warm=%d cold=%d pert=%d clean=%d x=",
 		res.Status, math.Float64bits(res.Obj), math.Float64bits(res.Bound),
-		res.Nodes, res.LPs, res.SimplexIters, res.WarmLPs, res.ColdLPs,
+		res.ILPNodes, res.ILPLPs, res.SimplexIters, res.WarmLPs, res.ColdLPs,
 		res.PerturbedLPs, res.CleanupIters)
 	for _, v := range res.X {
 		s += fmt.Sprintf("%x,", math.Float64bits(v))

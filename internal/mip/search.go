@@ -322,8 +322,8 @@ func (e *bbEngine) solveNode(w int, s *bbSlot) {
 // of the search for any worker count.
 func (e *bbEngine) commit(s *bbSlot) {
 	res, lpRes := e.res, &s.res
-	res.Nodes++
-	res.LPs++
+	res.ILPNodes++
+	res.ILPLPs++
 	res.SimplexIters += lpRes.Iters
 	res.CleanupIters += lpRes.CleanupIters
 	if lpRes.Perturbed {

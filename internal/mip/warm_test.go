@@ -152,7 +152,7 @@ func TestWarmSolvesDominate(t *testing.T) {
 	}
 	t.Logf("simplex iters: warm=%d cold=%d (%.1fx), nodes=%d, warm/cold LPs=%d/%d",
 		warm.SimplexIters, cold.SimplexIters,
-		float64(cold.SimplexIters)/float64(warm.SimplexIters), warm.Nodes, warm.WarmLPs, warm.ColdLPs)
+		float64(cold.SimplexIters)/float64(warm.SimplexIters), warm.ILPNodes, warm.WarmLPs, warm.ColdLPs)
 }
 
 func TestIncumbentMonotoneAndSealed(t *testing.T) {
@@ -226,8 +226,8 @@ func TestSharedIncumbentPrunes(t *testing.T) {
 	if pruned.Status != NoSolution {
 		t.Fatalf("status=%v want no-solution", pruned.Status)
 	}
-	if pruned.Nodes >= free.Nodes {
-		t.Fatalf("shared bound saved nothing: %d vs %d nodes", pruned.Nodes, free.Nodes)
+	if pruned.ILPNodes >= free.ILPNodes {
+		t.Fatalf("shared bound saved nothing: %d vs %d nodes", pruned.ILPNodes, free.ILPNodes)
 	}
 }
 

@@ -130,8 +130,8 @@ func TestRecursiveCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if res.ILPSolves != 0 || res.Solver.Nodes != 0 {
-		t.Fatalf("cancelled run made %d ILP solves over %d nodes, want none", res.ILPSolves, res.Solver.Nodes)
+	if res.ILPSolves != 0 || res.Solver.ILPNodes != 0 {
+		t.Fatalf("cancelled run made %d ILP solves over %d nodes, want none", res.ILPSolves, res.Solver.ILPNodes)
 	}
 }
 

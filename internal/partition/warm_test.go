@@ -35,8 +35,8 @@ func TestWarmColdBipartitionAgreeOnRegistry(t *testing.T) {
 		if warm.Status == mip.Optimal && cold.Status == mip.Optimal && warmCut != coldCut {
 			t.Fatalf("%s: warm optimal cut=%d vs cold optimal cut=%d", inst.Name, warmCut, coldCut)
 		}
-		if warm.WarmLPs == 0 && warm.Nodes > 2 {
-			t.Fatalf("%s: no warm re-solves in a %d-node tree", inst.Name, warm.Nodes)
+		if warm.WarmLPs == 0 && warm.ILPNodes > 2 {
+			t.Fatalf("%s: no warm re-solves in a %d-node tree", inst.Name, warm.ILPNodes)
 		}
 		totWarm += warm.SimplexIters
 		totCold += cold.SimplexIters

@@ -73,10 +73,11 @@ func InitialAssignment(s *mbsp.Schedule) []int {
 }
 
 // Improve runs hill-climbing over processor assignments starting from the
-// given schedule, returning the best schedule found (possibly the input).
-// Each move derives a BSP schedule from the trial assignment. A move whose
-// lower bound already rules it out is rejected there; any other is
-// converted and costed, and validated only if the search would adopt it.
+// given valid schedule, returning the best schedule found (possibly the
+// input). Each move derives a BSP schedule from the trial assignment. A
+// move whose lower bound already rules it out is rejected there; any
+// other is converted and costed, and validated only if the search would
+// adopt it.
 func Improve(start *mbsp.Schedule, opts Options) Result {
 	if opts.Budget == 0 {
 		opts.Budget = 4000

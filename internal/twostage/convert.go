@@ -33,6 +33,9 @@ var ErrCacheTooSmall = errors.New("twostage: fast memory smaller than r0, no val
 // slow memory (saved when produced); the divide-and-conquer scheduler
 // passes the values later subproblems consume.
 func Convert(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSave []int) (*mbsp.Schedule, error) {
+	if err := b.Validate(); err != nil {
+		return nil, fmt.Errorf("twostage: invalid stage-1 schedule: %w", err)
+	}
 	var cv Converter
 	return cv.Convert(b, arch, policy, extraSave)
 }
@@ -45,13 +48,12 @@ type Converter struct {
 	c converter
 }
 
-// Convert is the package-level Convert on cv's storage. The schedule it
-// returns is overwritten by cv's next call; a caller that keeps it must
-// not call cv again.
+// Convert is the package-level Convert on cv's storage, without its
+// validation of b: b must already be a valid BSP schedule (as
+// bsp.Schedule.FromAssignment output is by construction). The schedule
+// it returns is overwritten by cv's next call; a caller that keeps it
+// must not call cv again.
 func (cv *Converter) Convert(b *bsp.Schedule, arch mbsp.Arch, policy memmgr.Policy, extraSave []int) (*mbsp.Schedule, error) {
-	if err := b.Validate(); err != nil {
-		return nil, fmt.Errorf("twostage: invalid stage-1 schedule: %w", err)
-	}
 	if arch.P < b.P {
 		return nil, fmt.Errorf("twostage: architecture has %d processors, schedule uses %d", arch.P, b.P)
 	}

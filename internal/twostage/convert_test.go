@@ -2,6 +2,7 @@ package twostage
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"mbsp/internal/bsp"
@@ -66,6 +67,24 @@ func TestConvertRejectsTooSmallCache(t *testing.T) {
 	arch := mbsp.Arch{P: 2, R: g.MinCache() - 1, G: 1, L: 10}
 	if _, err := Baseline(arch).Run(g, arch, 0, nil); err != ErrCacheTooSmall {
 		t.Fatalf("expected ErrCacheTooSmall, got %v", err)
+	}
+}
+
+// TestConvertRejectsInvalidStage1 checks that the package-level Convert,
+// the entry point for stage-1 schedules from other packages, validates
+// its BSP input before converting it.
+func TestConvertRejectsInvalidStage1(t *testing.T) {
+	g := graph.Chain(3) // source 0 → 1 → 2
+	arch := mbsp.Arch{P: 2, R: 100, G: 1, L: 0}
+	crossing := bsp.NewSchedule(g, 2)
+	crossing.Assign(1, 0, 0)
+	crossing.Assign(2, 1, 0) // cross-processor edge inside one superstep
+	unassigned := bsp.NewSchedule(g, 2)
+	unassigned.Assign(1, 0, 0)
+	for name, b := range map[string]*bsp.Schedule{"crossing": crossing, "unassigned": unassigned} {
+		if _, err := Convert(b, arch, memmgr.Clairvoyant{}, nil); err == nil || !strings.Contains(err.Error(), "invalid stage-1 schedule") {
+			t.Fatalf("%s: Convert returned %v, want an invalid stage-1 schedule error", name, err)
+		}
 	}
 }
 
