@@ -29,8 +29,8 @@ import (
 // benchCfg returns solver budgets sized for benchmarking.
 func benchCfg() experiments.Config {
 	cfg := experiments.Base()
-	cfg.ILPTimeLimit = 500 * time.Millisecond
-	cfg.LocalSearchBudget = 1500
+	cfg.ILP.TimeLimit = 500 * time.Millisecond
+	cfg.ILP.LocalSearchBudget = 1500
 	return cfg
 }
 
@@ -105,7 +105,7 @@ func BenchmarkTable4ParameterSweep(b *testing.B) {
 func BenchmarkFigure4Distribution(b *testing.B) {
 	insts := workloads.Tiny()
 	cfg := benchCfg()
-	cfg.ILPTimeLimit = 300 * time.Millisecond
+	cfg.ILP.TimeLimit = 300 * time.Millisecond
 	for i := 0; i < b.N; i++ {
 		boxes, err := experiments.Figure4(insts, cfg)
 		if err != nil {
@@ -128,7 +128,7 @@ func BenchmarkTable2DivideAndConquer(b *testing.B) {
 	insts := workloads.Small()
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.Table2(insts, cfg, 45, 500*time.Millisecond)
+		t, err := experiments.Table2(insts, cfg, 45)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,12 +410,7 @@ func BenchmarkPortfolio(b *testing.B) {
 		winners := map[string]bool{}
 		for _, inst := range insts {
 			arch := cfg.Arch(inst.DAG)
-			res, err := portfolio.RunAnytime(context.Background(), inst.DAG, arch, portfolio.Options{
-				Model:             cfg.Model,
-				ILPTimeLimit:      cfg.ILPTimeLimit,
-				LocalSearchBudget: cfg.LocalSearchBudget,
-				Seed:              cfg.Seed,
-			})
+			res, err := portfolio.RunAnytime(context.Background(), inst.DAG, arch, cfg.Portfolio())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -423,10 +418,10 @@ func BenchmarkPortfolio(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if res.BestCost > base.Cost(cfg.Model)+1e-9 {
-				b.Fatalf("%s: portfolio %g worse than baseline %g", inst.Name, res.BestCost, base.Cost(cfg.Model))
+			if res.BestCost > base.Cost(cfg.ILP.Model)+1e-9 {
+				b.Fatalf("%s: portfolio %g worse than baseline %g", inst.Name, res.BestCost, base.Cost(cfg.ILP.Model))
 			}
-			ratios = append(ratios, res.BestCost/base.Cost(cfg.Model))
+			ratios = append(ratios, res.BestCost/base.Cost(cfg.ILP.Model))
 			winners[res.BestName] = true
 			if i == 0 {
 				b.Logf("%-20s best=%-16s cost=%g", inst.Name, res.BestName, res.BestCost)

@@ -62,12 +62,13 @@ import (
 )
 
 func main() {
+	cfg := experiments.Base()
 	var (
 		exp       = flag.String("experiment", "all", "which experiment: all, table1, table2, table3, table4, figure4, p1, portfolio, solver, chaos")
 		dataset   = flag.String("dataset", "tiny", "dataset for table1/3/4/figure4/portfolio/solver: tiny, paper-tiny or paper-small")
-		timeout   = flag.Duration("timeout", 2*time.Second, "ILP time limit per instance")
-		budget    = flag.Int("budget", 2000, "local-search evaluation budget")
-		seed      = flag.Int64("seed", 1, "random seed")
+		timeout   = flag.Duration("timeout", cfg.ILP.TimeLimit, "ILP time limit per instance")
+		budget    = flag.Int("budget", cfg.ILP.LocalSearchBudget, "local-search evaluation budget")
+		seed      = flag.Int64("seed", cfg.ILP.Seed, "random seed")
 		workers   = flag.Int("workers", 1, "concurrent grid cells / portfolio schedulers (0: GOMAXPROCS); default sequential — concurrent solvers share the wall clock, so parallel table numbers are not comparable with sequential runs")
 		mipWork   = flag.Int("mip-workers", 0, "worker pool size inside each branch-and-bound tree; never changes results (0: serial for the grid, automatic budget for portfolio, 4 for the solver experiment's parallel leg)")
 		incumbent = flag.Bool("incumbent", true, "share a portfolio-wide incumbent bound between schedulers so losing candidates cut off early")
@@ -82,12 +83,11 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := experiments.Base()
-	cfg.ILPTimeLimit = *timeout
-	cfg.LocalSearchBudget = *budget
-	cfg.Seed = *seed
+	cfg.ILP.TimeLimit = *timeout
+	cfg.ILP.LocalSearchBudget = *budget
+	cfg.ILP.Seed = *seed
+	cfg.ILP.MIPWorkers = *mipWork
 	cfg.Workers = *workers
-	cfg.MIPWorkers = *mipWork
 
 	if *chkpt != "" {
 		cp, err := experiments.OpenCheckpoint(*chkpt)
@@ -132,16 +132,12 @@ func main() {
 		run("table3", func() (*experiments.Table, error) { return experiments.Table3(insts, cfg) })
 		runTable4(insts, cfg)
 		runFigure4(insts, cfg)
-		run("table2", func() (*experiments.Table, error) {
-			return experiments.Table2(workloads.Small(), cfg, 45, *timeout)
-		})
+		run("table2", func() (*experiments.Table, error) { return experiments.Table2(workloads.Small(), cfg, 45) })
 		run("p1", func() (*experiments.Table, error) { return experiments.SingleProcessor(insts, cfg) })
 	case "table1":
 		run("table1", func() (*experiments.Table, error) { return experiments.Table1(insts, cfg) })
 	case "table2":
-		run("table2", func() (*experiments.Table, error) {
-			return experiments.Table2(workloads.Small(), cfg, 45, *timeout)
-		})
+		run("table2", func() (*experiments.Table, error) { return experiments.Table2(workloads.Small(), cfg, 45) })
 	case "table3":
 		run("table3", func() (*experiments.Table, error) { return experiments.Table3(insts, cfg) })
 	case "table4":
@@ -151,11 +147,10 @@ func main() {
 	case "p1":
 		run("p1", func() (*experiments.Table, error) { return experiments.SingleProcessor(insts, cfg) })
 	case "portfolio":
-		var inj *faultinject.Injector
 		if *faultSeed != 0 {
-			inj = mustInjector(*faultSeed, *faultRate, *faultMode)
+			cfg.ILP.Inject = mustInjector(*faultSeed, *faultRate, *faultMode)
 		}
-		runPortfolio(insts, cfg, *dataset, *workers, *mipWork, *incumbent, *deadline, inj, *jsonOut)
+		runPortfolio(insts, cfg, *dataset, *incumbent, *deadline, *jsonOut)
 	case "solver":
 		runSolver(insts, *dataset, *timeout, *mipWork, *jsonOut, *baseline)
 	case "chaos":
@@ -163,7 +158,7 @@ func main() {
 		if seed == 0 {
 			seed = 1
 		}
-		runChaos(insts, cfg, *workers, *mipWork, *deadline, seed, *faultRate, *faultMode)
+		runChaos(insts, cfg, *deadline, seed, *faultRate, *faultMode)
 	default:
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
@@ -238,16 +233,18 @@ type portfolioCandsJSON struct {
 // the anytime contract and reports per-scheduler cost and timing plus the
 // win distribution; with -deadline or -fault-seed set, degraded runs still
 // produce a schedule and the certificate ledger is reported.
-func runPortfolio(insts []workloads.Instance, cfg experiments.Config, dataset string, workers, mipWorkers int, incumbent bool, deadline time.Duration, inj *faultinject.Injector, jsonPath string) {
+func runPortfolio(insts []workloads.Instance, cfg experiments.Config, dataset string, incumbent bool, deadline time.Duration, jsonPath string) {
 	start := time.Now()
 	out := portfolioJSON{
 		Dataset:      dataset,
-		ILPTimeLimit: cfg.ILPTimeLimit.String(), Seed: cfg.Seed,
+		ILPTimeLimit: cfg.ILP.TimeLimit.String(), Seed: cfg.ILP.Seed,
 	}
+	opts := cfg.Portfolio()
+	opts.DisableSharedIncumbent = !incumbent
 	wins := map[string]int{}
 	fmt.Println("Portfolio: best-of-all-schedulers per instance")
-	if inj != nil {
-		fmt.Printf("fault injection: %v\n", inj)
+	if opts.Inject != nil {
+		fmt.Printf("fault injection: %v\n", opts.Inject)
 	}
 	fmt.Printf("%-20s%-18s%14s%10s\n", "Instance", "winner", "cost", "time")
 	for _, inst := range insts {
@@ -257,16 +254,7 @@ func runPortfolio(insts []workloads.Instance, cfg experiments.Config, dataset st
 		if deadline > 0 {
 			ctx, cancel = context.WithTimeout(ctx, deadline)
 		}
-		res, err := portfolio.RunAnytime(ctx, inst.DAG, arch, portfolio.Options{
-			Model:                  cfg.Model,
-			Workers:                workers,
-			MIPWorkers:             mipWorkers,
-			ILPTimeLimit:           cfg.ILPTimeLimit,
-			LocalSearchBudget:      cfg.LocalSearchBudget,
-			Seed:                   cfg.Seed,
-			Inject:                 inj,
-			DisableSharedIncumbent: !incumbent,
-		})
+		res, err := portfolio.RunAnytime(ctx, inst.DAG, arch, opts)
 		cancel()
 		if err != nil {
 			fatal(fmt.Errorf("portfolio on %s: %w", inst.Name, err))
@@ -330,7 +318,7 @@ func mustInjector(seed uint64, rate float64, modeList string) *faultinject.Injec
 // The injector is seeded, so a failing (mode, instance, seed) triple
 // reproduces exactly. A run that returns more than chaosMaxOverrun after
 // its deadline also fails: degrading is only graceful if it is prompt.
-func runChaos(insts []workloads.Instance, cfg experiments.Config, workers, mipWorkers int, deadline time.Duration, seed uint64, rate float64, modeList string) {
+func runChaos(insts []workloads.Instance, cfg experiments.Config, deadline time.Duration, seed uint64, rate float64, modeList string) {
 	if deadline <= 0 {
 		deadline = 50 * time.Millisecond
 	}
@@ -365,21 +353,15 @@ func runChaos(insts []workloads.Instance, cfg experiments.Config, workers, mipWo
 	var worst time.Duration
 	worstName := ""
 	fmt.Printf("Chaos: anytime portfolio under %v deadline, fault seed %d\n", deadline, seed)
+	opts := cfg.Portfolio()
 	for _, leg := range legs {
-		inj := faultinject.New(seed, rate, 0, leg...)
-		fmt.Printf("-- injecting %v\n", inj)
+		opts.Inject = faultinject.New(seed, rate, 0, leg...)
+		fmt.Printf("-- injecting %v\n", opts.Inject)
 		for _, inst := range insts {
 			arch := cfg.Arch(inst.DAG)
 			runStart := time.Now()
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			res, err := portfolio.RunAnytime(ctx, inst.DAG, arch, portfolio.Options{
-				Model:        cfg.Model,
-				Workers:      workers,
-				MIPWorkers:   mipWorkers,
-				ILPTimeLimit: cfg.ILPTimeLimit,
-				Seed:         cfg.Seed,
-				Inject:       inj,
-			})
+			res, err := portfolio.RunAnytime(ctx, inst.DAG, arch, opts)
 			cancel()
 			overrun := time.Since(runStart) - deadline
 			if overrun > worst {

@@ -65,7 +65,7 @@ func main() {
 		mipWork   = flag.Int("mip-workers", 0, "worker pool size inside each branch-and-bound tree; results are identical for any value (0: GOMAXPROCS for -method ilp/dnc, automatic budget under -portfolio)")
 		incumbent = flag.Bool("incumbent", true, "share a portfolio-wide incumbent bound between schedulers so losing candidates cut off early")
 		solvStats = flag.Bool("solver-stats", false, "print solver-core counters (simplex iterations, warm/cold LP re-solves, injected faults, recovered panics) for ILP-based methods")
-		deadline  = flag.Duration("deadline", 0, "overall wall-clock deadline; under -portfolio the run degrades gracefully and still prints the best schedule found (0: none)")
+		deadline  = flag.Duration("deadline", 0, "overall wall-clock deadline (0: none); under -portfolio the run degrades gracefully and still prints the best schedule found, -method ilp keeps its best schedule so far, and a deadline that cuts -method dnc during partitioning or between parts exits with its error")
 		faultSeed = flag.Uint64("fault-seed", 0, "enable the deterministic fault-injection harness with this seed (0: off); same seed, same faults")
 		faultMode = flag.String("fault-modes", "all", "comma-separated injected fault classes: cold, singular, latency, cancel, or all")
 		faultRate = flag.Float64("fault-rate", 0, "per-decision injection probability (0: default)")
@@ -160,11 +160,12 @@ func main() {
 		s = res.Best
 		winner = res.BestName
 	} else {
-		mw := *mipWork
-		if mw == 0 {
-			mw = runtime.GOMAXPROCS(0)
+		opts := mbsp.ILPOptions{Context: ctx, Model: costModel, TimeLimit: *timeout,
+			Seed: *seed, MIPWorkers: *mipWork, Inject: inject}
+		if opts.MIPWorkers == 0 {
+			opts.MIPWorkers = runtime.GOMAXPROCS(0)
 		}
-		s, err = runMethod(info, *method, g, arch, costModel, *timeout, *seed, mw, inject, *solvStats)
+		s, err = runMethod(info, *method, g, arch, opts, *solvStats)
 		if err != nil {
 			fatal(err)
 		}
@@ -197,19 +198,18 @@ func main() {
 	}
 }
 
-func runMethod(info io.Writer, method string, g *mbsp.DAG, arch mbsp.Arch, costModel mbsp.CostModel, timeout time.Duration, seed int64, mipWorkers int, inject *mbsp.FaultInjector, solvStats bool) (*mbsp.Schedule, error) {
+// runMethod runs one scheduler under opts (cilk reads only its Seed).
+func runMethod(info io.Writer, method string, g *mbsp.DAG, arch mbsp.Arch, opts mbsp.ILPOptions, solvStats bool) (*mbsp.Schedule, error) {
 	var s *mbsp.Schedule
 	var err error
 	switch method {
 	case "base":
 		s, err = mbsp.ScheduleBaseline(g, arch)
 	case "cilk":
-		s, err = mbsp.ScheduleCilkLRU(g, arch, seed)
+		s, err = mbsp.ScheduleCilkLRU(g, arch, opts.Seed)
 	case "ilp":
 		var stats mbsp.ILPStats
-		s, stats, err = mbsp.ScheduleILP(g, arch, mbsp.ILPOptions{
-			Model: costModel, TimeLimit: timeout, Seed: seed, MIPWorkers: mipWorkers, Inject: inject,
-		})
+		s, stats, err = mbsp.ScheduleILP(g, arch, opts)
 		if err == nil {
 			fmt.Fprintf(info, "ilp: vars=%d rows=%d status=%s nodes=%d warm=%g final=%g source=%s\n",
 				stats.ModelVars, stats.ModelRows, stats.ILPStatus, stats.ILPNodes,
@@ -221,9 +221,7 @@ func runMethod(info io.Writer, method string, g *mbsp.DAG, arch mbsp.Arch, costM
 		}
 	case "dnc":
 		var stats mbsp.DNCStats
-		s, stats, err = mbsp.ScheduleDNC(g, arch, 0, mbsp.ILPOptions{
-			Model: costModel, TimeLimit: timeout, Seed: seed, MIPWorkers: mipWorkers, Inject: inject,
-		})
+		s, stats, err = mbsp.ScheduleDNC(g, arch, 0, opts)
 		if err == nil {
 			fmt.Fprintf(info, "dnc: parts=%d cut=%d streamline-win=%g\n",
 				stats.Parts, stats.CutEdges, stats.StreamlineWin)

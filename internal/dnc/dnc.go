@@ -80,13 +80,8 @@ func Solve(g *graph.DAG, arch mbsp.Arch, maxPartSize int, opts ilpsched.Options)
 		return nil, stats, twostage.ErrCacheTooSmall
 	}
 
-	pres, err := partition.Recursive(g, maxPartSize, &mip.Options{
-		Context:   opts.Context,
-		NodeLimit: opts.NodeLimit,
-		Workers:   opts.MIPWorkers,
-		Inject:    opts.Inject,
-		LUStats:   opts.LUStats,
-	})
+	tree := opts.Tree()
+	pres, err := partition.Recursive(g, maxPartSize, &tree)
 	stats.PartitionSolver = pres.Solver
 	if err != nil {
 		return nil, stats, fmt.Errorf("dnc: partitioning: %w", err)

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sync"
 
+	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
 	"mbsp/internal/persist"
 	"mbsp/internal/workloads"
@@ -124,13 +125,25 @@ func (c *Checkpoint) Close() error {
 
 // cellKey is the checkpoint identity of one grid cell: instance name +
 // structural fingerprint, method, and the cost-relevant Config fields.
-// Workers/MIPWorkers are deliberately absent — they never change
-// results (deterministic collection / node accounting).
+// Workers, ILP.MIPWorkers/LUStats (never change results) and ILP.Context
+// (like the clock, only cuts a search short) are absent. The other ILP
+// fields, in extra, append one suffix only when set, so keys from before
+// Config carried ilpsched.Options, and their checkpoints, stay valid.
 func cellKey(inst workloads.Instance, m Method, cfg Config) string {
-	return fmt.Sprintf("%s#%016x/%s/p%d,r%g,g%g,L%g/%s/ilp%s,ls%d,seed%d",
+	o := cfg.ILP
+	key := fmt.Sprintf("%s#%016x/%s/p%d,r%g,g%g,L%g/%s/ilp%s,ls%d,seed%d",
 		inst.Name, fingerprintOf(inst.DAG), m.Name,
-		cfg.P, cfg.RFactor, cfg.G, cfg.L, cfg.Model,
-		cfg.ILPTimeLimit, cfg.LocalSearchBudget, cfg.Seed)
+		cfg.P, cfg.RFactor, cfg.G, cfg.L, o.Model,
+		o.TimeLimit, o.LocalSearchBudget, o.Seed)
+	type extra struct {
+		ExtraSteps, NodeLimit, MaxModelRows   int
+		NoRecompute, NoStepMerging, NoPerturb bool
+		Inject                                *faultinject.Injector // keyed by its String: seed, rate, modes
+	}
+	if x := (extra{o.ExtraSteps, o.NodeLimit, o.MaxModelRows, o.NoRecompute, o.NoStepMerging, o.NoPerturb, o.Inject}); x != (extra{}) {
+		key += fmt.Sprintf("/%+v", x)
+	}
+	return key
 }
 
 func fingerprintOf(g *graph.DAG) uint64 {

@@ -70,13 +70,40 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("resumed table differs:\n%+v\nvs\n%+v", t1.Rows, t2.Rows)
 	}
 
-	// Different seed → different cell keys → every cell recomputes.
-	cfg.Seed++
-	if _, err := Run("chk", insts, cfg, m); err != nil {
-		t.Fatal(err)
+	// Different seed or node limit → different cell keys → every cell
+	// recomputes.
+	for i, change := range []func(*Config){
+		func(c *Config) { c.ILP.Seed++ },
+		func(c *Config) { c.ILP.NodeLimit = 40 },
+	} {
+		change(&cfg)
+		if _, err := Run("chk", insts, cfg, m); err != nil {
+			t.Fatal(err)
+		}
+		if got := calls.Load(); got != int64(i+2)*int64(len(insts)) {
+			t.Fatalf("config change %d should invalidate the checkpoint: %d total calls", i, got)
+		}
 	}
-	if got := calls.Load(); got != 2*int64(len(insts)) {
-		t.Fatalf("config change should invalidate the checkpoint: %d total calls", got)
+}
+
+// TestCellKeyGolden pins the cell keys a Config could produce before it
+// carried ilpsched.Options, so checkpoints written then still resume.
+func TestCellKeyGolden(t *testing.T) {
+	inst := workloads.Tiny()[0]
+	async := Base()
+	async.ILP.Model = mbsp.Async
+	for _, tc := range []struct {
+		m    Method
+		cfg  Config
+		want string
+	}{
+		{Baseline(), Base(), "bicgstab#fe600d307279be3a/base/p4,r3,g1,L10/sync/ilp2s,ls2000,seed1"},
+		{ILPMethod(), quickCfg(), "bicgstab#fe600d307279be3a/ilp/p4,r3,g1,L10/sync/ilp200ms,ls300,seed1"},
+		{ILPMethod(), async, "bicgstab#fe600d307279be3a/ilp/p4,r3,g1,L10/async/ilp2s,ls2000,seed1"},
+	} {
+		if got := cellKey(inst, tc.m, tc.cfg); got != tc.want {
+			t.Errorf("cellKey = %q, want %q", got, tc.want)
+		}
 	}
 }
 

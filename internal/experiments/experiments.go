@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -26,31 +27,32 @@ import (
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/memmgr"
+	"mbsp/internal/portfolio"
 	"mbsp/internal/twostage"
 	"mbsp/internal/workloads"
 )
 
-// Config carries the model and budget parameters of one experiment.
+// Config carries the architecture and solver environment of one
+// experiment.
 type Config struct {
 	P       int
 	RFactor float64 // r = RFactor · r0
 	G       float64
 	L       float64
-	Model   mbsp.CostModel
 
-	ILPTimeLimit      time.Duration // per instance
-	LocalSearchBudget int
-	Seed              int64
+	// ILP is the grid's solver environment. Every ILP-based method passes
+	// it to its solver (Table 2's with a quarter of the local-search
+	// budget); ILP.Model ranks every column and ILP.Seed seeds Cilk+LRU.
+	// MIPWorkers never changes a result. The per-cell fields WarmStart,
+	// Incumbent and NeedBlue must stay unset, and LUStats, which is not
+	// synchronized, needs Workers 1.
+	ILP ilpsched.Options
 
 	// Workers bounds how many (instance, method) grid cells run
 	// concurrently. 0 selects GOMAXPROCS; 1 is the sequential path.
 	// Results are collected in grid order, so for deterministic methods
 	// the rendered table is identical for any worker count.
 	Workers int
-	// MIPWorkers bounds the relaxation-solving worker pool inside each
-	// ILP method's branch-and-bound trees; results are identical for any
-	// value (deterministic node accounting in package mip). Default 1.
-	MIPWorkers int
 
 	// Checkpoint, when non-nil, makes grid runs resumable: every
 	// completed (instance, method) cell is durably journaled, and cells
@@ -65,8 +67,20 @@ type Config struct {
 // synchronous) with bench-friendly budgets.
 func Base() Config {
 	return Config{
-		P: 4, RFactor: 3, G: 1, L: 10, Model: mbsp.Sync,
-		ILPTimeLimit: 2 * time.Second, LocalSearchBudget: 2000, Seed: 1,
+		P: 4, RFactor: 3, G: 1, L: 10,
+		ILP: ilpsched.Options{Model: mbsp.Sync, TimeLimit: 2 * time.Second, LocalSearchBudget: 2000, Seed: 1},
+	}
+}
+
+// Portfolio returns the options that race every applicable scheduler
+// under this configuration: the grid's model, ILP budgets, seed, fault
+// injector and LU counters, with Workers schedulers at a time.
+func (c Config) Portfolio() portfolio.Options {
+	o := c.ILP
+	return portfolio.Options{
+		Model: o.Model, Workers: c.Workers, MIPWorkers: o.MIPWorkers, Seed: o.Seed,
+		ILPTimeLimit: o.TimeLimit, ILPNodeLimit: o.NodeLimit, MaxModelRows: o.MaxModelRows,
+		LocalSearchBudget: o.LocalSearchBudget, Inject: o.Inject, LUStats: o.LUStats,
 	}
 }
 
@@ -139,13 +153,7 @@ func Baseline() Method {
 // baseline.
 func ILPMethod() Method {
 	return Method{Name: "ilp", Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
-		s, _, err := ilpsched.Solve(g, arch, ilpsched.Options{
-			Model:             cfg.Model,
-			TimeLimit:         cfg.ILPTimeLimit,
-			MIPWorkers:        cfg.MIPWorkers,
-			LocalSearchBudget: cfg.LocalSearchBudget,
-			Seed:              cfg.Seed,
-		})
+		s, _, err := ilpsched.Solve(g, arch, cfg.ILP)
 		return s, err
 	}}
 }
@@ -154,7 +162,7 @@ func ILPMethod() Method {
 func CilkLRUMethod() Method {
 	pl := twostage.Pipeline{Stage1: twostage.Cilk, Policy: memmgr.LRU{}}
 	return Method{Name: pl.Name(), Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
-		return pl.Run(g, arch, cfg.Seed, nil)
+		return pl.Run(g, arch, cfg.ILP.Seed, nil)
 	}}
 }
 
@@ -177,7 +185,7 @@ func bspILPMethods() (base, plus Method) {
 		st := v.(*stage1)
 		st.once.Do(func() {
 			b, err := bsp.ILP(g, arch.P, bsp.ILPOptions{
-				G: arch.G, L: arch.L, TimeLimit: cfg.ILPTimeLimit, Workers: cfg.MIPWorkers,
+				G: arch.G, L: arch.L, TimeLimit: cfg.ILP.TimeLimit, Workers: cfg.ILP.MIPWorkers,
 			})
 			if err == nil {
 				st.sched, err = twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
@@ -192,14 +200,9 @@ func bspILPMethods() (base, plus Method) {
 		if err != nil {
 			return nil, err
 		}
-		s, _, err := ilpsched.Solve(g, arch, ilpsched.Options{
-			Model:             cfg.Model,
-			WarmStart:         w,
-			TimeLimit:         cfg.ILPTimeLimit,
-			MIPWorkers:        cfg.MIPWorkers,
-			LocalSearchBudget: cfg.LocalSearchBudget,
-			Seed:              cfg.Seed,
-		})
+		opts := cfg.ILP
+		opts.WarmStart = w
+		s, _, err := ilpsched.Solve(g, arch, opts)
 		return s, err
 	}}
 	return base, plus
@@ -211,6 +214,9 @@ func bspILPMethods() (base, plus Method) {
 // the table — and, on failure, the reported error — match the sequential
 // path cell for cell.
 func Run(name string, insts []workloads.Instance, cfg Config, methods ...Method) (*Table, error) {
+	if cfg.ILP.WarmStart != nil || cfg.ILP.Incumbent != nil || cfg.ILP.NeedBlue != nil {
+		return nil, errors.New("experiments: WarmStart, Incumbent and NeedBlue are set per cell, not by the grid")
+	}
 	t := &Table{Name: name}
 	for _, m := range methods {
 		t.Methods = append(t.Methods, m.Name)
@@ -229,6 +235,9 @@ func Run(name string, insts []workloads.Instance, cfg Config, methods ...Method)
 	}
 	if workers > cells {
 		workers = cells
+	}
+	if cfg.ILP.LUStats != nil && workers > 1 {
+		return nil, errors.New("experiments: ILP.LUStats is not synchronized; it needs Workers 1")
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -300,10 +309,10 @@ func runCell(inst workloads.Instance, m Method, cfg Config) (float64, error) {
 	if err := s.Validate(); err != nil {
 		return 0, fmt.Errorf("%s on %s produced invalid schedule: %w", m.Name, inst.Name, err)
 	}
-	cost := s.Cost(cfg.Model)
+	cost := s.Cost(cfg.ILP.Model)
 	// Soundness net: no scheduler may beat the proven lower bound.
 	lb := bounds.AsyncLB(inst.DAG, arch)
-	if cfg.Model == mbsp.Sync {
+	if cfg.ILP.Model == mbsp.Sync {
 		lb = bounds.SyncLB(inst.DAG, arch)
 	}
 	if cost < lb-1e-9 {

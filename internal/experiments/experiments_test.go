@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 // quickCfg keeps tests fast: tiny solver budgets.
 func quickCfg() Config {
 	c := Base()
-	c.ILPTimeLimit = 200 * time.Millisecond
-	c.LocalSearchBudget = 300
+	c.ILP.TimeLimit = 200 * time.Millisecond
+	c.ILP.LocalSearchBudget = 300
 	return c
 }
 
@@ -108,7 +109,7 @@ func TestTable4VariantsMutateConfig(t *testing.T) {
 				t.Fatal("L=0 variant wrong")
 			}
 		case "async":
-			if mut.L != 0 || mut.Model.String() != "async" {
+			if mut.L != 0 || mut.ILP.Model.String() != "async" {
 				t.Fatal("async variant wrong")
 			}
 		}
@@ -133,7 +134,9 @@ func TestTable2OnOneInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := Table2([]workloads.Instance{inst}, quickCfg(), 20, 300*time.Millisecond)
+	cfg := quickCfg()
+	cfg.ILP.TimeLimit = 300 * time.Millisecond
+	tab, err := Table2([]workloads.Instance{inst}, cfg, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestRenderBoxes(t *testing.T) {
 func TestBSPILPPlusILPNotAboveBSPILP(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := quickCfg()
-		cfg.ILPTimeLimit = 100 * time.Millisecond
+		cfg.ILP.TimeLimit = 100 * time.Millisecond
 		cfg.Workers = workers
 		base, plus := bspILPMethods()
 		tab, err := Run("bsp-ilp", workloads.Tiny(), cfg, base, plus)
@@ -175,5 +178,25 @@ func TestBSPILPPlusILPNotAboveBSPILP(t *testing.T) {
 				t.Errorf("workers=%d %s: bsp-ilp+ilp %g > bsp-ilp %g", workers, r.Instance, r.Costs[1], r.Costs[0])
 			}
 		}
+	}
+}
+
+// TestRunRejectsPerCellILPFields: the grid's ILP options are shared by
+// every cell, so a warm start, incumbent or boundary set on them is
+// refused before any cell runs.
+func TestRunRejectsPerCellILPFields(t *testing.T) {
+	insts := workloads.Tiny()[:1]
+	warm, err := Baseline().Run(insts[0].DAG, Base().Arch(insts[0].DAG), Base())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Base()
+	cfg.ILP.WarmStart = warm
+	var calls atomic.Int64
+	if _, err := Run("warm", insts, cfg, countingMethod("base", &calls)); err == nil {
+		t.Fatal("Run accepted a grid-wide WarmStart")
+	}
+	if calls.Load() != 0 {
+		t.Fatalf("a rejected grid ran %d cells", calls.Load())
 	}
 }

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 
 	"mbsp/internal/dnc"
 	"mbsp/internal/graph"
-	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/workloads"
 )
@@ -44,7 +42,7 @@ func Table4Variants() []Table4Variant {
 		{"r=r0", func(c Config) Config { c.RFactor = 1; return c }},
 		{"P=8", func(c Config) Config { c.P = 8; return c }},
 		{"L=0", func(c Config) Config { c.L = 0; return c }},
-		{"async", func(c Config) Config { c.L = 0; c.Model = mbsp.Async; return c }},
+		{"async", func(c Config) Config { c.L = 0; c.ILP.Model = mbsp.Async; return c }},
 	}
 }
 
@@ -62,26 +60,24 @@ func Table4(insts []workloads.Instance, cfg Config) (map[string]*Table, error) {
 	return out, nil
 }
 
-// DNCMethod is the divide-and-conquer ILP used on the small dataset.
-func DNCMethod(maxPart int, subLimit time.Duration) Method {
+// DNCMethod is the divide-and-conquer ILP used on the small dataset: its
+// sub-ILPs run under the grid's ILP options with a quarter of their
+// local-search budget.
+func DNCMethod(maxPart int) Method {
 	return Method{Name: "dnc-ilp", Run: func(g *graph.DAG, arch mbsp.Arch, cfg Config) (*mbsp.Schedule, error) {
-		s, _, err := dnc.Solve(g, arch, maxPart, ilpsched.Options{
-			Model:             cfg.Model,
-			TimeLimit:         subLimit,
-			MIPWorkers:        cfg.MIPWorkers,
-			LocalSearchBudget: cfg.LocalSearchBudget / 4,
-			Seed:              cfg.Seed,
-		})
+		opts := cfg.ILP
+		opts.LocalSearchBudget /= 4
+		s, _, err := dnc.Solve(g, arch, maxPart, opts)
 		return s, err
 	}}
 }
 
 // Table2 reproduces the paper's Table 2: baseline vs divide-and-conquer
 // ILP on the small dataset at r=5·r0.
-func Table2(insts []workloads.Instance, cfg Config, maxPart int, subLimit time.Duration) (*Table, error) {
+func Table2(insts []workloads.Instance, cfg Config, maxPart int) (*Table, error) {
 	cfg.RFactor = 5
 	return Run("Table 2: baseline vs divide-and-conquer ILP", insts, cfg,
-		Baseline(), DNCMethod(maxPart, subLimit))
+		Baseline(), DNCMethod(maxPart))
 }
 
 // SingleProcessor runs the paper's P=1 red-blue-pebbling experiment:

@@ -29,11 +29,11 @@ import (
 )
 
 // Options configures the ILP scheduler. The divide-and-conquer scheduler
-// (package dnc) takes the same Options and reads these fields: Context,
-// NodeLimit, MIPWorkers, Inject and LUStats for its partitioning stage;
-// Model and Incumbent for its between-parts cutoff; and all of them for
-// each part's sub-ILP, which runs under a copy with the part's own
-// WarmStart and NeedBlue, Seed+k for part k, and no Incumbent.
+// (package dnc) takes the same Options and reads these fields: the Tree
+// fields for its partitioning stage; Model and Incumbent for its
+// between-parts cutoff; and all of them for each part's sub-ILP, which
+// runs under a copy with the part's own WarmStart and NeedBlue, Seed+k
+// for part k, and no Incumbent.
 type Options struct {
 	// Context, when non-nil, cancels the tree search and the local-search
 	// heuristic early (and skips the exact pebbler once done). Solve still
@@ -102,6 +102,19 @@ type Options struct {
 	// part of Stats (the counts depend on worker scheduling; Stats stays
 	// byte-identical across MIPWorkers values).
 	LUStats *lp.FactorStats
+}
+
+// Tree returns the branch-and-bound environment of every tree these
+// options run, as set: Solve's and the divide-and-conquer partitioner's.
+func (o Options) Tree() mip.Options {
+	return mip.Options{
+		Context:   o.Context,
+		NodeLimit: o.NodeLimit,
+		Workers:   o.MIPWorkers,
+		NoPerturb: o.NoPerturb,
+		Inject:    o.Inject,
+		LUStats:   o.LUStats,
+	}
 }
 
 func (o Options) withDefaults() Options {

@@ -8,7 +8,6 @@ import (
 	"mbsp/internal/graph"
 	"mbsp/internal/lp"
 	"mbsp/internal/mbsp"
-	"mbsp/internal/mip"
 	"mbsp/internal/refine"
 	"mbsp/internal/twostage"
 )
@@ -59,28 +58,20 @@ func solve(g *graph.DAG, arch mbsp.Arch, opts Options, reference bool) (*mbsp.Sc
 		}
 		stats.UsedILP = true
 		ctx, cancel := context.WithTimeout(opts.Context, opts.TimeLimit)
-		res := im.m.Solve(mip.Options{
-			Context:         ctx,
-			NodeLimit:       opts.NodeLimit,
-			WarmStart:       x,
-			Workers:         opts.MIPWorkers,
-			ReferenceLP:     reference,
-			NoPerturb:       opts.NoPerturb,
-			Inject:          opts.Inject,
-			LUStats:         opts.LUStats,
-			SharedIncumbent: opts.Incumbent,
-			// Publish improving tree-search incumbents mid-search, but
-			// only after extraction and validation: the shared bound must
-			// carry real schedule costs, never raw model objectives.
-			OnIncumbent: func(x []float64, obj float64) {
-				if opts.Incumbent == nil {
-					return
-				}
-				if sched, err := im.extract(x); err == nil && sched.Validate() == nil {
-					opts.Incumbent.Offer(sched.Cost(opts.Model))
-				}
-			},
-		})
+		run := opts.Tree()
+		run.Context, run.WarmStart, run.ReferenceLP, run.SharedIncumbent = ctx, x, reference, opts.Incumbent
+		// Publish improving tree-search incumbents mid-search, but only
+		// after extraction and validation: the shared bound must carry
+		// real schedule costs, never raw model objectives.
+		run.OnIncumbent = func(x []float64, obj float64) {
+			if opts.Incumbent == nil {
+				return
+			}
+			if sched, err := im.extract(x); err == nil && sched.Validate() == nil {
+				opts.Incumbent.Offer(sched.Cost(opts.Model))
+			}
+		}
+		res := im.m.Solve(run)
 		cancel()
 		stats.ILPStatus = res.Status.String()
 		stats.Counters = res.Counters

@@ -40,6 +40,10 @@
 #      graceful-degradation gate); then one more leg on the paper-tiny
 #      dataset (one fault seed, without -race), whose larger DAGs put
 #      the divide-and-conquer partitioning stage under the deadline;
+#   4a. the mbsp-sched deadline leg: build mbsp-sched once and run
+#      `-method ilp -deadline 50ms -timeout 60s` on spmv_N6 at P=2 under
+#      `timeout 20`, so a single-method run that ignores -deadline
+#      (and searches for its full 60s) fails the gate;
 #   4b. the serving smoke (scripts/serve_smoke.sh): start mbsp-served on
 #      an ephemeral port with a durable cache, POST a registry DAG twice
 #      and assert the second response is a cache hit with a
@@ -128,6 +132,13 @@ done
 echo "== chaos leg: paper-tiny, fault seed 42"
 go run ./cmd/mbsp-bench -experiment chaos -dataset paper-tiny \
     -deadline 50ms -fault-seed 42
+
+echo "== mbsp-sched deadline leg: -method ilp under a 50ms deadline"
+sched_dir="$(mktemp -d)"
+trap 'rm -rf "${sched_dir}"' EXIT
+go build -o "${sched_dir}/mbsp-sched" ./cmd/mbsp-sched
+timeout 20 "${sched_dir}/mbsp-sched" -instance spmv_N6 -p 2 -method ilp \
+    -deadline 50ms -timeout 60s
 
 echo "== serving smoke: mbsp-served cache hit + graceful drain"
 sh scripts/serve_smoke.sh
