@@ -10,7 +10,10 @@
 //     schedule and certificate, well inside its request deadline;
 //  4. /v1/stats reflects the hit, and the persistence counter section
 //     is present (with -persist: enabled and journaling);
-//  5. SIGTERM while a request is in flight drains gracefully: the
+//  5. a DAG that divide-and-conquer must bipartition, sent at a second
+//     P, is served its partition from the server's partition memo
+//     (one more memo hit in /v1/stats);
+//  6. SIGTERM while a request is in flight drains gracefully: the
 //     request still completes with 200 and the process exits cleanly
 //     (the exit code is asserted by the driving script).
 //
@@ -54,6 +57,10 @@ const (
 	queryA = "p=2&rfactor=3"
 	queryB = "p=3&rfactor=3"
 )
+
+// memoInstance has more nodes than the dnc candidate's part size (45),
+// so its partitioning stage solves bipartition ILPs.
+const memoInstance = "kNN_N6_K4"
 
 func main() {
 	var (
@@ -108,6 +115,11 @@ type statsJSON struct {
 		RejectedRecords  int64 `json:"rejected_records"`
 		CorruptRecords   int64 `json:"corrupt_records"`
 	} `json:"persistence"`
+	PartitionMemo struct {
+		Hits    int64 `json:"hits"`
+		Misses  int64 `json:"misses"`
+		Entries int   `json:"entries"`
+	} `json:"partition_memo"`
 }
 
 // assertPersistenceShape asserts the persistence counter section is
@@ -134,7 +146,7 @@ func assertPersistenceShape(client *http.Client, base string) {
 	fmt.Println("smoke: persistence counters present")
 }
 
-// runServeSmoke is the classic serving contract (doc comment items 2-5).
+// runServeSmoke is the classic serving contract (doc comment items 2-6).
 func runServeSmoke(client *http.Client, base string, pid int, persist bool, dag []byte) {
 	cold := postSchedule(client, base, queryA, dag)
 	if cold.Cache == nil || cold.Cache.Provenance != "cold" {
@@ -180,6 +192,8 @@ func runServeSmoke(client *http.Client, base string, pid int, persist bool, dag 
 	}
 	fmt.Println("smoke: stats ok")
 
+	runPartitionMemo(client, base)
+
 	// Graceful drain: a request for a fresh key races a SIGTERM. The
 	// HTTP server must finish serving it before exiting.
 	if pid > 0 {
@@ -205,6 +219,33 @@ func runServeSmoke(client *http.Client, base string, pid int, persist bool, dag 
 		}
 		fmt.Println("smoke: graceful drain ok")
 	}
+}
+
+// runPartitionMemo posts memoInstance at two processor counts and
+// asserts that the second request's dnc candidate reused the first
+// one's partition.
+func runPartitionMemo(client *http.Client, base string) {
+	inst, err := mbsp.InstanceByName(memoInstance)
+	if err != nil {
+		fatal(err)
+	}
+	if inst.DAG.N() <= 45 {
+		fatal(fmt.Errorf("%s has %d nodes; the memo leg needs a DAG dnc splits", memoInstance, inst.DAG.N()))
+	}
+	var dag bytes.Buffer
+	if err := mbsp.WriteDAG(&dag, inst.DAG); err != nil {
+		fatal(err)
+	}
+	var before, after statsJSON
+	postSchedule(client, base, "p=2&rfactor=3", dag.Bytes())
+	getJSON(client, base+"/v1/stats", &before)
+	postSchedule(client, base, "p=3&rfactor=3", dag.Bytes())
+	getJSON(client, base+"/v1/stats", &after)
+	if after.PartitionMemo.Hits != before.PartitionMemo.Hits+1 || after.PartitionMemo.Entries < 1 {
+		fatal(fmt.Errorf("partition memo: %+v before the second P, %+v after; want one more hit",
+			before.PartitionMemo, after.PartitionMemo))
+	}
+	fmt.Printf("smoke: partition memo hit ok (%s, %d nodes)\n", memoInstance, inst.DAG.N())
 }
 
 // stripBody re-marshals a response without its per-request cache stamp:

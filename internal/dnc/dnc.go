@@ -69,6 +69,11 @@ type Stats struct {
 // bound — acceptable for a portfolio candidate whose result would at best
 // tie.)
 func Solve(g *graph.DAG, arch mbsp.Arch, maxPartSize int, opts ilpsched.Options) (*mbsp.Schedule, Stats, error) {
+	return solve(g, arch, maxPartSize, opts, nil)
+}
+
+// solve is Solve with the partitioning stage served by memo (nil: none).
+func solve(g *graph.DAG, arch mbsp.Arch, maxPartSize int, opts ilpsched.Options, memo *Memo) (*mbsp.Schedule, Stats, error) {
 	var stats Stats
 	if opts.WarmStart != nil || opts.NeedBlue != nil {
 		return nil, stats, errors.New("dnc: WarmStart and NeedBlue are set per part, not by the caller")
@@ -80,8 +85,7 @@ func Solve(g *graph.DAG, arch mbsp.Arch, maxPartSize int, opts ilpsched.Options)
 		return nil, stats, twostage.ErrCacheTooSmall
 	}
 
-	tree := opts.Tree()
-	pres, err := partition.Recursive(g, maxPartSize, &tree)
+	pres, err := memo.partition(g, maxPartSize, opts.Tree())
 	stats.PartitionSolver = pres.Solver
 	if err != nil {
 		return nil, stats, fmt.Errorf("dnc: partitioning: %w", err)

@@ -2,7 +2,7 @@ package lp
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -1146,7 +1146,19 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		for k := range s.candJ {
 			idx = append(idx, k)
 		}
-		sort.SliceStable(idx, func(a, b int) bool { return s.candR[idx[a]] < s.candR[idx[b]] })
+		// The comparator is negative exactly when "<" holds, and the
+		// stable sort calls it only as "cmp < 0" (the template
+		// sort.SliceStable shares), so a NaN ratio keeps its place;
+		// cmp.Compare would order NaN first and move the pivots.
+		slices.SortStableFunc(idx, func(a, b int) int {
+			switch ra, rb := s.candR[a], s.candR[b]; {
+			case ra < rb:
+				return -1
+			case ra > rb:
+				return 1
+			}
+			return 0
+		})
 		s.candIdx = idx
 		rem := math.Abs(s.x[bi] - target)
 		remTol := dualTol * boundScale(target)

@@ -3,7 +3,6 @@ package portfolio
 import (
 	"context"
 
-	"mbsp/internal/dnc"
 	"mbsp/internal/graph"
 	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
@@ -103,7 +102,8 @@ func ILPCandidate() Candidate {
 // Options.ILPNodeLimit both the partitioning ILPs and the per-part
 // scheduling ILPs run node-limited, so dnc-ilp joins the byte-identical
 // determinism guarantee; the shared incumbent cuts hopeless runs off
-// between parts.
+// between parts. Options.PartitionMemo, when set, serves the
+// partitioning stage.
 func DNCCandidate(maxPart int) Candidate {
 	return Candidate{Name: "dnc-ilp", Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
 		dncOpts := ilpOptions(ctx, opts, "dnc-ilp")
@@ -111,7 +111,7 @@ func DNCCandidate(maxPart int) Candidate {
 		if sh := opts.shared; sh != nil {
 			dncOpts.Incumbent = sh.inc
 		}
-		s, _, err := dnc.Solve(g, arch, maxPart, dncOpts)
+		s, _, err := opts.PartitionMemo.Solve(g, arch, maxPart, dncOpts)
 		return s, err
 	}}
 }

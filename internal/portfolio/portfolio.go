@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"mbsp/internal/dnc"
 	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
 	"mbsp/internal/lp"
@@ -115,6 +116,11 @@ type Options struct {
 	// baseline cost before any candidate starts, keeping the
 	// byte-identical guarantee (see DESIGN.md).
 	DisableSharedIncumbent bool
+	// PartitionMemo, when non-nil, serves the dnc candidate's
+	// partitioning stage across runs on the same DAG (see dnc.Memo); a
+	// hit returns what a recompute would, so it never changes a result.
+	// Nil partitions afresh on every run.
+	PartitionMemo *dnc.Memo
 	// Logf receives progress messages.
 	Logf func(format string, args ...interface{})
 

@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mbsp/internal/dnc"
 	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
 	"mbsp/internal/mbsp"
@@ -114,6 +115,10 @@ type Config struct {
 // instances, small enough to bound a cold request's latency.
 const DefaultNodeLimit = 20000
 
+// partitionMemoEntries caps the nodes plus edges of the DAGs whose
+// divide-and-conquer partitions one server remembers (a few MB at most).
+const partitionMemoEntries = 1 << 18
+
 // maxProcs is the largest processor count a request may ask for. Every
 // scheduler allocates per-processor state before it looks at the DAG, so
 // an unbounded p lets a three-node body cost hundreds of megabytes.
@@ -157,6 +162,10 @@ type Server struct {
 	cfg     Config
 	cache   *schedcache.Cache[*wire.Response]
 	persist *cachePersister // nil when CachePath is empty
+	// partitions serves the dnc candidate's partitioning stage across
+	// this server's requests on the same DAG; it lives as long as the
+	// server and is never persisted.
+	partitions *dnc.Memo
 
 	admit chan struct{} // admission semaphore, cap MaxInflight
 
@@ -187,12 +196,13 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	ctx, stop := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:     cfg,
-		cache:   schedcache.New[*wire.Response](schedcache.Config{Entries: cfg.CacheEntries}),
-		admit:   make(chan struct{}, cfg.MaxInflight),
-		baseCtx: ctx,
-		stop:    stop,
-		start:   time.Now(),
+		cfg:        cfg,
+		cache:      schedcache.New[*wire.Response](schedcache.Config{Entries: cfg.CacheEntries}),
+		partitions: dnc.NewMemo(partitionMemoEntries),
+		admit:      make(chan struct{}, cfg.MaxInflight),
+		baseCtx:    ctx,
+		stop:       stop,
+		start:      time.Now(),
 	}
 	if cfg.CachePath != "" {
 		p, err := openPersistence(cfg.CachePath, persist.Options{Inject: cfg.PersistInject},
@@ -385,6 +395,7 @@ func (s *Server) portfolioOptions(model mbsp.CostModel) portfolio.Options {
 		MaxModelRows:     s.cfg.MaxModelRows,
 		SchedulerTimeout: -1, // the compute context is the only wall clock
 		ILPTimeLimit:     s.cfg.ComputeTimeout,
+		PartitionMemo:    s.partitions,
 		Logf:             s.cfg.Logf,
 	}
 }
@@ -600,7 +611,11 @@ type StatsSnapshot struct {
 		RetryAfterSeconds int `json:"retry_after_seconds"`
 	} `json:"admission"`
 	Persistence PersistenceStats `json:"persistence"`
-	Requests    struct {
+	// PartitionMemo counts the dnc partitions served from (hits) and
+	// computed for (misses) the server's partition memo, and the
+	// partitions it holds (entries).
+	PartitionMemo dnc.MemoStats `json:"partition_memo"`
+	Requests      struct {
 		Accepted  int64 `json:"accepted"`
 		Completed int64 `json:"completed"`
 		Degraded  int64 `json:"degraded"`
@@ -620,6 +635,7 @@ func (s *Server) Stats() StatsSnapshot {
 	if s.persist != nil {
 		st.Persistence = s.persist.stats()
 	}
+	st.PartitionMemo = s.partitions.Stats()
 	st.Requests.Accepted = s.requests.Load()
 	st.Requests.Completed = s.completed.Load()
 	st.Requests.Degraded = s.degraded.Load()

@@ -561,3 +561,31 @@ func TestDifferentKeysDifferentEntries(t *testing.T) {
 		t.Fatalf("want %d distinct computations, got %+v", len(queries)+1, st.Cache)
 	}
 }
+
+// TestPartitionMemoHitByteIdentical: a server's second request for a DAG
+// that divide-and-conquer must split, at another P, reuses the first
+// request's partition, and its body equals a fresh server's cold answer.
+func TestPartitionMemoHitByteIdentical(t *testing.T) {
+	srv := mustNew(t, testConfig())
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, query := range []string{"p=2&rfactor=3", "p=3&rfactor=3"} {
+		if resp, body := post(t, ts, query, dagBody(t, "kNN_N6_K4")); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %s", query, resp.StatusCode, body)
+		}
+	}
+	if st := srv.Stats().PartitionMemo; st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Fatalf("partition memo stats %+v, want 1 hit, 1 miss, 1 entry", st)
+	}
+	_, memoBody := post(t, ts, "p=3&rfactor=3", dagBody(t, "kNN_N6_K4")) // a cache hit
+
+	fresh := mustNew(t, testConfig())
+	defer fresh.Close()
+	ts2 := httptest.NewServer(fresh.Handler())
+	defer ts2.Close()
+	_, freshBody := post(t, ts2, "p=3&rfactor=3", dagBody(t, "kNN_N6_K4"))
+	if !bytes.Equal(stripCache(t, memoBody), stripCache(t, freshBody)) {
+		t.Fatal("a response built on a memoized partition differs from a fresh server's")
+	}
+}
