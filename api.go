@@ -155,7 +155,7 @@ type (
 	// SchedulerPanicError wraps a panic recovered from a candidate.
 	SchedulerPanicError = portfolio.PanicError
 	// FaultInjector is the seeded deterministic fault-injection harness
-	// (PortfolioOptions.Inject and the solver Options it threads to).
+	// (ILPOptions.Inject, also as PortfolioOptions.ILP.Inject).
 	FaultInjector = faultinject.Injector
 	// FaultMode is one injectable fault class.
 	FaultMode = faultinject.Mode
@@ -182,9 +182,9 @@ func DefaultCandidates(g *DAG, arch Arch) []PortfolioCandidate {
 // SchedulePortfolio races every applicable scheduler concurrently over a
 // bounded worker pool, validates each result, and returns the cheapest
 // valid schedule with per-scheduler stats. Concurrency adds no
-// nondeterminism: for a fixed opts.Seed, results are identical under any
-// GOMAXPROCS whenever the candidate budgets bind deterministically (use
-// opts.ILPNodeLimit instead of the wall-clock ILPTimeLimit for
+// nondeterminism: for a fixed opts.ILP.Seed, results are identical under
+// any GOMAXPROCS whenever the candidate budgets bind deterministically
+// (use opts.ILP.NodeLimit instead of the wall-clock ILP.TimeLimit for
 // byte-identical schedules).
 //
 // SchedulePortfolio is anytime: under deadlines, cancellation, exhausted

@@ -180,7 +180,7 @@ func TestPublicSchedulePortfolio(t *testing.T) {
 	g := buildAPIDAG(t)
 	arch := Arch{P: 2, R: 3 * g.MinCache(), G: 1, L: 5}
 	res, err := SchedulePortfolio(context.Background(), g, arch, PortfolioOptions{
-		ILPTimeLimit: 300 * time.Millisecond,
+		ILP: ILPOptions{TimeLimit: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -243,8 +243,8 @@ func runPortfolio(insts []workloads.Instance, cfg experiments.Config, dataset st
 	opts.DisableSharedIncumbent = !incumbent
 	wins := map[string]int{}
 	fmt.Println("Portfolio: best-of-all-schedulers per instance")
-	if opts.Inject != nil {
-		fmt.Printf("fault injection: %v\n", opts.Inject)
+	if opts.ILP.Inject != nil {
+		fmt.Printf("fault injection: %v\n", opts.ILP.Inject)
 	}
 	fmt.Printf("%-20s%-18s%14s%10s\n", "Instance", "winner", "cost", "time")
 	for _, inst := range insts {
@@ -355,8 +355,8 @@ func runChaos(insts []workloads.Instance, cfg experiments.Config, deadline time.
 	fmt.Printf("Chaos: anytime portfolio under %v deadline, fault seed %d\n", deadline, seed)
 	opts := cfg.Portfolio()
 	for _, leg := range legs {
-		opts.Inject = faultinject.New(seed, rate, 0, leg...)
-		fmt.Printf("-- injecting %v\n", opts.Inject)
+		opts.ILP.Inject = faultinject.New(seed, rate, 0, leg...)
+		fmt.Printf("-- injecting %v\n", opts.ILP.Inject)
 		for _, inst := range insts {
 			arch := cfg.Arch(inst.DAG)
 			runStart := time.Now()

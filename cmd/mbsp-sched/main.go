@@ -119,15 +119,13 @@ func main() {
 	var s *mbsp.Schedule
 	var res *mbsp.PortfolioResult
 	winner := *method
+	opts := mbsp.ILPOptions{Model: costModel, TimeLimit: *timeout,
+		Seed: *seed, MIPWorkers: *mipWork, Inject: inject}
 	if *pfolio {
 		var perr error
 		res, perr = mbsp.SchedulePortfolio(ctx, g, arch, mbsp.PortfolioOptions{
-			Model:                  costModel,
 			Workers:                *workers,
-			MIPWorkers:             *mipWork,
-			ILPTimeLimit:           *timeout,
-			Seed:                   *seed,
-			Inject:                 inject,
+			ILP:                    opts,
 			DisableSharedIncumbent: !*incumbent,
 		})
 		if perr != nil {
@@ -160,8 +158,7 @@ func main() {
 		s = res.Best
 		winner = res.BestName
 	} else {
-		opts := mbsp.ILPOptions{Context: ctx, Model: costModel, TimeLimit: *timeout,
-			Seed: *seed, MIPWorkers: *mipWork, Inject: inject}
+		opts.Context = ctx
 		if opts.MIPWorkers == 0 {
 			opts.MIPWorkers = runtime.GOMAXPROCS(0)
 		}

@@ -73,15 +73,13 @@ func Base() Config {
 }
 
 // Portfolio returns the options that race every applicable scheduler
-// under this configuration: the grid's model, ILP budgets, seed, fault
-// injector and LU counters, with Workers schedulers at a time.
+// under this configuration: the grid's solver environment, whose LU
+// counters move to the portfolio's run-wide accumulator, with Workers
+// schedulers at a time.
 func (c Config) Portfolio() portfolio.Options {
-	o := c.ILP
-	return portfolio.Options{
-		Model: o.Model, Workers: c.Workers, MIPWorkers: o.MIPWorkers, Seed: o.Seed,
-		ILPTimeLimit: o.TimeLimit, ILPNodeLimit: o.NodeLimit, MaxModelRows: o.MaxModelRows,
-		LocalSearchBudget: o.LocalSearchBudget, Inject: o.Inject, LUStats: o.LUStats,
-	}
+	o := portfolio.Options{Workers: c.Workers, ILP: c.ILP, LUStats: c.ILP.LUStats}
+	o.ILP.LUStats = nil
+	return o
 }
 
 // Arch builds the mbsp.Arch for an instance under this configuration.

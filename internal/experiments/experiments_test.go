@@ -3,11 +3,13 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"mbsp/internal/lp"
 	"mbsp/internal/workloads"
 )
 
@@ -198,5 +200,32 @@ func TestRunRejectsPerCellILPFields(t *testing.T) {
 	}
 	if calls.Load() != 0 {
 		t.Fatalf("a rejected grid ran %d cells", calls.Load())
+	}
+}
+
+// TestPortfolioCarriesGridILP: the portfolio legs of a grid run under the
+// grid's own solver environment, the fields its table columns honour but
+// the portfolio never re-declared (ExtraSteps, NoRecompute,
+// NoStepMerging, NoPerturb) included. Only LUStats moves, to the
+// portfolio's run-wide accumulator.
+func TestPortfolioCarriesGridILP(t *testing.T) {
+	cfg := Base()
+	cfg.Workers = 3
+	cfg.ILP.ExtraSteps = 5
+	cfg.ILP.NoRecompute = true
+	cfg.ILP.NoStepMerging = true
+	cfg.ILP.NoPerturb = true
+	cfg.ILP.NodeLimit = 300
+	cfg.ILP.MaxModelRows = 3000
+	cfg.ILP.LUStats = &lp.FactorStats{}
+	o := cfg.Portfolio()
+	if o.Workers != cfg.Workers || o.LUStats != cfg.ILP.LUStats || o.ILP.LUStats != nil {
+		t.Fatalf("Workers %d, LUStats moved %v, ILP.LUStats cleared %v",
+			o.Workers, o.LUStats == cfg.ILP.LUStats, o.ILP.LUStats == nil)
+	}
+	want := cfg.ILP
+	want.LUStats = nil
+	if !reflect.DeepEqual(o.ILP, want) {
+		t.Fatalf("portfolio ILP %+v, want the grid's %+v", o.ILP, want)
 	}
 }

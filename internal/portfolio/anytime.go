@@ -124,7 +124,7 @@ const (
 // completed), the relative gap between them, which degradation rung
 // produced the winner, and the per-candidate completion/failure ledger.
 type Certificate struct {
-	// BestCost is the returned schedule's cost under Options.Model.
+	// BestCost is the returned schedule's cost under Options.ILP.Model.
 	BestCost float64
 	// BestBound is a proven lower bound on the cost of any valid schedule
 	// (work/critical-path/IO bounds; sound regardless of failures).
@@ -171,7 +171,7 @@ func buildCertificate(g *graph.DAG, arch mbsp.Arch, opts Options, res *Result, r
 		FallbackUsed: rung != RungPortfolio,
 		Interrupted:  res.Interrupted,
 	}
-	if opts.Model == mbsp.Sync {
+	if opts.ILP.Model == mbsp.Sync {
 		cert.BestBound = bounds.SyncLB(g, arch)
 	} else {
 		cert.BestBound = bounds.AsyncLB(g, arch)
@@ -228,7 +228,7 @@ func RunAnytime(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options)
 			// Not an anytime outcome — surface the real cause.
 			return res, fmt.Errorf("%w; fallback failed: %v", ErrNoSchedule, err)
 		}
-		res.Best, res.BestName, res.BestCost = s, "fallback/"+rung, s.Cost(opts.Model)
+		res.Best, res.BestName, res.BestCost = s, "fallback/"+rung, s.Cost(opts.ILP.Model)
 		opts.Logf("portfolio: degraded to %s fallback: cost %g", rung, res.BestCost)
 	}
 	res.Certificate = buildCertificate(g, arch, opts, res, rung)

@@ -91,8 +91,8 @@ func TestPortfolioCancelStopsILP(t *testing.T) {
 	}
 	arch := mbsp.Arch{P: 1, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
 	opts := testOpts()
-	opts.ILPTimeLimit = time.Minute
-	opts.ILPNodeLimit = 1 << 30
+	opts.ILP.TimeLimit = time.Minute
+	opts.ILP.NodeLimit = 1 << 30
 	opts.Candidates = []Candidate{ILPCandidate()}
 
 	base := runtime.NumGoroutine()
@@ -141,9 +141,9 @@ func TestPortfolioCancelMidTreeParallel(t *testing.T) {
 	}
 	arch := mbsp.Arch{P: 1, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
 	opts := testOpts()
-	opts.ILPTimeLimit = time.Minute
-	opts.ILPNodeLimit = 1 << 30
-	opts.MIPWorkers = 4
+	opts.ILP.TimeLimit = time.Minute
+	opts.ILP.NodeLimit = 1 << 30
+	opts.ILP.MIPWorkers = 4
 	opts.Candidates = []Candidate{ILPCandidate()}
 
 	base := runtime.NumGoroutine()
@@ -211,8 +211,8 @@ func TestPortfolioSchedulerTimeout(t *testing.T) {
 	arch := baseArch(inst.DAG)
 	opts := testOpts()
 	opts.SchedulerTimeout = 50 * time.Millisecond
-	opts.ILPTimeLimit = time.Minute
-	opts.LocalSearchBudget = 1 << 30
+	opts.ILP.TimeLimit = time.Minute
+	opts.ILP.LocalSearchBudget = 1 << 30
 
 	base := runtime.NumGoroutine()
 	start := time.Now()

@@ -54,26 +54,17 @@ func pipelineCandidate(pl twostage.Pipeline, baseline bool) Candidate {
 		if sh := opts.shared; baseline && sh != nil {
 			return sh.warm, sh.warmErr
 		}
-		return pl.Run(g, arch, candidateSeed(opts.Seed, name), nil)
+		return pl.Run(g, arch, candidateSeed(opts.ILP.Seed, name), nil)
 	}}
 }
 
 // ilpOptions is the ilpsched configuration both ILP-based candidates run
-// under: the portfolio's model, budgets and plumbing, and the candidate's
-// own seed.
+// under: the portfolio's opts.ILP with the candidate's context, its own
+// seed and its factorization accumulator.
 func ilpOptions(ctx context.Context, opts Options, name string) ilpsched.Options {
-	return ilpsched.Options{
-		Context:           ctx,
-		Model:             opts.Model,
-		TimeLimit:         opts.ILPTimeLimit,
-		NodeLimit:         opts.ILPNodeLimit,
-		MIPWorkers:        opts.MIPWorkers,
-		LocalSearchBudget: opts.LocalSearchBudget,
-		Inject:            opts.Inject,
-		LUStats:           opts.LUStats,
-		MaxModelRows:      opts.MaxModelRows,
-		Seed:              candidateSeed(opts.Seed, name),
-	}
+	o := opts.ILP
+	o.Context, o.Seed, o.LUStats = ctx, candidateSeed(o.Seed, name), opts.LUStats
+	return o
 }
 
 // ILPCandidate is the holistic ILP scheduler under the portfolio's time
@@ -99,7 +90,7 @@ func ILPCandidate() Candidate {
 // DNCCandidate is the divide-and-conquer ILP scheduler; maxPart ≤ 0
 // selects the dnc default part size. Each part's sub-ILP runs with a
 // quarter of the local-search budget and no shared warm start. Under
-// Options.ILPNodeLimit both the partitioning ILPs and the per-part
+// Options.ILP.NodeLimit both the partitioning ILPs and the per-part
 // scheduling ILPs run node-limited, so dnc-ilp joins the byte-identical
 // determinism guarantee; the shared incumbent cuts hopeless runs off
 // between parts. Options.PartitionMemo, when set, serves the

@@ -67,7 +67,7 @@ func TestChaosEveryModeOnRegistry(t *testing.T) {
 			arch := baseArch(inst.DAG)
 			opts := testOpts()
 			opts.Workers = 4
-			opts.Inject = inj
+			opts.ILP.Inject = inj
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			res, err := RunAnytime(ctx, inst.DAG, arch, opts)
 			cancel()
@@ -80,8 +80,8 @@ func TestChaosEveryModeOnRegistry(t *testing.T) {
 			if verr := res.Best.Validate(); verr != nil {
 				t.Fatalf("%s: invalid schedule: %v", label, verr)
 			}
-			if res.Best.Cost(opts.Model) != res.BestCost {
-				t.Fatalf("%s: BestCost %g != schedule cost %g", label, res.BestCost, res.Best.Cost(opts.Model))
+			if res.Best.Cost(opts.ILP.Model) != res.BestCost {
+				t.Fatalf("%s: BestCost %g != schedule cost %g", label, res.BestCost, res.Best.Cost(opts.ILP.Model))
 			}
 			chaosCert(t, res, label)
 		}
@@ -103,8 +103,8 @@ func TestChaosModeWorkerMatrix(t *testing.T) {
 				label := fmt.Sprintf("%s/%s/workers=%d", name, mode, workers)
 				opts := testOpts()
 				opts.Workers = workers
-				opts.MIPWorkers = workers
-				opts.Inject = faultinject.New(7, 0.5, 50*time.Microsecond, mode)
+				opts.ILP.MIPWorkers = workers
+				opts.ILP.Inject = faultinject.New(7, 0.5, 50*time.Microsecond, mode)
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 				res, err := RunAnytime(ctx, inst.DAG, arch, opts)
 				cancel()
@@ -141,7 +141,7 @@ func chaosSnapshot(t *testing.T, res *Result) []byte {
 // the fixture keeps every candidate inside its budget and asserts it.
 // The holistic models of the two registry instances at P=4 (5949 and
 // 31989 rows) need seconds per cold root relaxation, tens under -race,
-// so MaxModelRows keeps their ILP candidates on the warm-start +
+// so ILP.MaxModelRows keeps their ILP candidates on the warm-start +
 // local-search path; the small P=1 DAG's 586-row model is where the
 // node-limited tree search runs with faults injected.
 func TestChaosDeterministicByteIdentical(t *testing.T) {
@@ -161,8 +161,8 @@ func TestChaosDeterministicByteIdentical(t *testing.T) {
 	fixtures = append(fixtures, fixture{tree, mbsp.Arch{P: 1, R: 3 * tree.MinCache(), G: 1, L: 10}})
 	chaosOpts := func(workers int, faultSeed uint64) Options {
 		opts := deterministicOpts(workers)
-		opts.MaxModelRows = 3000
-		opts.Inject = faultinject.New(faultSeed, 0.5, 50*time.Microsecond)
+		opts.ILP.MaxModelRows = 3000
+		opts.ILP.Inject = faultinject.New(faultSeed, 0.5, 50*time.Microsecond)
 		return opts
 	}
 	for _, fx := range fixtures {
@@ -335,10 +335,10 @@ func TestChaosCancelMidWaveNoLeak(t *testing.T) {
 	}
 	arch := mbsp.Arch{P: 1, R: 3 * inst.DAG.MinCache(), G: 1, L: 10}
 	opts := testOpts()
-	opts.ILPTimeLimit = time.Minute
-	opts.ILPNodeLimit = 1 << 30
-	opts.MIPWorkers = 4
-	opts.Inject = faultinject.New(13, 0.5, 100*time.Microsecond)
+	opts.ILP.TimeLimit = time.Minute
+	opts.ILP.NodeLimit = 1 << 30
+	opts.ILP.MIPWorkers = 4
+	opts.ILP.Inject = faultinject.New(13, 0.5, 100*time.Microsecond)
 	opts.Candidates = []Candidate{ILPCandidate()}
 
 	base := runtime.NumGoroutine()

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mbsp/internal/graph"
+	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/workloads"
 )
@@ -18,12 +19,14 @@ import (
 // cut the search wherever the scheduler happened to be.
 func deterministicOpts(workers int) Options {
 	return Options{
-		Model:             mbsp.Sync,
-		Workers:           workers,
-		ILPTimeLimit:      time.Minute,
-		ILPNodeLimit:      200,
-		LocalSearchBudget: 200,
-		Seed:              7,
+		Workers: workers,
+		ILP: ilpsched.Options{
+			Model:             mbsp.Sync,
+			TimeLimit:         time.Minute,
+			NodeLimit:         200,
+			LocalSearchBudget: 200,
+			Seed:              7,
+		},
 	}
 }
 
@@ -50,7 +53,7 @@ func snapshot(t *testing.T, res *Result) []byte {
 // TestPortfolioDeterministicAcrossGOMAXPROCS asserts byte-identical
 // schedules for identical seeds under GOMAXPROCS 1, 2 and 8, and under
 // different worker-pool widths. Run with -race (scripts/verify.sh does).
-// Under Options.ILPNodeLimit every candidate — including dnc-ilp, whose
+// Under Options.ILP.NodeLimit every candidate — including dnc-ilp, whose
 // partitioning and sub-ILP stages are node-limited through the knob, and
 // the warm-started dual-simplex ILP path — must land in the guarantee;
 // the sealed shared incumbent must not break it either.
@@ -58,7 +61,7 @@ func snapshot(t *testing.T, res *Result) []byte {
 // The guarantee covers node-bound candidates only: one cut by its clock
 // returns a timing-dependent best-so-far schedule (Degraded), so the
 // fixture asserts none was. As in TestChaosDeterministicByteIdentical,
-// MaxModelRows keeps the registry instances' holistic models (5949 to
+// ILP.MaxModelRows keeps the registry instances' holistic models (5949 to
 // 31989 rows at P=4, seconds per cold root relaxation) on the warm-start
 // + local-search path, and a small P=1 DAG's 586-row model is where the
 // node-limited tree search runs.
@@ -85,7 +88,7 @@ func TestPortfolioDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			for _, workers := range []int{1, 4} {
 				opts := deterministicOpts(workers)
-				opts.MaxModelRows = 3000
+				opts.ILP.MaxModelRows = 3000
 				res, _, err := run(context.Background(), fx.g, arch, opts)
 				if err != nil {
 					t.Fatalf("%s (GOMAXPROCS=%d workers=%d): %v", name, procs, workers, err)

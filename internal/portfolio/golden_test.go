@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/workloads"
 )
@@ -24,7 +25,7 @@ const goldenCandidatesDigest = "4d28a864822e57db342d9e9bf70c2e1f23307dd0ef5a6d91
 // every tiny instance (k-means and pregel fall below DNCMinNodes, the
 // rest above it) at P ∈ {1,4} and a tight and a loose cache, the
 // candidate names in order, then each two-stage candidate run on its own
-// under Options{Seed: 1}: its sync and async cost bits and its schedule
+// under Options{ILP: ilpsched.Options{Seed: 1}}: its sync and async cost bits and its schedule
 // text.
 func TestDefaultCandidatesGolden(t *testing.T) {
 	var buf bytes.Buffer
@@ -43,7 +44,7 @@ func TestDefaultCandidatesGolden(t *testing.T) {
 					if !strings.Contains(c.Name, "+") {
 						continue // the ILP candidates
 					}
-					s, err := c.Run(context.Background(), g, arch, Options{Seed: 1})
+					s, err := c.Run(context.Background(), g, arch, Options{ILP: ilpsched.Options{Seed: 1}})
 					if err != nil {
 						t.Fatalf("%s P=%d r=%g %s: %v", inst.Name, p, rf, c.Name, err)
 					}

@@ -23,14 +23,14 @@ func TestPartitionMemoMatchesFresh(t *testing.T) {
 	arch := func(p int) mbsp.Arch { return mbsp.Arch{P: p, R: 3 * g.MinCache(), G: 1, L: 10} }
 	memo := dnc.NewMemo(1 << 18)
 	warm := deterministicOpts(1)
-	warm.MaxModelRows = 3000
+	warm.ILP.MaxModelRows = 3000
 	warm.PartitionMemo = memo
 	if _, err := RunAnytime(context.Background(), g, arch(2), warm); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
 		opts := deterministicOpts(workers)
-		opts.MaxModelRows = 3000
+		opts.ILP.MaxModelRows = 3000
 		fresh, err := RunAnytime(context.Background(), g, arch(3), opts)
 		if err != nil {
 			t.Fatal(err)

@@ -12,9 +12,9 @@
 // worker identity or completion order), results are collected in
 // candidate order, and ties are broken by that order. Candidates whose
 // budgets bind deterministically (the two-stage pipelines always; the
-// ILP under Options.ILPNodeLimit) therefore produce identical schedules
+// ILP under Options.ILP.NodeLimit) therefore produce identical schedules
 // under any GOMAXPROCS or worker count; wall-clock budgets
-// (ILPTimeLimit, the DnC partitioning stage) cut wherever the solver
+// (ILP.TimeLimit, the DnC partitioning stage) cut wherever the solver
 // happened to be and are only reproducible on an idle machine.
 package portfolio
 
@@ -30,8 +30,8 @@ import (
 	"time"
 
 	"mbsp/internal/dnc"
-	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
+	"mbsp/internal/ilpsched"
 	"mbsp/internal/lp"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/mip"
@@ -40,8 +40,6 @@ import (
 
 // Options configures a portfolio run.
 type Options struct {
-	// Model selects the objective used to rank candidates.
-	Model mbsp.CostModel
 	// Workers bounds the number of schedulers running concurrently.
 	// Default GOMAXPROCS (and never more than the candidate count).
 	Workers int
@@ -52,55 +50,38 @@ type Options struct {
 	// parts, because a partial concatenation is never a valid schedule.
 	// Default 30s; negative disables.
 	SchedulerTimeout time.Duration
-	// ILPTimeLimit bounds the branch-and-bound search of ILP-based
-	// candidates. Default 2s.
-	ILPTimeLimit time.Duration
-	// ILPNodeLimit bounds the branch-and-bound tree size. Unlike a
-	// wall-clock limit, a node limit binds deterministically: set it (with
-	// a generous ILPTimeLimit) when reproducible schedules matter more
-	// than squeezing the budget. 0 keeps the ilpsched default.
-	ILPNodeLimit int
-	// MaxModelRows caps the holistic scheduling ILP's model size: a
-	// model with more rows skips tree search and keeps the warm-start +
-	// local-search path (ilpsched.Options.MaxModelRows; the dnc
-	// candidate's per-part sub-ILPs inherit it too). Since the sparse LU
-	// core the default (mip.DefaultMaxModelRows, 0 here) admits
-	// thousands-of-rows models, whose tree searches take seconds —
-	// latency-sensitive callers (the serving layer) set a smaller cap.
-	MaxModelRows int
-	// MIPWorkers bounds the relaxation-solving worker pool inside each
-	// ILP-based candidate's branch-and-bound trees (mip.Options.Workers).
-	// 0 budgets automatically: the portfolio splits GOMAXPROCS between
-	// candidate-level parallelism (the Workers pool racing schedulers)
-	// and tree-level parallelism, giving each candidate's trees
-	// max(1, GOMAXPROCS/Workers) LP workers — capped at mip.MaxWorkers,
-	// the engine's wave width — so the two layers together approach the
-	// machine width instead of oversubscribing it. The solver's
-	// deterministic node accounting makes each candidate's schedule
-	// identical for any budget, so auto-sizing adds no nondeterminism of
-	// its own; the portfolio-level guarantee is the usual one (see
-	// ILPNodeLimit): byte-identical results need the sealed incumbent,
-	// because *live* incumbent updates land at timing-dependent points
-	// whatever the worker counts. Negative disables tree-level
-	// parallelism (1 worker per tree).
-	MIPWorkers int
-	// LocalSearchBudget bounds the local-search heuristic of ILP-based
-	// candidates. Default 2000.
-	LocalSearchBudget int
-	// Seed drives every randomized candidate; each candidate mixes it
-	// with its name so the portfolio is reproducible end to end.
-	Seed int64
+	// ILP is the solver environment of the ilp and dnc-ilp candidates
+	// (and of dnc-ilp's per-part sub-ILPs); each runs under a copy with
+	// its own Context, Seed and LUStats. ILP.Model ranks the candidates,
+	// and ILP.Seed, mixed with each candidate's name, seeds every
+	// randomized one, so the portfolio is reproducible end to end.
+	//
+	// The portfolio's defaults differ from ilpsched's: TimeLimit 2s and
+	// LocalSearchBudget 2000. A NodeLimit binds deterministically, unlike
+	// a wall clock: set it (with a generous TimeLimit) for reproducible
+	// schedules; it also seals the shared incumbent (see
+	// DisableSharedIncumbent). A latency-bound caller (the serving layer)
+	// sets a small MaxModelRows, so that large models keep the warm-start
+	// + local-search path instead of a seconds-long tree search.
+	//
+	// MIPWorkers 0 splits GOMAXPROCS between the Workers pool and the
+	// candidates' branch-and-bound trees: max(1, GOMAXPROCS/Workers) LP
+	// workers per tree, capped at mip.MaxWorkers, the engine's wave
+	// width. Tree worker counts never change a schedule (deterministic
+	// node accounting in package mip), so the budget adds no
+	// nondeterminism. Negative means 1 worker per tree.
+	//
+	// Inject threads the deterministic fault-injection harness
+	// (internal/faultinject) into every ILP-based candidate's solver
+	// stack; node-limited chaos runs stay byte-identical.
+	//
+	// Context, WarmStart, Incumbent, NeedBlue and LUStats are set per
+	// candidate and must stay unset (use Options.LUStats); run rejects a
+	// set one.
+	ILP ilpsched.Options
 	// Candidates overrides the scheduler set. Nil selects
 	// DefaultCandidates(g, arch).
 	Candidates []Candidate
-	// Inject threads the deterministic fault-injection harness
-	// (internal/faultinject) into every ILP-based candidate's solver
-	// stack: forced cold fallbacks and singular refactorizations in warm
-	// LP re-solves, injected node latency, and spurious branch-and-bound
-	// cancellations. Injection decisions are pure functions of (instance
-	// fingerprint, node sequence, seed), so node-limited chaos runs stay
-	// byte-identical. Nil disables injection.
-	Inject *faultinject.Injector
 	// LUStats, when non-nil, accumulates the LP factorization counters of
 	// every ILP-based candidate's solver stack. Candidates race
 	// concurrently, so run hands each candidate a private accumulator and
@@ -112,7 +93,7 @@ type Options struct {
 	// the ILP, every incumbent found mid-search — feeds a monotone atomic
 	// bound that the ILP and DnC candidates prune against, so losing
 	// candidates cut off early. Under a node-limited deterministic run
-	// (ILPNodeLimit > 0) the incumbent is sealed at the memoized
+	// (ILP.NodeLimit > 0) the incumbent is sealed at the memoized
 	// baseline cost before any candidate starts, keeping the
 	// byte-identical guarantee (see DESIGN.md).
 	DisableSharedIncumbent bool
@@ -145,11 +126,11 @@ func (o Options) withDefaults() Options {
 	if o.SchedulerTimeout == 0 {
 		o.SchedulerTimeout = 30 * time.Second
 	}
-	if o.ILPTimeLimit == 0 {
-		o.ILPTimeLimit = 2 * time.Second
+	if o.ILP.TimeLimit == 0 {
+		o.ILP.TimeLimit = 2 * time.Second
 	}
-	if o.LocalSearchBudget == 0 {
-		o.LocalSearchBudget = 2000
+	if o.ILP.LocalSearchBudget == 0 {
+		o.ILP.LocalSearchBudget = 2000
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...interface{}) {}
@@ -160,7 +141,7 @@ func (o Options) withDefaults() Options {
 // CandidateResult reports one scheduler's outcome.
 type CandidateResult struct {
 	Name      string
-	Cost      float64 // under Options.Model; NaN when Err != nil
+	Cost      float64 // under Options.ILP.Model; NaN when Err != nil
 	SyncCost  float64
 	AsyncCost float64
 	Elapsed   time.Duration
@@ -199,9 +180,9 @@ type Result struct {
 var ErrNoSchedule = errors.New("portfolio: no candidate produced a valid schedule")
 
 // run races the candidates over a bounded worker pool and returns the
-// best valid schedule under opts.Model, plus the run's shared state (nil
-// on a pre-flight error) so RunAnytime can fall back to its memoized
-// baseline. Every candidate schedule is re-validated with mbsp.Validate
+// best valid schedule under opts.ILP.Model, plus the run's shared state
+// (nil on a pre-flight error) so RunAnytime can fall back to its
+// memoized baseline. Every candidate schedule is re-validated with mbsp.Validate
 // before it may win. On context cancellation run still waits for
 // in-flight candidates (they are cancelled in place, so no goroutine
 // outlives the call) and returns the best schedule completed so far, or
@@ -210,6 +191,10 @@ func run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 	start := time.Now()
 	if err := arch.Validate(); err != nil {
 		return nil, nil, err
+	}
+	if o := opts.ILP; o.Context != nil || o.WarmStart != nil || o.Incumbent != nil ||
+		o.NeedBlue != nil || o.LUStats != nil {
+		return nil, nil, errors.New("portfolio: ILP.Context, WarmStart, Incumbent, NeedBlue and LUStats are set per candidate, not by the caller")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -239,12 +224,12 @@ func run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 	}
 	if err == nil {
 		sh.warm = w
-		sh.inc.Offer(w.Cost(opts.Model))
+		sh.inc.Offer(w.Cost(opts.ILP.Model))
 	} else {
 		sh.warmErr = err
 		opts.Logf("portfolio: baseline warm start unavailable: %v", err)
 	}
-	if opts.ILPNodeLimit > 0 {
+	if opts.ILP.NodeLimit > 0 {
 		// Deterministic mode: freeze the incumbent at its deterministic
 		// seed value. Live updates land at timing-dependent points and
 		// would perturb the node-limited searches' deterministic node
@@ -265,10 +250,10 @@ func run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 	// results (deterministic node accounting in package mip), so the
 	// budget is free to depend on GOMAXPROCS.
 	switch {
-	case opts.MIPWorkers < 0:
-		opts.MIPWorkers = 1
-	case opts.MIPWorkers == 0:
-		opts.MIPWorkers = min(mip.MaxWorkers, max(1, runtime.GOMAXPROCS(0)/max(1, workers)))
+	case opts.ILP.MIPWorkers < 0:
+		opts.ILP.MIPWorkers = 1
+	case opts.ILP.MIPWorkers == 0:
+		opts.ILP.MIPWorkers = min(mip.MaxWorkers, max(1, runtime.GOMAXPROCS(0)/max(1, workers)))
 	}
 	// Per-candidate factorization accumulators: candidates race, so the
 	// shared opts.LUStats pointer must not be written concurrently; each
@@ -370,7 +355,7 @@ func runCandidate(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Option
 		out.Schedule = s
 		out.SyncCost = s.SyncCost()
 		out.AsyncCost = s.AsyncCost()
-		out.Cost = s.Cost(opts.Model)
+		out.Cost = s.Cost(opts.ILP.Model)
 		// A candidate that returned a valid schedule after its context
 		// fired was cut mid-search: best-so-far, not its full answer.
 		out.Degraded = cctx.Err() != nil

@@ -9,6 +9,7 @@ import (
 
 	"mbsp/internal/dnc"
 	"mbsp/internal/graph"
+	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/workloads"
 )
@@ -17,12 +18,12 @@ import (
 // the full candidate set on every instance, large enough for the ILP to
 // do real work.
 func testOpts() Options {
-	return Options{
+	return Options{ILP: ilpsched.Options{
 		Model:             mbsp.Sync,
-		ILPTimeLimit:      150 * time.Millisecond,
+		TimeLimit:         150 * time.Millisecond,
 		LocalSearchBudget: 200,
 		Seed:              1,
-	}
+	}}
 }
 
 func baseArch(g *graph.DAG) mbsp.Arch {
@@ -75,7 +76,7 @@ func TestPortfolioValidAndBestOnTiny(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: individual %s: %v", inst.Name, cand.Name, err)
 			}
-			if c := s.Cost(opts.Model); res.BestCost > c+1e-9 {
+			if c := s.Cost(opts.ILP.Model); res.BestCost > c+1e-9 {
 				t.Fatalf("%s: individual %s cost %g beats portfolio best %g",
 					inst.Name, cand.Name, c, res.BestCost)
 			}

@@ -46,6 +46,7 @@ import (
 	"mbsp/internal/dnc"
 	"mbsp/internal/faultinject"
 	"mbsp/internal/graph"
+	"mbsp/internal/ilpsched"
 	"mbsp/internal/mbsp"
 	"mbsp/internal/mip"
 	"mbsp/internal/persist"
@@ -86,9 +87,10 @@ type Config struct {
 	MaxRequestBytes int64
 
 	// Seed, ILPNodeLimit, MaxModelRows, MIPWorkers and Workers pin the
-	// deterministic portfolio configuration; Seed, ILPNodeLimit and
-	// MaxModelRows are part of the cache key (worker counts never change
-	// results). Seed defaults to 1; ILPNodeLimit to DefaultNodeLimit (it
+	// deterministic portfolio configuration: the portfolio's ILP.Seed,
+	// ILP.NodeLimit, ILP.MaxModelRows, ILP.MIPWorkers and Workers. Seed,
+	// ILPNodeLimit and MaxModelRows are part of the cache key (worker
+	// counts never change results). Seed defaults to 1; ILPNodeLimit to DefaultNodeLimit (it
 	// must be > 0 — wall-clock-budgeted searches are not cacheable);
 	// MaxModelRows to mip.DefaultMaxModelRows. Since the sparse LU core
 	// the default admits holistic models of thousands of rows, whose
@@ -387,16 +389,18 @@ func keyString(fingerprint, digest string, p int, r, g, l float64, model string,
 // runs under (see the package comment for why wall clocks are disabled).
 func (s *Server) portfolioOptions(model mbsp.CostModel) portfolio.Options {
 	return portfolio.Options{
-		Model:            model,
 		Workers:          s.cfg.Workers,
-		MIPWorkers:       s.cfg.MIPWorkers,
-		Seed:             s.cfg.Seed,
-		ILPNodeLimit:     s.cfg.ILPNodeLimit,
-		MaxModelRows:     s.cfg.MaxModelRows,
 		SchedulerTimeout: -1, // the compute context is the only wall clock
-		ILPTimeLimit:     s.cfg.ComputeTimeout,
-		PartitionMemo:    s.partitions,
-		Logf:             s.cfg.Logf,
+		ILP: ilpsched.Options{
+			Model:        model,
+			Seed:         s.cfg.Seed,
+			TimeLimit:    s.cfg.ComputeTimeout,
+			NodeLimit:    s.cfg.ILPNodeLimit,
+			MaxModelRows: s.cfg.MaxModelRows,
+			MIPWorkers:   s.cfg.MIPWorkers,
+		},
+		PartitionMemo: s.partitions,
+		Logf:          s.cfg.Logf,
 	}
 }
 

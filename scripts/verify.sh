@@ -43,7 +43,9 @@
 #   4a. the mbsp-sched deadline leg: build mbsp-sched once and run
 #      `-method ilp -deadline 50ms -timeout 60s` on spmv_N6 at P=2 under
 #      `timeout 20`, so a single-method run that ignores -deadline
-#      (and searches for its full 60s) fails the gate;
+#      (and searches for its full 60s) fails the gate; then
+#      `-portfolio -deadline 50ms -json` on the same instance under
+#      `timeout 20`, which must exit 0 and print JSON with a certificate;
 #   4b. the serving smoke (scripts/serve_smoke.sh): start mbsp-served on
 #      an ephemeral port with a durable cache, POST a registry DAG twice
 #      and assert the second response is a cache hit with a
@@ -139,6 +141,15 @@ trap 'rm -rf "${sched_dir}"' EXIT
 go build -o "${sched_dir}/mbsp-sched" ./cmd/mbsp-sched
 timeout 20 "${sched_dir}/mbsp-sched" -instance spmv_N6 -p 2 -method ilp \
     -deadline 50ms -timeout 60s
+
+echo "== mbsp-sched portfolio leg: -portfolio -json under a 50ms deadline"
+timeout 20 "${sched_dir}/mbsp-sched" -instance spmv_N6 -p 2 -portfolio \
+    -deadline 50ms -json > "${sched_dir}/portfolio.json"
+if ! grep -q '"certificate": {' "${sched_dir}/portfolio.json"; then
+    echo "mbsp-sched portfolio leg: no certificate in the JSON output" >&2
+    cat "${sched_dir}/portfolio.json" >&2
+    exit 1
+fi
 
 echo "== serving smoke: mbsp-served cache hit + graceful drain"
 sh scripts/serve_smoke.sh
