@@ -25,9 +25,10 @@
 //	                 -state for the verify phase;
 //	-phase verify    against a server restarted on the (torn) crash
 //	                 image: assert recovery counters (one entry
-//	                 recovered, the torn one counted corrupt), a warm
-//	                 byte-identical hit for the survivor, and a cold
-//	                 byte-identical recompute for the lost entry.
+//	                 recovered, the torn one counted corrupt, nothing
+//	                 journaled), a warm byte-identical hit for the
+//	                 survivor, and a cold byte-identical recompute for
+//	                 the lost entry, which is the one record journaled.
 //
 // Exits nonzero with a diagnostic on the first violated assertion.
 package main
@@ -302,8 +303,9 @@ func runVerify(client *http.Client, base, state string, dag []byte) {
 	var stats statsJSON
 	getJSON(client, base+"/v1/stats", &stats)
 	p := stats.Persistence
-	if !p.Enabled || p.RecoveredRecords != 1 || p.CorruptRecords < 1 || p.RejectedRecords != 0 {
-		fatal(fmt.Errorf("recovery counters after torn-tail restart: %+v", p))
+	if !p.Enabled || p.RecoveredRecords != 1 || p.CorruptRecords < 1 || p.RejectedRecords != 0 ||
+		p.JournalRecords != 0 {
+		fatal(fmt.Errorf("recovery counters after torn-tail restart (recovery journals nothing): %+v", p))
 	}
 	fmt.Printf("smoke: recovery counters ok (1 recovered, %d corrupt)\n", p.CorruptRecords)
 
@@ -333,6 +335,12 @@ func runVerify(client *http.Client, base, state string, dag []byte) {
 		fatal(fmt.Errorf("recomputed torn entry differs from the original deterministic run"))
 	}
 	fmt.Println("smoke: torn entry recomputed byte-identical ok")
+
+	getJSON(client, base+"/v1/stats", &stats)
+	if stats.Persistence.JournalRecords != 1 {
+		fatal(fmt.Errorf("want only the recomputed entry journaled after the restart: %+v", stats.Persistence))
+	}
+	fmt.Println("smoke: journal holds the recompute alone ok")
 }
 
 func waitHealthy(client *http.Client, base string) {

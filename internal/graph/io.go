@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -66,10 +67,12 @@ func sanitizeName(s string) string {
 	return strings.ReplaceAll(s, " ", "_")
 }
 
-// Read parses a DAG from the text format. Malformed input — syntax
-// errors, out-of-order node ids, dangling or self-loop edges, non-finite
-// or negative weights, header counts that disagree with the body — is
-// rejected with a *ParseError (cycles with ErrCyclic), never a panic.
+// Read parses a DAG from the text format. Every node's children and
+// parents lists come back sorted, whatever order the edge lines were in.
+// Malformed input — syntax errors, out-of-order node ids, dangling or
+// self-loop edges, non-finite or negative weights, header counts that
+// disagree with the body — is rejected with a *ParseError (cycles with
+// ErrCyclic), never a panic.
 func Read(r io.Reader) (*DAG, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
@@ -171,6 +174,13 @@ func Read(r io.Reader) (*DAG, error) {
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
+	}
+	// The schedulers read the adjacency lists in stored order, but the
+	// exact digest keys the response cache on the edge set alone, so
+	// every body with one edge set must parse to one DAG.
+	for v := range g.out {
+		slices.Sort(g.out[v])
+		slices.Sort(g.in[v])
 	}
 	return g, nil
 }

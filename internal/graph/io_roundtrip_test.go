@@ -14,6 +14,7 @@ package graph_test
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,6 +60,67 @@ func TestRoundTripPreservesFingerprintOnRegistry(t *testing.T) {
 				t.Errorf("%s/%s: exact digest %x != %x", ds, inst.Name, got, want)
 			}
 		}
+	}
+}
+
+// reverseEdgeLines returns body with its edge lines in reverse order and
+// every other line in place.
+func reverseEdgeLines(body []byte) []byte {
+	lines := strings.SplitAfter(string(body), "\n")
+	var edges []int
+	for i, l := range lines {
+		if strings.HasPrefix(l, "edge ") {
+			edges = append(edges, i)
+		}
+	}
+	out := slices.Clone(lines)
+	for i, j := range edges {
+		out[j] = lines[edges[len(edges)-1-i]]
+	}
+	return []byte(strings.Join(out, ""))
+}
+
+// TestReadSortsAdjacency: a body and its copy with the edge lines
+// reversed parse to equal, sorted children and parents lists, and every
+// tiny and small workload parses back to the children lists it was
+// written from, so sorting changes no body the repository sends.
+func TestReadSortsAdjacency(t *testing.T) {
+	reordered := 0
+	for _, inst := range append(workloads.Tiny(), workloads.Small()...) {
+		var buf bytes.Buffer
+		if err := graph.Write(&buf, inst.DAG); err != nil {
+			t.Fatal(err)
+		}
+		body := buf.Bytes()
+		fwd, err := graph.Read(bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", inst.Name, err)
+		}
+		rev, err := graph.Read(bytes.NewReader(reverseEdgeLines(body)))
+		if err != nil {
+			t.Fatalf("%s reversed: %v", inst.Name, err)
+		}
+		if rev.ExactDigest() != fwd.ExactDigest() {
+			t.Fatalf("%s: reversing edge lines changed the exact digest", inst.Name)
+		}
+		for v := 0; v < fwd.N(); v++ {
+			if !slices.Equal(fwd.Children(v), rev.Children(v)) || !slices.Equal(fwd.Parents(v), rev.Parents(v)) {
+				t.Fatalf("%s: node %d: reversed body parsed to children %v parents %v, want %v %v",
+					inst.Name, v, rev.Children(v), rev.Parents(v), fwd.Children(v), fwd.Parents(v))
+			}
+			if !slices.IsSorted(fwd.Children(v)) || !slices.IsSorted(fwd.Parents(v)) {
+				t.Fatalf("%s: node %d: unsorted adjacency after Read", inst.Name, v)
+			}
+			if !slices.Equal(fwd.Children(v), inst.DAG.Children(v)) {
+				t.Fatalf("%s: node %d: children %v parsed as %v", inst.Name, v, inst.DAG.Children(v), fwd.Children(v))
+			}
+			if len(fwd.Children(v)) > 1 {
+				reordered++
+			}
+		}
+	}
+	if reordered == 0 {
+		t.Fatal("no node with two children: the reversal reordered nothing")
 	}
 }
 

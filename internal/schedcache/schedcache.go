@@ -1,10 +1,16 @@
 // Package schedcache is the schedule cache behind the scheduling
-// service: a bounded, sharded LRU mapping a canonical request key —
-// DAG fingerprint × exact digest × architecture (P, g, L, r) × the
-// salient portfolio options — to a validated schedule plus its anytime
+// service: a bounded LRU mapping a canonical request key — DAG
+// fingerprint × exact digest × architecture (P, g, L, r) × the salient
+// portfolio options — to a validated schedule plus its anytime
 // certificate, with hit/miss/eviction counters and single-flight
 // deduplication so N concurrent identical requests run the portfolio
 // once.
+//
+// One map, one recency list and the single-flight map share one mutex.
+// The bound is exact: the cache evicts its globally least-recent entry
+// only when it holds Config.Entries values. A hit holds the lock for one
+// map lookup and a list move, a small fraction of a sub-millisecond
+// request, so the lock is not sharded (see DESIGN.md).
 //
 // The cache is value-generic: it stores whatever the server builds for a
 // key (in practice the marshaled wire response). Correctness of serving
@@ -18,60 +24,38 @@
 // Single-flight is exposed as a leader/follower primitive rather than a
 // blocking GetOrCompute so the server can race a follower's wait against
 // its per-request deadline: the flight keeps computing for the cache
-// while the impatient request degrades to the anytime fallback.
+// while the impatient request degrades to the anytime fallback. The
+// leader decides what is stored: it calls Add (and persists what Add
+// stored) before Finish, so a request that arrives after the flight ends
+// finds the entry.
 package schedcache
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// DefaultShards is the shard count used when Config.Shards is 0. Sharding
-// bounds lock contention under concurrent traffic; 16 keeps per-shard
-// LRU lists useful at the default capacity.
-const DefaultShards = 16
-
-// DefaultEntries is the total entry bound used when Config.Entries is 0.
+// DefaultEntries is the entry bound used when Config.Entries is 0.
 const DefaultEntries = 1024
 
 // Config sizes a Cache.
 type Config struct {
-	// Entries bounds the total number of cached entries across all
-	// shards. 0 selects DefaultEntries; negative disables storage (the
-	// cache still deduplicates flights).
+	// Entries bounds the number of cached entries exactly. 0 selects
+	// DefaultEntries; negative disables storage (the cache still
+	// deduplicates flights).
 	Entries int
-	// Shards is the shard count. 0 selects DefaultShards. Capacity is
-	// split evenly; each shard evicts LRU-locally, so the global order is
-	// approximate — the usual sharded-LRU trade.
-	Shards int
 }
 
-// Cache is a bounded, sharded LRU with single-flight deduplication.
-// The zero value is not usable; call New.
+// Cache is a bounded LRU with single-flight deduplication. The zero
+// value is not usable; call New.
 type Cache[V any] struct {
-	shards   []shard[V]
-	perShard int
-	disabled bool
-	// onStore observes every value stored via Add (and hence every
-	// successful Finish): the journal-on-store hook of the persistence
-	// layer. Set once via OnStore before the cache sees traffic.
-	onStore func(key string, val V)
+	capacity int // 0 when storage is disabled
 
-	mu      sync.Mutex
-	flights map[string]*Flight[V]
-
-	hits      atomic.Int64
-	misses    atomic.Int64
-	evictions atomic.Int64
-	coalesced atomic.Int64
-	runs      atomic.Int64
-}
-
-type shard[V any] struct {
 	mu      sync.Mutex
 	entries map[string]*entry[V]
-	// Intrusive doubly-linked LRU list; head.next is most recent.
-	head entry[V]
+	// head is the sentinel of the intrusive doubly-linked recency list;
+	// head.next is the most recent entry, head.prev the least recent.
+	head    entry[V]
+	flights map[string]*Flight[V]
+
+	hits, misses, evictions, coalesced, runs int64
 }
 
 type entry[V any] struct {
@@ -82,122 +66,62 @@ type entry[V any] struct {
 
 // New returns an empty cache sized by cfg.
 func New[V any](cfg Config) *Cache[V] {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
-	entries := cfg.Entries
-	if entries == 0 {
-		entries = DefaultEntries
+	capacity := cfg.Entries
+	if capacity == 0 {
+		capacity = DefaultEntries
 	}
 	c := &Cache[V]{
+		capacity: max(capacity, 0),
+		entries:  make(map[string]*entry[V]),
 		flights:  make(map[string]*Flight[V]),
-		disabled: entries < 0,
 	}
-	if c.disabled {
-		entries = 0
-	}
-	if cfg.Shards > entries && !c.disabled {
-		cfg.Shards = entries // never allocate shards that can hold nothing
-	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	c.perShard = (entries + cfg.Shards - 1) / cfg.Shards
-	c.shards = make([]shard[V], cfg.Shards)
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.entries = make(map[string]*entry[V])
-		s.head.next = &s.head
-		s.head.prev = &s.head
-	}
+	c.head.next = &c.head
+	c.head.prev = &c.head
 	return c
-}
-
-// fnv1a hashes the key for shard selection.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-func (c *Cache[V]) shardFor(key string) *shard[V] {
-	return &c.shards[fnv1a(key)%uint64(len(c.shards))]
 }
 
 // Get returns the cached value for key and bumps it to most-recent. The
 // hit/miss counters record the outcome.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
-	if c.disabled {
-		c.misses.Add(1)
-		return zero, false
-	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	e, ok := s.entries[key]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
 	if !ok {
-		s.mu.Unlock()
-		c.misses.Add(1)
+		c.misses++
+		var zero V
 		return zero, false
 	}
-	s.unlink(e)
-	s.pushFront(e)
-	v := e.val
-	s.mu.Unlock()
-	c.hits.Add(1)
-	return v, true
+	c.hits++
+	c.unlink(e)
+	c.pushFront(e)
+	return e.val, true
 }
 
-// OnStore installs the store hook: fn observes every (key, value) pair
-// stored via Add — and hence every successful Finish — but not entries
-// inserted with Restore. It is invoked outside the shard lock (it may
-// fsync) and may run concurrently from multiple storers. Install it
-// before the cache sees traffic.
-func (c *Cache[V]) OnStore(fn func(key string, val V)) { c.onStore = fn }
-
-// Add stores key→val as the most-recent entry of its shard, evicting the
-// shard's least-recent entry if the shard is full. Re-adding an existing
-// key overwrites it in place. The OnStore hook, if any, observes the
-// store.
-func (c *Cache[V]) Add(key string, val V) {
-	if c.insert(key, val) && c.onStore != nil {
-		c.onStore(key, val)
-	}
-}
-
-// Restore inserts a recovered entry without notifying the OnStore hook:
-// boot-time recovery must not re-journal what the journal just yielded.
-func (c *Cache[V]) Restore(key string, val V) {
-	c.insert(key, val)
-}
-
-// insert is the shared store path; it reports whether the value was
-// actually retained (false when storage is disabled).
-func (c *Cache[V]) insert(key string, val V) bool {
-	if c.disabled {
+// Add stores key→val as the most-recent entry, evicting the least-recent
+// entry if the cache already holds its bound. Re-adding an existing key
+// overwrites it in place. Add reports whether it stored the value; it
+// returns false only when storage is disabled.
+func (c *Cache[V]) Add(key string, val V) bool {
+	if c.capacity == 0 {
 		return false
 	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.entries[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; ok {
 		e.val = val
-		s.unlink(e)
-		s.pushFront(e)
+		c.unlink(e)
+		c.pushFront(e)
 		return true
 	}
-	if len(s.entries) >= c.perShard {
-		lru := s.head.prev
-		s.unlink(lru)
-		delete(s.entries, lru.key)
-		c.evictions.Add(1)
+	if len(c.entries) == c.capacity {
+		lru := c.head.prev
+		c.unlink(lru)
+		delete(c.entries, lru.key)
+		c.evictions++
 	}
 	e := &entry[V]{key: key, val: val}
-	s.entries[key] = e
-	s.pushFront(e)
+	c.entries[key] = e
+	c.pushFront(e)
 	return true
 }
 
@@ -207,46 +131,38 @@ type KV[V any] struct {
 	Val V
 }
 
-// Dump returns the cache contents, least-recently-used first within
-// each shard (so Restore-ing a dump in order reproduces each shard's
-// recency). It is a point-in-time copy under per-shard locks; the
-// snapshot-on-drain path calls it after traffic has stopped.
+// Dump returns the cache contents, least-recently-used first, so
+// Add-ing a dump in order into an empty cache reproduces its recency.
+// It is a point-in-time copy; the snapshot-on-drain path calls it after
+// traffic has stopped.
 func (c *Cache[V]) Dump() []KV[V] {
-	var out []KV[V]
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for e := s.head.prev; e != &s.head; e = e.prev {
-			out = append(out, KV[V]{Key: e.key, Val: e.val})
-		}
-		s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]KV[V], 0, len(c.entries))
+	for e := c.head.prev; e != &c.head; e = e.prev {
+		out = append(out, KV[V]{Key: e.key, Val: e.val})
 	}
 	return out
 }
 
 // Len returns the current number of cached entries.
 func (c *Cache[V]) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
-func (s *shard[V]) unlink(e *entry[V]) {
+func (c *Cache[V]) unlink(e *entry[V]) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
 	e.prev, e.next = nil, nil
 }
 
-func (s *shard[V]) pushFront(e *entry[V]) {
-	e.next = s.head.next
-	e.prev = &s.head
-	s.head.next.prev = e
-	s.head.next = e
+func (c *Cache[V]) pushFront(e *entry[V]) {
+	e.next = c.head.next
+	e.prev = &c.head
+	c.head.next.prev = e
+	c.head.next = e
 }
 
 // Flight is one in-flight computation for a key. Followers wait on Done;
@@ -270,44 +186,28 @@ func (f *Flight[V]) Result() (V, error) { return f.value, f.err }
 // follower blocks forever. Followers (leader == false) share the
 // leader's outcome via Done/Result. Flights are not cached: once
 // finished, the next Flight call for the key starts a fresh one, so the
-// caller should consult Get first and Add the finished value itself.
+// caller should consult Get first and Add the value it wants kept
+// before calling Finish.
 func (c *Cache[V]) Flight(key string) (f *Flight[V], leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if f, ok := c.flights[key]; ok {
-		c.coalesced.Add(1)
+		c.coalesced++
 		return f, false
 	}
 	f = &Flight[V]{done: make(chan struct{})}
 	c.flights[key] = f
-	c.runs.Add(1)
+	c.runs++
 	return f, true
 }
 
 // Finish resolves the flight for key with the leader's outcome, waking
-// every follower. On success (err == nil) the value is also stored in
-// the cache.
+// every follower. It never stores the value.
 func (c *Cache[V]) Finish(key string, f *Flight[V], val V, err error) {
-	c.finish(key, f, val, err, true)
-}
-
-// FinishNoStore resolves the flight without storing the value: the
-// waiters get it, future requests recompute. The server uses this for
-// anytime results that are valid but not full-fidelity deterministic
-// answers (degraded candidates, fallback rungs), which must never be
-// replayed from the cache.
-func (c *Cache[V]) FinishNoStore(key string, f *Flight[V], val V, err error) {
-	c.finish(key, f, val, err, false)
-}
-
-func (c *Cache[V]) finish(key string, f *Flight[V], val V, err error, store bool) {
 	c.mu.Lock()
 	delete(c.flights, key)
 	c.mu.Unlock()
 	f.value, f.err = val, err
-	if err == nil && store {
-		c.Add(key, val)
-	}
 	close(f.done)
 }
 
@@ -324,14 +224,17 @@ type Stats struct {
 	Runs      int64 `json:"runs"`
 }
 
-// Stats returns a snapshot of the cache counters.
+// Stats returns a snapshot of the cache counters, read in one critical
+// section.
 func (c *Cache[V]) Stats() Stats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   c.Len(),
-		Coalesced: c.coalesced.Load(),
-		Runs:      c.runs.Load(),
+		Hits:      c.hits,
+		Misses:    c.misses,
+		Evictions: c.evictions,
+		Entries:   len(c.entries),
+		Coalesced: c.coalesced,
+		Runs:      c.runs,
 	}
 }

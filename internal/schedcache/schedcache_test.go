@@ -10,7 +10,7 @@ import (
 
 // TestGetAddHitMiss: basic store/load with counter accounting.
 func TestGetAddHitMiss(t *testing.T) {
-	c := New[string](Config{Entries: 8, Shards: 2})
+	c := New[string](Config{Entries: 8})
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -28,10 +28,10 @@ func TestGetAddHitMiss(t *testing.T) {
 	}
 }
 
-// TestLRUEviction: a single-shard cache evicts in least-recently-used
-// order, where Get refreshes recency.
+// TestLRUEviction: the cache evicts in least-recently-used order, where
+// Get refreshes recency.
 func TestLRUEviction(t *testing.T) {
-	c := New[int](Config{Entries: 3, Shards: 1})
+	c := New[int](Config{Entries: 3})
 	c.Add("a", 1)
 	c.Add("b", 2)
 	c.Add("c", 3)
@@ -54,7 +54,7 @@ func TestLRUEviction(t *testing.T) {
 // bound, whatever the key distribution.
 func TestBoundedAcrossShards(t *testing.T) {
 	const cap = 64
-	c := New[int](Config{Entries: cap, Shards: 8})
+	c := New[int](Config{Entries: cap})
 	for i := 0; i < 10*cap; i++ {
 		c.Add(fmt.Sprintf("key-%d", i), i)
 	}
@@ -70,7 +70,9 @@ func TestBoundedAcrossShards(t *testing.T) {
 // single-flight machinery alive.
 func TestDisabledStorage(t *testing.T) {
 	c := New[int](Config{Entries: -1})
-	c.Add("a", 1)
+	if c.Add("a", 1) {
+		t.Fatal("disabled cache reported storing a value")
+	}
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache stored a value")
 	}
@@ -81,6 +83,20 @@ func TestDisabledStorage(t *testing.T) {
 	c.Finish("a", f, 7, nil)
 	if v, err := f.Result(); v != 7 || err != nil {
 		t.Fatalf("flight result %v/%v", v, err)
+	}
+}
+
+// TestFinishNeverStores: a successful flight resolves its followers but
+// leaves the cache alone; storing is the leader's Add.
+func TestFinishNeverStores(t *testing.T) {
+	c := New[int](Config{Entries: 8})
+	f, _ := c.Flight("k")
+	c.Finish("k", f, 5, nil)
+	if v, err := f.Result(); v != 5 || err != nil {
+		t.Fatalf("flight result %v/%v", v, err)
+	}
+	if _, ok := c.Get("k"); ok || c.Len() != 0 {
+		t.Fatal("Finish stored a value")
 	}
 }
 
@@ -105,6 +121,7 @@ func TestSingleFlightCollapses(t *testing.T) {
 			if leader {
 				joined.Wait()
 				computed.Add(1)
+				c.Add("k", 42)
 				c.Finish("k", f, 42, nil)
 			}
 			<-f.Done()
@@ -124,7 +141,7 @@ func TestSingleFlightCollapses(t *testing.T) {
 			t.Fatalf("request %d got %d", i, v)
 		}
 	}
-	// The finished flight landed in the cache; subsequent requests hit.
+	// The leader stored its value; subsequent requests hit.
 	if v, ok := c.Get("k"); !ok || v != 42 {
 		t.Fatalf("finished flight not cached: %v %v", v, ok)
 	}
@@ -166,7 +183,7 @@ func TestFlightErrorNotCached(t *testing.T) {
 // TestConcurrentStress: hammer all operations from many goroutines; the
 // race detector owns the assertions, the bound check closes it out.
 func TestConcurrentStress(t *testing.T) {
-	c := New[int](Config{Entries: 32, Shards: 4})
+	c := New[int](Config{Entries: 32})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -177,6 +194,7 @@ func TestConcurrentStress(t *testing.T) {
 				if _, ok := c.Get(key); !ok {
 					f, leader := c.Flight(key)
 					if leader {
+						c.Add(key, i)
 						c.Finish(key, f, i, nil)
 					} else {
 						<-f.Done()
@@ -191,78 +209,79 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestOnStoreHook: the hook observes every Add (including the store a
-// successful Finish performs) but never a Restore, and runs outside
-// the shard lock (re-entrancy into the cache must not deadlock).
-func TestOnStoreHook(t *testing.T) {
-	c := New[int](Config{Entries: 8, Shards: 1})
-	var mu sync.Mutex
-	stored := map[string]int{}
-	c.OnStore(func(key string, val int) {
-		c.Get(key) // re-entrancy: must not deadlock on the shard lock
-		mu.Lock()
-		stored[key] = val
-		mu.Unlock()
-	})
-	c.Add("a", 1)
-	c.Restore("r", 2)
-	f, leader := c.Flight("b")
-	if !leader {
-		t.Fatal("expected leadership")
-	}
-	c.Finish("b", f, 3, nil)
-	fe, _ := c.Flight("e")
-	c.Finish("e", fe, 9, errors.New("boom")) // failed flights store nothing
-	fn, _ := c.Flight("n")
-	c.FinishNoStore("n", fn, 4, nil) // NoStore stores nothing
-	if len(stored) != 2 || stored["a"] != 1 || stored["b"] != 3 {
-		t.Fatalf("hook observed %v, want a=1 b=3 only", stored)
-	}
-	if _, ok := c.Get("r"); !ok {
-		t.Fatal("Restore did not insert")
-	}
-}
-
-// TestOnStoreDisabledStorage: a disabled cache retains nothing, so the
-// hook must see nothing either (nothing to persist).
-func TestOnStoreDisabledStorage(t *testing.T) {
-	c := New[int](Config{Entries: -1})
-	calls := 0
-	c.OnStore(func(string, int) { calls++ })
-	c.Add("a", 1)
-	if calls != 0 {
-		t.Fatalf("hook fired %d times on a disabled cache", calls)
-	}
-}
-
-// TestDumpOrder: Dump yields each shard least-recent first, so
-// restoring a dump in order reproduces the recency order.
+// TestDumpOrder: Dump yields entries globally least-recent first, so
+// Add-ing a dump in order reproduces the recency order.
 func TestDumpOrder(t *testing.T) {
-	c := New[int](Config{Entries: 4, Shards: 1})
-	for i, k := range []string{"a", "b", "c"} {
+	c := New[int](Config{Entries: 8})
+	for i, k := range []string{"a", "b", "c", "d", "e"} {
 		c.Add(k, i)
 	}
-	c.Get("a") // recency now b < c < a
+	c.Get("a")     // recency now b < c < d < e < a
+	c.Add("c", 20) // overwrite bumps too: b < d < e < a < c
 	dump := c.Dump()
 	var keys []string
 	for _, kv := range dump {
 		keys = append(keys, kv.Key)
 	}
-	if fmt.Sprint(keys) != "[b c a]" {
-		t.Fatalf("dump order %v, want [b c a]", keys)
+	if fmt.Sprint(keys) != "[b d e a c]" {
+		t.Fatalf("dump order %v, want [b d e a c]", keys)
 	}
-	// Restore into a fresh cache and overflow it: the LRU entry of the
-	// restored order must be the one evicted.
-	c2 := New[int](Config{Entries: 3, Shards: 1})
+	if dump[4].Val != 20 {
+		t.Fatalf("dump carries stale value %d for c", dump[4].Val)
+	}
+	// Add the dump into a fresh cache of the same size and overflow it
+	// twice: the two least-recent entries of the dumped order go first.
+	c2 := New[int](Config{Entries: 5})
 	for _, kv := range dump {
-		c2.Restore(kv.Key, kv.Val)
+		c2.Add(kv.Key, kv.Val)
 	}
-	c2.Add("d", 9)
-	if _, ok := c2.Get("b"); ok {
-		t.Fatal("restored recency lost: b should have been evicted first")
+	c2.Add("x", 9)
+	c2.Add("y", 10)
+	for _, k := range []string{"b", "d"} {
+		if _, ok := c2.Get(k); ok {
+			t.Fatalf("restored recency lost: %s should have been evicted", k)
+		}
 	}
-	if _, ok := c2.Get("a"); !ok {
-		t.Fatal("most-recent restored entry evicted")
+	for _, k := range []string{"e", "a", "c", "x", "y"} {
+		if _, ok := c2.Get(k); !ok {
+			t.Fatalf("%s evicted out of recency order", k)
+		}
+	}
+}
+
+// TestEntriesIsExactBound: the cache holds exactly Entries values once
+// it has seen more distinct keys, and every overflowing Add evicts
+// exactly one entry.
+func TestEntriesIsExactBound(t *testing.T) {
+	c := New[int](Config{Entries: 100})
+	for i := 0; i < 1000; i++ {
+		c.Add(fmt.Sprintf("key-%d", i), i)
+	}
+	if n := c.Len(); n != 100 {
+		t.Fatalf("cache holds %d entries, want exactly 100", n)
+	}
+	if st := c.Stats(); st.Evictions != 900 || st.Entries != 100 {
+		t.Fatalf("want 900 evictions and 100 entries, got %+v", st)
+	}
+	// The survivors are the 100 most recent keys.
+	for i := 900; i < 1000; i++ {
+		if _, ok := c.Get(fmt.Sprintf("key-%d", i)); !ok {
+			t.Fatalf("key-%d evicted while older keys survived", i)
+		}
+	}
+}
+
+// TestNoEvictionBelowCapacity: the default cache stores DefaultEntries
+// distinct keys without evicting any of them.
+func TestNoEvictionBelowCapacity(t *testing.T) {
+	c := New[int](Config{})
+	for i := 0; i < DefaultEntries; i++ {
+		if !c.Add(fmt.Sprintf("key-%d", i), i) {
+			t.Fatalf("Add of key-%d reported no store", i)
+		}
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.Entries != DefaultEntries {
+		t.Fatalf("want 0 evictions and %d entries, got %+v", DefaultEntries, st)
 	}
 }
 
@@ -277,12 +296,11 @@ func TestDumpOrder(t *testing.T) {
 func TestEvictionUnderFlightStress(t *testing.T) {
 	const (
 		bound   = 8
-		shards  = 2
 		keys    = 100
 		workers = 12
 		iters   = 400
 	)
-	c := New[int](Config{Entries: bound, Shards: shards})
+	c := New[int](Config{Entries: bound})
 	var stop atomic.Bool
 	checkerDone := make(chan struct{})
 	go func() {
@@ -302,23 +320,22 @@ func TestEvictionUnderFlightStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				key := fmt.Sprintf("k%d", (w*37+i*11)%keys)
 				switch i % 4 {
-				case 0: // direct store, churning the LRU lists
+				case 0: // direct store, churning the LRU list
 					c.Add(key, w*iters+i)
 				case 1:
 					c.Get(key)
-				default: // flight: leader finishes (sometimes without store)
+				default: // flight: leader stores (not always), then finishes
 					f, leader := c.Flight(key)
 					if leader {
-						// Churn the shard so this key's entry is evicted
+						// Churn the cache so this key's entry is evicted
 						// while the flight is still live.
 						for j := 0; j < 4; j++ {
 							c.Add(fmt.Sprintf("evict-%d-%d-%d", w, i, j), j)
 						}
-						if i%8 == 2 {
-							c.FinishNoStore(key, f, i, nil)
-						} else {
-							c.Finish(key, f, i, nil)
+						if i%8 != 2 {
+							c.Add(key, i)
 						}
+						c.Finish(key, f, i, nil)
 					}
 					<-f.Done()
 					if _, err := f.Result(); err != nil {

@@ -2,6 +2,11 @@
 // snapshot-on-drain, recover-on-boot, over internal/persist's
 // checksummed record log. See DESIGN.md ("Crash-only serving").
 //
+// The server journals what it stores: after a cold computation it Adds
+// the cacheable response, appends it to the journal (fsynced) if Add
+// stored it, and only then wakes the requests waiting on the flight.
+// Boot-time recovery Adds directly and journals nothing.
+//
 // The soundness argument for serving recovered bytes is two-layered.
 // The persist layer guarantees every recovered record is byte-identical
 // to one this (or an earlier) server committed, and that the recovered
@@ -48,9 +53,10 @@ type cachePersister struct {
 	appendErr int64 // journal appends that failed (entry not durable)
 }
 
-// openPersistence recovers the store at path into the cache and hooks
-// journaling into the cache's store path. Corruption on disk degrades
-// to counted cold starts; only real I/O errors fail the boot.
+// openPersistence recovers the store at path into the cache. Recovery
+// only Adds, so nothing it restores is journaled again. Corruption on
+// disk degrades to counted cold starts; only real I/O errors fail the
+// boot.
 func openPersistence(path string, opts persist.Options, cache *schedcache.Cache[*wire.Response],
 	validate func(key string, resp *wire.Response) bool,
 	logf func(format string, args ...interface{})) (*cachePersister, error) {
@@ -67,14 +73,13 @@ func openPersistence(path string, opts persist.Options, cache *schedcache.Cache[
 			p.rejected++
 			continue
 		}
-		cache.Restore(e.Key, e.Response)
+		cache.Add(e.Key, e.Response)
 		p.recovered++
 	}
 	if p.recovered+p.rejected > 0 || rec.Stats.CorruptRecords > 0 {
 		logf("server: cache recovery from %s: %d restored, %d rejected, %d corrupt (%d bytes truncated)",
 			path, p.recovered, p.rejected, rec.Stats.CorruptRecords, rec.Stats.TruncatedBytes)
 	}
-	cache.OnStore(p.journalStore)
 	return p, nil
 }
 
@@ -90,9 +95,9 @@ func admitRecovered(payload []byte, validate func(key string, resp *wire.Respons
 	return e, validate(e.Key, e.Response)
 }
 
-// journalStore appends one stored entry to the journal (the OnStore
-// hook). Append failures lose only warm-restart coverage for that
-// entry — they are counted and logged, never propagated into the
+// journalStore appends one entry the server just stored in the cache
+// to the journal. Append failures lose only warm-restart coverage for
+// that entry — they are counted and logged, never propagated into the
 // request path.
 func (p *cachePersister) journalStore(key string, resp *wire.Response) {
 	payload, err := json.Marshal(persistedEntry{Key: key, Response: resp})

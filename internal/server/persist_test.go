@@ -73,12 +73,15 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	if st := srv2.Stats().Persistence; st.RecoveredRecords != 1 || st.RejectedRecords != 0 ||
-		st.CorruptRecords != 0 || st.SnapshotAgeSeconds < 0 {
+		st.CorruptRecords != 0 || st.SnapshotAgeSeconds < 0 || st.JournalRecords != 0 {
 		t.Fatalf("recovery stats after graceful restart: %+v", st)
 	}
 	resp2, body2 := post(t, ts2, query, dagBody(t, "spmv_N6"))
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("warm run: %d %s", resp2.StatusCode, body2)
+	}
+	if st := srv2.Stats().Persistence; st.JournalRecords != 0 {
+		t.Fatalf("a recovered entry or its warm hit was journaled again: %+v", st)
 	}
 	r2 := decode(t, body2)
 	if r2.Cache == nil || !r2.Cache.Hit {

@@ -61,8 +61,9 @@ type Compute func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts portfo
 
 // Config configures a Server.
 type Config struct {
-	// CacheEntries bounds the schedule cache (0: schedcache default;
-	// negative: disable caching, keep single-flight).
+	// CacheEntries is the exact entry bound of the schedule cache (0:
+	// schedcache.DefaultEntries; negative: disable caching, keep
+	// single-flight).
 	CacheEntries int
 	// CachePath, when set, makes the schedule cache durable: every
 	// stored entry is journaled to this directory (fsync-on-append), a
@@ -491,8 +492,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 // startCompute runs the portfolio for req in the background under the
-// server's compute budget, finishing the flight (and populating the
-// cache) when done. It owns releasing the admission slot.
+// server's compute budget, populating the cache (and the journal) with
+// a cacheable result and then finishing the flight. It owns releasing
+// the admission slot.
 func (s *Server) startCompute(req *request, flight *schedcache.Flight[*wire.Response]) {
 	s.computes.Add(1)
 	s.inflight.Add(1)
@@ -520,8 +522,11 @@ func (s *Server) startCompute(req *request, flight *schedcache.Flight[*wire.Resp
 			// flight, but keep it out of the cache: it is not the
 			// deterministic full-fidelity answer.
 			s.cfg.Logf("server: %s computed non-cacheable (rung=%s)", req.key, resp.Certificate.Rung)
-			s.cache.FinishNoStore(req.key, flight, resp, nil)
-			return
+		} else if s.cache.Add(req.key, resp) && s.persist != nil {
+			// Store and journal before waking the waiters: the entry
+			// behind a cold answer is durable before the answer is sent,
+			// and a request arriving once the flight is gone finds it.
+			s.persist.journalStore(req.key, resp)
 		}
 		s.cache.Finish(req.key, flight, resp, nil)
 	}()

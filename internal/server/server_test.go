@@ -403,6 +403,93 @@ func TestDeadlineDegradesNever500(t *testing.T) {
 	}
 }
 
+// TestNonCacheableResultNotStored: a computed result that is not the
+// full-fidelity answer (here: an interrupted certificate) is served to
+// its request but neither cached nor journaled, so an identical second
+// request computes again.
+func TestNonCacheableResultNotStored(t *testing.T) {
+	var invocations atomic.Int32
+	cfg := persistConfig(t.TempDir())
+	cfg.Compute = func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts portfolio.Options) (*portfolio.Result, error) {
+		invocations.Add(1)
+		res, err := portfolio.RunAnytime(ctx, g, arch, opts)
+		if err == nil {
+			res.Certificate.Interrupted = true
+		}
+		return res, err
+	}
+	srv := mustNew(t, cfg)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for i := 1; i <= 2; i++ {
+		resp, data := post(t, ts, "p=2&rfactor=3", dagBody(t, "k-means"))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: %d %s", i, resp.StatusCode, data)
+		}
+		r := decode(t, data)
+		if r.Cache == nil || r.Cache.Hit || r.Cache.Provenance != "cold" {
+			t.Fatalf("request %d: provenance %+v, want a cold miss", i, r.Cache)
+		}
+		if r.Certificate == nil || !r.Certificate.Interrupted || r.Schedule == "" {
+			t.Fatalf("request %d: want the interrupted result with its schedule, got %+v", i, r.Certificate)
+		}
+		st := srv.Stats()
+		if st.Cache.Entries != 0 || st.Persistence.JournalRecords != 0 {
+			t.Fatalf("request %d: a non-cacheable result was stored: cache %+v, persistence %+v",
+				i, st.Cache, st.Persistence)
+		}
+		if got := invocations.Load(); got != int32(i) {
+			t.Fatalf("after request %d Compute ran %d times", i, got)
+		}
+	}
+}
+
+// reverseEdgeLines returns a DAG body with its edge lines in reverse
+// order: the same edge set, so the same cache key.
+func reverseEdgeLines(body *bytes.Buffer) *bytes.Buffer {
+	lines := strings.SplitAfter(body.String(), "\n")
+	var edges []int
+	for i, l := range lines {
+		if strings.HasPrefix(l, "edge ") {
+			edges = append(edges, i)
+		}
+	}
+	out := append([]string(nil), lines...)
+	for i, j := range edges {
+		out[j] = lines[edges[len(edges)-1-i]]
+	}
+	return bytes.NewBufferString(strings.Join(out, ""))
+}
+
+// TestReorderedBodyHitEqualsRecompute: a body whose edge lines come in
+// another order shares its cache key with the original, so the hit it
+// is served must equal a fresh server's cold answer for that very body.
+func TestReorderedBodyHitEqualsRecompute(t *testing.T) {
+	const query = "p=2&rfactor=3"
+	srv := mustNew(t, testConfig())
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if resp, data := post(t, ts, query, dagBody(t, "k-means")); resp.StatusCode != http.StatusOK {
+		t.Fatalf("cold run: %d %s", resp.StatusCode, data)
+	}
+	_, hitBody := post(t, ts, query, reverseEdgeLines(dagBody(t, "k-means")))
+	if r := decode(t, hitBody); r.Cache == nil || !r.Cache.Hit {
+		t.Fatalf("reordered body missed the cache: %+v", r.Cache)
+	}
+
+	fresh := mustNew(t, testConfig())
+	defer fresh.Close()
+	ts2 := httptest.NewServer(fresh.Handler())
+	defer ts2.Close()
+	_, coldBody := post(t, ts2, query, reverseEdgeLines(dagBody(t, "k-means")))
+	if !bytes.Equal(stripCache(t, hitBody), stripCache(t, coldBody)) {
+		t.Fatal("the hit served to a reordered body differs from a recompute of that body")
+	}
+}
+
 // badRequests are malformed DAGs and parameters with the typed 4xx
 // status each must map to. FuzzParseRequest seeds its corpus with their
 // queries.

@@ -7,10 +7,11 @@
 # assert, via mbsp-smoke -phase verify:
 #
 #   - recovery counters: 1 entry recovered, the torn record counted
-#     corrupt, nothing rejected;
+#     corrupt, nothing rejected, nothing journaled;
 #   - the surviving entry is served as a warm cache hit byte-identical
 #     to its pre-crash response;
-#   - the torn entry recomputes cold to the same bytes (determinism).
+#   - the torn entry recomputes cold to the same bytes (determinism),
+#     and its entry is the one record journaled since the restart.
 #
 # Finally SIGTERM the restarted server and assert a graceful drain
 # (snapshot rotation) so the whole crash-only lifecycle is exercised.

@@ -55,8 +55,9 @@
 #   4c. the crash smoke (scripts/crash_smoke.sh): populate the durable
 #      cache, kill -9 the server and tear the journal's tail mid-record,
 #      restart on the same directory, and assert the recovery counters
-#      plus a warm byte-identical cache hit for the surviving entry and
-#      a cold byte-identical recompute for the torn one;
+#      (nothing journaled at boot) plus a warm byte-identical cache hit
+#      for the surviving entry and a cold byte-identical recompute for
+#      the torn one, which is then the journal's only record;
 #   5. a short benchmark smoke: BenchmarkPortfolio, the LU kernel
 #      micro-benchmarks (BenchmarkFtran/Btran/Btran2 in internal/lp),
 #      the local-search benchmark (BenchmarkRefineImprove in
