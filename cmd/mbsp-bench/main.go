@@ -5,7 +5,7 @@
 //
 //	mbsp-bench [-experiment all|table1|table2|table3|table4|figure4|p1|portfolio|solver|chaos]
 //	           [-dataset tiny|paper-tiny|paper-small] [-timeout 2s] [-budget 2000]
-//	           [-workers 0] [-mip-workers 0] [-incumbent]
+//	           [-workers 0] [-mip-workers 0]
 //	           [-deadline 0] [-fault-seed 0] [-fault-modes all] [-fault-rate 0]
 //	           [-checkpoint cells.ckpt] [-csv out.csv] [-json out.json]
 //	           [-baseline old.json]
@@ -71,7 +71,6 @@ func main() {
 		seed      = flag.Int64("seed", cfg.ILP.Seed, "random seed")
 		workers   = flag.Int("workers", 1, "concurrent grid cells / portfolio schedulers (0: GOMAXPROCS); default sequential — concurrent solvers share the wall clock, so parallel table numbers are not comparable with sequential runs")
 		mipWork   = flag.Int("mip-workers", 0, "worker pool size inside each branch-and-bound tree; never changes results (0: serial for the grid, automatic budget for portfolio, 4 for the solver experiment's parallel leg)")
-		incumbent = flag.Bool("incumbent", true, "share a portfolio-wide incumbent bound between schedulers so losing candidates cut off early")
 		deadline  = flag.Duration("deadline", 0, "wall-clock deadline per portfolio/chaos instance; runs degrade gracefully instead of failing (0: none)")
 		faultSeed = flag.Uint64("fault-seed", 0, "seed for the deterministic fault-injection harness (0: off for portfolio, 1 for chaos); same seed, same faults")
 		faultMode = flag.String("fault-modes", "all", "comma-separated injected fault classes: cold, singular, latency, cancel, torn, short, flip, solver, fs, or all")
@@ -150,7 +149,7 @@ func main() {
 		if *faultSeed != 0 {
 			cfg.ILP.Inject = mustInjector(*faultSeed, *faultRate, *faultMode)
 		}
-		runPortfolio(insts, cfg, *dataset, *incumbent, *deadline, *jsonOut)
+		runPortfolio(insts, cfg, *dataset, *deadline, *jsonOut)
 	case "solver":
 		runSolver(insts, *dataset, *timeout, *mipWork, *jsonOut, *baseline)
 	case "chaos":
@@ -233,14 +232,13 @@ type portfolioCandsJSON struct {
 // the anytime contract and reports per-scheduler cost and timing plus the
 // win distribution; with -deadline or -fault-seed set, degraded runs still
 // produce a schedule and the certificate ledger is reported.
-func runPortfolio(insts []workloads.Instance, cfg experiments.Config, dataset string, incumbent bool, deadline time.Duration, jsonPath string) {
+func runPortfolio(insts []workloads.Instance, cfg experiments.Config, dataset string, deadline time.Duration, jsonPath string) {
 	start := time.Now()
 	out := portfolioJSON{
 		Dataset:      dataset,
 		ILPTimeLimit: cfg.ILP.TimeLimit.String(), Seed: cfg.ILP.Seed,
 	}
 	opts := cfg.Portfolio()
-	opts.DisableSharedIncumbent = !incumbent
 	wins := map[string]int{}
 	fmt.Println("Portfolio: best-of-all-schedulers per instance")
 	if opts.ILP.Inject != nil {

@@ -6,14 +6,13 @@
 //	mbsp-sched -dag file.dag | -instance spmv_N6
 //	           [-method base|cilk|ilp|dnc|exact]
 //	           [-portfolio] [-workers 0] [-mip-workers 0]
-//	           [-incumbent] [-solver-stats]
+//	           [-solver-stats]
 //	           [-p 4] [-rfactor 3] [-r 0] [-g 1] [-l 10]
 //	           [-model sync|async] [-timeout 5s] [-print] [-json]
 //
 // With -portfolio, every applicable scheduler races concurrently over a
 // bounded worker pool and the cheapest valid schedule wins; -method is
-// then ignored. -incumbent (default on) shares a portfolio-wide bound so
-// losing candidates cut off early; -solver-stats prints the solver-core
+// then ignored. -solver-stats prints the solver-core
 // counters (simplex iterations, warm vs cold LP re-solves, injected
 // faults, recovered panics) for the ILP-based methods. -mip-workers
 // sizes the worker pool *inside* each branch-and-bound tree (parallel
@@ -28,9 +27,11 @@
 // With -json, stdout carries a single JSON document in the same shape as
 // the scheduling server's POST /v1/schedule response (modulo the
 // server-only cache stamp); the human-readable progress lines move to
-// stderr. A deterministic run (-portfolio with a node limit, or any
-// single method with a fixed seed) emits byte-identical JSON on every
-// invocation, which is what makes CLI and server output diffable.
+// stderr. A single method with a fixed seed emits byte-identical JSON
+// on every invocation, which is what makes CLI and server output
+// diffable. -portfolio sets no node limit, so its candidates stop on
+// wall-clock budgets (-timeout, the divide-and-conquer partitioning
+// clock) and its JSON repeats only when no budget binds.
 package main
 
 import (
@@ -63,7 +64,6 @@ func main() {
 		pfolio    = flag.Bool("portfolio", false, "race all applicable schedulers concurrently and keep the best")
 		workers   = flag.Int("workers", 0, "portfolio worker pool size (0: GOMAXPROCS)")
 		mipWork   = flag.Int("mip-workers", 0, "worker pool size inside each branch-and-bound tree; results are identical for any value (0: GOMAXPROCS for -method ilp/dnc, automatic budget under -portfolio)")
-		incumbent = flag.Bool("incumbent", true, "share a portfolio-wide incumbent bound between schedulers so losing candidates cut off early")
 		solvStats = flag.Bool("solver-stats", false, "print solver-core counters (simplex iterations, warm/cold LP re-solves, injected faults, recovered panics) for ILP-based methods")
 		deadline  = flag.Duration("deadline", 0, "overall wall-clock deadline (0: none); under -portfolio the run degrades gracefully and still prints the best schedule found, -method ilp keeps its best schedule so far, and a deadline that cuts -method dnc during partitioning or between parts exits with its error")
 		faultSeed = flag.Uint64("fault-seed", 0, "enable the deterministic fault-injection harness with this seed (0: off); same seed, same faults")
@@ -124,9 +124,8 @@ func main() {
 	if *pfolio {
 		var perr error
 		res, perr = mbsp.SchedulePortfolio(ctx, g, arch, mbsp.PortfolioOptions{
-			Workers:                *workers,
-			ILP:                    opts,
-			DisableSharedIncumbent: !*incumbent,
+			Workers: *workers,
+			ILP:     opts,
 		})
 		if perr != nil {
 			// Anytime contract: only an instance that admits no valid

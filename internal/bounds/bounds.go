@@ -93,23 +93,18 @@ func LowerBound(g *graph.DAG, arch mbsp.Arch) (Report, error) {
 	return r, nil
 }
 
-// SyncLB returns the synchronous lower bound. A cyclic graph (which
-// admits no valid schedule) yields the trivial bound 0; call sites sit
-// behind graph/schedule validation, so the bound stays sound.
-func SyncLB(g *graph.DAG, arch mbsp.Arch) float64 {
+// Lower returns the lower bound on the cost of any valid schedule of g
+// on arch under model: LowerBound's Best, raised to its Sync term under
+// mbsp.Sync. A cyclic graph (which admits no valid schedule) yields the
+// trivial bound 0; call sites sit behind graph/schedule validation, so
+// the bound stays sound.
+func Lower(g *graph.DAG, arch mbsp.Arch, model mbsp.CostModel) float64 {
 	r, err := LowerBound(g, arch)
 	if err != nil {
 		return 0
 	}
-	return max(r.Best, r.Sync)
-}
-
-// AsyncLB returns the asynchronous lower bound (0 for a cyclic graph,
-// like SyncLB).
-func AsyncLB(g *graph.DAG, arch mbsp.Arch) float64 {
-	r, err := LowerBound(g, arch)
-	if err != nil {
-		return 0
+	if model == mbsp.Sync {
+		return max(r.Best, r.Sync)
 	}
 	return r.Best
 }

@@ -29,8 +29,8 @@ func TestLowerBoundChain(t *testing.T) {
 	if r.SinkSave != 2 || r.SourceLoad != 2 {
 		t.Fatalf("io bounds %g/%g want 2/2", r.SinkSave, r.SourceLoad)
 	}
-	if SyncLB(g, arch) != 4 || AsyncLB(g, arch) != 4 {
-		t.Fatalf("LBs %g/%g want 4", SyncLB(g, arch), AsyncLB(g, arch))
+	if Lower(g, arch, mbsp.Sync) != 4 || Lower(g, arch, mbsp.Async) != 4 {
+		t.Fatalf("LBs %g/%g want 4", Lower(g, arch, mbsp.Sync), Lower(g, arch, mbsp.Async))
 	}
 }
 
@@ -38,7 +38,7 @@ func TestLowerBoundEmptyWork(t *testing.T) {
 	g := graph.New("only-sources")
 	g.AddNode(0, 1)
 	arch := mbsp.Arch{P: 1, R: 10, G: 1, L: 7}
-	if lb := SyncLB(g, arch); lb != 0 {
+	if lb := Lower(g, arch, mbsp.Sync); lb != 0 {
 		t.Fatalf("no-work LB %g want 0", lb)
 	}
 }
@@ -55,13 +55,13 @@ func TestAllPipelinesRespectLowerBound(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if s.SyncCost() < SyncLB(inst.DAG, arch)-1e-9 {
+					if s.SyncCost() < Lower(inst.DAG, arch, mbsp.Sync)-1e-9 {
 						t.Fatalf("%s P=%d rf=%g %s: sync cost %g below LB %g",
-							inst.Name, p, rf, pl.Name(), s.SyncCost(), SyncLB(inst.DAG, arch))
+							inst.Name, p, rf, pl.Name(), s.SyncCost(), Lower(inst.DAG, arch, mbsp.Sync))
 					}
-					if s.AsyncCost() < AsyncLB(inst.DAG, arch)-1e-9 {
+					if s.AsyncCost() < Lower(inst.DAG, arch, mbsp.Async)-1e-9 {
 						t.Fatalf("%s P=%d rf=%g %s: async cost %g below LB %g",
-							inst.Name, p, rf, pl.Name(), s.AsyncCost(), AsyncLB(inst.DAG, arch))
+							inst.Name, p, rf, pl.Name(), s.AsyncCost(), Lower(inst.DAG, arch, mbsp.Async))
 					}
 				}
 			}
@@ -79,7 +79,7 @@ func TestExactOptimumRespectsLowerBound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return res.Cost >= SyncLB(g, arch)-1e-9
+		return res.Cost >= Lower(g, arch, mbsp.Sync)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
@@ -103,8 +103,8 @@ func TestRandomSchedulesRespectLowerBound(t *testing.T) {
 		if s.Validate() != nil {
 			return false
 		}
-		return s.SyncCost() >= SyncLB(g, arch)-1e-9 &&
-			s.AsyncCost() >= AsyncLB(g, arch)-1e-9
+		return s.SyncCost() >= Lower(g, arch, mbsp.Sync)-1e-9 &&
+			s.AsyncCost() >= Lower(g, arch, mbsp.Async)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

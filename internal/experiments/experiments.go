@@ -309,11 +309,7 @@ func runCell(inst workloads.Instance, m Method, cfg Config) (float64, error) {
 	}
 	cost := s.Cost(cfg.ILP.Model)
 	// Soundness net: no scheduler may beat the proven lower bound.
-	lb := bounds.AsyncLB(inst.DAG, arch)
-	if cfg.ILP.Model == mbsp.Sync {
-		lb = bounds.SyncLB(inst.DAG, arch)
-	}
-	if cost < lb-1e-9 {
+	if lb := bounds.Lower(inst.DAG, arch, cfg.ILP.Model); cost < lb-1e-9 {
 		return 0, fmt.Errorf("%s on %s reports cost %g below the lower bound %g",
 			m.Name, inst.Name, cost, lb)
 	}

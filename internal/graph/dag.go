@@ -292,22 +292,6 @@ func (g *DAG) BottomLevels() ([]float64, error) {
 	return bl, nil
 }
 
-// CriticalPath returns the ω-weighted length of the longest path in the
-// DAG. Returns ErrCyclic if the graph is not acyclic.
-func (g *DAG) CriticalPath() (float64, error) {
-	bls, err := g.BottomLevels()
-	if err != nil {
-		return 0, err
-	}
-	best := 0.0
-	for _, b := range bls {
-		if b > best {
-			best = b
-		}
-	}
-	return best, nil
-}
-
 // MinCache returns r0, the minimal fast-memory capacity that admits a
 // valid MBSP schedule: the maximum, over all non-source nodes v, of
 // μ(v) + Σ_{u ∈ parents(v)} μ(u), and over all source nodes of μ(v).
@@ -400,40 +384,6 @@ func (g *DAG) IsAcyclicPartition(part []int, k int) bool {
 	q, _ := g.Quotient(part, k)
 	_, err := q.TopoOrder()
 	return err == nil
-}
-
-// Ancestors returns the set of ancestors of v (excluding v) as a boolean
-// slice.
-func (g *DAG) Ancestors(v int) []bool {
-	seen := make([]bool, g.N())
-	stack := append([]int(nil), g.in[v]...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		stack = append(stack, g.in[u]...)
-	}
-	return seen
-}
-
-// Descendants returns the set of descendants of v (excluding v) as a
-// boolean slice.
-func (g *DAG) Descendants(v int) []bool {
-	seen := make([]bool, g.N())
-	stack := append([]int(nil), g.out[v]...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[u] {
-			continue
-		}
-		seen[u] = true
-		stack = append(stack, g.out[u]...)
-	}
-	return seen
 }
 
 // String returns a short description of the DAG.

@@ -6,6 +6,7 @@ import (
 
 	"mbsp/internal/graph"
 	"mbsp/internal/mbsp"
+	"mbsp/internal/mip"
 	"mbsp/internal/twostage"
 	"mbsp/internal/workloads"
 )
@@ -95,6 +96,28 @@ func TestSolveDiamondP1Optimal(t *testing.T) {
 	}
 	if !stats.UsedILP {
 		t.Fatal("tree search should run on this tiny model")
+	}
+}
+
+// TestSolveOnlyReadsIncumbent: Solve prunes against Options.Incumbent
+// but never writes to it, even when it is unsealed and every schedule
+// Solve finds beats it. The portfolio relies on this to keep its shared
+// bound at the sealed baseline cost.
+func TestSolveOnlyReadsIncumbent(t *testing.T) {
+	g := graph.Diamond()
+	inc := mip.NewIncumbent()
+	inc.Offer(1e9)
+	_, stats, err := Solve(g, microArch(g, 1), Options{
+		TimeLimit: 20 * time.Second, Incumbent: inc,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.UsedILP {
+		t.Fatal("tree search should run on this tiny model")
+	}
+	if got := inc.Get(); got != 1e9 {
+		t.Fatalf("Solve moved the incumbent to %g, want it left at 1e9", got)
 	}
 }
 

@@ -73,12 +73,11 @@ type Options struct {
 	// paper initializes its solver with the two-stage baseline). When
 	// nil, Solve builds twostage.Baseline itself.
 	WarmStart *mbsp.Schedule
-	// Incumbent, when non-nil, is a shared upper bound on the schedule
-	// cost under Model (the portfolio-wide incumbent): Solve reads it to
-	// prune the branch-and-bound tree and publishes every validated
-	// improving schedule cost back to it. Costs are only comparable
-	// across solvers of the same instance and model; the caller owns
-	// that invariant.
+	// Incumbent, when non-nil, is a read-only upper bound on the schedule
+	// cost under Model (the portfolio's sealed baseline cost): Solve
+	// prunes the branch-and-bound tree against it and never writes to
+	// it. Costs are only comparable across solvers of the same instance
+	// and model; the caller owns that invariant.
 	Incumbent *mip.Incumbent
 	// NeedBlue is the divide-and-conquer subproblems' boundary
 	// condition: nodes (besides sinks) that must be blue at the end.

@@ -37,9 +37,6 @@ func solve(g *graph.DAG, arch mbsp.Arch, opts Options, reference bool) (*mbsp.Sc
 	bestCost := warm.Cost(opts.Model)
 	stats.WarmCost = bestCost
 	stats.Source = "warm-start"
-	// Publish the baseline cost to the portfolio-wide incumbent: any
-	// concurrent solver that cannot beat it may cut off immediately.
-	opts.Incumbent.Offer(bestCost)
 
 	skel, T, err := horizon(warm, arch, opts)
 	if err != nil {
@@ -60,17 +57,6 @@ func solve(g *graph.DAG, arch mbsp.Arch, opts Options, reference bool) (*mbsp.Sc
 		ctx, cancel := context.WithTimeout(opts.Context, opts.TimeLimit)
 		run := opts.Tree()
 		run.Context, run.WarmStart, run.ReferenceLP, run.SharedIncumbent = ctx, x, reference, opts.Incumbent
-		// Publish improving tree-search incumbents mid-search, but only
-		// after extraction and validation: the shared bound must carry
-		// real schedule costs, never raw model objectives.
-		run.OnIncumbent = func(x []float64, obj float64) {
-			if opts.Incumbent == nil {
-				return
-			}
-			if sched, err := im.extract(x); err == nil && sched.Validate() == nil {
-				opts.Incumbent.Offer(sched.Cost(opts.Model))
-			}
-		}
 		res := im.m.Solve(run)
 		cancel()
 		stats.ILPStatus = res.Status.String()
@@ -126,7 +112,6 @@ func solve(g *graph.DAG, arch mbsp.Arch, opts Options, reference bool) (*mbsp.Sc
 	if err := best.Validate(); err != nil {
 		return nil, stats, fmt.Errorf("ilpsched: final schedule invalid: %w", err)
 	}
-	opts.Incumbent.Offer(bestCost)
 	return best, stats, nil
 }
 

@@ -6,18 +6,16 @@ import (
 )
 
 // Incumbent is a monotone, concurrency-safe upper bound on a shared
-// minimization objective. Concurrent solvers working on the same
-// objective (the scheduler portfolio) publish every feasible solution
-// cost with Offer and read the best known bound with Get; branch-and-bound
-// then prunes any subtree whose LP relaxation cannot beat the bound, so a
-// losing solver cuts off as soon as some other solver has already done
-// better.
+// minimization objective. Solvers working on the same objective read the
+// best known bound with Get; branch-and-bound then prunes any subtree
+// whose LP relaxation cannot beat the bound.
 //
-// The bound only ever decreases, so pruning against it removes only
-// provably non-improving subtrees. Seal freezes the current value:
-// subsequent Offers are ignored. The portfolio seals the incumbent in
-// node-limited deterministic mode, where live (timing-dependent) updates
-// would perturb the deterministic node accounting — see DESIGN.md.
+// The bound only ever decreases (Offer), so pruning against it removes
+// only provably non-improving subtrees. Seal freezes the current value:
+// subsequent Offers are ignored. The scheduler portfolio offers its
+// baseline cost once and seals the incumbent before any solver starts,
+// because updates at timing-dependent points would perturb the
+// deterministic node accounting — see DESIGN.md.
 type Incumbent struct {
 	bits   atomic.Uint64 // math.Float64bits of the current bound
 	sealed atomic.Bool

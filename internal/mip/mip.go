@@ -281,15 +281,9 @@ type Options struct {
 	// bound on the same objective: pruning tests against
 	// min(own incumbent, SharedIncumbent.Get()), so a bound published by
 	// a concurrent solver cuts this tree too. The solver never writes to
-	// it — publishing is the caller's decision (see OnIncumbent).
-	// Live updates arrive at timing-dependent points, so node-limited
+	// it. Live updates arrive at timing-dependent points, so node-limited
 	// runs that need byte-identical results must pass a sealed incumbent.
 	SharedIncumbent *Incumbent
-	// OnIncumbent, when non-nil, is called synchronously on the solve
-	// goroutine with every strictly improving incumbent the tree search
-	// finds (after integrality rounding). Callers use it to validate and
-	// publish bounds to a SharedIncumbent mid-search.
-	OnIncumbent func(x []float64, obj float64)
 	// ColdStart disables dual re-solves from the parent basis, cold
 	// starting every node as the pre-warm-start solver did (ablation and
 	// cross-check baseline).

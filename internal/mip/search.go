@@ -426,9 +426,6 @@ func (e *bbEngine) commit(s *bbSlot) {
 		res.X = x
 		res.Status = Feasible
 		e.bestSeq = s.nd.seq
-		if improved && e.opts.OnIncumbent != nil {
-			e.opts.OnIncumbent(x, obj)
-		}
 		return
 	}
 	v := lpRes.X[branch]

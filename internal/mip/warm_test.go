@@ -246,36 +246,3 @@ func TestSharedIncumbentKeepsStrictImprovements(t *testing.T) {
 		t.Fatalf("lost the optimum under a weaker shared bound: %+v", res)
 	}
 }
-
-// TestOnIncumbentCallback: every strictly improving incumbent is
-// reported, in improving order, ending at the optimum.
-func TestOnIncumbentCallback(t *testing.T) {
-	m := NewModel()
-	var coefs []lp.Coef
-	for j := 0; j < 10; j++ {
-		m.AddBinary("b", -1-float64(j)/10)
-		coefs = append(coefs, lp.Coef{Var: j, Val: 1})
-	}
-	m.AddRow(coefs, lp.LE, 5)
-	var objs []float64
-	res := m.Solve(Options{OnIncumbent: func(x []float64, obj float64) {
-		if len(x) != m.NumVars() {
-			t.Fatalf("callback x has %d entries", len(x))
-		}
-		objs = append(objs, obj)
-	}})
-	if res.Status != Optimal {
-		t.Fatalf("status=%v", res.Status)
-	}
-	if len(objs) == 0 {
-		t.Fatal("no incumbent callbacks")
-	}
-	for i := 1; i < len(objs); i++ {
-		if objs[i] >= objs[i-1] {
-			t.Fatalf("callbacks not strictly improving: %v", objs)
-		}
-	}
-	if math.Abs(objs[len(objs)-1]-res.Obj) > 1e-9 {
-		t.Fatalf("last callback %g != final obj %g", objs[len(objs)-1], res.Obj)
-	}
-}

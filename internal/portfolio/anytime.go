@@ -171,11 +171,7 @@ func buildCertificate(g *graph.DAG, arch mbsp.Arch, opts Options, res *Result, r
 		FallbackUsed: rung != RungPortfolio,
 		Interrupted:  res.Interrupted,
 	}
-	if opts.ILP.Model == mbsp.Sync {
-		cert.BestBound = bounds.SyncLB(g, arch)
-	} else {
-		cert.BestBound = bounds.AsyncLB(g, arch)
-	}
+	cert.BestBound = bounds.Lower(g, arch, opts.ILP.Model)
 	if cert.BestCost > 0 {
 		cert.Gap = (cert.BestCost - cert.BestBound) / cert.BestCost
 		if cert.Gap < 0 {

@@ -71,7 +71,7 @@ func ilpOptions(ctx context.Context, opts Options, name string) ilpsched.Options
 // budget. Cancellation returns its best-so-far schedule (at minimum the
 // warm start), never an error. It reuses the run's memoized baseline as
 // its warm start (and fails with it, rather than rebuilding it) and
-// prunes against (and publishes to) the shared incumbent.
+// prunes against the shared incumbent.
 func ILPCandidate() Candidate {
 	return Candidate{Name: "ilp", Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
 		ilpOpts := ilpOptions(ctx, opts, "ilp")

@@ -113,31 +113,31 @@ func TestPortfolioDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestDeterministicModeSealsIncumbent pins the mechanism behind the
-// guarantee: a node-limited run must produce the same bytes whether the
-// shared incumbent is enabled (sealed at the deterministic baseline
-// cost) or disabled entirely — live sharing must not leak into
-// node-limited searches.
-func TestDeterministicModeSealsIncumbent(t *testing.T) {
+// TestSharedBoundIsSealedBaseline pins the shared incumbent to one
+// value fixed by the input: the memoized baseline's cost, sealed before
+// any candidate starts, in node-limited and wall-clock runs alike. A
+// candidate that beats the baseline must not lower it, or pruning would
+// depend on which candidate finished first.
+func TestSharedBoundIsSealedBaseline(t *testing.T) {
 	inst, err := workloads.ByName("CG_N2_K2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	arch := baseArch(inst.DAG)
-	withInc := deterministicOpts(4)
-	resInc, _, err := run(context.Background(), inst.DAG, arch, withInc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	without := deterministicOpts(4)
-	without.DisableSharedIncumbent = true
-	resNo, _, err := run(context.Background(), inst.DAG, arch, without)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resInc.BestName != resNo.BestName || resInc.BestCost != resNo.BestCost {
-		t.Fatalf("sealed incumbent changed the outcome: %s/%g vs %s/%g",
-			resInc.BestName, resInc.BestCost, resNo.BestName, resNo.BestCost)
+	for _, nodeLimit := range []int{deterministicOpts(4).ILP.NodeLimit, 0} {
+		opts := deterministicOpts(4)
+		opts.ILP.NodeLimit = nodeLimit
+		res, sh, err := run(context.Background(), inst.DAG, arch, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := sh.warm.Cost(mbsp.Sync)
+		if got := sh.inc.Get(); got != base {
+			t.Errorf("NodeLimit %d: shared bound %g after the run, want the baseline cost %g", nodeLimit, got, base)
+		}
+		if res.BestCost >= base {
+			t.Errorf("NodeLimit %d: best cost %g does not beat the baseline %g; the instance no longer tests the seal", nodeLimit, res.BestCost, base)
+		}
 	}
 }
 

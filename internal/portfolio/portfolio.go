@@ -59,8 +59,7 @@ type Options struct {
 	// The portfolio's defaults differ from ilpsched's: TimeLimit 2s and
 	// LocalSearchBudget 2000. A NodeLimit binds deterministically, unlike
 	// a wall clock: set it (with a generous TimeLimit) for reproducible
-	// schedules; it also seals the shared incumbent (see
-	// DisableSharedIncumbent). A latency-bound caller (the serving layer)
+	// schedules. A latency-bound caller (the serving layer)
 	// sets a small MaxModelRows, so that large models keep the warm-start
 	// + local-search path instead of a seconds-long tree search.
 	//
@@ -88,15 +87,6 @@ type Options struct {
 	// sums them after the pool drains; the counters are observability
 	// only and never influence candidate selection.
 	LUStats *lp.FactorStats
-	// DisableSharedIncumbent turns off the portfolio-wide shared
-	// incumbent. By default every candidate's validated cost — and, for
-	// the ILP, every incumbent found mid-search — feeds a monotone atomic
-	// bound that the ILP and DnC candidates prune against, so losing
-	// candidates cut off early. Under a node-limited deterministic run
-	// (ILP.NodeLimit > 0) the incumbent is sealed at the memoized
-	// baseline cost before any candidate starts, keeping the
-	// byte-identical guarantee (see DESIGN.md).
-	DisableSharedIncumbent bool
 	// PartitionMemo, when non-nil, serves the dnc candidate's
 	// partitioning stage across runs on the same DAG (see dnc.Memo); a
 	// hit returns what a recompute would, so it never changes a result.
@@ -114,7 +104,7 @@ type Options struct {
 // portfolio-wide incumbent and the memoized two-stage baseline, which is
 // a candidate, the ILP warm start and the anytime fallback at once.
 type sharedState struct {
-	inc     *mip.Incumbent
+	inc     *mip.Incumbent // sealed at the baseline cost; +Inf when it failed
 	warm    *mbsp.Schedule // the validated baseline; nil when it failed
 	warmErr error          // why warm is nil
 }
@@ -210,12 +200,12 @@ func run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 
 	// Shared per-run state: memoize the two-stage baseline once — it is
 	// a candidate, the ILP's warm start and the anytime fallback — and
-	// seed the portfolio-wide incumbent with its cost. Built even when
-	// the context is already done, because the fallback needs it then.
-	sh := &sharedState{}
-	if !opts.DisableSharedIncumbent {
-		sh.inc = mip.NewIncumbent()
-	}
+	// seal the portfolio-wide incumbent at its cost before any candidate
+	// starts. The bound is then one value fixed by the input, so pruning
+	// against it never depends on which candidate finished first (see
+	// DESIGN.md). Built even when the context is already done, because
+	// the fallback needs it then.
+	sh := &sharedState{inc: mip.NewIncumbent()}
 	w, err := twostage.Baseline(arch).Run(g, arch, 0, nil)
 	if err == nil {
 		if verr := w.Validate(); verr != nil {
@@ -229,13 +219,7 @@ func run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 		sh.warmErr = err
 		opts.Logf("portfolio: baseline warm start unavailable: %v", err)
 	}
-	if opts.ILP.NodeLimit > 0 {
-		// Deterministic mode: freeze the incumbent at its deterministic
-		// seed value. Live updates land at timing-dependent points and
-		// would perturb the node-limited searches' deterministic node
-		// accounting (see DESIGN.md).
-		sh.inc.Seal()
-	}
+	sh.inc.Seal()
 	opts.shared = sh
 
 	res := &Result{Candidates: make([]CandidateResult, len(cands))}
@@ -359,11 +343,6 @@ func runCandidate(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Option
 		// A candidate that returned a valid schedule after its context
 		// fired was cut mid-search: best-so-far, not its full answer.
 		out.Degraded = cctx.Err() != nil
-		if opts.shared != nil {
-			// Feed the portfolio-wide bound so still-running candidates
-			// prune against this result (no-op when sealed).
-			opts.shared.inc.Offer(out.Cost)
-		}
 	}
 	if out.Err != nil {
 		opts.Logf("portfolio: candidate %s failed after %v: %v", c.Name, out.Elapsed, out.Err)

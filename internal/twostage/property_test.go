@@ -45,7 +45,7 @@ func TestConvertPropertyRandom(t *testing.T) {
 			if s.Validate() != nil || s.CheckComputesAll() != nil {
 				return false
 			}
-			if s.SyncCost() < bounds.SyncLB(g, arch)-1e-9 {
+			if s.SyncCost() < bounds.Lower(g, arch, mbsp.Sync)-1e-9 {
 				return false
 			}
 			if s.AsyncCost() > s.SyncCost()+1e-9 && arch.L == 0 {

@@ -46,6 +46,10 @@
 #      (and searches for its full 60s) fails the gate; then
 #      `-portfolio -deadline 50ms -json` on the same instance under
 #      `timeout 20`, which must exit 0 and print JSON with a certificate;
+#      then the examples leg: build each program under examples/
+#      (pebbling, quickstart, spmv, twostage_gap; about 0.1–10 s each)
+#      and run it under `timeout 60`, so an example that stops building,
+#      fails or hangs fails the gate;
 #   4b. the serving smoke (scripts/serve_smoke.sh): start mbsp-served on
 #      an ephemeral port with a durable cache, POST a registry DAG twice
 #      and assert the second response is a cache hit with a
@@ -151,6 +155,12 @@ if ! grep -q '"certificate": {' "${sched_dir}/portfolio.json"; then
     cat "${sched_dir}/portfolio.json" >&2
     exit 1
 fi
+
+for example in pebbling quickstart spmv twostage_gap; do
+    echo "== examples leg: ${example}"
+    go build -o "${sched_dir}/${example}" "./examples/${example}"
+    timeout 60 "${sched_dir}/${example}" > /dev/null
+done
 
 echo "== serving smoke: mbsp-served cache hit + graceful drain"
 sh scripts/serve_smoke.sh
