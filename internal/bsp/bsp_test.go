@@ -22,7 +22,7 @@ func mustSched(t *testing.T) func(*Schedule, error) *Schedule {
 func TestBSPgValidOnTinySet(t *testing.T) {
 	for _, inst := range workloads.Tiny() {
 		for _, p := range []int{1, 2, 4, 8} {
-			s := mustSched(t)(BSPg(inst.DAG, p, BSPgOptions{G: 1, L: 10}))
+			s := mustSched(t)(BSPg(inst.DAG, p, BSPgOptions{G: 1}))
 			if err := s.Validate(); err != nil {
 				t.Errorf("%s P=%d: %v", inst.Name, p, err)
 			}
@@ -36,7 +36,7 @@ func TestBSPgValidOnTinySet(t *testing.T) {
 func TestBSPgUsesMultipleProcessors(t *testing.T) {
 	// A wide DAG should engage more than one processor.
 	g := workloads.SpMV(10, 1)
-	s := mustSched(t)(BSPg(g, 4, BSPgOptions{G: 1, L: 10}))
+	s := mustSched(t)(BSPg(g, 4, BSPgOptions{G: 1}))
 	used := map[int]bool{}
 	for v := 0; v < g.N(); v++ {
 		if s.Proc[v] >= 0 {
@@ -50,8 +50,8 @@ func TestBSPgUsesMultipleProcessors(t *testing.T) {
 
 func TestBSPgBeatsSerialOnParallelWork(t *testing.T) {
 	g := workloads.SpMV(10, 1)
-	s4 := mustSched(t)(BSPg(g, 4, BSPgOptions{G: 1, L: 1}))
-	s1 := mustSched(t)(BSPg(g, 1, BSPgOptions{G: 1, L: 1}))
+	s4 := mustSched(t)(BSPg(g, 4, BSPgOptions{G: 1}))
+	s1 := mustSched(t)(BSPg(g, 1, BSPgOptions{G: 1}))
 	if s4.Cost(1, 1) >= s1.Cost(1, 1) {
 		t.Fatalf("P=4 cost %g not below P=1 cost %g", s4.Cost(1, 1), s1.Cost(1, 1))
 	}
@@ -215,7 +215,7 @@ func TestComputeOrderRespectsAssignmentOrder(t *testing.T) {
 func TestILPBSPValidAndNotWorse(t *testing.T) {
 	for _, inst := range workloads.Tiny()[:4] {
 		g := inst.DAG
-		warm := mustSched(t)(BSPg(g, 2, BSPgOptions{G: 1, L: 10}))
+		warm := mustSched(t)(BSPg(g, 2, BSPgOptions{G: 1}))
 		s := mustSched(t)(ILP(g, 2, ILPOptions{G: 1, L: 10, TimeLimit: 2e9}))
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)

@@ -9,10 +9,10 @@ import (
 
 // BSPgOptions tunes the greedy scheduler.
 type BSPgOptions struct {
-	// G and L are the BSP parameters used when scoring communication
-	// against work.
+	// G is the per-unit communication cost: a candidate processor's
+	// affinity for a node is G times the memory of the parents it already
+	// holds.
 	G float64
-	L float64
 }
 
 // imbalanceRatio ends a superstep once the least-loaded processor has at

@@ -38,7 +38,7 @@ const ilpNodeLimit = 3000
 // linear and compact. Falls back to the BSPg schedule when limits bind;
 // errors only when the BSPg warm start itself fails.
 func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
-	warm, err := BSPg(g, p, BSPgOptions{G: opts.G, L: opts.L})
+	warm, err := BSPg(g, p, BSPgOptions{G: opts.G})
 	if err != nil {
 		return nil, err
 	}

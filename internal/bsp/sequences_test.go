@@ -61,7 +61,7 @@ func TestSequencesMatchSortedComputeOrder(t *testing.T) {
 		g := inst.DAG
 		check(inst.Name+" DFS", DFS(g))
 		for _, p := range []int{2, 4} {
-			check(inst.Name+" BSPg", mustSched(t)(BSPg(g, p, BSPgOptions{G: 1, L: 10})))
+			check(inst.Name+" BSPg", mustSched(t)(BSPg(g, p, BSPgOptions{G: 1})))
 			check(inst.Name+" Cilk", mustSched(t)(Cilk(g, p, 7)))
 			check(inst.Name+" ILP", mustSched(t)(ILP(g, p, ILPOptions{G: 1, L: 10, TimeLimit: 100 * time.Millisecond})))
 			proc := make([]int, g.N())

@@ -154,7 +154,7 @@ func TestClairvoyantNotWorseThanLRUOnAverage(t *testing.T) {
 	var cl, lru float64
 	for _, inst := range workloads.Tiny() {
 		arch := archFor(inst.DAG, 4, 3)
-		b, berr := bsp.BSPg(inst.DAG, arch.P, bsp.BSPgOptions{G: arch.G, L: arch.L})
+		b, berr := bsp.BSPg(inst.DAG, arch.P, bsp.BSPgOptions{G: arch.G})
 		if berr != nil {
 			t.Fatal(berr)
 		}
@@ -192,7 +192,7 @@ func TestConvertAsyncCostComputable(t *testing.T) {
 
 func TestLargerCacheNeverIncreasesBaselineLoads(t *testing.T) {
 	for _, inst := range workloads.Tiny() {
-		b, berr := bsp.BSPg(inst.DAG, 4, bsp.BSPgOptions{G: 1, L: 10})
+		b, berr := bsp.BSPg(inst.DAG, 4, bsp.BSPgOptions{G: 1})
 		if berr != nil {
 			t.Fatal(berr)
 		}

@@ -61,7 +61,7 @@ func TestConvertGoldenDigest(t *testing.T) {
 		run  func(g *graph.DAG, p int) (*bsp.Schedule, error)
 	}{
 		{"bspg", func(g *graph.DAG, p int) (*bsp.Schedule, error) {
-			return bsp.BSPg(g, p, bsp.BSPgOptions{G: 1, L: 10})
+			return bsp.BSPg(g, p, bsp.BSPgOptions{G: 1})
 		}},
 		{"cilk", func(g *graph.DAG, p int) (*bsp.Schedule, error) { return bsp.Cilk(g, p, 7) }},
 		{"dfs", func(g *graph.DAG, p int) (*bsp.Schedule, error) { return bsp.DFS(g), nil }},
@@ -122,7 +122,7 @@ func TestConverterReuseMatchesFresh(t *testing.T) {
 		extra := extraSaveEvery(g)
 		for _, p := range []int{4, 1, 2} {
 			stage1 := []*bsp.Schedule{bsp.DFS(g)}
-			if b, err := bsp.BSPg(g, p, bsp.BSPgOptions{G: 1, L: 10}); err == nil {
+			if b, err := bsp.BSPg(g, p, bsp.BSPgOptions{G: 1}); err == nil {
 				stage1 = append(stage1, b)
 			}
 			if b, err := bsp.Cilk(g, p, 7); err == nil {

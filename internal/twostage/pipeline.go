@@ -14,7 +14,7 @@ type Stage1 uint8
 
 const (
 	// BSPg is the greedy BSP scheduler, scoring communication with the
-	// architecture's g and L.
+	// architecture's g.
 	BSPg Stage1 = iota
 	// Cilk is Cilk-style randomized work stealing.
 	Cilk
@@ -51,7 +51,7 @@ func (pl Pipeline) stage1(g *graph.DAG, arch mbsp.Arch, seed int64) (*bsp.Schedu
 	var err error
 	switch pl.Stage1 {
 	case BSPg:
-		b, err = bsp.BSPg(g, arch.P, bsp.BSPgOptions{G: arch.G, L: arch.L})
+		b, err = bsp.BSPg(g, arch.P, bsp.BSPgOptions{G: arch.G})
 	case Cilk:
 		b, err = bsp.Cilk(g, arch.P, seed)
 	case DFS:

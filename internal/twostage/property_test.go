@@ -32,7 +32,7 @@ func TestConvertPropertyRandom(t *testing.T) {
 			b = bsp.DFS(g)
 		} else {
 			var berr error
-			b, berr = bsp.BSPg(g, p, bsp.BSPgOptions{G: arch.G, L: arch.L})
+			b, berr = bsp.BSPg(g, p, bsp.BSPgOptions{G: arch.G})
 			if berr != nil {
 				return false
 			}
@@ -64,7 +64,7 @@ func TestConvertPropertyRandom(t *testing.T) {
 func TestConvertMonotoneSegments(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		g := graph.RandomLayered("p", 3, 4, 0.4, 4, 4, seed)
-		b, berr := bsp.BSPg(g, 2, bsp.BSPgOptions{G: 1, L: 10})
+		b, berr := bsp.BSPg(g, 2, bsp.BSPgOptions{G: 1})
 		if berr != nil {
 			t.Fatal(berr)
 		}
