@@ -90,6 +90,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 outdir="${1:-.}"
+mkdir -p "${outdir}"
 
 echo "== go build ./..."
 go build ./...
