@@ -6,11 +6,12 @@
 // deduplication so N concurrent identical requests run the portfolio
 // once.
 //
-// One map, one recency list and the single-flight map share one mutex.
-// The bound is exact: the cache evicts its globally least-recent entry
-// only when it holds Config.Entries values. A hit holds the lock for one
-// map lookup and a list move, a small fraction of a sub-millisecond
-// request, so the lock is not sharded (see DESIGN.md).
+// One map, one recency list and the map of running computations share
+// one mutex. The bound is exact: the cache evicts its globally
+// least-recent entry only when it holds Config.Entries values. A hit
+// holds the lock for one map lookup and a list move, a small fraction
+// of a sub-millisecond request, so the lock is not sharded (see
+// DESIGN.md).
 //
 // The cache is value-generic: it stores whatever the server builds for a
 // key (in practice the marshaled wire response). Correctness of serving
@@ -21,13 +22,13 @@
 // digest keys on ids too, and the remaining 128-bit collision risk is
 // the usual hashing bet.
 //
-// Single-flight is exposed as a leader/follower primitive rather than a
-// blocking GetOrCompute so the server can race a follower's wait against
-// its per-request deadline: the flight keeps computing for the cache
-// while the impatient request degrades to the anytime fallback. The
-// leader decides what is stored: it calls Add (and persists what Add
-// stored) before Finish, so a request that arrives after the flight ends
-// finds the entry.
+// A request makes one call, Lookup: a hit, a join of the key's running
+// computation, or the lead of a new one. The leader's one further call,
+// Complete, stores the value (when asked to), ends the computation and
+// wakes its followers in one critical section, so a request arriving
+// after a storing Complete hits. Followers wait on a channel, so the
+// server can race the wait against a per-request deadline while the
+// computation keeps running for the cache.
 package schedcache
 
 import "sync"
@@ -39,7 +40,7 @@ const DefaultEntries = 1024
 type Config struct {
 	// Entries bounds the number of cached entries exactly. 0 selects
 	// DefaultEntries; negative disables storage (the cache still
-	// deduplicates flights).
+	// deduplicates computations).
 	Entries int
 }
 
@@ -53,7 +54,7 @@ type Cache[V any] struct {
 	// head is the sentinel of the intrusive doubly-linked recency list;
 	// head.next is the most recent entry, head.prev the least recent.
 	head    entry[V]
-	flights map[string]*Flight[V]
+	pending map[string]*Pending[V]
 
 	hits, misses, evictions, coalesced, runs int64
 }
@@ -73,7 +74,7 @@ func New[V any](cfg Config) *Cache[V] {
 	c := &Cache[V]{
 		capacity: max(capacity, 0),
 		entries:  make(map[string]*entry[V]),
-		flights:  make(map[string]*Flight[V]),
+		pending:  make(map[string]*Pending[V]),
 	}
 	c.head.next = &c.head
 	c.head.prev = &c.head
@@ -85,11 +86,15 @@ func New[V any](cfg Config) *Cache[V] {
 func (c *Cache[V]) Get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.get(key)
+}
+
+// get is Get under c.mu.
+func (c *Cache[V]) get(key string) (val V, ok bool) {
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		var zero V
-		return zero, false
+		return val, false
 	}
 	c.hits++
 	c.unlink(e)
@@ -102,11 +107,16 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // overwrites it in place. Add reports whether it stored the value; it
 // returns false only when storage is disabled.
 func (c *Cache[V]) Add(key string, val V) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.add(key, val)
+}
+
+// add is Add under c.mu.
+func (c *Cache[V]) add(key string, val V) bool {
 	if c.capacity == 0 {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if e, ok := c.entries[key]; ok {
 		e.val = val
 		c.unlink(e)
@@ -145,13 +155,6 @@ func (c *Cache[V]) Dump() []KV[V] {
 	return out
 }
 
-// Len returns the current number of cached entries.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 func (c *Cache[V]) unlink(e *entry[V]) {
 	e.prev.next = e.next
 	e.next.prev = e.prev
@@ -165,50 +168,54 @@ func (c *Cache[V]) pushFront(e *entry[V]) {
 	c.head.next = e
 }
 
-// Flight is one in-flight computation for a key. Followers wait on Done;
-// after it closes, Value/Err are immutable.
-type Flight[V any] struct {
+// Pending is one running computation for a key. Followers wait on
+// Done; after it closes, Result is immutable.
+type Pending[V any] struct {
 	done  chan struct{}
 	value V
 	err   error
 }
 
-// Done returns a channel closed when the flight's result is available.
-func (f *Flight[V]) Done() <-chan struct{} { return f.done }
+// Done returns a channel closed when the result is available.
+func (p *Pending[V]) Done() <-chan struct{} { return p.done }
 
-// Result returns the flight's outcome; it must only be called after Done
-// is closed.
-func (f *Flight[V]) Result() (V, error) { return f.value, f.err }
+// Result returns the outcome; it must only be called after Done is
+// closed.
+func (p *Pending[V]) Result() (V, error) { return p.value, p.err }
 
-// Flight joins the single-flight group for key. The first caller becomes
-// the leader (leader == true) and MUST eventually call Finish exactly
-// once — typically from a goroutine that runs the computation — or every
-// follower blocks forever. Followers (leader == false) share the
-// leader's outcome via Done/Result. Flights are not cached: once
-// finished, the next Flight call for the key starts a fresh one, so the
-// caller should consult Get first and Add the value it wants kept
-// before calling Finish.
-func (c *Cache[V]) Flight(key string) (f *Flight[V], leader bool) {
+// Lookup returns key's cached value (bumped to most-recent) with a nil
+// Pending on a hit. On a miss it returns the key's running computation,
+// with lead set when the caller started it. A leader MUST call Complete
+// exactly once, or every follower blocks forever. It counts as a Get,
+// plus one Coalesced (join) or Runs (lead) on a miss.
+func (c *Cache[V]) Lookup(key string) (val V, p *Pending[V], lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if f, ok := c.flights[key]; ok {
-		c.coalesced++
-		return f, false
+	if v, ok := c.get(key); ok {
+		return v, nil, false
 	}
-	f = &Flight[V]{done: make(chan struct{})}
-	c.flights[key] = f
+	if p, ok := c.pending[key]; ok {
+		c.coalesced++
+		return val, p, false
+	}
+	p = &Pending[V]{done: make(chan struct{})}
+	c.pending[key] = p
 	c.runs++
-	return f, true
+	return val, p, true
 }
 
-// Finish resolves the flight for key with the leader's outcome, waking
-// every follower. It never stores the value.
-func (c *Cache[V]) Finish(key string, f *Flight[V], val V, err error) {
+// Complete stores key→val when store is set (and storage is enabled),
+// ends the computation p and wakes its followers with val and err, all
+// in one critical section.
+func (c *Cache[V]) Complete(key string, p *Pending[V], val V, err error, store bool) {
 	c.mu.Lock()
-	delete(c.flights, key)
-	c.mu.Unlock()
-	f.value, f.err = val, err
-	close(f.done)
+	defer c.mu.Unlock()
+	if store {
+		c.add(key, val)
+	}
+	delete(c.pending, key)
+	p.value, p.err = val, err
+	close(p.done)
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -217,9 +224,9 @@ type Stats struct {
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
 	Entries   int   `json:"entries"`
-	// Coalesced counts followers that joined an existing flight instead
-	// of computing; Runs counts flights led (portfolio executions the
-	// cache admitted).
+	// Coalesced counts lookups that joined a running computation
+	// instead of computing; Runs counts computations led (portfolio
+	// executions the cache admitted).
 	Coalesced int64 `json:"coalesced"`
 	Runs      int64 `json:"runs"`
 }

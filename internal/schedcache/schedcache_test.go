@@ -58,7 +58,7 @@ func TestBoundedAcrossShards(t *testing.T) {
 	for i := 0; i < 10*cap; i++ {
 		c.Add(fmt.Sprintf("key-%d", i), i)
 	}
-	if n := c.Len(); n > cap {
+	if n := c.Stats().Entries; n > cap {
 		t.Fatalf("cache holds %d entries, bound %d", n, cap)
 	}
 	if st := c.Stats(); st.Evictions == 0 {
@@ -76,27 +76,67 @@ func TestDisabledStorage(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache stored a value")
 	}
-	f, leader := c.Flight("a")
-	if !leader {
+	_, p, lead := c.Lookup("a")
+	if !lead {
 		t.Fatal("expected leadership on fresh key")
 	}
-	c.Finish("a", f, 7, nil)
-	if v, err := f.Result(); v != 7 || err != nil {
+	c.Complete("a", p, 7, nil, true)
+	if v, err := p.Result(); v != 7 || err != nil {
 		t.Fatalf("flight result %v/%v", v, err)
+	}
+	if _, _, lead := c.Lookup("a"); !lead || c.Stats().Entries != 0 {
+		t.Fatal("disabled cache stored a completed value")
 	}
 }
 
-// TestFinishNeverStores: a successful flight resolves its followers but
-// leaves the cache alone; storing is the leader's Add.
-func TestFinishNeverStores(t *testing.T) {
+// TestCompleteWithoutStore: a computation completed without store
+// resolves its followers but leaves the cache alone, so the next Lookup
+// leads a fresh computation.
+func TestCompleteWithoutStore(t *testing.T) {
 	c := New[int](Config{Entries: 8})
-	f, _ := c.Flight("k")
-	c.Finish("k", f, 5, nil)
-	if v, err := f.Result(); v != 5 || err != nil {
+	_, p, _ := c.Lookup("k")
+	c.Complete("k", p, 5, nil, false)
+	if v, err := p.Result(); v != 5 || err != nil {
 		t.Fatalf("flight result %v/%v", v, err)
 	}
-	if _, ok := c.Get("k"); ok || c.Len() != 0 {
-		t.Fatal("Finish stored a value")
+	if _, ok := c.Get("k"); ok || c.Stats().Entries != 0 {
+		t.Fatal("Complete without store stored a value")
+	}
+	if _, p2, lead := c.Lookup("k"); !lead || p2 == p {
+		t.Fatal("Lookup after an unstored Complete must lead a fresh computation")
+	}
+}
+
+// TestLookupOutcomes: Lookup leads on a fresh key, joins the running
+// computation for it, and hits once a storing Complete has returned,
+// counting exactly as a Get followed by joining or leading would.
+func TestLookupOutcomes(t *testing.T) {
+	c := New[int](Config{Entries: 8})
+	_, p, lead := c.Lookup("k")
+	if p == nil || !lead {
+		t.Fatalf("fresh key: pending %v lead %v, want to lead", p, lead)
+	}
+	_, p2, lead2 := c.Lookup("k")
+	if p2 != p || lead2 {
+		t.Fatal("second lookup must join the running computation")
+	}
+	select {
+	case <-p.Done():
+		t.Fatal("computation done before Complete")
+	default:
+	}
+	c.Complete("k", p, 42, nil, true)
+	<-p2.Done()
+	if v, err := p2.Result(); v != 42 || err != nil {
+		t.Fatalf("follower result %v/%v", v, err)
+	}
+	v, p3, lead3 := c.Lookup("k")
+	if p3 != nil || lead3 || v != 42 {
+		t.Fatalf("lookup after a storing Complete: value %d pending %v lead %v, want a hit on 42", v, p3, lead3)
+	}
+	want := Stats{Hits: 1, Misses: 2, Entries: 1, Coalesced: 1, Runs: 1}
+	if st := c.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
 	}
 }
 
@@ -113,19 +153,19 @@ func TestSingleFlightCollapses(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, ok := c.Get("k"); ok {
-				t.Error("hit before any flight finished")
-			}
-			f, leader := c.Flight("k")
+			_, p, lead := c.Lookup("k")
 			joined.Done()
-			if leader {
+			if p == nil {
+				t.Error("hit before any flight finished")
+				return
+			}
+			if lead {
 				joined.Wait()
 				computed.Add(1)
-				c.Add("k", 42)
-				c.Finish("k", f, 42, nil)
+				c.Complete("k", p, 42, nil, true)
 			}
-			<-f.Done()
-			v, err := f.Result()
+			<-p.Done()
+			v, err := p.Result()
 			if err != nil {
 				t.Errorf("flight error: %v", err)
 			}
@@ -159,23 +199,23 @@ func TestSingleFlightCollapses(t *testing.T) {
 func TestFlightErrorNotCached(t *testing.T) {
 	c := New[int](Config{Entries: 8})
 	boom := errors.New("boom")
-	f, leader := c.Flight("k")
-	if !leader {
+	_, p, lead := c.Lookup("k")
+	if !lead {
 		t.Fatal("expected leadership")
 	}
-	follower, lead2 := c.Flight("k")
-	if lead2 || follower != f {
+	_, follower, lead2 := c.Lookup("k")
+	if lead2 || follower != p {
 		t.Fatal("second caller must follow the live flight")
 	}
-	c.Finish("k", f, 0, boom)
-	<-f.Done()
-	if _, err := f.Result(); !errors.Is(err, boom) {
+	c.Complete("k", p, 0, boom, false)
+	<-follower.Done()
+	if _, err := follower.Result(); !errors.Is(err, boom) {
 		t.Fatalf("follower error %v", err)
 	}
 	if _, ok := c.Get("k"); ok {
 		t.Fatal("failed flight must not be cached")
 	}
-	if _, leader := c.Flight("k"); !leader {
+	if _, _, lead := c.Lookup("k"); !lead {
 		t.Fatal("key must be retryable after a failed flight")
 	}
 }
@@ -191,20 +231,17 @@ func TestConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (w*31+i)%100)
-				if _, ok := c.Get(key); !ok {
-					f, leader := c.Flight(key)
-					if leader {
-						c.Add(key, i)
-						c.Finish(key, f, i, nil)
-					} else {
-						<-f.Done()
-					}
+				_, p, lead := c.Lookup(key)
+				if lead {
+					c.Complete(key, p, i, nil, true)
+				} else if p != nil {
+					<-p.Done()
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	if n := c.Len(); n > 32 {
+	if n := c.Stats().Entries; n > 32 {
 		t.Fatalf("bound violated: %d entries", n)
 	}
 }
@@ -257,7 +294,7 @@ func TestEntriesIsExactBound(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Add(fmt.Sprintf("key-%d", i), i)
 	}
-	if n := c.Len(); n != 100 {
+	if n := c.Stats().Entries; n != 100 {
 		t.Fatalf("cache holds %d entries, want exactly 100", n)
 	}
 	if st := c.Stats(); st.Evictions != 900 || st.Entries != 100 {
@@ -289,9 +326,9 @@ func TestNoEvictionBelowCapacity(t *testing.T) {
 // interleaving the basic suite never exercises: a cache far smaller
 // than its key space, hammered by concurrent leaders, followers,
 // readers and direct stores, with a checker asserting the entry-count
-// bound throughout. Every flight must Finish cleanly — including
-// flights whose stored entry is evicted before, during, or immediately
-// after Finish — and every follower must observe its leader's value.
+// bound throughout. Every flight must Complete cleanly — including
+// flights whose stored entry is evicted immediately after Complete —
+// and every follower must observe its leader's outcome.
 // The race detector owns the memory-order assertions.
 func TestEvictionUnderFlightStress(t *testing.T) {
 	const (
@@ -306,7 +343,7 @@ func TestEvictionUnderFlightStress(t *testing.T) {
 	go func() {
 		defer close(checkerDone)
 		for !stop.Load() {
-			if n := c.Len(); n > bound {
+			if n := c.Stats().Entries; n > bound {
 				t.Errorf("entry bound exceeded mid-stress: %d > %d", n, bound)
 				return
 			}
@@ -324,21 +361,21 @@ func TestEvictionUnderFlightStress(t *testing.T) {
 					c.Add(key, w*iters+i)
 				case 1:
 					c.Get(key)
-				default: // flight: leader stores (not always), then finishes
-					f, leader := c.Flight(key)
-					if leader {
-						// Churn the cache so this key's entry is evicted
-						// while the flight is still live.
+				default: // lookup: a leader completes, storing (not always)
+					_, p, lead := c.Lookup(key)
+					if p == nil {
+						continue // hit
+					}
+					if lead {
+						// Churn the cache so entries are evicted while
+						// the flight is still live.
 						for j := 0; j < 4; j++ {
 							c.Add(fmt.Sprintf("evict-%d-%d-%d", w, i, j), j)
 						}
-						if i%8 != 2 {
-							c.Add(key, i)
-						}
-						c.Finish(key, f, i, nil)
+						c.Complete(key, p, i, nil, i%8 != 2)
 					}
-					<-f.Done()
-					if _, err := f.Result(); err != nil {
+					<-p.Done()
+					if _, err := p.Result(); err != nil {
 						t.Errorf("flight for %s failed: %v", key, err)
 					}
 				}
@@ -348,7 +385,7 @@ func TestEvictionUnderFlightStress(t *testing.T) {
 	wg.Wait()
 	stop.Store(true)
 	<-checkerDone
-	if n := c.Len(); n > bound {
+	if n := c.Stats().Entries; n > bound {
 		t.Fatalf("entry bound exceeded after stress: %d > %d", n, bound)
 	}
 	st := c.Stats()

@@ -2,10 +2,10 @@
 // snapshot-on-drain, recover-on-boot, over internal/persist's
 // checksummed record log. See DESIGN.md ("Crash-only serving").
 //
-// The server journals what it stores: after a cold computation it Adds
-// the cacheable response, appends it to the journal (fsynced) if Add
-// stored it, and only then wakes the requests waiting on the flight.
-// Boot-time recovery Adds directly and journals nothing.
+// The server journals what it stores: it appends a cold computation's
+// stored response to the journal (fsynced) before Complete stores it
+// and wakes the requests waiting on it. Boot-time recovery Adds
+// directly and journals nothing.
 //
 // The soundness argument for serving recovered bytes is two-layered.
 // The persist layer guarantees every recovered record is byte-identical
@@ -95,10 +95,10 @@ func admitRecovered(payload []byte, validate func(key string, resp *wire.Respons
 	return e, validate(e.Key, e.Response)
 }
 
-// journalStore appends one entry the server just stored in the cache
-// to the journal. Append failures lose only warm-restart coverage for
-// that entry — they are counted and logged, never propagated into the
-// request path.
+// journalStore appends one entry the server is about to store in the
+// cache to the journal. Append failures lose only warm-restart coverage
+// for that entry — they are counted and logged, never propagated into
+// the request path.
 func (p *cachePersister) journalStore(key string, resp *wire.Response) {
 	payload, err := json.Marshal(persistedEntry{Key: key, Response: resp})
 	if err != nil {

@@ -243,8 +243,8 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// errOverloaded marks a flight that was never admitted: every request
-// sharing it is shed with 429.
+// errOverloaded marks a computation that was never admitted: every
+// request sharing it is shed with 429.
 var errOverloaded = errors.New("server: at in-flight capacity")
 
 type httpError struct {
@@ -434,10 +434,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	s.requests.Add(1)
 
-	// Fast path: a cached full-fidelity response, served before any
-	// admission or deadline machinery so hits stay microseconds even
-	// under overload.
-	if resp, ok := s.cache.Get(req.key); ok {
+	// One cache call: a hit is served before any admission or deadline
+	// machinery, so hits stay microseconds even under overload; a miss
+	// joins or leads the key's computation.
+	resp, pending, lead := s.cache.Lookup(req.key)
+	if pending == nil {
 		s.respond(w, started, resp, req.key, "hit", true)
 		return
 	}
@@ -450,24 +451,23 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 
-	flight, leader := s.cache.Flight(req.key)
 	provenance := "coalesced"
-	if leader {
+	if lead {
 		provenance = "cold"
 		select {
 		case s.admit <- struct{}{}:
-			s.startCompute(req, flight)
+			s.startCompute(req, pending)
 		default:
-			// At capacity: shed this flight. Followers waiting on it are
-			// shed too — they would otherwise queue unboundedly behind a
-			// computation that is not running.
-			s.cache.Finish(req.key, flight, nil, errOverloaded)
+			// At capacity: shed this computation. Followers waiting on
+			// it are shed too — they would otherwise queue unboundedly
+			// behind a computation that is not running.
+			s.cache.Complete(req.key, pending, nil, errOverloaded, false)
 		}
 	}
 
 	select {
-	case <-flight.Done():
-		resp, ferr := flight.Result()
+	case <-pending.Done():
+		resp, ferr := pending.Result()
 		switch {
 		case ferr == nil:
 			s.respond(w, started, resp, req.key, provenance, false)
@@ -485,17 +485,17 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		// the shared computation finished. Anytime contract: degrade to
 		// the synchronous fallback — the expired context makes
 		// RunAnytime skip the race and return its deterministic
-		// two-stage baseline — while the flight keeps computing for the
-		// cache.
+		// two-stage baseline — while the computation keeps running for
+		// the cache.
 		s.respondDegraded(w, started, req, rctx)
 	}
 }
 
 // startCompute runs the portfolio for req in the background under the
-// server's compute budget, populating the cache (and the journal) with
-// a cacheable result and then finishing the flight. It owns releasing
-// the admission slot.
-func (s *Server) startCompute(req *request, flight *schedcache.Flight[*wire.Response]) {
+// server's compute budget and completes p, journaling a result it stores
+// first, so no answer is sent from an entry that is not yet durable. It
+// owns releasing the admission slot.
+func (s *Server) startCompute(req *request, p *schedcache.Pending[*wire.Response]) {
 	s.computes.Add(1)
 	s.inflight.Add(1)
 	go func() {
@@ -507,28 +507,20 @@ func (s *Server) startCompute(req *request, flight *schedcache.Flight[*wire.Resp
 		computeStart := time.Now()
 		res, err := s.cfg.Compute(ctx, req.g, req.arch, s.portfolioOptions(req.model))
 		s.observeCold(time.Since(computeStart))
+		var resp *wire.Response
 		if err != nil {
 			s.cfg.Logf("server: compute %s failed: %v", req.key, err)
-			s.cache.Finish(req.key, flight, nil, err)
-			return
-		}
-		resp, werr := wire.FromResult(req.g, req.arch, req.model, res)
-		if werr != nil {
-			s.cache.Finish(req.key, flight, nil, werr)
-			return
-		}
-		if !cacheable(resp) {
-			// Serve the anytime result to the requests waiting on this
-			// flight, but keep it out of the cache: it is not the
-			// deterministic full-fidelity answer.
+		} else if resp, err = wire.FromResult(req.g, req.arch, req.model, res); err == nil && !cacheable(resp) {
+			// Serve the anytime result to the requests waiting on it,
+			// but keep it out of the cache: it is not the deterministic
+			// full-fidelity answer.
 			s.cfg.Logf("server: %s computed non-cacheable (rung=%s)", req.key, resp.Certificate.Rung)
-		} else if s.cache.Add(req.key, resp) && s.persist != nil {
-			// Store and journal before waking the waiters: the entry
-			// behind a cold answer is durable before the answer is sent,
-			// and a request arriving once the flight is gone finds it.
+		}
+		store := err == nil && cacheable(resp) && s.cfg.CacheEntries >= 0
+		if store && s.persist != nil {
 			s.persist.journalStore(req.key, resp)
 		}
-		s.cache.Finish(req.key, flight, resp, nil)
+		s.cache.Complete(req.key, p, resp, err, store)
 	}()
 }
 

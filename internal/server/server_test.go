@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -277,6 +278,118 @@ func TestSingleFlightCollapsesConcurrentRequests(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Cache.Runs != 1 || st.Cache.Coalesced != n-1 {
 		t.Fatalf("unexpected flight stats %+v", st.Cache)
+	}
+}
+
+// TestBurstAtCompletionRunsOnce fires bursts of identical requests as
+// the leader's portfolio run returns: each burst request posts again and
+// again until it is served a hit, so lookups keep landing on both sides
+// of the leader's journal write and completion. Every answer must carry
+// the leader's bytes, and per key the portfolio runs once and (with a
+// durable cache) the journal gains one record.
+func TestBurstAtCompletionRunsOnce(t *testing.T) {
+	for _, durable := range []bool{true, false} {
+		name := map[bool]string{true: "durable", false: "memory"}[durable]
+		t.Run(name, func(t *testing.T) { burstAtCompletion(t, durable) })
+	}
+}
+
+func burstAtCompletion(t *testing.T, durable bool) {
+	const (
+		rounds   = 12
+		burst    = 16
+		maxPosts = 1000 // per burst request; a hit ends its loop
+	)
+	// A round's leader takes the channel sent on gates, closes it as its
+	// portfolio run returns and sleeps for lead before it returns, so
+	// the first burst requests reach their cache lookup while the leader
+	// builds, journals and completes its answer. Leads of 0.25–3 ms
+	// across the rounds spread those lookups over the completion. Any
+	// other run is not gated.
+	gates := make(chan chan struct{}, 1)
+	var lead atomic.Int64
+	var invocations atomic.Int32
+	cfg := testConfig()
+	if durable {
+		cfg.CachePath = t.TempDir()
+	}
+	cfg.Compute = func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts portfolio.Options) (*portfolio.Result, error) {
+		invocations.Add(1)
+		res, err := portfolio.RunAnytime(ctx, g, arch, opts)
+		select {
+		case completing := <-gates:
+			close(completing)
+			time.Sleep(time.Duration(lead.Load()))
+		default:
+		}
+		return res, err
+	}
+	srv := mustNew(t, cfg)
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body := dagBody(t, "k-means")
+
+	for round := 1; round <= rounds; round++ {
+		query := fmt.Sprintf("p=%d&rfactor=%d&deadline_ms=60000", 2+round%3, 2+round/3)
+		bodies := make([][][]byte, burst+1)
+		errs := make([]error, burst+1)
+		// fire posts until it is served a hit (the leader posts once).
+		fire := func(i int) {
+			for n := 0; n < maxPosts; n++ {
+				resp, data, err := tryPost(ts, query, body)
+				if err == nil && resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("status %d: %s", resp.StatusCode, data)
+				}
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				bodies[i] = append(bodies[i], data)
+				var r wire.Response
+				if err := json.Unmarshal(data, &r); err != nil {
+					errs[i] = err
+					return
+				}
+				if i == 0 || r.Cache.Hit {
+					return
+				}
+			}
+			errs[i] = fmt.Errorf("no hit after %d posts", maxPosts)
+		}
+		lead.Store(int64(time.Duration(round) * 250 * time.Microsecond))
+		completing := make(chan struct{})
+		gates <- completing
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() { defer wg.Done(); fire(0) }()
+		<-completing // the leader's run is returning: fire the burst now
+		for i := 1; i <= burst; i++ {
+			wg.Add(1)
+			go func(i int) { defer wg.Done(); fire(i) }(i)
+		}
+		wg.Wait()
+
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d request %d: %v", round, i, err)
+			}
+		}
+		want := stripCache(t, bodies[0][0])
+		for i := 1; i <= burst; i++ {
+			for _, b := range bodies[i] {
+				if !bytes.Equal(stripCache(t, b), want) {
+					t.Fatalf("round %d request %d got different bytes", round, i)
+				}
+			}
+		}
+		st := srv.Stats()
+		if got := invocations.Load(); got != int32(round) || st.Cache.Runs != int64(round) {
+			t.Fatalf("round %d: portfolio ran %d times, %d runs counted; want %d", round, got, st.Cache.Runs, round)
+		}
+		if durable && st.Persistence.JournalRecords != int64(round) {
+			t.Fatalf("round %d: %d journal records, want %d", round, st.Persistence.JournalRecords, round)
+		}
 	}
 }
 
