@@ -101,7 +101,8 @@ var (
 	// offline runs.
 	PaperTiny  = workloads.PaperTiny
 	PaperSmall = workloads.PaperSmall
-	// InstanceByName looks an instance up in any dataset.
+	// InstanceByName builds one instance by name; the first dataset (in
+	// the order Tiny, Small, PaperTiny, PaperSmall) that holds it wins.
 	InstanceByName = workloads.ByName
 )
 

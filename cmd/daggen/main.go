@@ -25,11 +25,14 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, set := range [][]workloads.Instance{workloads.Tiny(), workloads.Small()} {
-			for _, inst := range set {
-				fmt.Printf("%-20s n=%3d m=%3d r0=%g\n",
-					inst.Name, inst.DAG.N(), inst.DAG.M(), inst.DAG.MinCache())
+		for _, name := range workloads.Names() {
+			inst, err := workloads.ByName(name)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "daggen:", err)
+				os.Exit(1)
 			}
+			fmt.Printf("%-20s n=%3d m=%3d r0=%g\n",
+				inst.Name, inst.DAG.N(), inst.DAG.M(), inst.DAG.MinCache())
 		}
 		return
 	}

@@ -24,13 +24,50 @@ func AssignRandomMemWeights(g *graph.DAG, lo, hi int, seed int64) {
 	}
 }
 
-func finish(name string, g *graph.DAG, seed int64) Instance {
-	g.SetName(name)
-	AssignRandomMemWeights(g, 1, 5, seed)
+// entry is one dataset instance: its name, the generator call that builds
+// its DAG, and the seed of its memory weights.
+type entry struct {
+	name string
+	dag  func() *graph.DAG
+	seed int64
+}
+
+// build makes the entry's instance: a fresh DAG on every call, so callers
+// may mutate it.
+func (e entry) build() Instance {
+	g := e.dag()
+	g.SetName(e.name)
+	AssignRandomMemWeights(g, 1, 5, e.seed)
 	if err := g.Validate(); err != nil {
-		panic(fmt.Sprintf("workloads: instance %s invalid: %v", name, err))
+		panic(fmt.Sprintf("workloads: instance %s invalid: %v", e.name, err))
 	}
-	return Instance{Name: name, DAG: g}
+	return Instance{Name: e.name, DAG: g}
+}
+
+func build(table []entry) []Instance {
+	insts := make([]Instance, len(table))
+	for i, e := range table {
+		insts[i] = e.build()
+	}
+	return insts
+}
+
+var tinyTable = []entry{
+	{"bicgstab", func() *graph.DAG { return BiCGSTAB(2) }, 101},
+	{"k-means", func() *graph.DAG { return KMeans(3, 2) }, 102},
+	{"pregel", func() *graph.DAG { return Pregel(3, 2) }, 103},
+	{"spmv_N6", func() *graph.DAG { return SpMV(6, 6) }, 104},
+	{"spmv_N7", func() *graph.DAG { return SpMV(7, 7) }, 105},
+	{"spmv_N10", func() *graph.DAG { return SpMV(10, 10) }, 106},
+	{"CG_N2_K2", func() *graph.DAG { return CG(2, 2, 22) }, 107},
+	{"CG_N3_K1", func() *graph.DAG { return CG(3, 1, 31) }, 108},
+	{"CG_N4_K1", func() *graph.DAG { return CG(4, 1, 41) }, 109},
+	{"exp_N4_K2", func() *graph.DAG { return IteratedSpMV(4, 2, 42) }, 110},
+	{"exp_N5_K3", func() *graph.DAG { return IteratedSpMV(5, 3, 53) }, 111},
+	{"exp_N6_K4", func() *graph.DAG { return IteratedSpMV(6, 4, 64) }, 112},
+	{"kNN_N4_K3", func() *graph.DAG { return KNN(4, 3, 43) }, 113},
+	{"kNN_N5_K3", func() *graph.DAG { return KNN(5, 3, 53) }, 114},
+	{"kNN_N6_K4", func() *graph.DAG { return KNN(6, 4, 64) }, 115},
 }
 
 // Tiny returns the default "tiny" dataset: the same 15 instance names and
@@ -38,94 +75,98 @@ func finish(name string, g *graph.DAG, seed int64) Instance {
 // bundled branch-and-bound solver can explore within test/bench budgets
 // (the paper used a commercial solver with 60-minute limits; see
 // DESIGN.md for the substitution note).
-func Tiny() []Instance {
-	return []Instance{
-		finish("bicgstab", BiCGSTAB(2), 101),
-		finish("k-means", KMeans(3, 2), 102),
-		finish("pregel", Pregel(3, 2), 103),
-		finish("spmv_N6", SpMV(6, 6), 104),
-		finish("spmv_N7", SpMV(7, 7), 105),
-		finish("spmv_N10", SpMV(10, 10), 106),
-		finish("CG_N2_K2", CG(2, 2, 22), 107),
-		finish("CG_N3_K1", CG(3, 1, 31), 108),
-		finish("CG_N4_K1", CG(4, 1, 41), 109),
-		finish("exp_N4_K2", IteratedSpMV(4, 2, 42), 110),
-		finish("exp_N5_K3", IteratedSpMV(5, 3, 53), 111),
-		finish("exp_N6_K4", IteratedSpMV(6, 4, 64), 112),
-		finish("kNN_N4_K3", KNN(4, 3, 43), 113),
-		finish("kNN_N5_K3", KNN(5, 3, 53), 114),
-		finish("kNN_N6_K4", KNN(6, 4, 64), 115),
-	}
+func Tiny() []Instance { return build(tinyTable) }
+
+var smallTable = []entry{
+	{"simple_pagerank", func() *graph.DAG { return PageRank(6, 5) }, 201},
+	{"snni_graphchall.", func() *graph.DAG { return SNNI(6, 6, 7) }, 202},
+	{"spmv_N25", func() *graph.DAG { return SpMV(25, 25) }, 203},
+	{"spmv_N35", func() *graph.DAG { return SpMV(35, 35) }, 204},
+	{"CG_N5_K4", func() *graph.DAG { return CG(5, 4, 54) }, 205},
+	{"CG_N7_K2", func() *graph.DAG { return CG(7, 2, 72) }, 206},
+	{"exp_N10_K8", func() *graph.DAG { return IteratedSpMV(10, 8, 108) }, 207},
+	{"exp_N15_K4", func() *graph.DAG { return IteratedSpMV(15, 4, 154) }, 208},
+	{"kNN_N10_K8", func() *graph.DAG { return KNN(10, 8, 108) }, 209},
+	{"kNN_N15_K4", func() *graph.DAG { return KNN(15, 4, 154) }, 210},
 }
 
 // Small returns the default "small" dataset: the 10 instance names of the
 // paper's second dataset (two smallest per family plus the two
 // coarse-grained graphs), again at solver-friendly sizes.
-func Small() []Instance {
-	return []Instance{
-		finish("simple_pagerank", PageRank(6, 5), 201),
-		finish("snni_graphchall.", SNNI(6, 6, 7), 202),
-		finish("spmv_N25", SpMV(25, 25), 203),
-		finish("spmv_N35", SpMV(35, 35), 204),
-		finish("CG_N5_K4", CG(5, 4, 54), 205),
-		finish("CG_N7_K2", CG(7, 2, 72), 206),
-		finish("exp_N10_K8", IteratedSpMV(10, 8, 108), 207),
-		finish("exp_N15_K4", IteratedSpMV(15, 4, 154), 208),
-		finish("kNN_N10_K8", KNN(10, 8, 108), 209),
-		finish("kNN_N15_K4", KNN(15, 4, 154), 210),
-	}
+func Small() []Instance { return build(smallTable) }
+
+var paperTinyTable = []entry{
+	{"bicgstab", func() *graph.DAG { return BiCGSTAB(5) }, 101},
+	{"k-means", func() *graph.DAG { return KMeans(5, 4) }, 102},
+	{"pregel", func() *graph.DAG { return Pregel(5, 4) }, 103},
+	{"spmv_N12", func() *graph.DAG { return SpMV(12, 6) }, 104},
+	{"spmv_N14", func() *graph.DAG { return SpMV(14, 7) }, 105},
+	{"spmv_N16", func() *graph.DAG { return SpMV(16, 10) }, 106},
+	{"CG_N4_K2", func() *graph.DAG { return CG(4, 2, 22) }, 107},
+	{"CG_N5_K2", func() *graph.DAG { return CG(5, 2, 31) }, 108},
+	{"CG_N6_K2", func() *graph.DAG { return CG(6, 2, 41) }, 109},
+	{"exp_N6_K4", func() *graph.DAG { return IteratedSpMV(6, 4, 42) }, 110},
+	{"exp_N7_K5", func() *graph.DAG { return IteratedSpMV(7, 5, 53) }, 111},
+	{"exp_N8_K5", func() *graph.DAG { return IteratedSpMV(8, 5, 64) }, 112},
+	{"kNN_N6_K5", func() *graph.DAG { return KNN(6, 5, 43) }, 113},
+	{"kNN_N7_K5", func() *graph.DAG { return KNN(7, 5, 53) }, 114},
+	{"kNN_N8_K6", func() *graph.DAG { return KNN(8, 6, 64) }, 115},
 }
 
 // PaperTiny returns the tiny dataset scaled up to the paper's node counts
 // (roughly 40–80 nodes per instance). Intended for long offline runs.
-func PaperTiny() []Instance {
-	return []Instance{
-		finish("bicgstab", BiCGSTAB(5), 101),
-		finish("k-means", KMeans(5, 4), 102),
-		finish("pregel", Pregel(5, 4), 103),
-		finish("spmv_N12", SpMV(12, 6), 104),
-		finish("spmv_N14", SpMV(14, 7), 105),
-		finish("spmv_N16", SpMV(16, 10), 106),
-		finish("CG_N4_K2", CG(4, 2, 22), 107),
-		finish("CG_N5_K2", CG(5, 2, 31), 108),
-		finish("CG_N6_K2", CG(6, 2, 41), 109),
-		finish("exp_N6_K4", IteratedSpMV(6, 4, 42), 110),
-		finish("exp_N7_K5", IteratedSpMV(7, 5, 53), 111),
-		finish("exp_N8_K5", IteratedSpMV(8, 5, 64), 112),
-		finish("kNN_N6_K5", KNN(6, 5, 43), 113),
-		finish("kNN_N7_K5", KNN(7, 5, 53), 114),
-		finish("kNN_N8_K6", KNN(8, 6, 64), 115),
-	}
+func PaperTiny() []Instance { return build(paperTinyTable) }
+
+var paperSmallTable = []entry{
+	{"simple_pagerank", func() *graph.DAG { return PageRank(10, 9) }, 201},
+	{"snni_graphchall.", func() *graph.DAG { return SNNI(10, 10, 7) }, 202},
+	{"spmv_N60", func() *graph.DAG { return SpMV(60, 25) }, 203},
+	{"spmv_N90", func() *graph.DAG { return SpMV(90, 35) }, 204},
+	{"CG_N8_K5", func() *graph.DAG { return CG(8, 5, 54) }, 205},
+	{"CG_N12_K3", func() *graph.DAG { return CG(12, 3, 72) }, 206},
+	{"exp_N16_K10", func() *graph.DAG { return IteratedSpMV(16, 10, 108) }, 207},
+	{"exp_N24_K6", func() *graph.DAG { return IteratedSpMV(24, 6, 154) }, 208},
+	{"kNN_N16_K10", func() *graph.DAG { return KNN(16, 10, 108) }, 209},
+	{"kNN_N24_K6", func() *graph.DAG { return KNN(24, 6, 154) }, 210},
 }
 
 // PaperSmall returns the small dataset scaled up to the paper's node
 // counts (roughly 264–464 nodes per instance).
-func PaperSmall() []Instance {
-	return []Instance{
-		finish("simple_pagerank", PageRank(10, 9), 201),
-		finish("snni_graphchall.", SNNI(10, 10, 7), 202),
-		finish("spmv_N60", SpMV(60, 25), 203),
-		finish("spmv_N90", SpMV(90, 35), 204),
-		finish("CG_N8_K5", CG(8, 5, 54), 205),
-		finish("CG_N12_K3", CG(12, 3, 72), 206),
-		finish("exp_N16_K10", IteratedSpMV(16, 10, 108), 207),
-		finish("exp_N24_K6", IteratedSpMV(24, 6, 154), 208),
-		finish("kNN_N16_K10", KNN(16, 10, 108), 209),
-		finish("kNN_N24_K6", KNN(24, 6, 154), 210),
-	}
-}
+func PaperSmall() []Instance { return build(paperSmallTable) }
 
-// ByName returns the named instance from any of the datasets, or an
-// error listing known names.
+// datasets holds every dataset's table in ByName's search order.
+var datasets = [][]entry{tinyTable, smallTable, paperTinyTable, paperSmallTable}
+
+// ByName builds the named instance and only that one, a fresh DAG per
+// call. The first dataset that holds the name wins, in the order Tiny,
+// Small, PaperTiny, PaperSmall, so six paper-scale entries are never
+// returned: PaperTiny's "bicgstab", "k-means", "pregel" and "exp_N6_K4",
+// and PaperSmall's "simple_pagerank" and "snni_graphchall.". An unknown
+// name's error lists every entry's name in that order.
 func ByName(name string) (Instance, error) {
 	var names []string
-	for _, set := range [][]Instance{Tiny(), Small(), PaperTiny(), PaperSmall()} {
-		for _, inst := range set {
-			if inst.Name == name {
-				return inst, nil
+	for _, table := range datasets {
+		for _, e := range table {
+			if e.name == name {
+				return e.build(), nil
 			}
-			names = append(names, inst.Name)
+			names = append(names, e.name)
 		}
 	}
 	return Instance{}, fmt.Errorf("workloads: unknown instance %q (known: %v)", name, names)
+}
+
+// Names returns every name ByName resolves, once each, in search order.
+func Names() []string {
+	var names []string
+	seen := map[string]bool{}
+	for _, table := range datasets {
+		for _, e := range table {
+			if !seen[e.name] {
+				seen[e.name] = true
+				names = append(names, e.name)
+			}
+		}
+	}
+	return names
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"testing"
 
 	"mbsp/internal/graph"
@@ -98,5 +99,23 @@ func TestByNameUnknownError(t *testing.T) {
 	}
 	if err.Error() != unknownNameError {
 		t.Fatalf("error text changed:\n got %s\nwant %s", err.Error(), unknownNameError)
+	}
+}
+
+// TestNamesAreFirstEntries: Names lists each dataset entry's name once,
+// at its first entry, in ByName's search order.
+func TestNamesAreFirstEntries(t *testing.T) {
+	var want []string
+	seen := map[string]bool{}
+	for _, set := range [][]Instance{Tiny(), Small(), PaperTiny(), PaperSmall()} {
+		for _, inst := range set {
+			if !seen[inst.Name] {
+				seen[inst.Name] = true
+				want = append(want, inst.Name)
+			}
+		}
+	}
+	if got := Names(); !slices.Equal(got, want) {
+		t.Fatalf("Names() = %v\nwant %v", got, want)
 	}
 }

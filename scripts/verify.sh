@@ -49,7 +49,9 @@
 #      then the examples leg: build each program under examples/
 #      (pebbling, quickstart, spmv, twostage_gap; about 0.1–10 s each)
 #      and run it under `timeout 60`, so an example that stops building,
-#      fails or hangs fails the gate;
+#      fails or hangs fails the gate; then the daggen leg: `daggen -list`
+#      must print 44 distinct names (every name the registry resolves)
+#      and `daggen -instance` must resolve each of them;
 #   4b. the serving smoke (scripts/serve_smoke.sh): start mbsp-served on
 #      an ephemeral port with a durable cache, POST a registry DAG twice
 #      and assert the second response is a cache hit with a
@@ -162,6 +164,19 @@ for example in pebbling quickstart spmv twostage_gap; do
     go build -o "${sched_dir}/${example}" "./examples/${example}"
     timeout 60 "${sched_dir}/${example}" > /dev/null
 done
+
+echo "== daggen leg: every listed instance resolves by name"
+go build -o "${sched_dir}/daggen" ./cmd/daggen
+"${sched_dir}/daggen" -list | awk '{print $1}' > "${sched_dir}/names.txt"
+distinct="$(sort -u "${sched_dir}/names.txt" | wc -l)"
+listed="$(wc -l < "${sched_dir}/names.txt")"
+if [ "${distinct}" -ne 44 ] || [ "${listed}" -ne 44 ]; then
+    echo "daggen leg: -list printed ${listed} names, ${distinct} distinct; want 44" >&2
+    exit 1
+fi
+while read -r name; do
+    "${sched_dir}/daggen" -instance "${name}" > /dev/null
+done < "${sched_dir}/names.txt"
 
 echo "== serving smoke: mbsp-served cache hit + graceful drain"
 sh scripts/serve_smoke.sh
