@@ -51,6 +51,11 @@ type Result struct {
 	Improved bool
 }
 
+// maxRejectSlots caps the local search's table of rejected moves, two
+// slots per node and processor (4 MiB of uint32). A search on a larger
+// DAG × P re-scores repeated moves instead.
+const maxRejectSlots = 1 << 20
+
 // InitialAssignment extracts a node→processor assignment from an MBSP
 // schedule: each node goes to the processor that computes it first.
 // Source nodes map to −1.
@@ -154,6 +159,19 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 	trial := make([]int, len(cur))
 	curCost := bestCost
 	stale := 0
+	// rejected remembers, per single-node or node-plus-children move
+	// (move, v, q), the epoch in which it was last rejected, shifted
+	// left once, with the low bit set if the bound screened it. The
+	// epoch rises with every accepted move, so a slot stamped with the
+	// current epoch names a trial rejected against the same cur and the
+	// same limit, which would be rejected again: the search counts it
+	// without re-scoring it (DESIGN.md, "Rejected moves are not
+	// re-scored"). The table is left out above maxRejectSlots.
+	var rejected []uint32
+	if 2*g.N()*arch.P <= maxRejectSlots {
+		rejected = make([]uint32, 2*g.N()*arch.P)
+	}
+	epoch := uint32(1)
 	for res.Evals < opts.Budget && stale < 6*len(movable) {
 		if opts.Context != nil && opts.Context.Err() != nil {
 			res.Schedule, res.Cost = best, bestCost
@@ -161,37 +179,43 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 		}
 		v := movable[rng.Intn(len(movable))]
 		move := rng.Intn(3)
-		copy(trial, cur)
-		switch move {
-		case 0: // move one node to a random other processor
+		slot := -1
+		if move < 2 { // move one node (0), or a node and its same-proc children (1), to another processor
 			q := rng.Intn(arch.P)
-			if q == trial[v] {
+			if q == cur[v] {
 				q = (q + 1) % arch.P
 			}
-			trial[v] = q
-		case 1: // move a node and all its same-proc children
-			q := rng.Intn(arch.P)
-			if q == trial[v] {
-				q = (q + 1) % arch.P
-			}
-			old := trial[v]
-			trial[v] = q
-			for _, w := range g.Children(v) {
-				if !g.IsSource(w) && trial[w] == old {
-					trial[w] = q
+			if rejected != nil {
+				slot = (move*g.N()+v)*arch.P + q
+				if rejected[slot]>>1 == epoch {
+					res.Evals++
+					res.Screened += int(rejected[slot] & 1)
+					stale++
+					continue
 				}
 			}
-		default: // swap processors of two nodes
+			copy(trial, cur)
+			trial[v] = q
+			if move == 1 {
+				for _, w := range g.Children(v) {
+					if !g.IsSource(w) && trial[w] == cur[v] {
+						trial[w] = q
+					}
+				}
+			}
+		} else { // swap processors of two nodes
 			w := movable[rng.Intn(len(movable))]
-			if trial[v] == trial[w] {
+			if cur[v] == cur[w] {
 				// A no-op swap: the trial is cur, which always scores
 				// as cur did and is rejected. It still spends a move.
 				res.Evals++
 				stale++
 				continue
 			}
+			copy(trial, cur)
 			trial[v], trial[w] = trial[w], trial[v]
 		}
+		screened := res.Screened
 		s, c, ok := eval(trial, curCost-1e-9)
 		if ok && c < curCost-1e-9 && s.Validate() == nil {
 			cur, trial, curCost = trial, cur, c
@@ -199,8 +223,15 @@ func Improve(start *mbsp.Schedule, opts Options) Result {
 			if c < bestCost {
 				keep(s, c)
 			}
+			if epoch++; epoch == 1<<31 {
+				clear(rejected)
+				epoch = 1
+			}
 		} else {
 			stale++
+			if slot >= 0 {
+				rejected[slot] = epoch<<1 | uint32(res.Screened-screened)
+			}
 		}
 	}
 	res.Schedule, res.Cost = best, bestCost
