@@ -1,7 +1,12 @@
 package bsp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"mbsp/internal/graph"
 	"mbsp/internal/workloads"
@@ -231,13 +236,45 @@ func TestILPBSPValidAndNotWorse(t *testing.T) {
 	}
 }
 
+// TestILPBSPFallsBackOnHugeModel: exp_N10_K8 at P = 4 builds an
+// 11,788-row model, above the default row cap, so ILP returns the BSPg
+// warm start without a tree search.
 func TestILPBSPFallsBackOnHugeModel(t *testing.T) {
-	inst, err := workloads.ByName("spmv_N10")
+	inst, err := workloads.ByName("exp_N10_K8")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSched(t)(ILP(inst.DAG, 4, ILPOptions{G: 1, L: 10, MaxModelRows: 10}))
+	s := mustSched(t)(ILP(inst.DAG, 4, ILPOptions{G: 1, L: 10}))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	warm := mustSched(t)(BSPg(inst.DAG, 4, BSPgOptions{G: 1}))
+	if !slices.Equal(s.Proc, warm.Proc) || !slices.Equal(s.Step, warm.Step) {
+		t.Fatal("ILP did not fall back to the BSPg schedule")
+	}
+}
+
+// ilpGoldenDigest is the SHA-256 over Proc and Step of every ILP schedule
+// TestILPGoldenDigest builds.
+const ilpGoldenDigest = "d55623d6cbfd2659c94fb42ba6b8978698723a966e73d636d5913d170dbb78f0"
+
+// TestILPGoldenDigest pins the ILP schedules of the cases whose tree
+// finishes (or spends its 3000 nodes) in about a second each, so no
+// clock binds and the bytes are deterministic.
+func TestILPGoldenDigest(t *testing.T) {
+	h := sha256.New()
+	for _, c := range []struct {
+		name string
+		p    int
+	}{{"spmv_N6", 2}, {"spmv_N10", 2}, {"spmv_N10", 4}} {
+		inst, err := workloads.ByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := mustSched(t)(ILP(inst.DAG, c.p, ILPOptions{G: 1, L: 10, TimeLimit: time.Hour, Workers: 2}))
+		fmt.Fprintf(h, "%s P=%d\n%v\n%v\n", c.name, c.p, s.Proc, s.Step)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != ilpGoldenDigest {
+		t.Fatalf("ILP golden digest %s, want %s", got, ilpGoldenDigest)
 	}
 }
