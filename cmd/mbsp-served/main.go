@@ -8,8 +8,7 @@
 //	mbsp-served [-addr :8035] [-cache-entries 1024] [-cache-path DIR]
 //	            [-max-inflight 0] [-compute-timeout 60s] [-max-body 8388608]
 //	            [-seed 1] [-node-limit 20000] [-workers 0] [-mip-workers 0]
-//	            [-drain-timeout 30s] [-persist-fault-seed 0]
-//	            [-persist-fault-rate 0.25] [-quiet]
+//	            [-drain-timeout 30s] [-quiet]
 //
 // Endpoints:
 //
@@ -43,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"mbsp/internal/faultinject"
 	"mbsp/internal/server"
 )
 
@@ -61,8 +59,6 @@ func main() {
 		workers      = flag.Int("workers", 0, "portfolio candidate worker pool size (0: GOMAXPROCS); never changes results")
 		mipWork      = flag.Int("mip-workers", 0, "worker pool inside each branch-and-bound tree (0: automatic); never changes results")
 		drainTO      = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for draining in-flight requests")
-		pfSeed       = flag.Uint64("persist-fault-seed", 0, "seed for deterministic filesystem fault injection into the durable cache (0: off); chaos testing only")
-		pfRate       = flag.Float64("persist-fault-rate", faultinject.DefaultRate, "per-write injection probability when -persist-fault-seed is set")
 		quiet        = flag.Bool("quiet", false, "suppress per-request portfolio logging")
 	)
 	flag.Parse()
@@ -73,16 +69,9 @@ func main() {
 		logf = func(string, ...interface{}) {}
 	}
 
-	var inject *faultinject.Injector
-	if *pfSeed != 0 {
-		inject = faultinject.New(*pfSeed, *pfRate, 0, faultinject.FSModes()...)
-		logger.Printf("persistence fault injection: %s", inject)
-	}
-
 	srv, err := server.New(server.Config{
 		CacheEntries:    *cacheEntries,
 		CachePath:       *cachePath,
-		PersistInject:   inject,
 		MaxInflight:     *maxInflight,
 		ComputeTimeout:  *computeTO,
 		MaxRequestBytes: *maxBody,

@@ -1,6 +1,7 @@
 package bsp
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"mbsp/internal/graph"
+	"mbsp/internal/mip"
 	"mbsp/internal/workloads"
 )
 
@@ -24,10 +26,17 @@ func mustSched(t *testing.T) func(*Schedule, error) *Schedule {
 	}
 }
 
+// within returns a tree environment whose clock stops d from now.
+func within(t *testing.T, d time.Duration) mip.Options {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return mip.Options{Context: ctx}
+}
+
 func TestBSPgValidOnTinySet(t *testing.T) {
 	for _, inst := range workloads.Tiny() {
 		for _, p := range []int{1, 2, 4, 8} {
-			s := mustSched(t)(BSPg(inst.DAG, p, BSPgOptions{G: 1}))
+			s := mustSched(t)(BSPg(inst.DAG, p, 1))
 			if err := s.Validate(); err != nil {
 				t.Errorf("%s P=%d: %v", inst.Name, p, err)
 			}
@@ -41,7 +50,7 @@ func TestBSPgValidOnTinySet(t *testing.T) {
 func TestBSPgUsesMultipleProcessors(t *testing.T) {
 	// A wide DAG should engage more than one processor.
 	g := workloads.SpMV(10, 1)
-	s := mustSched(t)(BSPg(g, 4, BSPgOptions{G: 1}))
+	s := mustSched(t)(BSPg(g, 4, 1))
 	used := map[int]bool{}
 	for v := 0; v < g.N(); v++ {
 		if s.Proc[v] >= 0 {
@@ -55,8 +64,8 @@ func TestBSPgUsesMultipleProcessors(t *testing.T) {
 
 func TestBSPgBeatsSerialOnParallelWork(t *testing.T) {
 	g := workloads.SpMV(10, 1)
-	s4 := mustSched(t)(BSPg(g, 4, BSPgOptions{G: 1}))
-	s1 := mustSched(t)(BSPg(g, 1, BSPgOptions{G: 1}))
+	s4 := mustSched(t)(BSPg(g, 4, 1))
+	s1 := mustSched(t)(BSPg(g, 1, 1))
 	if s4.Cost(1, 1) >= s1.Cost(1, 1) {
 		t.Fatalf("P=4 cost %g not below P=1 cost %g", s4.Cost(1, 1), s1.Cost(1, 1))
 	}
@@ -220,8 +229,8 @@ func TestComputeOrderRespectsAssignmentOrder(t *testing.T) {
 func TestILPBSPValidAndNotWorse(t *testing.T) {
 	for _, inst := range workloads.Tiny()[:4] {
 		g := inst.DAG
-		warm := mustSched(t)(BSPg(g, 2, BSPgOptions{G: 1}))
-		s := mustSched(t)(ILP(g, 2, ILPOptions{G: 1, L: 10, TimeLimit: 2e9}))
+		warm := mustSched(t)(BSPg(g, 2, 1))
+		s := mustSched(t)(ILP(g, 2, 1, 10, within(t, 2*time.Second)))
 		if err := s.Validate(); err != nil {
 			t.Fatalf("%s: %v", inst.Name, err)
 		}
@@ -244,11 +253,11 @@ func TestILPBSPFallsBackOnHugeModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := mustSched(t)(ILP(inst.DAG, 4, ILPOptions{G: 1, L: 10}))
+	s := mustSched(t)(ILP(inst.DAG, 4, 1, 10, mip.Options{}))
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	warm := mustSched(t)(BSPg(inst.DAG, 4, BSPgOptions{G: 1}))
+	warm := mustSched(t)(BSPg(inst.DAG, 4, 1))
 	if !slices.Equal(s.Proc, warm.Proc) || !slices.Equal(s.Step, warm.Step) {
 		t.Fatal("ILP did not fall back to the BSPg schedule")
 	}
@@ -258,9 +267,9 @@ func TestILPBSPFallsBackOnHugeModel(t *testing.T) {
 // TestILPGoldenDigest builds.
 const ilpGoldenDigest = "d55623d6cbfd2659c94fb42ba6b8978698723a966e73d636d5913d170dbb78f0"
 
-// TestILPGoldenDigest pins the ILP schedules of the cases whose tree
-// finishes (or spends its 3000 nodes) in about a second each, so no
-// clock binds and the bytes are deterministic.
+// TestILPGoldenDigest pins the ILP schedules of cases whose tree finishes
+// within its node budget in seconds; no clock runs, so the bytes are
+// deterministic.
 func TestILPGoldenDigest(t *testing.T) {
 	h := sha256.New()
 	for _, c := range []struct {
@@ -271,7 +280,7 @@ func TestILPGoldenDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := mustSched(t)(ILP(inst.DAG, c.p, ILPOptions{G: 1, L: 10, TimeLimit: time.Hour, Workers: 2}))
+		s := mustSched(t)(ILP(inst.DAG, c.p, 1, 10, mip.Options{Workers: 2}))
 		fmt.Fprintf(h, "%s P=%d\n%v\n%v\n", c.name, c.p, s.Proc, s.Step)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != ilpGoldenDigest {

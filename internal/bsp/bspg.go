@@ -7,14 +7,6 @@ import (
 	"mbsp/internal/graph"
 )
 
-// BSPgOptions tunes the greedy scheduler.
-type BSPgOptions struct {
-	// G is the per-unit communication cost: a candidate processor's
-	// affinity for a node is G times the memory of the parents it already
-	// holds.
-	G float64
-}
-
 // imbalanceRatio ends a superstep once the least-loaded processor has at
 // least this fraction of the most-loaded one and no communication-free
 // node is available.
@@ -32,9 +24,14 @@ const maxStepWork = 2.0
 // up (all remaining ready nodes would need a value computed on another
 // processor in the current superstep) or the work quota is met.
 //
+// gCost is the per-unit communication cost: a candidate processor's
+// affinity for a node is gCost times the memory of the parents it
+// already holds. Products are wrapped in float64(...) so that no CPU
+// fuses them into an add, which would make the choices depend on the CPU.
+//
 // Returns ErrNoProgress (or graph.ErrCyclic for a cyclic input) instead
 // of a schedule when the greedy loop cannot place every node.
-func BSPg(g *graph.DAG, p int, opts BSPgOptions) (*Schedule, error) {
+func BSPg(g *graph.DAG, p int, gCost float64) (*Schedule, error) {
 	s := NewSchedule(g, p)
 	bl, err := g.BottomLevels()
 	if err != nil {
@@ -117,9 +114,9 @@ func BSPg(g *graph.DAG, p int, opts BSPgOptions) (*Schedule, error) {
 								ok = false // cross-proc dependence inside this superstep
 								break
 							}
-							affinity += opts.G * g.Mem(u)
+							affinity += float64(gCost * g.Mem(u))
 						} else if s.Proc[u] == q {
-							affinity += opts.G * g.Mem(u)
+							affinity += float64(gCost * g.Mem(u))
 						}
 					}
 					if !ok {
@@ -127,7 +124,7 @@ func BSPg(g *graph.DAG, p int, opts BSPgOptions) (*Schedule, error) {
 					}
 					// Score: priority first, then communication affinity,
 					// then lighter load.
-					score := bl[v] + affinity - 1e-3*load[q]
+					score := bl[v] + affinity - float64(1e-3*load[q])
 					if score > bestScore {
 						bestScore = score
 						bestNode, bestProc = v, q

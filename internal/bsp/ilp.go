@@ -1,33 +1,20 @@
 package bsp
 
 import (
-	"context"
-	"time"
-
 	"mbsp/internal/graph"
 	"mbsp/internal/lp"
 	"mbsp/internal/mip"
 )
 
-// ILPOptions configures the ILP-based BSP scheduler (the paper's stronger
-// stage-1 baseline, "similar to [36]").
-type ILPOptions struct {
-	G, L      float64
-	TimeLimit time.Duration // default 10s
-	// Workers bounds the goroutines solving branch-and-bound node
-	// relaxations concurrently (mip.Options.Workers); the schedule is
-	// identical for any value. Default 1.
-	Workers int
-	// MaxModelRows falls back to the BSPg schedule when the model would
-	// exceed this many rows. Default mip.DefaultMaxModelRows.
-	MaxModelRows int
-}
-
-// ilpNodeLimit bounds the ILP's branch-and-bound tree.
+// ilpNodeLimit bounds the ILP's branch-and-bound tree when the caller
+// sets no NodeLimit.
 const ilpNodeLimit = 3000
 
-// ILP formulates BSP scheduling (no memory constraints) as an integer
-// program and solves it with branch and bound, warm-started from BSPg.
+// ILP is the ILP-based BSP scheduler (the paper's stronger stage-1
+// baseline, "similar to [36]") under communication cost gCost and
+// superstep latency l. It formulates BSP scheduling (no memory
+// constraints) as an integer program and solves it with branch and
+// bound, warm-started from BSPg.
 // Binary x[v][p][s] assigns non-source node v to processor p in superstep
 // s; precedence requires a parent to be finished on the same processor by
 // the same superstep or anywhere strictly earlier. The objective is
@@ -35,18 +22,18 @@ const ilpNodeLimit = 3000
 //	Σ_s maxwork_s + g·(total communicated volume) + L·(used supersteps),
 //
 // a volume-based relaxation of the h-relation cost that keeps the model
-// linear and compact. Falls back to the BSPg schedule when limits bind;
-// errors only when the BSPg warm start itself fails.
-func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
-	warm, err := BSPg(g, p, BSPgOptions{G: opts.G})
+// linear and compact.
+//
+// run is the tree's environment: run.Context carries the caller's clock
+// (nil: none), run.NodeLimit 0 selects 3000 nodes and run.Workers sets
+// the tree workers; ILP sets run.WarmStart itself. Falls back to the
+// BSPg schedule when the model exceeds mip.DefaultMaxModelRows rows or
+// the tree returns no usable solution; errors only when the BSPg warm
+// start itself fails.
+func ILP(g *graph.DAG, p int, gCost, l float64, run mip.Options) (*Schedule, error) {
+	warm, err := BSPg(g, p, gCost)
 	if err != nil {
 		return nil, err
-	}
-	if opts.TimeLimit == 0 {
-		opts.TimeLimit = 10 * time.Second
-	}
-	if opts.MaxModelRows == 0 {
-		opts.MaxModelRows = mip.DefaultMaxModelRows
 	}
 	// The superstep horizon: the warm start's plus one spare.
 	S := warm.NumSteps + 1
@@ -141,7 +128,7 @@ func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
 			continue
 		}
 		for q := 0; q < p; q++ {
-			d := m.AddBinary("d", opts.G*g.Mem(u))
+			d := m.AddBinary("d", gCost*g.Mem(u))
 			y[u][q] = d
 			for _, w := range g.Children(u) {
 				if g.IsSource(w) {
@@ -158,28 +145,30 @@ func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
 		}
 	}
 	// Superstep usage for the L term.
+	used := make([]int, S)
 	for s := 0; s < S; s++ {
-		used := m.AddBinary("used", opts.L)
+		used[s] = m.AddBinary("used", l)
 		for q := 0; q < p; q++ {
 			for v := 0; v < n; v++ {
 				if !g.IsSource(v) {
-					m.AddLE(0, lp.Coef{Var: x[v][q][s], Val: 1}, lp.Coef{Var: used, Val: -1})
+					m.AddLE(0, lp.Coef{Var: x[v][q][s], Val: 1}, lp.Coef{Var: used[s], Val: -1})
 				}
 			}
 		}
 	}
 
-	if m.NumRows() > opts.MaxModelRows {
+	if m.NumRows() > mip.DefaultMaxModelRows {
 		return warm, nil
 	}
 
-	// Warm start from BSPg.
+	// Warm start from BSPg: its assignment and the supersteps it uses.
 	ws := make([]float64, m.NumVars())
 	for v := 0; v < n; v++ {
 		if g.IsSource(v) {
 			continue
 		}
 		ws[x[v][warm.Proc[v]][warm.Step[v]]] = 1
+		ws[used[warm.Step[v]]] = 1
 	}
 	// Continuous/indicator warm values: recompute minimal feasible.
 	for s := 0; s < S; s++ {
@@ -216,33 +205,12 @@ func ILP(g *graph.DAG, p int, opts ILPOptions) (*Schedule, error) {
 			}
 		}
 	}
-	// "used" indicators: set from warm schedule. Their variable indices
-	// are the trailing binaries; recompute by scanning names.
-	for j := 0; j < m.NumVars(); j++ {
-		if m.Name(j) == "used" {
-			ws[j] = 0
-		}
-	}
-	usedIdx := make([]int, 0, S)
-	for j := 0; j < m.NumVars(); j++ {
-		if m.Name(j) == "used" {
-			usedIdx = append(usedIdx, j)
-		}
-	}
-	for s := 0; s < S && s < len(usedIdx); s++ {
-		for v := 0; v < n; v++ {
-			if !g.IsSource(v) && warm.Step[v] == s {
-				ws[usedIdx[s]] = 1
-				break
-			}
-		}
-	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), opts.TimeLimit)
-	defer cancel()
-	res := m.Solve(mip.Options{
-		Context: ctx, NodeLimit: ilpNodeLimit, WarmStart: ws, Workers: opts.Workers,
-	})
+	if run.NodeLimit == 0 {
+		run.NodeLimit = ilpNodeLimit
+	}
+	run.WarmStart = ws
+	res := m.Solve(run)
 	if res.X == nil {
 		return warm, nil
 	}

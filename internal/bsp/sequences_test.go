@@ -61,9 +61,9 @@ func TestSequencesMatchSortedComputeOrder(t *testing.T) {
 		g := inst.DAG
 		check(inst.Name+" DFS", DFS(g))
 		for _, p := range []int{2, 4} {
-			check(inst.Name+" BSPg", mustSched(t)(BSPg(g, p, BSPgOptions{G: 1})))
+			check(inst.Name+" BSPg", mustSched(t)(BSPg(g, p, 1)))
 			check(inst.Name+" Cilk", mustSched(t)(Cilk(g, p, 7)))
-			check(inst.Name+" ILP", mustSched(t)(ILP(g, p, ILPOptions{G: 1, L: 10, TimeLimit: 100 * time.Millisecond})))
+			check(inst.Name+" ILP", mustSched(t)(ILP(g, p, 1, 10, within(t, 100*time.Millisecond))))
 			proc := make([]int, g.N())
 			for v := range proc {
 				proc[v] = -1

@@ -11,6 +11,8 @@
 package experiments
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -169,8 +171,9 @@ func CilkLRUMethod() Method {
 // ILP warm-started from it ("bsp-ilp+ilp"). The pair shares one stage-1
 // solve per instance: whichever of an instance's two cells runs first
 // solves it, and the other derives its column from the same schedule,
-// so bsp-ilp+ilp never exceeds bsp-ilp. A pair serves one grid, under
-// one Config.
+// so bsp-ilp+ilp never exceeds bsp-ilp. The stage-1 tree runs in the
+// grid's tree environment, cfg.ILP.Tree(), with its clock narrowed to
+// cfg.ILP.TimeLimit. A pair serves one grid, under one Config.
 func bspILPMethods() (base, plus Method) {
 	type stage1 struct {
 		once  sync.Once
@@ -182,9 +185,12 @@ func bspILPMethods() (base, plus Method) {
 		v, _ := solved.LoadOrStore(g, &stage1{})
 		st := v.(*stage1)
 		st.once.Do(func() {
-			b, err := bsp.ILP(g, arch.P, bsp.ILPOptions{
-				G: arch.G, L: arch.L, TimeLimit: cfg.ILP.TimeLimit, Workers: cfg.ILP.MIPWorkers,
-			})
+			run := cfg.ILP.Tree()
+			var cancel context.CancelFunc
+			run.Context, cancel = context.WithTimeout(cmp.Or(run.Context, context.Background()),
+				cmp.Or(cfg.ILP.TimeLimit, ilpsched.DefaultTimeLimit))
+			b, err := bsp.ILP(g, arch.P, arch.G, arch.L, run)
+			cancel()
 			if err == nil {
 				st.sched, err = twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
 			}

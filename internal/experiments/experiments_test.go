@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"strings"
@@ -9,7 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"mbsp/internal/bsp"
 	"mbsp/internal/lp"
+	"mbsp/internal/memmgr"
+	"mbsp/internal/mip"
+	"mbsp/internal/twostage"
 	"mbsp/internal/workloads"
 )
 
@@ -180,6 +185,42 @@ func TestBSPILPPlusILPNotAboveBSPILP(t *testing.T) {
 				t.Errorf("workers=%d %s: bsp-ilp+ilp %g > bsp-ilp %g", workers, r.Instance, r.Costs[1], r.Costs[0])
 			}
 		}
+	}
+}
+
+// TestBSPILPRunsInGridTree: the bsp-ilp stage 1 runs in the grid's tree
+// environment. A cancelled ILP.Context stops its tree before the root
+// relaxation, so the grid's LUStats count no factorization and the
+// column is the warm start's; a tree that ignored the context would
+// factor the root within its 200 ms TimeLimit.
+func TestBSPILPRunsInGridTree(t *testing.T) {
+	inst, err := workloads.ByName("bicgstab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := quickCfg()
+	cfg.ILP.Context, cfg.ILP.LUStats = ctx, &lp.FactorStats{}
+	arch := cfg.Arch(inst.DAG)
+	base, _ := bspILPMethods()
+	got, err := base.Run(inst.DAG, arch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *cfg.ILP.LUStats != (lp.FactorStats{}) {
+		t.Fatalf("the stage-1 tree factored under a cancelled context: %+v", *cfg.ILP.LUStats)
+	}
+	b, err := bsp.ILP(inst.DAG, arch.P, arch.G, arch.L, mip.Options{Context: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := twostage.Convert(b, arch, memmgr.Clairvoyant{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := got.Cost(cfg.ILP.Model), want.Cost(cfg.ILP.Model); g != w {
+		t.Fatalf("bsp-ilp cost %g under a cancelled context, want the warm start's %g", g, w)
 	}
 }
 

@@ -56,7 +56,8 @@ type Options struct {
 	// horizon grows accordingly; only small instances remain tractable.
 	NoStepMerging bool
 	// TimeLimit bounds the branch-and-bound search: Solve runs the tree
-	// search under Context narrowed by this timeout. Default 10s.
+	// search under Context narrowed by this timeout. Default
+	// DefaultTimeLimit.
 	TimeLimit time.Duration
 	// NodeLimit bounds the search tree size. Default 5000.
 	NodeLimit int
@@ -74,10 +75,11 @@ type Options struct {
 	// nil, Solve builds twostage.Baseline itself.
 	WarmStart *mbsp.Schedule
 	// Incumbent, when non-nil, is a read-only upper bound on the schedule
-	// cost under Model (the portfolio's sealed baseline cost): Solve
-	// prunes the branch-and-bound tree against it and never writes to
-	// it. Costs are only comparable across solvers of the same instance
-	// and model; the caller owns that invariant.
+	// cost under Model (the portfolio's sealed baseline cost). Only the
+	// divide-and-conquer scheduler reads it, as its between-parts cutoff;
+	// Solve's tree prunes against its own incumbent only. Costs are only
+	// comparable across solvers of the same instance and model; the
+	// caller owns that invariant.
 	Incumbent *mip.Incumbent
 	// NeedBlue is the divide-and-conquer subproblems' boundary
 	// condition: nodes (besides sinks) that must be blue at the end.
@@ -103,8 +105,12 @@ type Options struct {
 	LUStats *lp.FactorStats
 }
 
+// DefaultTimeLimit is the tree-search time limit when TimeLimit is 0.
+const DefaultTimeLimit = 10 * time.Second
+
 // Tree returns the branch-and-bound environment of every tree these
-// options run, as set: Solve's and the divide-and-conquer partitioner's.
+// options run, as set: Solve's, the divide-and-conquer partitioner's and
+// the experiment grid's bsp.ILP stage 1.
 func (o Options) Tree() mip.Options {
 	return mip.Options{
 		Context:   o.Context,
@@ -124,7 +130,7 @@ func (o Options) withDefaults() Options {
 		o.ExtraSteps = 2
 	}
 	if o.TimeLimit == 0 {
-		o.TimeLimit = 10 * time.Second
+		o.TimeLimit = DefaultTimeLimit
 	}
 	if o.NodeLimit == 0 {
 		o.NodeLimit = 5000

@@ -56,7 +56,7 @@ func solve(g *graph.DAG, arch mbsp.Arch, opts Options, reference bool) (*mbsp.Sc
 		stats.UsedILP = true
 		ctx, cancel := context.WithTimeout(opts.Context, opts.TimeLimit)
 		run := opts.Tree()
-		run.Context, run.WarmStart, run.ReferenceLP, run.SharedIncumbent = ctx, x, reference, opts.Incumbent
+		run.Context, run.WarmStart, run.ReferenceLP = ctx, x, reference
 		res := im.m.Solve(run)
 		cancel()
 		stats.ILPStatus = res.Status.String()

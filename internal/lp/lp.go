@@ -249,18 +249,6 @@ type pivotRec struct {
 	enter, leave int32
 }
 
-// clone returns an independent copy (Basis handed to callers must not
-// alias solver workspace). The recipe fields are immutable and may be
-// shared.
-func (b *Basis) clone() *Basis {
-	return &Basis{
-		basic:  append([]int32(nil), b.basic...),
-		stat:   append([]vstat(nil), b.stat...),
-		anchor: b.anchor,
-		script: b.script,
-	}
-}
-
 // Solve minimizes the problem with the sparse solver. It is shorthand for
 // Prepare(p).Solve(p.Lb, p.Ub, opts); callers that re-solve the same rows
 // under varying bounds should Prepare once and reuse the Instance.

@@ -7,6 +7,11 @@ package mbsp
 //	                       + max_p cost(Ψload_p) + L ].
 //
 // The schedule is assumed valid; call Validate first.
+//
+// Every product in this file is wrapped in float64(...), which Go rounds
+// on its own: the compiler may otherwise fuse it into the following add
+// (one FMA instruction on arm64, none on amd64), and the cost would then
+// depend on the CPU.
 func (s *Schedule) SyncCost() float64 {
 	total := 0.0
 	for i := range s.Steps {
@@ -28,10 +33,10 @@ func (s *Schedule) phaseMax(i int) (maxComp, maxSave, maxLoad float64) {
 			}
 		}
 		for _, v := range ps.Save {
-			save += s.Arch.G * s.Graph.Mem(v)
+			save += float64(s.Arch.G * s.Graph.Mem(v))
 		}
 		for _, v := range ps.Load {
-			load += s.Arch.G * s.Graph.Mem(v)
+			load += float64(s.Arch.G * s.Graph.Mem(v))
 		}
 		maxComp = max(maxComp, comp)
 		maxSave = max(maxSave, save)
@@ -103,7 +108,7 @@ func (c *CostScratch) async(s *Schedule) float64 {
 		for p := range s.Steps[i].Procs {
 			ps := &s.Steps[i].Procs[p]
 			for _, v := range ps.Save {
-				gamma[p] += s.Arch.G * g.Mem(v)
+				gamma[p] += float64(s.Arch.G * g.Mem(v))
 				switch t := minThis[v]; {
 				case t == unsaved:
 					minThis[v] = gamma[p]
@@ -127,7 +132,7 @@ func (c *CostScratch) async(s *Schedule) float64 {
 				if t := avail[v]; t != unsaved && t > start {
 					start = t
 				}
-				gamma[p] = start + s.Arch.G*g.Mem(v)
+				gamma[p] = start + float64(s.Arch.G*g.Mem(v))
 			}
 		}
 	}

@@ -6,16 +6,15 @@ import (
 )
 
 // Incumbent is a monotone, concurrency-safe upper bound on a shared
-// minimization objective. Solvers working on the same objective read the
-// best known bound with Get; branch-and-bound then prunes any subtree
-// whose LP relaxation cannot beat the bound.
+// minimization objective. The branch-and-bound tree does not read it: a
+// tree prunes against its own incumbent only. The scheduler portfolio
+// offers its baseline cost once and seals the incumbent before any
+// candidate starts; the divide-and-conquer scheduler reads it with Get
+// as its between-parts cutoff (see DESIGN.md). The type stays in this
+// package because the benchmark module builds one by name.
 //
-// The bound only ever decreases (Offer), so pruning against it removes
-// only provably non-improving subtrees. Seal freezes the current value:
-// subsequent Offers are ignored. The scheduler portfolio offers its
-// baseline cost once and seals the incumbent before any solver starts,
-// because updates at timing-dependent points would perturb the
-// deterministic node accounting — see DESIGN.md.
+// The bound only ever decreases (Offer). Seal freezes the current value:
+// subsequent Offers are ignored.
 type Incumbent struct {
 	bits   atomic.Uint64 // math.Float64bits of the current bound
 	sealed atomic.Bool

@@ -8,8 +8,7 @@
 // (lp.Prepare), every node carries its parent's optimal basis, and child
 // relaxations — which differ from the parent by a single variable bound
 // — are dual-reoptimized with lp.SolveFrom in a handful of iterations
-// instead of a cold phase-1 start. An optional shared Incumbent lets
-// concurrent solves of the same objective prune each other's trees.
+// instead of a cold phase-1 start.
 //
 // The tree search itself is parallel: Options.Workers goroutines solve
 // node relaxations pulled from a shared best-bound work queue, with
@@ -277,13 +276,6 @@ type Options struct {
 	// reproducible should let NodeLimit bind instead.
 	Workers int
 
-	// SharedIncumbent, when non-nil, supplies an externally updated upper
-	// bound on the same objective: pruning tests against
-	// min(own incumbent, SharedIncumbent.Get()), so a bound published by
-	// a concurrent solver cuts this tree too. The solver never writes to
-	// it. Live updates arrive at timing-dependent points, so node-limited
-	// runs that need byte-identical results must pass a sealed incumbent.
-	SharedIncumbent *Incumbent
 	// ColdStart disables dual re-solves from the parent basis, cold
 	// starting every node as the pre-warm-start solver did (ablation and
 	// cross-check baseline).
@@ -375,11 +367,9 @@ func (m *Model) Solve(opts Options) Result {
 		return res
 	}
 	if res.X == nil {
-		if e.sharedCut || e.truncated {
-			// Either every remaining subtree was dominated by a bound some
-			// other solver published — this search has no solution of its
-			// own — or the node budget truncated the tree; in neither case
-			// is the model proven infeasible.
+		if e.truncated {
+			// Part of the tree went unexplored (see bbEngine.truncated):
+			// the model is not proven infeasible.
 			res.Status = NoSolution
 			res.Bound = e.rootBound
 			return res
@@ -388,9 +378,9 @@ func (m *Model) Solve(opts Options) Result {
 		res.Bound = math.Inf(1)
 		return res
 	}
-	if e.sharedCut || e.truncated {
-		// Completion proves "nothing beats the shared bound" (or the
-		// budget bound the tree), not that the own incumbent is optimal.
+	if e.truncated {
+		// Part of the tree went unexplored: the incumbent is not proven
+		// optimal.
 		res.Status = Feasible
 		res.Bound = e.rootBound
 		return res

@@ -129,35 +129,6 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// TestParallelSharedSealedIncumbent: a sealed shared incumbent is part of
-// the deterministic contract — pruning against a frozen external bound
-// must not reintroduce worker-count dependence.
-func TestParallelSharedSealedIncumbent(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	m := randomMixedModel(rng)
-	base := m.Solve(Options{})
-	if base.Status != Optimal {
-		t.Skipf("fixture not solved to optimality: %v", base.Status)
-	}
-	inc := NewIncumbent()
-	inc.Offer(base.Obj + 3)
-	inc.Seal()
-	var want string
-	for _, workers := range []int{1, 2, 8} {
-		res := m.Solve(Options{
-			NodeLimit: 40, Workers: workers, SharedIncumbent: inc,
-		})
-		got := solveSnapshot(res)
-		if want == "" {
-			want = got
-			continue
-		}
-		if got != want {
-			t.Fatalf("Workers=%d diverged under sealed shared incumbent\nfirst: %s\nthis:  %s", workers, want, got)
-		}
-	}
-}
-
 // TestParallelMatchesBruteForce: correctness of the parallel path itself —
 // Workers=8 must still match exhaustive enumeration on random binary
 // programs.

@@ -135,8 +135,7 @@ type bbEngine struct {
 	rootBound float64
 	rootDone  bool
 	bestSeq   int64 // sequence of the incumbent's node (−1: warm start)
-	truncated bool  // some child fell past the node budget
-	sharedCut bool  // some subtree was pruned only by the shared bound
+	truncated bool  // some subtree went unexplored (node budget, unsolved relaxation)
 	aborted   bool  // the context cut the search
 }
 
@@ -383,15 +382,8 @@ func (e *bbEngine) commit(s *bbSlot) {
 		e.truncated = true
 		return
 	}
-	cutoff := res.Obj
-	if v := e.opts.SharedIncumbent.Get(); v < cutoff {
-		cutoff = v
-	}
-	if lpRes.Obj >= cutoff-absGap {
-		if lpRes.Obj < res.Obj-absGap {
-			e.sharedCut = true // own incumbent alone would not have pruned
-		}
-		return // pruned: provably not improving on the best known bound
+	if lpRes.Obj >= res.Obj-absGap {
+		return // pruned: provably not improving on the incumbent
 	}
 	// Find most fractional integer variable.
 	branch := -1

@@ -198,51 +198,3 @@ func TestIncumbentConcurrentOffers(t *testing.T) {
 		t.Fatalf("want 0 after concurrent offers, got %g", inc.Get())
 	}
 }
-
-// TestSharedIncumbentPrunes: a shared bound at the optimum makes the tree
-// collapse immediately — and the outcome is NoSolution, not Infeasible.
-func TestSharedIncumbentPrunes(t *testing.T) {
-	build := func() *Model {
-		m := NewModel()
-		var coefs []lp.Coef
-		weights := []float64{3, 5, 7, 11, 13, 17, 19, 23}
-		for j, w := range weights {
-			m.AddBinary("b", -w-float64(j%3))
-			coefs = append(coefs, lp.Coef{Var: j, Val: w})
-		}
-		m.AddRow(coefs, lp.LE, 37)
-		return m
-	}
-	free := build().Solve(Options{})
-	if free.Status != Optimal {
-		t.Fatalf("baseline: %+v", free)
-	}
-	// A concurrent solver published a bound this model cannot beat: the
-	// losing candidate must cut off early with NoSolution, not explore
-	// the tree and not claim infeasibility.
-	inc := NewIncumbent()
-	inc.Offer(free.Obj - 2)
-	pruned := build().Solve(Options{SharedIncumbent: inc})
-	if pruned.Status != NoSolution {
-		t.Fatalf("status=%v want no-solution", pruned.Status)
-	}
-	if pruned.ILPNodes >= free.ILPNodes {
-		t.Fatalf("shared bound saved nothing: %d vs %d nodes", pruned.ILPNodes, free.ILPNodes)
-	}
-}
-
-// TestSharedIncumbentKeepsStrictImprovements: a shared bound worse than
-// the optimum must not cost us the optimum.
-func TestSharedIncumbentKeepsStrictImprovements(t *testing.T) {
-	m := NewModel()
-	a := m.AddBinary("a", -4)
-	b := m.AddBinary("b", -5)
-	c := m.AddBinary("c", -3)
-	m.AddLE(4, lp.Coef{Var: a, Val: 2}, lp.Coef{Var: b, Val: 3}, lp.Coef{Var: c, Val: 1})
-	inc := NewIncumbent()
-	inc.Offer(-7.5)
-	res := m.Solve(Options{SharedIncumbent: inc})
-	if res.X == nil || math.Abs(res.Obj+8) > 1e-6 {
-		t.Fatalf("lost the optimum under a weaker shared bound: %+v", res)
-	}
-}

@@ -70,8 +70,7 @@ func ilpOptions(ctx context.Context, opts Options, name string) ilpsched.Options
 // ILPCandidate is the holistic ILP scheduler under the portfolio's time
 // budget. Cancellation returns its best-so-far schedule (at minimum the
 // warm start), never an error. It reuses the run's memoized baseline as
-// its warm start (and fails with it, rather than rebuilding it) and
-// prunes against the shared incumbent.
+// its warm start (and fails with it, rather than rebuilding it).
 func ILPCandidate() Candidate {
 	return Candidate{Name: "ilp", Run: func(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*mbsp.Schedule, error) {
 		ilpOpts := ilpOptions(ctx, opts, "ilp")
@@ -80,7 +79,6 @@ func ILPCandidate() Candidate {
 				return nil, sh.warmErr
 			}
 			ilpOpts.WarmStart = sh.warm
-			ilpOpts.Incumbent = sh.inc
 		}
 		s, _, err := ilpsched.Solve(g, arch, ilpOpts)
 		return s, err

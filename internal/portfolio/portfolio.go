@@ -201,8 +201,8 @@ func run(ctx context.Context, g *graph.DAG, arch mbsp.Arch, opts Options) (*Resu
 	// Shared per-run state: memoize the two-stage baseline once — it is
 	// a candidate, the ILP's warm start and the anytime fallback — and
 	// seal the portfolio-wide incumbent at its cost before any candidate
-	// starts. The bound is then one value fixed by the input, so pruning
-	// against it never depends on which candidate finished first (see
+	// starts. The bound is then one value fixed by the input, so dnc-ilp's
+	// cutoff against it never depends on which candidate finished first (see
 	// DESIGN.md). Built even when the context is already done, because
 	// the fallback needs it then.
 	sh := &sharedState{inc: mip.NewIncumbent()}

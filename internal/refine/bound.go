@@ -57,7 +57,9 @@ func newMoveBound(g *graph.DAG, arch mbsp.Arch, extraSave []int) *moveBound {
 // with a child on another processor, or an extra save) costs g·μ on the
 // processor that computes it; every value a processor consumes but does
 // not compute costs g·μ there once. Sync adds one L per superstep the
-// converted schedule must have, at least b.NumSteps+1.
+// converted schedule must have, at least b.NumSteps+1. Products are
+// wrapped in float64(...) so that no CPU fuses them into an add (see
+// mbsp.SyncCost).
 func (mb *moveBound) lower(b *bsp.Schedule, arch mbsp.Arch, model mbsp.CostModel) float64 {
 	g, proc := b.Graph, b.Proc
 	work, save, load, mark := mb.work, mb.save, mb.load, mb.mark
@@ -68,7 +70,7 @@ func (mb *moveBound) lower(b *bsp.Schedule, arch mbsp.Arch, model mbsp.CostModel
 		mark[q] = -1
 	}
 	for u, pu := range proc[:g.N()] { // pu is -1 for a source
-		gm := arch.G * g.Mem(u)
+		gm := float64(arch.G * g.Mem(u))
 		saved := mb.extra[u] || g.IsSink(u)
 		for _, w := range g.Children(u) {
 			if q := proc[w]; q != pu {
@@ -97,5 +99,5 @@ func (mb *moveBound) lower(b *bsp.Schedule, arch mbsp.Arch, model mbsp.CostModel
 	for p := range work {
 		w, s, l = max(w, work[p]), max(s, save[p]), max(l, load[p])
 	}
-	return w + s + l + arch.L*float64(b.NumSteps+1)
+	return w + s + l + float64(arch.L*float64(b.NumSteps+1))
 }

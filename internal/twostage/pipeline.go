@@ -51,7 +51,7 @@ func (pl Pipeline) stage1(g *graph.DAG, arch mbsp.Arch, seed int64) (*bsp.Schedu
 	var err error
 	switch pl.Stage1 {
 	case BSPg:
-		b, err = bsp.BSPg(g, arch.P, bsp.BSPgOptions{G: arch.G})
+		b, err = bsp.BSPg(g, arch.P, arch.G)
 	case Cilk:
 		b, err = bsp.Cilk(g, arch.P, seed)
 	case DFS:

@@ -10,6 +10,12 @@
 #      field removal that breaks it must fail here, not at bench time);
 #   2b. staticcheck ./...  (skipped with a warning when the binary is
 #       not installed — the container image does not ship it);
+#   2c. the arm64 leg: cross-build mbsp-served with GOARCH=arm64 into
+#       outdir/mbsp-served-arm64 and disassemble the mbsp, bsp and refine
+#       packages with go tool objdump; it fails on any fused multiply-add
+#       (FMADDD, FMSUBD, FNMADDD, FNMSUBD), which would make the served
+#       cost and the stage-1 choices depend on the CPU (amd64 emits none
+#       at the default GOAMD64=v1, so only a cross-build shows them);
 #   3. go test -race ./...  (includes the solver cross-check tests: the
 #      sparse/warm-started simplex against the dense cold-start
 #      reference, the GOMAXPROCS/worker-count determinism suite, and the
@@ -116,6 +122,20 @@ if command -v staticcheck >/dev/null 2>&1; then
     staticcheck ./...
 else
     echo "== staticcheck: not installed, skipping"
+fi
+
+echo "== arm64 leg: no fused multiply-add in mbsp, bsp or refine"
+GOARCH=arm64 go build -o "${outdir}/mbsp-served-arm64" ./cmd/mbsp-served
+asm="$(go tool objdump -s '^mbsp/internal/(mbsp|bsp|refine)\.' "${outdir}/mbsp-served-arm64")"
+if [ -z "${asm}" ]; then
+    echo "arm64 leg: objdump found no mbsp, bsp or refine symbols" >&2
+    exit 1
+fi
+fused="$(printf '%s\n' "${asm}" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)"
+if [ -n "${fused}" ]; then
+    echo "arm64 leg: fused multiply-adds; wrap each product in float64(...):" >&2
+    echo "${fused}" >&2
+    exit 1
 fi
 
 echo "== go test -race ./..."
