@@ -159,11 +159,11 @@ func SolveOpts(g *graph.DAG, r, gFac float64, opts Options) (Result, error) {
 			bit := uint32(1) << v
 			// LOAD: blue and not red, fits.
 			if cur.blue&bit != 0 && cur.red&bit == 0 && curMem+g.Mem(v) <= r+1e-12 {
-				relax(cur, it.cost, state{cur.red | bit, cur.blue, cur.computed}, gFac*g.Mem(v), move{mbsp.OpLoad, v})
+				relax(cur, it.cost, state{cur.red | bit, cur.blue, cur.computed}, float64(gFac*g.Mem(v)), move{mbsp.OpLoad, v})
 			}
 			// SAVE: red and not blue.
 			if cur.red&bit != 0 && cur.blue&bit == 0 {
-				relax(cur, it.cost, state{cur.red, cur.blue | bit, cur.computed}, gFac*g.Mem(v), move{mbsp.OpSave, v})
+				relax(cur, it.cost, state{cur.red, cur.blue | bit, cur.computed}, float64(gFac*g.Mem(v)), move{mbsp.OpSave, v})
 			}
 			// COMPUTE: non-source, parents red, not red, fits, and (in
 			// no-recompute mode) never computed before.

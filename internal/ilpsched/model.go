@@ -54,7 +54,7 @@ func buildModel(g *graph.DAG, arch mbsp.Arch, opts Options, T int) *ilpModel {
 	// bound covers them.
 	var stepMax float64
 	for v := 0; v < n; v++ {
-		stepMax += g.Comp(v) + 2*arch.G*g.Mem(v)
+		stepMax += g.Comp(v) + float64(2*arch.G*g.Mem(v))
 	}
 	im.bigM = float64(T+1) * stepMax
 	if im.bigM < 1 {

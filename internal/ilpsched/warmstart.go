@@ -260,10 +260,10 @@ func (im *ilpModel) stepCommCost(x []float64, p, t int) float64 {
 	c := 0.0
 	for v := 0; v < im.g.N(); v++ {
 		if j := im.save[p][v][t]; j >= 0 && x[j] > 0.5 {
-			c += im.arch.G * im.g.Mem(v)
+			c += float64(im.arch.G * im.g.Mem(v))
 		}
 		if j := im.load[p][v][t]; j >= 0 && x[j] > 0.5 {
-			c += im.arch.G * im.g.Mem(v)
+			c += float64(im.arch.G * im.g.Mem(v))
 		}
 	}
 	return c
@@ -360,7 +360,7 @@ func (im *ilpModel) assignAsync(x []float64, steps []skelStep) {
 			loadCost := 0.0
 			for v := 0; v < n; v++ {
 				if j := im.load[p][v][t]; j >= 0 && x[j] > 0.5 {
-					loadCost += im.arch.G * g.Mem(v)
+					loadCost += float64(im.arch.G * g.Mem(v))
 				}
 			}
 			for v := 0; v < n; v++ {

@@ -71,7 +71,7 @@ func SolveDense(p *Problem, opts Options) Result {
 	for j := 0; j < s.n; j++ {
 		if s.x[j] != 0 {
 			for _, c := range s.cols[j] {
-				r[c.Var] -= c.Val * s.x[j]
+				r[c.Var] -= float64(c.Val * s.x[j])
 			}
 		}
 	}
@@ -144,7 +144,7 @@ func SolveDense(p *Problem, opts Options) Result {
 	res.X = make([]float64, n)
 	copy(res.X, s.x[:n])
 	for j := 0; j < n; j++ {
-		res.Obj += p.Obj[j] * res.X[j]
+		res.Obj += float64(p.Obj[j] * res.X[j])
 	}
 	return res
 }
@@ -191,7 +191,7 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 			}
 			row := s.binv[i]
 			for k := 0; k < m; k++ {
-				y[k] += cb * row[k]
+				y[k] += float64(cb * row[k])
 			}
 		}
 		// Pricing.
@@ -207,7 +207,7 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 			}
 			d := c[j]
 			for _, cf := range s.cols[j] {
-				d -= y[cf.Var] * cf.Val
+				d -= float64(y[cf.Var] * cf.Val)
 			}
 			var viol float64
 			var dd float64
@@ -239,7 +239,7 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 		}
 		for _, cf := range s.cols[enter] {
 			for i := 0; i < m; i++ {
-				w[i] += s.binv[i][cf.Var] * cf.Val
+				w[i] += float64(s.binv[i][cf.Var] * cf.Val)
 			}
 		}
 		// Ratio test: entering moves by t·dir ≥ 0; basic i changes by
@@ -282,9 +282,9 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 			degenerate = 0
 		}
 		// Apply step.
-		s.x[enter] += dir * tMax
+		s.x[enter] += float64(dir * tMax)
 		for i := 0; i < m; i++ {
-			s.x[s.basis[i]] -= dir * tMax * w[i]
+			s.x[s.basis[i]] -= float64(dir * tMax * w[i])
 		}
 		if leave < 0 {
 			// Bound flip: entering just switches bound.
@@ -326,7 +326,7 @@ func (s *denseSimplex) iterate(c []float64, maxIters int) (Status, int) {
 			f := w[i]
 			ri := s.binv[i]
 			for k := 0; k < m; k++ {
-				ri[k] -= f * rowL[k]
+				ri[k] -= float64(f * rowL[k])
 			}
 		}
 	}

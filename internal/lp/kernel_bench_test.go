@@ -35,14 +35,35 @@ func benchKernel(b *testing.B, run func(*lp.KernelFixture)) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	terms := k.EtaTerms()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(k)
 	}
+	b.StopTimer()
 	m, etas, fill := k.Size()
 	b.ReportMetric(float64(m), "rows")
 	b.ReportMetric(float64(etas), "etas")
 	b.ReportMetric(float64(fill), "fill")
+	b.ReportMetric(float64(k.EtaTerms()-terms)/float64(b.N), "eta_terms/op")
+}
+
+// TestSparseEtaPassOnKernelFixture: on the benchmark factor, btran and
+// btran2 equal the full eta pass up to the sign of a zero, on the
+// fixture's right-hand sides and on sparse random ones.
+func TestSparseEtaPassOnKernelFixture(t *testing.T) {
+	k, err := kernelFixture()
+	if err != nil {
+		t.Fatal(err)
+	}
+	terms, full, err := k.CheckSparseEtaPass(1, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("sparse pass visited %d of %d eta entries", terms, full)
+	if terms*2 > full {
+		t.Fatalf("sparse pass visited %d of %d eta entries: the fixture no longer exercises it", terms, full)
+	}
 }
 
 func BenchmarkFtran(b *testing.B)  { benchKernel(b, (*lp.KernelFixture).Ftran) }

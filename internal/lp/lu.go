@@ -1,6 +1,10 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // This file implements the sparse LU factorization that backs the
 // simplex basis: Markowitz-style pivot selection with threshold partial
@@ -16,7 +20,26 @@ import "math"
 // against it) is a bit-for-bit pure function of the basis columns and
 // the eta history. sparse.go builds on that to make warm re-solves pure
 // functions of (matrix, basis, bounds, seq) — see the replay-recipe
-// comments there and DESIGN.md ("Sparse LU core").
+// comments there and DESIGN.md ("Sparse LU core"). Every product that
+// feeds a sum is written float64(a*b), so no architecture fuses it into
+// a multiply-add that rounds once.
+//
+// BTRAN's eta pass is sparse. A BTRAN right-hand side (c_B, or e_r for
+// the leaving row) has a few nonzeros where the etas are a third dense,
+// and an eta transpose reads the right-hand side only through one dot
+// product. So btranEtas and btran2 carry nz, the ascending positions
+// where a right-hand side may be nonzero (seeded by the callers as they
+// fill it, grown when an eta writes a nonzero at its leave position),
+// and an eta with etaProbeCost times more entries than nz walks nz
+// instead, finding its value at each position through its pattern
+// index: a bitmap of m/64 words plus, per word, the eVal offset of its
+// first entry. A skipped product is a finite value times an exact zero,
+// ±0, so every nonzero of y and ρ keeps the full pass's bits and only a
+// zero can change sign. Nothing reads that sign: reducedCost's results
+// are only compared with ±eps, squared or passed to math.Abs; the Devex
+// and dual row products start from +0, which absorbs −0; and Result
+// exposes neither y nor ρ. An eta holding ±Inf or NaN (Inf·0 is NaN)
+// always takes the full pass.
 
 // luThreshold is the threshold-partial-pivoting factor: a pivot must
 // satisfy |a| ≥ luThreshold·(largest |entry| in its column). Smaller
@@ -79,6 +102,21 @@ type luFactor struct {
 	eLeave []int32
 	ePiv   []float64
 
+	// Pattern index of the eta file, for BTRAN's sparse eta pass: eta e
+	// owns words [e·nw, (e+1)·nw) of eBits (bit i set when position i is
+	// one of its nonzeros) and of eRank (the eVal offset of the word's
+	// first nonzero), so its value at position i is one popcount away.
+	// eNonFinite[e] marks an eta holding an Inf or NaN, whose products
+	// are never skipped.
+	nw         int
+	eBits      []uint64
+	eRank      []int32
+	eNonFinite []bool
+
+	// etaTerms counts the eta entries the FTRAN and BTRAN eta passes
+	// visit (FactorStats.EtaTerms); the solver drains it per solve.
+	etaTerms int64
+
 	nnzFactor int // nnz(L) + nnz(U) + m pivots after factor()
 	nnzBasis  int // nnz of the factored basis matrix
 
@@ -109,6 +147,7 @@ func newLUFactor(m int) *luFactor {
 		upiv:        make([]float64, m),
 		ucPtr:       make([]int32, m+1),
 		ePtr:        make([]int32, 1),
+		nw:          (m + 63) / 64,
 		rowInd:      make([][]int32, m),
 		rowVal:      make([][]float64, m),
 		colRows:     make([][]int32, m),
@@ -132,21 +171,39 @@ func (f *luFactor) truncateEtas(k int) {
 	f.eVal = f.eVal[:end]
 	f.eLeave = f.eLeave[:k]
 	f.ePiv = f.ePiv[:k]
+	f.eBits = f.eBits[:k*f.nw]
+	f.eRank = f.eRank[:k*f.nw]
+	f.eNonFinite = f.eNonFinite[:k]
 }
 
 // appendEta records the product-form update for a basis change at
-// position leave with FTRAN image w (dense, by basis position). The
-// caller has already validated the pivot magnitude.
+// position leave with FTRAN image w (dense, by basis position), and its
+// pattern index. The caller has already validated the pivot magnitude.
 func (f *luFactor) appendEta(leave int, w []float64) {
+	nb := len(f.eBits)
+	f.eBits = slices.Grow(f.eBits, f.nw)[:nb+f.nw]
+	f.eRank = slices.Grow(f.eRank, f.nw)[:nb+f.nw]
+	words, rank := f.eBits[nb:], f.eRank[nb:]
+	clear(words)
+	off := int32(len(f.eIdx))
+	nonFinite := false
 	for i, v := range w[:f.m] {
 		if v != 0 && i != leave {
 			f.eIdx = append(f.eIdx, int32(i))
 			f.eVal = append(f.eVal, v)
+			words[i>>6] |= 1 << (i & 63)
+			// v−v is 0 for every finite v and NaN for ±Inf and NaN.
+			nonFinite = nonFinite || v-v != 0
 		}
+	}
+	for k, wd := range words {
+		rank[k] = off
+		off += int32(bits.OnesCount64(wd))
 	}
 	f.ePtr = append(f.ePtr, int32(len(f.eIdx)))
 	f.eLeave = append(f.eLeave, int32(leave))
 	f.ePiv = append(f.ePiv, w[leave])
+	f.eNonFinite = append(f.eNonFinite, nonFinite)
 }
 
 // nEtas returns the number of product-form updates applied since the
@@ -424,7 +481,7 @@ func (f *luFactor) mergeRow(i int, pInd []int32, pVal []float64, l float64, pc i
 		default: // same column
 			c := aInd[pa]
 			if c != pc {
-				v := aVal[pa] - l*pVal[pb]
+				v := aVal[pa] - float64(l*pVal[pb])
 				if v != 0 {
 					out = append(out, c)
 					outV = append(outV, v)
@@ -504,7 +561,7 @@ func (f *luFactor) ftran(b, w []float64) {
 		rows, vals := lRow[lo:hi], lVal[lo:hi]
 		vals = vals[:len(rows)]
 		for t, i := range rows {
-			b[i] -= vals[t] * bk
+			b[i] -= float64(vals[t] * bk)
 		}
 	}
 	uPtr, uCol, uVal := f.uPtr[:m+1], f.uCol, f.uVal
@@ -514,12 +571,13 @@ func (f *luFactor) ftran(b, w []float64) {
 		cols, vals := uCol[lo:hi], uVal[lo:hi]
 		vals = vals[:len(cols)]
 		for t, c := range cols {
-			v -= vals[t] * w[c]
+			v -= float64(vals[t] * w[c])
 		}
 		w[pcol[k]] = v / upiv[k]
 	}
 	eLeave := f.eLeave
 	ePtr, eIdx, eVal, ePiv := f.ePtr[:len(eLeave)+1], f.eIdx, f.eVal, f.ePiv[:len(eLeave)]
+	terms := 0
 	for e, lv := range eLeave {
 		t := w[lv]
 		if t == 0 {
@@ -530,20 +588,32 @@ func (f *luFactor) ftran(b, w []float64) {
 		idx, vals := eIdx[lo:hi], eVal[lo:hi]
 		vals = vals[:len(idx)]
 		for q, i := range idx {
-			w[i] -= vals[q] * t
+			w[i] -= float64(vals[q] * t)
 		}
 		w[lv] = t
+		terms += int(hi - lo)
 	}
+	f.etaTerms += int64(terms)
 }
 
 // btran solves Bᵀ·y = c in place: c is indexed by basis position
-// (destroyed), y receives the solution indexed by matrix row. Eta
+// (destroyed), y receives the solution indexed by matrix row. nz lists,
+// ascending, a superset of the positions where c is nonzero; the eta
+// pass grows it in place (capacity m avoids a reallocation). Eta
 // transposes apply newest-first, then Uᵀ forward substitution and the
 // reverse Lᵀ sweep.
-func (f *luFactor) btran(c, y []float64) {
+func (f *luFactor) btran(c, y []float64, nz []int32) {
 	m := f.m
 	c, y = c[:m], y[:m]
-	f.btranEtas(c, 0, len(f.eLeave))
+	f.btranEtas(c, nz, 0, len(f.eLeave))
+	f.btranLU(c, y)
+}
+
+// btranLU finishes btran once the eta transposes are applied to c: Uᵀ
+// forward substitution, then the reverse Lᵀ sweep into y.
+func (f *luFactor) btranLU(c, y []float64) {
+	m := f.m
+	c, y = c[:m], y[:m]
 	zs := f.zs[:m]
 	prow, upiv := f.prow[:m], f.upiv[:m]
 	ucPtr, ucStage, ucVal := f.ucPtr[:m+1], f.ucStage, f.ucVal
@@ -553,7 +623,7 @@ func (f *luFactor) btran(c, y []float64) {
 		stages, vals := ucStage[lo:hi], ucVal[lo:hi]
 		vals = vals[:len(stages)]
 		for q, st := range stages {
-			v -= vals[q] * zs[st]
+			v -= float64(vals[q] * zs[st])
 		}
 		zs[k] = v / upiv[k]
 	}
@@ -568,28 +638,88 @@ func (f *luFactor) btran(c, y []float64) {
 		rows, vals := lRow[lo:hi], lVal[lo:hi]
 		vals = vals[:len(rows)]
 		for t, i := range rows {
-			v -= vals[t] * y[i]
+			v -= float64(vals[t] * y[i])
 		}
 		y[r] = v
 	}
 }
 
+// etaProbeCost is what BTRAN's sparse eta pass pays per pattern
+// position, in units of one product of the full pass: a bitmap probe, a
+// popcount and the value load behind it, on a branch that mispredicts
+// when the eta and the right-hand side are both half dense. It was set
+// by timing the partitioner's ILPs, whose duals are that dense.
+const etaProbeCost = 3
+
+// sparseEta reports whether BTRAN takes eta e's products over the
+// right-hand side's pattern nz rather than over the eta's own entries:
+// when that is cheaper and every entry of the eta is finite (a skipped
+// product x·0 is ±0 only for finite x).
+func (f *luFactor) sparseEta(e int, nz []int32) bool {
+	return etaProbeCost*len(nz) < int(f.ePtr[e+1]-f.ePtr[e]) && !f.eNonFinite[e]
+}
+
+// growPattern adds position p, where an eta pass wrote a nonzero, to the
+// ascending set nz. Once nz is too long for any eta to take the sparse
+// pass (an eta has fewer than m entries), no later eta reads it, so it
+// stops growing.
+func (f *luFactor) growPattern(nz []int32, p int32) []int32 {
+	if etaProbeCost*len(nz) >= f.m {
+		return nz
+	}
+	k, found := slices.BinarySearch(nz, p)
+	if found {
+		return nz
+	}
+	return slices.Insert(nz, k, p)
+}
+
+// etaAt returns eta e's pattern-index words and ranks.
+func (f *luFactor) etaAt(e int) (words []uint64, rank []int32) {
+	lo := e * f.nw
+	return f.eBits[lo : lo+f.nw], f.eRank[lo : lo+f.nw]
+}
+
 // btranEtas applies the transposes of etas first..end-1 to c,
-// newest-first.
-func (f *luFactor) btranEtas(c []float64, first, end int) {
+// newest-first, and returns nz (see btran) grown by the positions they
+// made nonzero. An eta reads c only through its dot product, and a
+// position outside nz contributes an exact zero to it, so sparseEta's
+// etas visit nz and find their values through the pattern index; the
+// products they skip are ±0, which leaves every nonzero result's bits
+// as the full pass computes them (see DESIGN.md, "Sparse LU core").
+func (f *luFactor) btranEtas(c []float64, nz []int32, first, end int) []int32 {
 	eLeave := f.eLeave[:end]
 	ePtr, eIdx, eVal, ePiv := f.ePtr[:end+1], f.eIdx, f.eVal, f.ePiv[:end]
+	terms := 0
 	for e := end - 1; e >= first; e-- {
 		lv := eLeave[e]
 		v := c[lv]
-		lo, hi := ePtr[e], ePtr[e+1]
-		idx, vals := eIdx[lo:hi], eVal[lo:hi]
-		vals = vals[:len(idx)]
-		for q, i := range idx {
-			v -= vals[q] * c[i]
+		if f.sparseEta(e, nz) {
+			words, rank := f.etaAt(e)
+			for _, i := range nz {
+				wd, bit := words[i>>6], uint64(1)<<(i&63)
+				if wd&bit != 0 {
+					v -= float64(eVal[rank[i>>6]+int32(bits.OnesCount64(wd&(bit-1)))] * c[i])
+				}
+			}
+			terms += len(nz)
+		} else {
+			lo, hi := ePtr[e], ePtr[e+1]
+			idx, vals := eIdx[lo:hi], eVal[lo:hi]
+			vals = vals[:len(idx)]
+			for q, i := range idx {
+				v -= float64(vals[q] * c[i])
+			}
+			terms += int(hi - lo)
 		}
-		c[lv] = v / ePiv[e]
+		v /= ePiv[e]
+		c[lv] = v
+		if v != 0 {
+			nz = f.growPattern(nz, lv)
+		}
 	}
+	f.etaTerms += int64(terms)
+	return nz
 }
 
 // btran2 solves two transposed systems in one pass over the factor:
@@ -598,31 +728,61 @@ func (f *luFactor) btranEtas(c []float64, first, end int) {
 // passes through those lag etas alone; from there on the two right-hand
 // sides share every index and value load, running as two independent
 // accumulation chains (the eta dot products are latency-bound, so the
-// second chain is nearly free). Each chain applies exactly the
-// operations of its own btran in the same order, so y1 and y2 equal
-// btran on the pre-lag and full factors bit for bit. c1 and c2 are
-// destroyed and must not alias.
-func (f *luFactor) btran2(c1, y1, c2, y2 []float64, lag int) {
+// second chain is nearly free). nz lists, ascending, a superset of the
+// positions where c1 or c2 is nonzero, and is grown in place as in
+// btran. Each chain applies the operations of its own btran in the same
+// order, skipping only products with an exact zero, so y1 and y2 equal
+// btran on the pre-lag and full factors up to the sign of a zero. c1
+// and c2 are destroyed and must not alias.
+func (f *luFactor) btran2(c1, y1, c2, y2 []float64, lag int, nz []int32) {
 	m := f.m
 	c1, y1, c2, y2 = c1[:m], y1[:m], c2[:m], y2[:m]
 	ne := len(f.eLeave) - lag
-	f.btranEtas(c2, ne, ne+lag)
+	nz = f.btranEtas(c2, nz, ne, ne+lag)
 	eLeave := f.eLeave[:ne]
 	ePtr, eIdx, eVal, ePiv := f.ePtr[:ne+1], f.eIdx, f.eVal, f.ePiv[:ne]
+	terms := 0
 	for e := ne - 1; e >= 0; e-- {
 		lv := eLeave[e]
 		v1, v2 := c1[lv], c2[lv]
-		lo, hi := ePtr[e], ePtr[e+1]
-		idx, vals := eIdx[lo:hi], eVal[lo:hi]
-		vals = vals[:len(idx)]
-		for q, i := range idx {
-			x := vals[q]
-			v1 -= x * c1[i]
-			v2 -= x * c2[i]
+		if f.sparseEta(e, nz) {
+			words, rank := f.etaAt(e)
+			for _, i := range nz {
+				wd, bit := words[i>>6], uint64(1)<<(i&63)
+				if wd&bit != 0 {
+					x := eVal[rank[i>>6]+int32(bits.OnesCount64(wd&(bit-1)))]
+					v1 -= float64(x * c1[i])
+					v2 -= float64(x * c2[i])
+				}
+			}
+			terms += len(nz)
+		} else {
+			lo, hi := ePtr[e], ePtr[e+1]
+			idx, vals := eIdx[lo:hi], eVal[lo:hi]
+			vals = vals[:len(idx)]
+			for q, i := range idx {
+				x := vals[q]
+				v1 -= float64(x * c1[i])
+				v2 -= float64(x * c2[i])
+			}
+			terms += int(hi - lo)
 		}
 		piv := ePiv[e]
-		c1[lv], c2[lv] = v1/piv, v2/piv
+		v1, v2 = v1/piv, v2/piv
+		c1[lv], c2[lv] = v1, v2
+		if v1 != 0 || v2 != 0 {
+			nz = f.growPattern(nz, lv)
+		}
 	}
+	f.etaTerms += int64(terms)
+	f.btranLU2(c1, y1, c2, y2)
+}
+
+// btranLU2 is btranLU for btran2's two right-hand sides, as two chains
+// over shared loads.
+func (f *luFactor) btranLU2(c1, y1, c2, y2 []float64) {
+	m := f.m
+	c1, y1, c2, y2 = c1[:m], y1[:m], c2[:m], y2[:m]
 	z1, z2 := f.zs[:m], f.zs2[:m]
 	prow, upiv := f.prow[:m], f.upiv[:m]
 	ucPtr, ucStage, ucVal := f.ucPtr[:m+1], f.ucStage, f.ucVal
@@ -633,8 +793,8 @@ func (f *luFactor) btran2(c1, y1, c2, y2 []float64, lag int) {
 		vals = vals[:len(stages)]
 		for q, st := range stages {
 			x := vals[q]
-			v1 -= x * z1[st]
-			v2 -= x * z2[st]
+			v1 -= float64(x * z1[st])
+			v2 -= float64(x * z2[st])
 		}
 		piv := upiv[k]
 		z1[k], z2[k] = v1/piv, v2/piv
@@ -651,8 +811,8 @@ func (f *luFactor) btran2(c1, y1, c2, y2 []float64, lag int) {
 		vals = vals[:len(rows)]
 		for t, i := range rows {
 			x := vals[t]
-			v1 -= x * y1[i]
-			v2 -= x * y2[i]
+			v1 -= float64(x * y1[i])
+			v2 -= float64(x * y2[i])
 		}
 		y1[r], y2[r] = v1, v2
 	}

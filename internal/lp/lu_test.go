@@ -117,7 +117,7 @@ func TestLUFactorSolveMatchesDense(t *testing.T) {
 			continue
 		}
 		y := make([]float64, m)
-		f.btran(append([]float64(nil), b...), y)
+		f.btran(append([]float64(nil), b...), y, nzOf(b))
 		for i := range y {
 			if math.Abs(y[i]-refT[i]) > 1e-7*(1+math.Abs(refT[i])) {
 				t.Fatalf("trial %d m=%d: btran y[%d]=%g want %g", trial, m, i, y[i], refT[i])
@@ -244,8 +244,8 @@ func TestLUEtaUpdateMatchesRefactor(t *testing.T) {
 		}
 		y1 := make([]float64, m)
 		y2 := make([]float64, m)
-		f.btran(append([]float64(nil), b...), y1)
-		g.btran(append([]float64(nil), b...), y2)
+		f.btran(append([]float64(nil), b...), y1, nzOf(b))
+		g.btran(append([]float64(nil), b...), y2, nzOf(b))
 		for i := range y1 {
 			if math.Abs(y1[i]-y2[i]) > 1e-6*(1+math.Abs(y2[i])) {
 				t.Fatalf("trial %d m=%d etas=%d: eta btran y[%d]=%g scratch=%g", trial, m, f.nEtas(), i, y1[i], y2[i])

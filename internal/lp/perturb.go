@@ -40,7 +40,7 @@ func mix64(z uint64) uint64 {
 // receives a degenerate (near-zero) shift that would fail to break ties.
 func perturbUnit(seed, k uint64) float64 {
 	u := mix64(seed ^ mix64(k))
-	return 0.5 + 0.5*float64(u>>11)/(1<<53)
+	return 0.5 + float64(0.5*float64(u>>11)/(1<<53))
 }
 
 // fingerprint hashes the assembled instance (dimensions, sparsity
@@ -100,11 +100,11 @@ func (s *spx) perturbBounds() {
 	for j := 0; j < s.nTot; j++ {
 		if !math.IsInf(s.lb[j], -1) {
 			f := perturbUnit(seed, uint64(2*j))
-			s.lb[j] -= scale * f * (1 + math.Abs(s.lb[j]))
+			s.lb[j] -= float64(scale * f * (1 + math.Abs(s.lb[j])))
 		}
 		if !math.IsInf(s.ub[j], 1) {
 			f := perturbUnit(seed, uint64(2*j+1))
-			s.ub[j] += scale * f * (1 + math.Abs(s.ub[j]))
+			s.ub[j] += float64(scale * f * (1 + math.Abs(s.ub[j])))
 		}
 	}
 	s.perturbed = true
@@ -128,7 +128,7 @@ func (s *spx) perturbCosts() {
 	seed := mix64(in.fprint ^ mix64(s.opts.PerturbSeq))
 	scale := perturbScaleFactor * eps
 	for j := 0; j < s.nTot; j++ {
-		f := scale * perturbUnit(seed, uint64(2*s.nTot+j)) * (1 + math.Abs(s.obj2[j]))
+		f := float64(scale * perturbUnit(seed, uint64(2*s.nTot+j)) * (1 + math.Abs(s.obj2[j])))
 		switch s.stat[j] {
 		case atLower:
 			if !math.IsInf(s.lb[j], -1) {

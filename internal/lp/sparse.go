@@ -48,6 +48,12 @@ type FactorStats struct {
 	EtaPivots int64 // product-form updates appended across all solves
 	Ftrans    int64 // sparse triangular FTRAN solves
 	Btrans    int64 // sparse triangular BTRAN solves
+	// EtaTerms counts the eta-file entries the FTRAN and BTRAN eta passes
+	// visit: an FTRAN eta's entries when its pivot value is nonzero, a
+	// BTRAN eta's entries, or the right-hand side's nonzero positions
+	// when those are fewer (one visit serves both halves of a fused
+	// BTRAN). Like the solve counts it is a deterministic work count.
+	EtaTerms int64
 	// FactorNanos and SolveNanos split the time spent inside the LU
 	// kernel: factorizations vs triangular solves (the benchmark's "FTRAN
 	// time share" reads SolveNanos against the whole solve wall clock).
@@ -68,6 +74,7 @@ func (st *FactorStats) Add(o FactorStats) {
 	st.EtaPivots += o.EtaPivots
 	st.Ftrans += o.Ftrans
 	st.Btrans += o.Btrans
+	st.EtaTerms += o.EtaTerms
 	st.FactorNanos += o.FactorNanos
 	st.SolveNanos += o.SolveNanos
 	if o.FillNnz > 0 {
@@ -316,15 +323,16 @@ type spx struct {
 	gamma            []float64 // Devex reference weights
 	fscratch         []float64 // FTRAN/BTRAN right-hand-side scratch, length m
 	bscratch         []float64 // second BTRAN right-hand side (rowAndDuals), length m
+	nz               []int32   // BTRAN right-hand-side pattern, capacity m
 	xb               []float64 // computeXB solution scratch, length m
 
 	// Dual ratio-test candidate scratch (the BFRT walk re-reads what the
 	// entering scan computed instead of re-scanning the columns).
-	candJ   []int32
-	candA   []float64 // |alpha| per candidate
-	candR   []float64 // strict ratio per candidate
-	candIdx []int     // candidate order scratch for the BFRT ratio sort
-	acc     []float64 // accumulated flipped-column updates (dense m-vector)
+	candJ []int32
+	candA []float64 // |alpha| per candidate
+	candR []float64 // strict ratio per candidate
+	bfrt  bfrtOrder // the BFRT walk's breakpoint order over candR
+	acc   []float64 // accumulated flipped-column updates (dense m-vector)
 
 	// The replay recipe of the live factorization, the determinism
 	// device: while factorOK holds, the live factor state is exactly
@@ -373,11 +381,12 @@ func (in *Instance) workspace(opts *Options) *spx {
 			y: make([]float64, m), w: make([]float64, m),
 			rho: make([]float64, m), resid: make([]float64, m),
 			fscratch: make([]float64, m), bscratch: make([]float64, m),
+			nz:    make([]int32, 0, m),
 			xb:    make([]float64, m),
 			gamma: make([]float64, total),
 			candJ: make([]int32, 0, total), candA: make([]float64, 0, total),
-			candR: make([]float64, 0, total), candIdx: make([]int, 0, total),
-			acc: make([]float64, m),
+			candR: make([]float64, 0, total),
+			acc:   make([]float64, m),
 		}
 	}
 	s := in.ws
@@ -454,7 +463,7 @@ func (s *spx) coldStart() {
 		if s.x[j] != 0 {
 			idx, vals := s.col(j)
 			for k, row := range idx {
-				r[row] -= vals[k] * s.x[j]
+				r[row] -= float64(vals[k] * s.x[j])
 			}
 		}
 	}
@@ -633,7 +642,7 @@ func (s *spx) computeXB() {
 		if s.stat[j] != basic && s.x[j] != 0 {
 			idx, vals := s.col(j)
 			for k, row := range idx {
-				r[row] -= vals[k] * s.x[j]
+				r[row] -= float64(vals[k] * s.x[j])
 			}
 		}
 	}
@@ -649,16 +658,26 @@ func (s *spx) luFtran(b, w []float64) {
 	t0 := time.Now()
 	s.lu.ftran(b, w)
 	s.in.stats.Ftrans++
-	s.in.stats.SolveNanos += int64(time.Since(t0))
+	s.solved(t0)
 }
 
 // luBtran solves Bᵀ·y = c (c indexed by basis position, destroyed; y by
-// row) against the live factorization, with stats bookkeeping.
-func (s *spx) luBtran(c, y []float64) {
+// row; nz the ascending positions where c may be nonzero) against the
+// live factorization, with stats bookkeeping.
+func (s *spx) luBtran(c, y []float64, nz []int32) {
 	t0 := time.Now()
-	s.lu.btran(c, y)
+	s.lu.btran(c, y, nz)
 	s.in.stats.Btrans++
-	s.in.stats.SolveNanos += int64(time.Since(t0))
+	s.solved(t0)
+}
+
+// solved books a triangular solve that started at t0: its time and the
+// eta entries it visited.
+func (s *spx) solved(t0 time.Time) {
+	st := &s.in.stats
+	st.SolveNanos += int64(time.Since(t0))
+	st.EtaTerms += s.lu.etaTerms
+	s.lu.etaTerms = 0
 }
 
 // ftran computes w = B⁻¹·a_j.
@@ -684,11 +703,15 @@ func (s *spx) ftranDense(a, w []float64) {
 // duals computes y = c_B·B⁻¹ for the objective c.
 func (s *spx) duals(c []float64) {
 	m := s.m
-	b := s.fscratch[:m]
+	b, nz := s.fscratch[:m], s.nz[:0]
 	for i := 0; i < m; i++ {
-		b[i] = c[s.basis[i]]
+		v := c[s.basis[i]]
+		b[i] = v
+		if v != 0 {
+			nz = append(nz, int32(i))
+		}
 	}
-	s.luBtran(b, s.y[:m])
+	s.luBtran(b, s.y[:m], nz)
 }
 
 // btranRow computes y = (B⁻¹ row r)ᵀ = B⁻ᵀ·e_r — the leaving-row vector
@@ -700,7 +723,7 @@ func (s *spx) btranRow(r int, y []float64) {
 		b[i] = 0
 	}
 	b[r] = 1
-	s.luBtran(b, y)
+	s.luBtran(b, y, append(s.nz[:0], int32(r)))
 }
 
 // rowAndDuals computes the leaving-row vector rho = B⁻ᵀ·e_r and the
@@ -712,16 +735,20 @@ func (s *spx) btranRow(r int, y []float64) {
 // Btrans; the caller counts the duals when it reads them.
 func (s *spx) rowAndDuals(r int, rho, c []float64, lag int) {
 	m := s.m
-	er, cb := s.fscratch[:m], s.bscratch[:m]
+	er, cb, nz := s.fscratch[:m], s.bscratch[:m], s.nz[:0]
 	for i := range er {
 		er[i] = 0
-		cb[i] = c[s.basis[i]]
+		v := c[s.basis[i]]
+		cb[i] = v
+		if v != 0 || i == r {
+			nz = append(nz, int32(i))
+		}
 	}
 	er[r] = 1
 	t0 := time.Now()
-	s.lu.btran2(er, rho, cb, s.y[:m], lag)
+	s.lu.btran2(er, rho, cb, s.y[:m], lag, nz)
 	s.in.stats.Btrans++
-	s.in.stats.SolveNanos += int64(time.Since(t0))
+	s.solved(t0)
 }
 
 // reducedCost returns c_j − y·a_j.
@@ -729,7 +756,7 @@ func (s *spx) reducedCost(c []float64, j int) float64 {
 	d := c[j]
 	idx, vals := s.col(j)
 	for k, row := range idx {
-		d -= s.y[row] * vals[k]
+		d -= float64(s.y[row] * vals[k])
 	}
 	return d
 }
@@ -920,9 +947,9 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 			}
 		}
 		// Apply the step.
-		s.x[enter] += dir * tMax
+		s.x[enter] += float64(dir * tMax)
 		for i := 0; i < m; i++ {
-			s.x[s.basis[i]] -= dir * tMax * w[i]
+			s.x[s.basis[i]] -= float64(dir * tMax * w[i])
 		}
 		if leave < 0 {
 			// Bound flip: entering switches bound, basis unchanged.
@@ -975,7 +1002,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 				idx, vals := s.col(j)
 				alpha := 0.0
 				for k, row := range idx {
-					alpha += s.rho[row] * vals[k]
+					alpha += float64(s.rho[row] * vals[k])
 				}
 				if alpha != 0 {
 					if cand := alpha * alpha * ratio2; cand > s.gamma[j] {
@@ -1081,6 +1108,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		// test below. An empty candidate set means no column can repair
 		// row r at all.
 		s.candJ, s.candA, s.candR = s.candJ[:0], s.candA[:0], s.candR[:0]
+		nanRatio := false
 		for j := 0; j < s.n; j++ {
 			if s.stat[j] == basic || s.entryFixed(j) {
 				continue
@@ -1088,7 +1116,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 			idx, vals := s.col(j)
 			alpha := 0.0
 			for k, row := range idx {
-				alpha += rho[row] * vals[k]
+				alpha += float64(rho[row] * vals[k])
 			}
 			aAbs := math.Abs(alpha)
 			if aAbs <= alphaTol {
@@ -1116,9 +1144,11 @@ func (s *spx) dual(maxIters int) (Status, int) {
 				}
 			}
 			d := math.Abs(s.reducedCost(s.obj2, j))
+			ratio := d / aAbs
+			nanRatio = nanRatio || ratio != ratio
 			s.candJ = append(s.candJ, int32(j))
 			s.candA = append(s.candA, aAbs)
-			s.candR = append(s.candR, d/aAbs)
+			s.candR = append(s.candR, ratio)
 		}
 		// Bound-flipping ratio test (BFRT). The previous
 		// scheme picked ONE entering column per iteration and, when the
@@ -1136,52 +1166,31 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		// flip-only iterations — the raw material of the cycle — no longer
 		// exist. Breakpoints with equal ratios are treated as one group and
 		// the largest-|α| group member that can absorb the rest pivots,
-		// keeping pivots numerically sound.
+		// keeping pivots numerically sound. bfrtOrder hands out the groups
+		// on demand, since the walk usually stops in its first.
 		bi := s.basis[r]
 		target := s.ub[bi]
 		if below {
 			target = s.lb[bi]
 		}
-		idx := s.candIdx[:0]
-		for k := range s.candJ {
-			idx = append(idx, k)
-		}
-		// The comparator is negative exactly when "<" holds, and the
-		// stable sort calls it only as "cmp < 0" (the template
-		// sort.SliceStable shares), so a NaN ratio keeps its place;
-		// cmp.Compare would order NaN first and move the pivots.
-		slices.SortStableFunc(idx, func(a, b int) int {
-			switch ra, rb := s.candR[a], s.candR[b]; {
-			case ra < rb:
-				return -1
-			case ra > rb:
-				return 1
-			}
-			return 0
-		})
-		s.candIdx = idx
+		s.bfrt.reset(s.candR, nanRatio)
 		rem := math.Abs(s.x[bi] - target)
-		remTol := dualTol * boundScale(target)
+		remTol := float64(dualTol * boundScale(target))
 		for i := 0; i < m; i++ {
 			s.acc[i] = 0
 		}
 		enter, nFlip := -1, 0
-		for pos := 0; pos < len(idx) && enter < 0 && rem > remTol; {
+		for enter < 0 && rem > remTol {
 			// Tie group: breakpoints at the smallest unprocessed ratio are
-			// dual-feasibility-equivalent choices. The group holds at least
-			// its first breakpoint: a NaN ratio (non-finite model data)
-			// compares false even with itself, and an empty group would
-			// never advance pos.
-			lim := s.candR[idx[pos]]
-			end := pos + 1
-			for end < len(idx) && s.candR[idx[end]] <= lim {
-				end++
+			// dual-feasibility-equivalent choices.
+			group := s.bfrt.next()
+			if group == nil {
+				break
 			}
-			for pos < end && enter < 0 && rem > remTol {
+			for enter < 0 && rem > remTol {
 				pivotQ, flipQ := -1, -1
 				pivotAlpha, flipCap := 0.0, 0.0
-				for q := pos; q < end; q++ {
-					k := idx[q]
+				for q, k := range group {
 					if k < 0 {
 						continue // flipped earlier in this group
 					}
@@ -1202,7 +1211,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 					}
 				}
 				if pivotQ >= 0 {
-					enter = int(s.candJ[idx[pivotQ]])
+					enter = int(s.candJ[group[pivotQ]])
 					break
 				}
 				if flipQ < 0 {
@@ -1210,7 +1219,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 				}
 				// No group member absorbs the rest: flip the one with the
 				// largest capacity and keep walking.
-				k := idx[flipQ]
+				k := group[flipQ]
 				j := int(s.candJ[k])
 				span := s.ub[j] - s.lb[j]
 				f := span
@@ -1224,13 +1233,12 @@ func (s *spx) dual(maxIters int) (Status, int) {
 				}
 				cidx, cvals := s.col(j)
 				for t, row := range cidx {
-					s.acc[row] += f * cvals[t]
+					s.acc[row] += float64(f * cvals[t])
 				}
 				rem -= flipCap
 				nFlip++
-				idx[flipQ] = -1
+				group[flipQ] = -1
 			}
-			pos = end
 		}
 		if nFlip > 0 {
 			// One combined FTRAN applies every flip to the basic values:
@@ -1272,7 +1280,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		delta := (s.x[bi] - target) / alphaE
 		s.x[enter] += delta
 		for i := 0; i < m; i++ {
-			s.x[s.basis[i]] -= delta * w[i]
+			s.x[s.basis[i]] -= float64(delta * w[i])
 		}
 		s.x[bi] = target
 		if below || s.lb[bi] == s.ub[bi] {
@@ -1297,6 +1305,113 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		}
 	}
 	return IterLimit, maxIters
+}
+
+// bfrtOrder hands the dual's bound-flipping ratio test its breakpoints
+// in groups of equal ratio, smallest ratio first, each group's members in
+// candidate order: exactly the groups that a stable sort of the
+// candidates by ratio, cut wherever the ratio rises, gives. It selects
+// them lazily from a binary heap on (ratio, candidate), since the walk
+// usually ends in its first group: O(n) to build, O(log n) per
+// breakpoint read, where the sort paid O(n log n) in every iteration.
+// A NaN ratio (non-finite model data) orders with nothing, and the walk
+// must keep the order the stable sort gives it then, so any NaN falls
+// back to that sort.
+type bfrtOrder struct {
+	ratio  []float64
+	idx    []int // the heap, or the sorted candidates from pos on
+	pos    int
+	sorted bool
+	group  []int // heap mode: the group next returned
+}
+
+// reset orders candidates 0..len(ratio)-1; nan reports whether any ratio
+// is NaN.
+func (o *bfrtOrder) reset(ratio []float64, nan bool) {
+	o.ratio, o.pos, o.sorted = ratio, 0, nan
+	o.idx = o.idx[:0]
+	for k := range ratio {
+		o.idx = append(o.idx, k)
+	}
+	if nan {
+		// The comparator is negative exactly when "<" holds, and the
+		// stable sort calls it only as "cmp < 0" (the template
+		// sort.SliceStable shares), so a NaN ratio keeps its place;
+		// cmp.Compare would order NaN first and move the pivots.
+		slices.SortStableFunc(o.idx, func(a, b int) int {
+			switch ra, rb := ratio[a], ratio[b]; {
+			case ra < rb:
+				return -1
+			case ra > rb:
+				return 1
+			}
+			return 0
+		})
+		return
+	}
+	for i := len(o.idx)/2 - 1; i >= 0; i-- {
+		o.down(i)
+	}
+}
+
+// next returns the next group, or nil when every breakpoint is read. The
+// caller may overwrite the group's entries.
+func (o *bfrtOrder) next() []int {
+	if o.sorted {
+		if o.pos >= len(o.idx) {
+			return nil
+		}
+		// The group holds at least its first breakpoint: a NaN ratio
+		// compares false even with itself, and an empty group would never
+		// advance pos.
+		lim := o.ratio[o.idx[o.pos]]
+		end := o.pos + 1
+		for end < len(o.idx) && o.ratio[o.idx[end]] <= lim {
+			end++
+		}
+		g := o.idx[o.pos:end]
+		o.pos = end
+		return g
+	}
+	if len(o.idx) == 0 {
+		return nil
+	}
+	lim := o.ratio[o.idx[0]]
+	o.group = o.group[:0]
+	for len(o.idx) > 0 && o.ratio[o.idx[0]] == lim {
+		o.group = append(o.group, o.idx[0])
+		last := len(o.idx) - 1
+		o.idx[0] = o.idx[last]
+		o.idx = o.idx[:last]
+		o.down(0)
+	}
+	return o.group
+}
+
+// before is the heap order: by ratio, then by candidate (the stable
+// sort's tie-break).
+func (o *bfrtOrder) before(a, b int) bool {
+	ra, rb := o.ratio[a], o.ratio[b]
+	return ra < rb || (ra == rb && a < b)
+}
+
+// down restores the heap below position i.
+func (o *bfrtOrder) down(i int) {
+	h := o.idx
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && o.before(h[r], h[c]) {
+			c = r
+		}
+		if !o.before(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // entryFixed reports whether column j has no usable span as an entering
@@ -1414,7 +1529,7 @@ func (s *spx) result(st Status, iters int, coldRestart bool) Result {
 	res.X = make([]float64, in.nStruct)
 	copy(res.X, s.x[:in.nStruct])
 	for j := 0; j < in.nStruct; j++ {
-		res.Obj += in.obj[j] * res.X[j]
+		res.Obj += float64(in.obj[j] * res.X[j])
 	}
 	if st == Optimal {
 		res.Basis = s.captureBasis()

@@ -98,7 +98,7 @@ func (m *Model) Name(j int) string { return m.names[j] }
 func (m *Model) ObjValue(x []float64) float64 {
 	obj := 0.0
 	for j, c := range m.prob.Obj {
-		obj += c * x[j]
+		obj += float64(c * x[j])
 	}
 	return obj
 }
@@ -120,7 +120,7 @@ func (m *Model) CheckFeasible(x []float64, tol float64) error {
 	for i, row := range m.prob.Rows {
 		lhs := 0.0
 		for _, c := range row.Coefs {
-			lhs += c.Val * x[c.Var]
+			lhs += float64(c.Val * x[c.Var])
 		}
 		switch row.Sense {
 		case lp.LE:

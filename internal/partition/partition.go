@@ -51,7 +51,7 @@ func Bipartition(g *graph.DAG, run mip.Options) (part []int, cut int, res mip.Re
 	if n < 2 {
 		return nil, 0, res, fmt.Errorf("partition: need at least 2 nodes, have %d", n)
 	}
-	lo := int(minFraction*float64(n) + 0.999999)
+	lo := int(float64(minFraction*float64(n)) + 0.999999)
 	hi := n - lo
 	if lo > hi {
 		return nil, 0, res, fmt.Errorf("partition: balance bounds infeasible for n=%d", n)
@@ -135,7 +135,7 @@ func GreedyBipartition(g *graph.DAG) ([]int, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	lo := int(minFraction*float64(n) + 0.999999)
+	lo := int(float64(minFraction*float64(n)) + 0.999999)
 	pos := make([]int, n)
 	for i, v := range order {
 		pos[v] = i

@@ -534,7 +534,7 @@ func (s *Server) observeCold(d time.Duration) {
 		old := s.coldEWMA.Load()
 		next := secs
 		if old != 0 {
-			next = 0.8*math.Float64frombits(old) + 0.2*secs
+			next = float64(0.8*math.Float64frombits(old)) + float64(0.2*secs)
 		}
 		if s.coldEWMA.CompareAndSwap(old, math.Float64bits(next)) {
 			return

@@ -30,9 +30,11 @@
 #      gates on the unlock itself (the model must enter tree search),
 #      on factorization quality (fill-in bounded relative to the basis,
 #      at least one refactorization, warm factor reuse firing) and
-#      baseline-relative gates on its iteration count, fill-in and
-#      refactorization count, also failing on any increase (and also
-#      skipped for pre-LU baselines).
+#      baseline-relative gates on its iteration count, fill-in,
+#      refactorization count and eta terms (the eta-file entries its
+#      FTRAN/BTRAN eta passes visit), also failing on any increase (and
+#      also skipped for pre-LU baselines; the eta-terms gate for
+#      baselines without the field).
 set -eu
 
 cd "$(dirname "$0")/.."
