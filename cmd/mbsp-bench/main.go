@@ -459,9 +459,9 @@ type degenerateJSON struct {
 // luJSON records the sparse-LU leg: a registry scheduling model beyond
 // the former dense-inverse row ceiling (3000) enters tree search under a
 // binding node limit, and the factorization counters — fill-in,
-// refactorization count, eta updates, eta terms visited, hot/replay
-// reuse, and the share of wall time spent in triangular solves — are
-// tracked across PRs. The
+// refactorization count, eta updates, eta, triangular and PRICE terms
+// visited, hot/replay reuse, and the share of wall time spent in
+// triangular solves — are tracked across PRs. The
 // node limit binds, so every count except the timings is deterministic.
 type luJSON struct {
 	Instance      string  `json:"instance"`
@@ -474,7 +474,9 @@ type luJSON struct {
 	EtaPivots     int64   `json:"eta_pivots"`
 	Ftrans        int64   `json:"ftrans"`
 	Btrans        int64   `json:"btrans"`
-	EtaTerms      int64   `json:"eta_terms"` // eta entries the FTRAN/BTRAN eta passes visited
+	EtaTerms      int64   `json:"eta_terms"`   // eta entries the FTRAN/BTRAN eta passes visited
+	TriTerms      int64   `json:"tri_terms"`   // stages and factor entries the L and U passes visited
+	PriceTerms    int64   `json:"price_terms"` // matrix entries PRICE visited
 	FillNnz       int64   `json:"fill_nnz"`
 	BasisNnz      int64   `json:"basis_nnz"`
 	FillRatio     float64 `json:"fill_ratio"`
@@ -753,10 +755,19 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 					fatal(fmt.Errorf("solver experiment: LU leg regressed: %d refactorizations vs %d in %s",
 						out.LU.Refactors, prev.LU.Refactors, baselinePath))
 				}
-				// Baselines predating the count read 0 and skip it.
-				if prev.LU.EtaTerms > 0 && out.LU.EtaTerms > prev.LU.EtaTerms {
-					fatal(fmt.Errorf("solver experiment: LU leg regressed: %d eta terms vs %d in %s",
-						out.LU.EtaTerms, prev.LU.EtaTerms, baselinePath))
+				// Baselines predating a count read 0 and skip it.
+				for _, c := range []struct {
+					name      string
+					got, prev int64
+				}{
+					{"eta terms", out.LU.EtaTerms, prev.LU.EtaTerms},
+					{"triangular terms", out.LU.TriTerms, prev.LU.TriTerms},
+					{"PRICE terms", out.LU.PriceTerms, prev.LU.PriceTerms},
+				} {
+					if c.prev > 0 && c.got > c.prev {
+						fatal(fmt.Errorf("solver experiment: LU leg regressed: %d %s vs %d in %s",
+							c.got, c.name, c.prev, baselinePath))
+					}
 				}
 			}
 		}
@@ -869,7 +880,8 @@ func runLULeg(out *solverJSON) {
 		Instance: "spmv_N7-P4", ModelRows: stats.ModelRows,
 		BBNodes: stats.ILPNodes, SimplexIters: stats.SimplexIters,
 		Refactors: lu.Refactors, Replays: lu.Replays, HotSolves: lu.HotSolves,
-		EtaPivots: lu.EtaPivots, Ftrans: lu.Ftrans, Btrans: lu.Btrans, EtaTerms: lu.EtaTerms,
+		EtaPivots: lu.EtaPivots, Ftrans: lu.Ftrans, Btrans: lu.Btrans,
+		EtaTerms: lu.EtaTerms, TriTerms: lu.TriTerms, PriceTerms: lu.PriceTerms,
 		FillNnz: lu.FillNnz, BasisNnz: lu.BasisNnz,
 		FactorSeconds: float64(lu.FactorNanos) / 1e9,
 		SolveSeconds:  float64(lu.SolveNanos) / 1e9,
@@ -882,8 +894,8 @@ func runLULeg(out *solverJSON) {
 		l.FtranShare = l.SolveSeconds / l.Seconds
 	}
 	out.LU = l
-	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d refactors, %d etas, %d eta terms, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN/BTRAN)\n",
-		l.Instance, l.ModelRows, l.BBNodes, l.SimplexIters, l.Refactors, l.EtaPivots, l.EtaTerms,
+	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d refactors, %d etas, %d eta terms, %d triangular terms, %d PRICE terms, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN/BTRAN)\n",
+		l.Instance, l.ModelRows, l.BBNodes, l.SimplexIters, l.Refactors, l.EtaPivots, l.EtaTerms, l.TriTerms, l.PriceTerms,
 		l.HotSolves, l.Replays, l.FillNnz, l.BasisNnz, l.FillRatio,
 		l.FactorSeconds, l.SolveSeconds, l.Seconds, 100*l.FtranShare)
 	if !stats.UsedILP {

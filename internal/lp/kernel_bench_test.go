@@ -27,15 +27,16 @@ var kernelFixture = sync.OnceValues(func() (*lp.KernelFixture, error) {
 	return lp.NewKernelFixture(p, kernelEtas)
 })
 
-// benchKernel times one LU kernel on the root basis of the spmv_N7 P=1
-// scheduling ILP (the solve-ilp benchmark's root-dominated model) plus
-// kernelEtas product-form updates.
+// benchKernel times one LU kernel or PRICE on the root basis of the
+// spmv_N7 P=1 scheduling ILP (the solve-ilp benchmark's root-dominated
+// model) plus kernelEtas product-form updates, and reports the work
+// counts per call.
 func benchKernel(b *testing.B, run func(*lp.KernelFixture)) {
 	k, err := kernelFixture()
 	if err != nil {
 		b.Fatal(err)
 	}
-	terms := k.EtaTerms()
+	eta, tri, price := k.Terms()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		run(k)
@@ -45,7 +46,10 @@ func benchKernel(b *testing.B, run func(*lp.KernelFixture)) {
 	b.ReportMetric(float64(m), "rows")
 	b.ReportMetric(float64(etas), "etas")
 	b.ReportMetric(float64(fill), "fill")
-	b.ReportMetric(float64(k.EtaTerms()-terms)/float64(b.N), "eta_terms/op")
+	eta2, tri2, price2 := k.Terms()
+	b.ReportMetric(float64(eta2-eta)/float64(b.N), "eta_terms/op")
+	b.ReportMetric(float64(tri2-tri)/float64(b.N), "tri_terms/op")
+	b.ReportMetric(float64(price2-price)/float64(b.N), "price_terms/op")
 }
 
 // TestSparseEtaPassOnKernelFixture: on the benchmark factor, btran and
@@ -66,6 +70,29 @@ func TestSparseEtaPassOnKernelFixture(t *testing.T) {
 	}
 }
 
-func BenchmarkFtran(b *testing.B)  { benchKernel(b, (*lp.KernelFixture).Ftran) }
-func BenchmarkBtran(b *testing.B)  { benchKernel(b, (*lp.KernelFixture).Btran) }
-func BenchmarkBtran2(b *testing.B) { benchKernel(b, (*lp.KernelFixture).Btran2) }
+// The kernel benchmarks time both sides of the U passes' reach cut-off:
+// a slack column and unit rows reach few stages; the fixture's last
+// entering column, its duals and a dense right-hand side reach past the
+// cut-off and take the full loops. BenchmarkPrice times a pivot row,
+// priced by row, and a dense vector, priced by column.
+func BenchmarkFtran(b *testing.B) {
+	b.Run("slack", func(b *testing.B) { benchKernel(b, (*lp.KernelFixture).FtranSlack) })
+	b.Run("col", func(b *testing.B) { benchKernel(b, (*lp.KernelFixture).Ftran) })
+	b.Run("dense", func(b *testing.B) { benchKernel(b, (*lp.KernelFixture).FtranDense) })
+}
+
+func BenchmarkBtran(b *testing.B) {
+	b.Run("unit", func(b *testing.B) { benchKernel(b, (*lp.KernelFixture).BtranUnit) })
+	b.Run("duals", func(b *testing.B) { benchKernel(b, (*lp.KernelFixture).Btran) })
+}
+
+func BenchmarkBtran2(b *testing.B) {
+	b.Run("units", func(b *testing.B) { benchKernel(b, (*lp.KernelFixture).Btran2Units) })
+	b.Run("duals", func(b *testing.B) { benchKernel(b, (*lp.KernelFixture).Btran2) })
+	b.Run("dense", func(b *testing.B) { benchKernel(b, (*lp.KernelFixture).Btran2Dense) })
+}
+
+func BenchmarkPrice(b *testing.B) {
+	b.Run("row", func(b *testing.B) { benchKernel(b, func(k *lp.KernelFixture) { k.Price(false) }) })
+	b.Run("dense", func(b *testing.B) { benchKernel(b, func(k *lp.KernelFixture) { k.Price(true) }) })
+}

@@ -120,7 +120,7 @@ func appendRandomEta(rng *rand.Rand, f *luFactor) {
 			}
 		}
 		leave := rng.Intn(m)
-		f.ftran(col, w)
+		f.ftran(col, w, nzOf(col))
 		if math.Abs(w[leave]) >= 1e-3 {
 			f.appendEta(leave, w)
 			return
@@ -128,54 +128,187 @@ func appendRandomEta(rng *rand.Rand, f *luFactor) {
 	}
 }
 
-// TestKernelsMatchReferenceBitwise: on random sparse bases carrying 0 to
-// refactorEvery etas, ftran and btran equal the textbook loops
-// bit for bit; btran2 with lag 0 equals two btran calls; and btran2 with
-// lag 1 gives btran on the factor before the newest eta for the first
-// right-hand side and btran on the current factor for the second.
+// withInf returns col with one entry of one column replaced by +Inf.
+func withInf(rng *rand.Rand, m int, col func(int) ([]int32, []float64)) func(int) ([]int32, []float64) {
+	pos := rng.Intn(m)
+	idx, vals := col(pos)
+	vals = slices.Clone(vals)
+	vals[rng.Intn(len(vals))] = math.Inf(1)
+	return func(p int) ([]int32, []float64) {
+		if p == pos {
+			return idx, vals
+		}
+		return col(p)
+	}
+}
+
+// refReach returns the number of stages a U pass must run for a
+// right-hand side: FTRAN's for one nonzero only at rows nz, through the
+// L pass, or BTRAN's for one nonzero only at positions nz after the eta
+// pass. A stage must run when it is a seed or reads a stage that runs,
+// whatever the values.
+func refReach(f *luFactor, nz []int32, ftran bool) int {
+	m := f.m
+	live := make([]bool, m)
+	n := 0
+	if ftran {
+		row := make([]bool, m)
+		for _, r := range nz {
+			row[r] = true
+		}
+		for k := 0; k < m; k++ {
+			if row[f.prow[k]] {
+				for t := f.lPtr[k]; t < f.lPtr[k+1]; t++ {
+					row[f.lRow[t]] = true
+				}
+			}
+		}
+		stageOfPos := make([]int, m)
+		for k := 0; k < m; k++ {
+			stageOfPos[f.pcol[k]] = k
+		}
+		for k := m - 1; k >= 0; k-- {
+			live[k] = row[f.prow[k]]
+			for t := f.uPtr[k]; t < f.uPtr[k+1] && !live[k]; t++ {
+				live[k] = live[stageOfPos[f.uCol[t]]]
+			}
+		}
+	} else {
+		pos := make([]bool, m)
+		for _, p := range nz {
+			pos[p] = true
+		}
+		for k := 0; k < m; k++ {
+			c := f.pcol[k]
+			live[k] = pos[c]
+			for q := f.ucPtr[c]; q < f.ucPtr[c+1] && !live[k]; q++ {
+				live[k] = live[f.ucStage[q]]
+			}
+		}
+	}
+	for _, l := range live {
+		if l {
+			n++
+		}
+	}
+	return n
+}
+
+// kernelCheck counts the right-hand sides TestKernelsMatchReferenceBitwise
+// saw reach each side of the U passes' cut-offs.
+type kernelCheck struct {
+	sparseF, fullF, sparseB, fullB int
+	nonFinite                      int // factors holding a non-finite value
+}
+
+// check compares ftran and btran on b with the textbook loops: their
+// full passes (no FTRAN pattern, a BTRAN pattern of every position) bit
+// for bit, their sparse passes (b's own pattern) on every nonzero bit for
+// bit and on every zero as a zero. A factor holding a non-finite value
+// must take the full U passes, so its sparse FTRAN (whose eta pass is
+// always full) matches bit for bit too.
+func (kc *kernelCheck) check(f *luFactor, b []float64) error {
+	m := f.m
+	want, full, got := make([]float64, m), make([]float64, m), make([]float64, m)
+	sparseMatches := matchesFull
+	if f.luNonFinite {
+		sparseMatches = sameBits
+	}
+	ftranRef(f, slices.Clone(b), want)
+	f.ftran(slices.Clone(b), full, nil)
+	f.ftran(slices.Clone(b), got, nzOf(b))
+	if !sameBits(full, want) || !sparseMatches(got, want) {
+		return fmt.Errorf("ftran differs from the reference (full pass %v)", sameBits(full, want))
+	}
+	if refReach(f, nzOf(b), true) <= m/ftranReachDiv {
+		kc.sparseF++
+	} else {
+		kc.fullF++
+	}
+	btranRef(f, slices.Clone(b), want)
+	f.btran(slices.Clone(b), full, allPositions(m))
+	f.btran(slices.Clone(b), got, nzOf(b))
+	if !sameBits(full, want) || !matchesFull(got, want) {
+		return fmt.Errorf("btran differs from the reference (full pass %v)", sameBits(full, want))
+	}
+	if refReach(f, f.btranEtas(slices.Clone(b), nzOf(b), 0, f.nEtas()), false) <= m/btranReachDiv {
+		kc.sparseB++
+	} else {
+		kc.fullB++
+	}
+	return nil
+}
+
+// TestKernelsMatchReferenceBitwise: on random sparse bases carrying etas,
+// ftran and btran equal the textbook loops (see kernelCheck.check) on
+// right-hand sides from one entry to dense, and btran2 equals two btran
+// calls: with lag 0 on the same factor, with lag 1 on the factor before
+// the newest eta for the first right-hand side, bit for bit on the full
+// passes and up to the sign of a zero on the sparse ones. The factors
+// come in three kinds: small and 15% dense with 0 to refactorEvery etas
+// (most reaches pass the cut-off), larger with about two entries per
+// column and 0 to 24 etas (most reaches stay under it), and the latter
+// with a +Inf entry, whose factor takes the full passes.
 func TestKernelsMatchReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 12; trial++ {
-		m := 5 + rng.Intn(40)
-		_, col := randomSparseMatrix(rng, m, 0.15)
+	var kc kernelCheck
+	for trial := 0; trial < 36; trial++ {
+		kind := trial % 3
+		m, density, maxEtas := 5+rng.Intn(40), 0.15, refactorEvery
+		if kind > 0 {
+			m, maxEtas = 40+rng.Intn(160), 24
+			density = 2 / float64(m)
+		}
+		_, col := randomSparseMatrix(rng, m, density)
+		if kind == 2 {
+			col = withInf(rng, m, col)
+		}
 		f := newLUFactor(m)
 		if !f.factor(col) {
 			continue
 		}
+		if f.luNonFinite != (kind == 2) {
+			t.Fatalf("trial %d: non-finite flag %v on a factor of kind %d", trial, f.luNonFinite, kind)
+		}
+		if kind == 2 {
+			kc.nonFinite++
+		}
 		// pre holds btran of the previous factor state for the lag check,
 		// per right-hand side.
 		var preC [2][]float64
-		var preY [2][]float64
-		for ne := 0; ne <= refactorEvery; ne++ {
+		var preY, preFull [2][]float64
+		for ne := 0; ne <= maxEtas; ne++ {
 			if ne > 0 {
 				for s := range preC {
 					preC[s] = kernelRHS(rng, m, s == 0)
-					preY[s] = make([]float64, m)
-					f.btran(append([]float64(nil), preC[s]...), preY[s], nzOf(preC[s]))
+					preY[s], preFull[s] = make([]float64, m), make([]float64, m)
+					f.btran(slices.Clone(preC[s]), preY[s], nzOf(preC[s]))
+					f.btran(slices.Clone(preC[s]), preFull[s], allPositions(m))
 				}
 				appendRandomEta(rng, f)
 			}
-			for _, unit := range []bool{true, false} {
-				b := kernelRHS(rng, m, unit)
-				got, want := make([]float64, m), make([]float64, m)
-				f.ftran(append([]float64(nil), b...), got)
-				ftranRef(f, append([]float64(nil), b...), want)
-				if !sameBits(got, want) {
-					t.Fatalf("trial %d m=%d etas=%d unit=%v: ftran differs from the reference", trial, m, ne, unit)
-				}
-				f.btran(append([]float64(nil), b...), got, nzOf(b))
-				btranRef(f, append([]float64(nil), b...), want)
-				if !sameBits(got, want) {
-					t.Fatalf("trial %d m=%d etas=%d unit=%v: btran differs from the reference", trial, m, ne, unit)
+			for _, b := range [][]float64{kernelRHS(rng, m, true), fewRHS(rng, m), sparseRHS(rng, m), kernelRHS(rng, m, false)} {
+				if err := kc.check(f, b); err != nil {
+					t.Fatalf("trial %d m=%d etas=%d: %v", trial, m, ne, err)
 				}
 			}
 			c1, c2 := kernelRHS(rng, m, true), kernelRHS(rng, m, false)
+			if rng.Intn(2) == 0 {
+				c2 = fewRHS(rng, m)
+			}
 			want1, want2 := make([]float64, m), make([]float64, m)
-			f.btran(append([]float64(nil), c1...), want1, nzOf(c1))
-			f.btran(append([]float64(nil), c2...), want2, nzOf(c2))
+			full1, full2 := make([]float64, m), make([]float64, m)
+			f.btran(slices.Clone(c1), want1, nzOf(c1))
+			f.btran(slices.Clone(c2), want2, nzOf(c2))
+			f.btran(slices.Clone(c1), full1, allPositions(m))
+			f.btran(slices.Clone(c2), full2, allPositions(m))
 			y1, y2 := make([]float64, m), make([]float64, m)
-			f.btran2(append([]float64(nil), c1...), y1, append([]float64(nil), c2...), y2, 0, nzOf(c1, c2))
-			if !sameBits(y1, want1) || !sameBits(y2, want2) {
+			f.btran2(slices.Clone(c1), y1, slices.Clone(c2), y2, 0, allPositions(m))
+			if !sameBits(y1, full1) || !sameBits(y2, full2) {
+				t.Fatalf("trial %d m=%d etas=%d: btran2's full passes differ from two btran calls", trial, m, ne)
+			}
+			f.btran2(slices.Clone(c1), y1, slices.Clone(c2), y2, 0, nzOf(c1, c2))
+			if !matchesFull(y1, want1) || !matchesFull(y2, want2) {
 				t.Fatalf("trial %d m=%d etas=%d: btran2 differs from two btran calls", trial, m, ne)
 			}
 			if ne == 0 {
@@ -183,14 +316,33 @@ func TestKernelsMatchReferenceBitwise(t *testing.T) {
 			}
 			// Lag 1: the first side sees the factor before the newest eta.
 			for s := range preC {
-				y1, y2 := make([]float64, m), make([]float64, m)
-				f.btran2(append([]float64(nil), preC[s]...), y1, append([]float64(nil), c2...), y2, 1, nzOf(preC[s], c2))
-				if !sameBits(y1, preY[s]) || !sameBits(y2, want2) {
+				f.btran2(slices.Clone(preC[s]), y1, slices.Clone(c2), y2, 1, allPositions(m))
+				if !sameBits(y1, preFull[s]) || !sameBits(y2, full2) {
+					t.Fatalf("trial %d m=%d etas=%d unit=%v: lagged btran2's full passes differ from btran on the pre- and post-pivot factors", trial, m, ne, s == 0)
+				}
+				f.btran2(slices.Clone(preC[s]), y1, slices.Clone(c2), y2, 1, nzOf(preC[s], c2))
+				if !matchesFull(y1, preY[s]) || !matchesFull(y2, want2) {
 					t.Fatalf("trial %d m=%d etas=%d unit=%v: lagged btran2 differs from btran on the pre- and post-pivot factors", trial, m, ne, s == 0)
 				}
 			}
 		}
 	}
+	t.Logf("right-hand sides reaching under/over the cut-off: FTRAN %d/%d, BTRAN %d/%d", kc.sparseF, kc.fullF, kc.sparseB, kc.fullB)
+	if kc.sparseF < 100 || kc.fullF < 100 || kc.sparseB < 100 || kc.fullB < 100 || kc.nonFinite < 5 {
+		t.Fatalf("generator lost its cases: FTRAN %d/%d, BTRAN %d/%d, %d non-finite factors",
+			kc.sparseF, kc.fullF, kc.sparseB, kc.fullB, kc.nonFinite)
+	}
+}
+
+// fewRHS returns a right-hand side with two to five nonzeros of both
+// signs, and a −0 entry.
+func fewRHS(rng *rand.Rand, m int) []float64 {
+	c := make([]float64, m)
+	for k := 2 + rng.Intn(4); k > 0; k-- {
+		c[rng.Intn(m)] = rng.NormFloat64()
+	}
+	c[rng.Intn(m)] = math.Copysign(0, -1)
+	return c
 }
 
 // ratioTestTwoPassRef is the Harris two-pass primal ratio test at band
@@ -601,5 +753,116 @@ func TestBFRTOrderMatchesStableSort(t *testing.T) {
 				g[q] = -1 // the walk marks flipped members
 			}
 		}
+	}
+}
+
+// randomPriceProblem returns a random sparse LP whose rows may repeat a
+// variable and whose equality rows with a nonzero right-hand side give
+// the cold start artificial columns.
+func randomPriceProblem(rng *rand.Rand) *Problem {
+	n, m := 5+rng.Intn(60), 3+rng.Intn(40)
+	p := NewProblem(n)
+	for j := range p.Obj {
+		p.Obj[j] = float64(rng.Intn(7) - 3)
+	}
+	for i := 0; i < m; i++ {
+		var row RowDef
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			row.Coefs = append(row.Coefs, Coef{Var: rng.Intn(n), Val: rng.NormFloat64()})
+		}
+		if rng.Intn(3) == 0 { // a variable repeated in the row
+			row.Coefs = append(row.Coefs, Coef{Var: row.Coefs[0].Var, Val: rng.NormFloat64()})
+		}
+		row.Sense = Sense(rng.Intn(3))
+		row.RHS = float64(rng.Intn(5) - 2)
+		p.Rows = append(p.Rows, row)
+	}
+	return p
+}
+
+// priceVector returns a PRICE input over m rows: a unit vector, a
+// vector 0–30% dense with −0 entries, or a dense one.
+func priceVector(rng *rand.Rand, m int) []float64 {
+	switch rng.Intn(3) {
+	case 0:
+		return kernelRHS(rng, m, true)
+	case 1:
+		v := make([]float64, m)
+		density := 0.3 * rng.Float64()
+		for i := range v {
+			switch u := rng.Float64(); {
+			case u < density:
+				v[i] = rng.NormFloat64()
+			case u < 2*density:
+				v[i] = math.Copysign(0, -1)
+			}
+		}
+		return v
+	}
+	return kernelRHS(rng, m, false)
+}
+
+// TestRowPriceMatchesColumnPrice: on random LPs after a cold start,
+// artificial columns included, row-wise PRICE over a vector's nonzero
+// rows equals the column-wise products for every column: reduced costs
+// on every nonzero bit for bit and on every zero as a zero, pivot-row
+// entries bit for bit. An instance with a non-finite coefficient never
+// prices by row.
+func TestRowPriceMatchesColumnPrice(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	arts, repeats, byRow := 0, 0, 0
+	for trial := 0; trial < 200; trial++ {
+		p := randomPriceProblem(rng)
+		in := Prepare(p)
+		s := in.workspace(&Options{})
+		if !s.resetBounds(p.Lb, p.Ub) {
+			t.Fatalf("trial %d: empty bounds", trial)
+		}
+		s.coldStart()
+		arts += s.nArt
+		for _, row := range p.Rows {
+			if len(row.Coefs) > 1 && row.Coefs[len(row.Coefs)-1].Var == row.Coefs[0].Var {
+				repeats++
+			}
+		}
+		c := make([]float64, s.n)
+		for j := range c {
+			switch rng.Intn(4) {
+			case 0:
+			case 1:
+				c[j] = math.Copysign(0, -1)
+			default:
+				c[j] = rng.NormFloat64()
+			}
+		}
+		for round := 0; round < 4; round++ {
+			y, rho := priceVector(rng, s.m), priceVector(rng, s.m)
+			copy(s.y, y)
+			if s.priceByRow(y) {
+				byRow++
+			}
+			s.priceRows = nzOf(y)
+			s.rowReducedCosts(c)
+			for j := 0; j < s.n; j++ {
+				if want := s.reducedCost(c, j); !matchesFull(s.dj[j:j+1], []float64{want}) {
+					t.Fatalf("trial %d column %d of %d: row-wise d = %v, column-wise %v", trial, j, s.n, s.dj[j], want)
+				}
+			}
+			s.priceRows = nzOf(rho)
+			s.rowAlphas(rho)
+			for j := 0; j < s.n; j++ {
+				if want := s.alpha(rho, j); math.Float64bits(s.dj[j]) != math.Float64bits(want) {
+					t.Fatalf("trial %d column %d of %d: row-wise α = %v, column-wise %v", trial, j, s.n, s.dj[j], want)
+				}
+			}
+		}
+		p.Rows[0].Coefs[0].Val = math.Inf(1)
+		if s := Prepare(p).workspace(&Options{}); s.priceByRow(kernelRHS(rng, s.m, true)) {
+			t.Fatalf("trial %d: an instance with an Inf coefficient prices by row", trial)
+		}
+	}
+	t.Logf("%d artificial columns, %d rows repeating a variable, %d of 800 inputs priced by row", arts, repeats, byRow)
+	if arts == 0 || repeats == 0 || byRow == 0 || byRow == 800 {
+		t.Fatalf("generator lost its cases: %d artificial columns, %d repeated variables, %d inputs priced by row", arts, repeats, byRow)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // This file implements the sparse LU factorization that backs the
 // simplex basis: Markowitz-style pivot selection with threshold partial
-// pivoting, Suhl–Suhl-style sparse triangular FTRAN/BTRAN solves, and a
+// pivoting, hyper-sparse triangular FTRAN/BTRAN solves, and a
 // product-form eta file for basis updates. It replaces the former dense
 // m×m explicit inverse (kept in SolveDense as the cross-check oracle):
 // per-iteration work drops from O(m²) to O(nnz of the factors), which is
@@ -35,11 +35,23 @@ import (
 // index: a bitmap of m/64 words plus, per word, the eVal offset of its
 // first entry. A skipped product is a finite value times an exact zero,
 // ±0, so every nonzero of y and ρ keeps the full pass's bits and only a
-// zero can change sign. Nothing reads that sign: reducedCost's results
-// are only compared with ±eps, squared or passed to math.Abs; the Devex
-// and dual row products start from +0, which absorbs −0; and Result
-// exposes neither y nor ρ. An eta holding ±Inf or NaN (Inf·0 is NaN)
-// always takes the full pass.
+// zero can change sign. An eta holding ±Inf or NaN (Inf·0 is NaN) always
+// takes the full pass.
+//
+// The triangular passes cost their nonzeros too. FTRAN's L pass and
+// BTRAN's Lᵀ pass walk lStages, the stages with an L column; the others
+// are no-ops in both. The U passes of FTRAN and BTRAN run only the
+// stages a right-hand side can make nonzero: stage numbers order either
+// pass topologically, so a pass walks a bitmap of marked stages in that
+// order, seeded from the right-hand side's pattern, and each stage whose
+// value is nonzero marks the stages that read it (markStages). Past a
+// cut-off share of m it runs its remaining stages in the full loop. A
+// stage never marked computes ±0 in the full loop, so again every
+// nonzero of w, y and ρ keeps its bits and only a zero can change sign;
+// a factor holding ±Inf or NaN always takes the full loops. No reader of
+// w, y or ρ, nor of the reduced costs and pivot-row entries that
+// sparse.go's row-wise PRICE computes from them, tells the signs of
+// zeros apart: DESIGN.md ("Sparse LU core", signs of zeros) lists them.
 
 // luThreshold is the threshold-partial-pivoting factor: a pivot must
 // satisfy |a| ≥ luThreshold·(largest |entry| in its column). Smaller
@@ -113,9 +125,28 @@ type luFactor struct {
 	eRank      []int32
 	eNonFinite []bool
 
+	// Stage views for the triangular passes, built with the factor:
+	// lStages lists, ascending, the stages with a nonempty L column (the
+	// others are no-ops in both L passes); stageOfRow and stageOfPos
+	// invert prow and pcol; uStage is uCol mapped to stages. luNonFinite
+	// marks a factor holding an Inf or NaN, whose U passes always run in
+	// full.
+	lStages     []int32
+	stageOfRow  []int32
+	stageOfPos  []int32
+	uStage      []int32
+	luNonFinite bool
+
+	// U-pass workspace: mark has bit k set while stage k waits to run
+	// (zero between solves); done lists the stages a sparse Uᵀ pass ran.
+	mark []uint64
+	done []int32
+
 	// etaTerms counts the eta entries the FTRAN and BTRAN eta passes
-	// visit (FactorStats.EtaTerms); the solver drains it per solve.
-	etaTerms int64
+	// visit (FactorStats.EtaTerms), triTerms the stages and factor
+	// entries the L and U passes visit (FactorStats.TriTerms); the solver
+	// drains both per solve.
+	etaTerms, triTerms int64
 
 	nnzFactor int // nnz(L) + nnz(U) + m pivots after factor()
 	nnzBasis  int // nnz of the factored basis matrix
@@ -134,7 +165,7 @@ type luFactor struct {
 	elimRows []int32 // snapshot of the pivot column's rows
 	mergeInd []int32 // row-merge output scratch
 	mergeVal []float64
-	zs, zs2  []float64 // BTRAN stage scratch (zs2: btran2's second chain)
+	zs, zs2  []float64 // BTRAN stage scratch (zs2: btran2's second chain), zero between solves
 }
 
 func newLUFactor(m int) *luFactor {
@@ -158,6 +189,10 @@ func newLUFactor(m int) *luFactor {
 		touched:     make([]int32, 0, m),
 		zs:          make([]float64, m),
 		zs2:         make([]float64, m),
+		stageOfRow:  make([]int32, m),
+		stageOfPos:  make([]int32, m),
+		mark:        make([]uint64, (m+63)/64),
+		done:        make([]int32, 0, m),
 	}
 	return f
 }
@@ -354,6 +389,7 @@ func (f *luFactor) factor(col func(pos int) ([]int32, []float64)) bool {
 	}
 	if ok {
 		f.buildUTranspose()
+		f.buildStageViews()
 		f.nnzFactor = len(f.lVal) + len(f.uVal) + m
 	}
 	// Release row/column workspace for the next factorization.
@@ -535,6 +571,114 @@ func (f *luFactor) buildUTranspose() {
 	}
 }
 
+// buildStageViews fills the stage views of a new factor: lStages,
+// stageOfRow, stageOfPos, uStage and luNonFinite.
+func (f *luFactor) buildStageViews() {
+	m := f.m
+	f.lStages = f.lStages[:0]
+	for k := 0; k < m; k++ {
+		f.stageOfRow[f.prow[k]] = int32(k)
+		f.stageOfPos[f.pcol[k]] = int32(k)
+		if f.lPtr[k+1] > f.lPtr[k] {
+			f.lStages = append(f.lStages, int32(k))
+		}
+	}
+	f.uStage = f.uStage[:0]
+	for _, c := range f.uCol {
+		f.uStage = append(f.uStage, f.stageOfPos[c])
+	}
+	// v−v is 0 for every finite v and NaN for ±Inf and NaN.
+	nonFinite := false
+	for _, vals := range [][]float64{f.lVal, f.uVal, f.upiv[:m]} {
+		for _, v := range vals {
+			nonFinite = nonFinite || v-v != 0
+		}
+	}
+	f.luNonFinite = nonFinite
+}
+
+// ftranReachDiv and btranReachDiv set the U passes' cut-offs: a sparse
+// pass (see markStages) gives way to the full loop for its remaining
+// stages once more than m/div stages have been marked to run. A stage
+// the sparse pass runs costs about three of the full loop (the bit walk,
+// the marks it sets, loads in a scattered order), so the sparse pass
+// wins up to a reach of about 30% of m. The stages it ran before giving
+// way cost that much more, which matters for FTRAN: its reaches on the
+// scheduling models are bimodal (most under 5% of m, most of the rest
+// 25–70%), so it gives way early. The fused BTRANs' reaches spread over
+// 0–30%. Both were set by timing the kernel fixture's passes against the
+// reach share, weighted by the reaches of solve-ilp's rotation.
+const (
+	ftranReachDiv = 10
+	btranReachDiv = 4
+)
+
+// markStages sets the mark bits of stages ks, or of stages stageOf[i]
+// for i in ks when stageOf is not nil, and returns how many were clear.
+//
+// A sparse U pass runs only the stages whose value can be nonzero.
+// Stage numbers are a topological order of both U passes (FTRAN's stage
+// k reads only later stages, BTRAN's only earlier ones), so the pass
+// walks mark in that order, lowest or highest bit first, instead of
+// searching the dependency graph (Gilbert–Peierls) for one: it seeds the
+// marks from the right-hand side's pattern, runs the next marked stage
+// and, when its value is nonzero, marks the stages that read it, which
+// all come later in the walk. A stage never marked computes ±0 in the
+// full loop, so skipping it changes no nonzero, and past the cut-off the
+// pass runs its remaining stages in the full loop, where they find the
+// same inputs.
+func markStages(mark []uint64, ks, stageOf []int32) int {
+	n := 0
+	for _, k := range ks {
+		if stageOf != nil {
+			k = stageOf[k]
+		}
+		w, sh := k>>6, uint(k&63)
+		n += int(mark[w]>>sh&1 ^ 1)
+		mark[w] |= 1 << sh
+	}
+	return n
+}
+
+// popLow clears the lowest mark in words wi and above and returns its
+// stage and word, or −1 when there is none.
+func popLow(mark []uint64, wi int) (k, w int) {
+	for ; wi < len(mark); wi++ {
+		if wd := mark[wi]; wd != 0 {
+			bit := bits.TrailingZeros64(wd)
+			mark[wi] = wd &^ (1 << bit)
+			return wi<<6 | bit, wi
+		}
+	}
+	return -1, wi
+}
+
+// popHigh clears the highest mark in words wi and below and returns its
+// stage and word, or −1 when there is none.
+func popHigh(mark []uint64, wi int) (k, w int) {
+	for ; wi >= 0; wi-- {
+		if wd := mark[wi]; wd != 0 {
+			bit := 63 - bits.LeadingZeros64(wd)
+			mark[wi] = wd &^ (1 << bit)
+			return wi<<6 | bit, wi
+		}
+	}
+	return -1, wi
+}
+
+// btranSeed marks the stages of positions nz, the seeds of a sparse Uᵀ
+// pass for a right-hand side nonzero only there, and returns their
+// number. It returns 0, with no marks set, for the full pass: when the
+// factor holds a non-finite value (a skipped product x·0 is ±0 only for
+// finite x), when nz may have stopped growing (growPattern) or when it
+// is longer than the cut-off.
+func (f *luFactor) btranSeed(nz []int32) int {
+	if f.luNonFinite || etaProbeCost*len(nz) >= f.m || len(nz) > f.m/btranReachDiv {
+		return 0
+	}
+	return markStages(f.mark, nz, f.stageOfPos)
+}
+
 // The triangular-solve kernels below run over resliced locals so that
 // the compiler proves every sequential index in bounds; only the gathers
 // through stored row/position indices keep a bounds check. Each kernel
@@ -544,28 +688,49 @@ func (f *luFactor) buildUTranspose() {
 
 // ftran solves B·w = b in place: b is the right-hand side indexed by
 // matrix row (destroyed), w receives the solution indexed by basis
-// position. The L pass skips stages whose pivot-row value is zero (the
-// Suhl–Suhl sparse-RHS skip: simplex right-hand sides are a handful of
-// nonzeros), and the eta file is applied oldest-first.
-func (f *luFactor) ftran(b, w []float64) {
+// position. nz lists the rows where b may be nonzero (in any order,
+// repeats allowed), or is nil when they are not known. After ftranL the
+// U pass walks the marked stages from the last (see markStages), or runs
+// the full loop; the eta file is then applied oldest-first.
+func (f *luFactor) ftran(b, w []float64, nz []int32) {
 	m := f.m
 	b, w = b[:m], w[:m]
 	prow, pcol, upiv := f.prow[:m], f.pcol[:m], f.upiv[:m]
-	lPtr, lRow, lVal := f.lPtr[:m+1], f.lRow, f.lVal
-	for k, r := range prow {
-		bk := b[r]
-		if bk == 0 {
-			continue
-		}
-		lo, hi := lPtr[k], lPtr[k+1]
-		rows, vals := lRow[lo:hi], lVal[lo:hi]
-		vals = vals[:len(rows)]
-		for t, i := range rows {
-			b[i] -= float64(vals[t] * bk)
+	uPtr, uCol, uVal := f.uPtr[:m+1], f.uCol, f.uVal
+	terms, next := 0, m-1 // next: the first stage of the full loop
+	if marked := f.ftranL(b, nz); marked > 0 {
+		// The stages never marked keep the zero written here.
+		clear(w)
+		mark, limit := f.mark, m/ftranReachDiv
+		ucPtr, ucStage := f.ucPtr[:m+1], f.ucStage
+		next = -1
+		for k, wi := popHigh(mark, len(mark)-1); k >= 0; k, wi = popHigh(mark, wi) {
+			v := b[prow[k]]
+			lo, hi := uPtr[k], uPtr[k+1]
+			cols, vals := uCol[lo:hi], uVal[lo:hi]
+			vals = vals[:len(cols)]
+			for t, c := range cols {
+				v -= float64(vals[t] * w[c])
+			}
+			c := pcol[k]
+			v /= upiv[k]
+			w[c] = v
+			terms += 1 + len(cols)
+			if v != 0 {
+				readers := ucStage[ucPtr[c]:ucPtr[c+1]]
+				marked += markStages(mark, readers, nil)
+				terms += len(readers)
+				if marked > limit {
+					clear(mark[:wi+1])
+					next = k - 1
+					break
+				}
+			}
 		}
 	}
-	uPtr, uCol, uVal := f.uPtr[:m+1], f.uCol, f.uVal
-	for k := m - 1; k >= 0; k-- {
+	// The full loop, kept apart so that the compiler drops its bounds
+	// checks.
+	for k := next; k >= 0; k-- {
 		v := b[prow[k]]
 		lo, hi := uPtr[k], uPtr[k+1]
 		cols, vals := uCol[lo:hi], uVal[lo:hi]
@@ -574,10 +739,12 @@ func (f *luFactor) ftran(b, w []float64) {
 			v -= float64(vals[t] * w[c])
 		}
 		w[pcol[k]] = v / upiv[k]
+		terms += 1 + len(cols)
 	}
+	f.triTerms += int64(terms)
 	eLeave := f.eLeave
 	ePtr, eIdx, eVal, ePiv := f.ePtr[:len(eLeave)+1], f.eIdx, f.eVal, f.ePiv[:len(eLeave)]
-	terms := 0
+	terms = 0
 	for e, lv := range eLeave {
 		t := w[lv]
 		if t == 0 {
@@ -596,28 +763,108 @@ func (f *luFactor) ftran(b, w []float64) {
 	f.etaTerms += int64(terms)
 }
 
+// ftranL runs FTRAN's L pass on b over the stages with an L column,
+// skipping those whose pivot-row value is zero (the Suhl–Suhl sparse-RHS
+// skip: simplex right-hand sides are a handful of nonzeros). Unless nz
+// is nil or the factor holds a non-finite value, it also marks the
+// stages of nz's rows and of the rows it writes, the seeds of a sparse U
+// pass, and returns their number; it returns 0, with no marks set, for
+// the full U pass, also once the seeds pass the cut-off.
+func (f *luFactor) ftranL(b []float64, nz []int32) int {
+	m := f.m
+	prow, stageOfRow := f.prow[:m], f.stageOfRow[:m]
+	lPtr, lRow, lVal := f.lPtr[:m+1], f.lRow, f.lVal
+	mark, limit, marked := f.mark, m/ftranReachDiv, 0
+	sparse := nz != nil && !f.luNonFinite
+	if sparse {
+		marked = markStages(mark, nz, stageOfRow)
+		sparse = marked <= limit
+	}
+	terms := len(f.lStages)
+	for _, k := range f.lStages {
+		bk := b[prow[k]]
+		if bk == 0 {
+			continue
+		}
+		lo, hi := lPtr[k], lPtr[k+1]
+		rows, vals := lRow[lo:hi], lVal[lo:hi]
+		vals = vals[:len(rows)]
+		for t, i := range rows {
+			b[i] -= float64(vals[t] * bk)
+		}
+		terms += len(rows)
+		if sparse {
+			marked += markStages(mark, rows, stageOfRow)
+			sparse = marked <= limit
+		}
+	}
+	f.triTerms += int64(terms)
+	if !sparse {
+		if marked > 0 {
+			clear(mark)
+		}
+		return 0
+	}
+	return marked
+}
+
 // btran solves Bᵀ·y = c in place: c is indexed by basis position
 // (destroyed), y receives the solution indexed by matrix row. nz lists,
 // ascending, a superset of the positions where c is nonzero; the eta
 // pass grows it in place (capacity m avoids a reallocation). Eta
-// transposes apply newest-first, then Uᵀ forward substitution and the
-// reverse Lᵀ sweep.
+// transposes apply newest-first, then btranLU.
 func (f *luFactor) btran(c, y []float64, nz []int32) {
 	m := f.m
 	c, y = c[:m], y[:m]
-	f.btranEtas(c, nz, 0, len(f.eLeave))
-	f.btranLU(c, y)
+	nz = f.btranEtas(c, nz, 0, len(f.eLeave))
+	f.btranLU(c, y, nz)
 }
 
-// btranLU finishes btran once the eta transposes are applied to c: Uᵀ
-// forward substitution, then the reverse Lᵀ sweep into y.
-func (f *luFactor) btranLU(c, y []float64) {
+// btranLU finishes btran once the eta transposes are applied to c (nz
+// covering its nonzeros): Uᵀ forward substitution, walking the marked
+// stages from the first when btranSeed allows (see markStages) or in
+// the full loop, then the reverse Lᵀ sweep into y over the stages with
+// an L column.
+func (f *luFactor) btranLU(c, y []float64, nz []int32) {
 	m := f.m
 	c, y = c[:m], y[:m]
 	zs := f.zs[:m]
-	prow, upiv := f.prow[:m], f.upiv[:m]
+	prow, pcol, upiv := f.prow[:m], f.pcol[:m], f.upiv[:m]
 	ucPtr, ucStage, ucVal := f.ucPtr[:m+1], f.ucStage, f.ucVal
-	for k, cpos := range f.pcol[:m] {
+	terms, next := 0, 0 // next: the first stage of the full loop
+	done := f.done[:0]
+	if marked := f.btranSeed(nz); marked > 0 {
+		// A stage never marked keeps the zero zs holds between solves.
+		mark, limit := f.mark, m/btranReachDiv
+		uPtr, uStage := f.uPtr[:m+1], f.uStage
+		next = m
+		for k, wi := popLow(mark, 0); k >= 0; k, wi = popLow(mark, wi) {
+			cpos := pcol[k]
+			v := c[cpos]
+			lo, hi := ucPtr[cpos], ucPtr[cpos+1]
+			stages, vals := ucStage[lo:hi], ucVal[lo:hi]
+			vals = vals[:len(stages)]
+			for q, st := range stages {
+				v -= float64(vals[q] * zs[st])
+			}
+			v /= upiv[k]
+			zs[k] = v
+			done = append(done, int32(k))
+			terms += 1 + len(stages)
+			if v != 0 {
+				readers := uStage[uPtr[k]:uPtr[k+1]]
+				marked += markStages(mark, readers, nil)
+				terms += len(readers)
+				if marked > limit {
+					clear(mark[wi:])
+					next = k + 1
+					break
+				}
+			}
+		}
+	}
+	for k := next; k < m; k++ {
+		cpos := pcol[k]
 		v := c[cpos]
 		lo, hi := ucPtr[cpos], ucPtr[cpos+1]
 		stages, vals := ucStage[lo:hi], ucVal[lo:hi]
@@ -626,12 +873,24 @@ func (f *luFactor) btranLU(c, y []float64) {
 			v -= float64(vals[q] * zs[st])
 		}
 		zs[k] = v / upiv[k]
+		terms += 1 + len(stages)
 	}
-	for k, r := range prow {
-		y[r] = zs[k]
+	if next < m {
+		for k, r := range prow {
+			y[r] = zs[k]
+		}
+		clear(zs)
+	} else {
+		clear(y)
+		for _, k := range done {
+			y[prow[k]], zs[k] = zs[k], 0
+		}
 	}
-	lPtr, lRow, lVal := f.lPtr[:m+1], f.lRow, f.lVal
-	for k := m - 1; k >= 0; k-- {
+	f.done = done
+	lPtr, lRow, lVal, ls := f.lPtr[:m+1], f.lRow, f.lVal, f.lStages
+	terms += len(ls)
+	for q := len(ls) - 1; q >= 0; q-- {
+		k := ls[q]
 		r := prow[k]
 		v := y[r]
 		lo, hi := lPtr[k], lPtr[k+1]
@@ -641,7 +900,9 @@ func (f *luFactor) btranLU(c, y []float64) {
 			v -= float64(vals[t] * y[i])
 		}
 		y[r] = v
+		terms += len(rows)
 	}
+	f.triTerms += int64(terms)
 }
 
 // etaProbeCost is what BTRAN's sparse eta pass pays per pattern
@@ -775,18 +1036,54 @@ func (f *luFactor) btran2(c1, y1, c2, y2 []float64, lag int, nz []int32) {
 		}
 	}
 	f.etaTerms += int64(terms)
-	f.btranLU2(c1, y1, c2, y2)
+	f.btranLU2(c1, y1, c2, y2, nz)
 }
 
 // btranLU2 is btranLU for btran2's two right-hand sides, as two chains
-// over shared loads.
-func (f *luFactor) btranLU2(c1, y1, c2, y2 []float64) {
+// over shared loads; nz covers both, and a stage whose value is nonzero
+// on either side marks its readers.
+func (f *luFactor) btranLU2(c1, y1, c2, y2 []float64, nz []int32) {
 	m := f.m
 	c1, y1, c2, y2 = c1[:m], y1[:m], c2[:m], y2[:m]
 	z1, z2 := f.zs[:m], f.zs2[:m]
-	prow, upiv := f.prow[:m], f.upiv[:m]
+	prow, pcol, upiv := f.prow[:m], f.pcol[:m], f.upiv[:m]
 	ucPtr, ucStage, ucVal := f.ucPtr[:m+1], f.ucStage, f.ucVal
-	for k, cpos := range f.pcol[:m] {
+	terms, next := 0, 0
+	done := f.done[:0]
+	if marked := f.btranSeed(nz); marked > 0 {
+		mark, limit := f.mark, m/btranReachDiv
+		uPtr, uStage := f.uPtr[:m+1], f.uStage
+		next = m
+		for k, wi := popLow(mark, 0); k >= 0; k, wi = popLow(mark, wi) {
+			cpos := pcol[k]
+			v1, v2 := c1[cpos], c2[cpos]
+			lo, hi := ucPtr[cpos], ucPtr[cpos+1]
+			stages, vals := ucStage[lo:hi], ucVal[lo:hi]
+			vals = vals[:len(stages)]
+			for q, st := range stages {
+				x := vals[q]
+				v1 -= float64(x * z1[st])
+				v2 -= float64(x * z2[st])
+			}
+			piv := upiv[k]
+			v1, v2 = v1/piv, v2/piv
+			z1[k], z2[k] = v1, v2
+			done = append(done, int32(k))
+			terms += 1 + len(stages)
+			if v1 != 0 || v2 != 0 {
+				readers := uStage[uPtr[k]:uPtr[k+1]]
+				marked += markStages(mark, readers, nil)
+				terms += len(readers)
+				if marked > limit {
+					clear(mark[wi:])
+					next = k + 1
+					break
+				}
+			}
+		}
+	}
+	for k := next; k < m; k++ {
+		cpos := pcol[k]
 		v1, v2 := c1[cpos], c2[cpos]
 		lo, hi := ucPtr[cpos], ucPtr[cpos+1]
 		stages, vals := ucStage[lo:hi], ucVal[lo:hi]
@@ -798,12 +1095,28 @@ func (f *luFactor) btranLU2(c1, y1, c2, y2 []float64) {
 		}
 		piv := upiv[k]
 		z1[k], z2[k] = v1/piv, v2/piv
+		terms += 1 + len(stages)
 	}
-	for k, r := range prow {
-		y1[r], y2[r] = z1[k], z2[k]
+	if next < m {
+		for k, r := range prow {
+			y1[r], y2[r] = z1[k], z2[k]
+		}
+		clear(z1)
+		clear(z2)
+	} else {
+		clear(y1)
+		clear(y2)
+		for _, k := range done {
+			r := prow[k]
+			y1[r], y2[r] = z1[k], z2[k]
+			z1[k], z2[k] = 0, 0
+		}
 	}
-	lPtr, lRow, lVal := f.lPtr[:m+1], f.lRow, f.lVal
-	for k := m - 1; k >= 0; k-- {
+	f.done = done
+	lPtr, lRow, lVal, ls := f.lPtr[:m+1], f.lRow, f.lVal, f.lStages
+	terms += len(ls)
+	for q := len(ls) - 1; q >= 0; q-- {
+		k := ls[q]
 		r := prow[k]
 		v1, v2 := y1[r], y2[r]
 		lo, hi := lPtr[k], lPtr[k+1]
@@ -815,7 +1128,9 @@ func (f *luFactor) btranLU2(c1, y1, c2, y2 []float64) {
 			v2 -= float64(x * y2[i])
 		}
 		y1[r], y2[r] = v1, v2
+		terms += len(rows)
 	}
+	f.triTerms += int64(terms)
 }
 
 // insertionSortInt32 sorts a short int32 slice ascending (column lists

@@ -99,7 +99,7 @@ func TestLUFactorSolveMatchesDense(t *testing.T) {
 			continue
 		}
 		x := make([]float64, m)
-		f.ftran(append([]float64(nil), b...), x)
+		f.ftran(append([]float64(nil), b...), x, nzOf(b))
 		for i := range x {
 			if math.Abs(x[i]-ref[i]) > 1e-7*(1+math.Abs(ref[i])) {
 				t.Fatalf("trial %d m=%d: ftran x[%d]=%g want %g", trial, m, i, x[i], ref[i])
@@ -157,7 +157,7 @@ func TestLUDuplicateRowEntriesAccumulate(t *testing.T) {
 		t.Fatal("factor failed")
 	}
 	x := make([]float64, 2)
-	f.ftran([]float64{10, 7}, x)
+	f.ftran([]float64{10, 7}, x, []int32{0, 1})
 	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-7) > 1e-12 {
 		t.Fatalf("x=%v want [2 7]", x)
 	}
@@ -202,7 +202,7 @@ func TestLUEtaUpdateMatchesRefactor(t *testing.T) {
 			}
 			leave := rng.Intn(m)
 			w := make([]float64, m)
-			f.ftran(append([]float64(nil), newCol...), w)
+			f.ftran(append([]float64(nil), newCol...), w, nzOf(newCol))
 			if math.Abs(w[leave]) < 1e-6 {
 				continue // unacceptable pivot; the solver would reject it too
 			}
@@ -235,8 +235,8 @@ func TestLUEtaUpdateMatchesRefactor(t *testing.T) {
 		}
 		x1 := make([]float64, m)
 		x2 := make([]float64, m)
-		f.ftran(append([]float64(nil), b...), x1)
-		g.ftran(append([]float64(nil), b...), x2)
+		f.ftran(append([]float64(nil), b...), x1, nzOf(b))
+		g.ftran(append([]float64(nil), b...), x2, nzOf(b))
 		for i := range x1 {
 			if math.Abs(x1[i]-x2[i]) > 1e-6*(1+math.Abs(x2[i])) {
 				t.Fatalf("trial %d m=%d etas=%d: eta ftran x[%d]=%g scratch=%g", trial, m, f.nEtas(), i, x1[i], x2[i])

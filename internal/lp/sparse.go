@@ -24,6 +24,15 @@ type Instance struct {
 	rowIdx []int32
 	vals   []float64
 
+	// The same matrix by rows, for row-wise PRICE: row i holds its
+	// entries in ascending column order, so each column meets its terms
+	// in its CSC order when rows are taken in ascending order. finite
+	// reports that every coefficient is finite.
+	rowPtr []int32
+	rowCol []int32
+	rowVal []float64
+	finite bool
+
 	slackLb, slackUb []float64 // per row, fixed by the row sense
 
 	// fprint is a content hash of the assembled instance, the per-matrix
@@ -54,6 +63,12 @@ type FactorStats struct {
 	// when those are fewer (one visit serves both halves of a fused
 	// BTRAN). Like the solve counts it is a deterministic work count.
 	EtaTerms int64
+	// TriTerms counts the stages and factor entries the L and U passes
+	// of FTRAN and BTRAN visit, a mark a sparse U pass sets counting as
+	// one; PriceTerms counts the matrix entries PRICE visits (reduced
+	// costs and pivot-row products). Both are deterministic work counts.
+	TriTerms   int64
+	PriceTerms int64
 	// FactorNanos and SolveNanos split the time spent inside the LU
 	// kernel: factorizations vs triangular solves (the benchmark's "FTRAN
 	// time share" reads SolveNanos against the whole solve wall clock).
@@ -75,6 +90,8 @@ func (st *FactorStats) Add(o FactorStats) {
 	st.Ftrans += o.Ftrans
 	st.Btrans += o.Btrans
 	st.EtaTerms += o.EtaTerms
+	st.TriTerms += o.TriTerms
+	st.PriceTerms += o.PriceTerms
 	st.FactorNanos += o.FactorNanos
 	st.SolveNanos += o.SolveNanos
 	if o.FillNnz > 0 {
@@ -142,8 +159,36 @@ func Prepare(p *Problem) *Instance {
 			in.slackLb[i], in.slackUb[i] = 0, 0
 		}
 	}
+	in.buildRows()
 	in.fprint = in.fingerprint()
 	return in
+}
+
+// buildRows fills the row-major copy of the CSC matrix and the finite
+// flag.
+func (in *Instance) buildRows() {
+	m, nTot := in.m, in.nStruct+in.m
+	in.rowPtr = make([]int32, m+1)
+	for _, i := range in.rowIdx {
+		in.rowPtr[i+1]++
+	}
+	for i := 0; i < m; i++ {
+		in.rowPtr[i+1] += in.rowPtr[i]
+	}
+	in.rowCol = make([]int32, len(in.rowIdx))
+	in.rowVal = make([]float64, len(in.vals))
+	next := slices.Clone(in.rowPtr[:m])
+	in.finite = true
+	for j := 0; j < nTot; j++ {
+		for k := in.colPtr[j]; k < in.colPtr[j+1]; k++ {
+			i, v := in.rowIdx[k], in.vals[k]
+			in.rowCol[next[i]] = int32(j)
+			in.rowVal[next[i]] = v
+			next[i]++
+			// v−v is 0 for every finite v and NaN for ±Inf and NaN.
+			in.finite = in.finite && v-v == 0
+		}
+	}
 }
 
 // Fingerprint returns the instance's content hash: the per-matrix half of
@@ -325,6 +370,8 @@ type spx struct {
 	bscratch         []float64 // second BTRAN right-hand side (rowAndDuals), length m
 	nz               []int32   // BTRAN right-hand-side pattern, capacity m
 	xb               []float64 // computeXB solution scratch, length m
+	dj               []float64 // row-wise PRICE output, per column
+	priceRows        []int32   // row-wise PRICE's rows, capacity m
 
 	// Dual ratio-test candidate scratch (the BFRT walk re-reads what the
 	// entering scan computed instead of re-scanning the columns).
@@ -381,8 +428,9 @@ func (in *Instance) workspace(opts *Options) *spx {
 			y: make([]float64, m), w: make([]float64, m),
 			rho: make([]float64, m), resid: make([]float64, m),
 			fscratch: make([]float64, m), bscratch: make([]float64, m),
-			nz:    make([]int32, 0, m),
-			xb:    make([]float64, m),
+			nz: make([]int32, 0, m),
+			xb: make([]float64, m),
+			dj: make([]float64, total), priceRows: make([]int32, 0, m),
 			gamma: make([]float64, total),
 			candJ: make([]int32, 0, total), candA: make([]float64, 0, total),
 			candR: make([]float64, 0, total),
@@ -646,17 +694,18 @@ func (s *spx) computeXB() {
 			}
 		}
 	}
-	s.luFtran(r, s.xb)
+	s.luFtran(r, s.xb, nil)
 	for i := 0; i < m; i++ {
 		s.x[s.basis[i]] = s.xb[i]
 	}
 }
 
 // luFtran solves B·w = b (b indexed by row, destroyed; w by basis
-// position) against the live factorization, with stats bookkeeping.
-func (s *spx) luFtran(b, w []float64) {
+// position; nz the rows where b may be nonzero, nil when not known)
+// against the live factorization, with stats bookkeeping.
+func (s *spx) luFtran(b, w []float64, nz []int32) {
 	t0 := time.Now()
-	s.lu.ftran(b, w)
+	s.lu.ftran(b, w, nz)
 	s.in.stats.Ftrans++
 	s.solved(t0)
 }
@@ -672,12 +721,13 @@ func (s *spx) luBtran(c, y []float64, nz []int32) {
 }
 
 // solved books a triangular solve that started at t0: its time and the
-// eta entries it visited.
+// eta entries, stages and factor entries it visited.
 func (s *spx) solved(t0 time.Time) {
 	st := &s.in.stats
 	st.SolveNanos += int64(time.Since(t0))
 	st.EtaTerms += s.lu.etaTerms
-	s.lu.etaTerms = 0
+	st.TriTerms += s.lu.triTerms
+	s.lu.etaTerms, s.lu.triTerms = 0, 0
 }
 
 // ftran computes w = B⁻¹·a_j.
@@ -691,13 +741,7 @@ func (s *spx) ftran(j int, w []float64) {
 	for k, row := range idx {
 		b[row] += vals[k]
 	}
-	s.luFtran(b, w)
-}
-
-// ftranDense computes w = B⁻¹·a for a dense right-hand side a (a is the
-// sparse accumulation of the BFRT's flipped columns; it is destroyed).
-func (s *spx) ftranDense(a, w []float64) {
-	s.luFtran(a, w)
+	s.luFtran(b, w, idx)
 }
 
 // duals computes y = c_B·B⁻¹ for the objective c.
@@ -758,7 +802,110 @@ func (s *spx) reducedCost(c []float64, j int) float64 {
 	for k, row := range idx {
 		d -= float64(s.y[row] * vals[k])
 	}
+	s.in.stats.PriceTerms += int64(len(idx))
 	return d
+}
+
+// alpha returns α_j = ρ·a_j, the pivot row's entry at column j.
+func (s *spx) alpha(rho []float64, j int) float64 {
+	a := 0.0
+	idx, vals := s.col(j)
+	for k, row := range idx {
+		a += float64(rho[row] * vals[k])
+	}
+	s.in.stats.PriceTerms += int64(len(idx))
+	return a
+}
+
+// priceRowShare bounds row-wise PRICE: it runs while fewer than
+// 1/priceRowShare of the rows are nonzero. Past that, its scattered
+// updates of the output, on the basic and fixed columns too, cost more
+// than the column-wise products, which keep each sum in a register and
+// skip those columns. It was set by timing BenchmarkPrice against the
+// density of the priced vector.
+const priceRowShare = 2
+
+// priceByRow decides how PRICE runs over v (the duals or a pivot row):
+// row by row over v's nonzero rows, which it collects ascending into
+// s.priceRows, when fewer than 1/priceRowShare of the rows are nonzero;
+// column by column otherwise. A skipped product a·0 is ±0 only for
+// finite a, so an instance with a non-finite coefficient always prices
+// by column.
+func (s *spx) priceByRow(v []float64) bool {
+	if !s.in.finite {
+		return false
+	}
+	// Branch-free: a test on x would mispredict on a vector a few tenths
+	// dense.
+	rows, n, limit := s.priceRows[:s.m], 0, s.m/priceRowShare
+	for i, x := range v[:s.m] {
+		rows[n] = int32(i)
+		if n += isNonzero(x); n >= limit {
+			return false
+		}
+	}
+	s.priceRows = rows[:n]
+	return true
+}
+
+// isNonzero returns 1 when x is not ±0 (NaN included), else 0.
+func isNonzero(x float64) int {
+	if x != 0 {
+		return 1
+	}
+	return 0
+}
+
+// rowReducedCosts sets s.dj[j] = c_j − y·a_j for every column, after
+// priceByRow(s.y). Rows come in ascending order and each row's entries
+// in ascending column order, so every column subtracts its terms in the
+// order reducedCost does; a skipped term is y_i·a_ij with y_i = ±0, an
+// exact zero. So every nonzero d_j has reducedCost's bits, and a zero
+// can differ only in its sign.
+func (s *spx) rowReducedCosts(c []float64) {
+	in := s.in
+	dj, y := s.dj[:s.n], s.y[:s.m]
+	copy(dj[:s.nTot], c[:s.nTot])
+	terms := 0
+	for _, i := range s.priceRows {
+		yi := y[i]
+		lo, hi := in.rowPtr[i], in.rowPtr[i+1]
+		cols, vals := in.rowCol[lo:hi], in.rowVal[lo:hi]
+		vals = vals[:len(cols)]
+		for t, j := range cols {
+			dj[j] -= float64(yi * vals[t])
+		}
+		terms += len(cols)
+	}
+	in.stats.PriceTerms += int64(terms)
+	for j := s.nTot; j < s.n; j++ {
+		dj[j] = s.reducedCost(c, j)
+	}
+}
+
+// rowAlphas sets s.dj[j] = α_j = ρ·a_j for every column, after
+// priceByRow(rho), in alpha's order of terms (see rowReducedCosts). Each
+// sum starts from +0 and a skipped term is ±0, which leaves +0 and every
+// other value as it is, so every α_j has alpha's bits.
+func (s *spx) rowAlphas(rho []float64) {
+	in := s.in
+	dj := s.dj[:s.n]
+	clear(dj[:s.nTot])
+	terms := 0
+	for _, i := range s.priceRows {
+		ri := rho[i]
+		lo, hi := in.rowPtr[i], in.rowPtr[i+1]
+		cols, vals := in.rowCol[lo:hi], in.rowVal[lo:hi]
+		vals = vals[:len(cols)]
+		for t, j := range cols {
+			dj[j] += float64(ri * vals[t])
+		}
+		terms += len(cols)
+	}
+	in.stats.PriceTerms += int64(terms)
+	for j := s.nTot; j < s.n; j++ {
+		dj[j] = s.alpha(rho, j)
+	}
 }
 
 // pivotUpdate appends a product-form eta to the live factorization after
@@ -836,11 +983,20 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		enter := -1
 		bestScore := 0.0
 		var dir float64 // +1 entering increases, −1 decreases
+		byRow := s.priceByRow(s.y)
+		if byRow {
+			s.rowReducedCosts(c)
+		}
 		for j := 0; j < s.n; j++ {
 			if s.stat[j] == basic || s.entryFixed(j) {
 				continue
 			}
-			d := s.reducedCost(c, j)
+			var d float64
+			if byRow {
+				d = s.dj[j]
+			} else {
+				d = s.reducedCost(c, j)
+			}
 			var viol, dd float64
 			switch {
 			case s.stat[j] == atLower && d < -eps:
@@ -995,14 +1151,25 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 			s.gamma[lv] = math.Max(gammaEnter/(alphaE*alphaE), 1)
 			ratio2 := gammaEnter / (alphaE * alphaE)
 			maxGamma := 1.0
+			byRow := s.priceByRow(s.rho)
+			if byRow {
+				s.rowAlphas(s.rho)
+			}
 			for j := 0; j < s.n; j++ {
 				if s.stat[j] == basic || j == lv || s.entryFixed(j) {
 					continue
 				}
-				idx, vals := s.col(j)
 				alpha := 0.0
-				for k, row := range idx {
-					alpha += float64(s.rho[row] * vals[k])
+				if byRow {
+					alpha = s.dj[j]
+				} else {
+					// alpha(s.rho, j), written out: the call is too large
+					// to inline, and this loop runs for every column.
+					idx, vals := s.col(j)
+					for k, row := range idx {
+						alpha += float64(s.rho[row] * vals[k])
+					}
+					s.in.stats.PriceTerms += int64(len(idx))
 				}
 				if alpha != 0 {
 					if cand := alpha * alpha * ratio2; cand > s.gamma[j] {
@@ -1109,14 +1276,24 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		// row r at all.
 		s.candJ, s.candA, s.candR = s.candJ[:0], s.candA[:0], s.candR[:0]
 		nanRatio := false
+		byRow := s.priceByRow(rho)
+		if byRow {
+			s.rowAlphas(rho)
+		}
 		for j := 0; j < s.n; j++ {
 			if s.stat[j] == basic || s.entryFixed(j) {
 				continue
 			}
-			idx, vals := s.col(j)
 			alpha := 0.0
-			for k, row := range idx {
-				alpha += float64(rho[row] * vals[k])
+			if byRow {
+				alpha = s.dj[j]
+			} else {
+				// alpha(rho, j), written out as in the Devex update.
+				idx, vals := s.col(j)
+				for k, row := range idx {
+					alpha += float64(rho[row] * vals[k])
+				}
+				s.in.stats.PriceTerms += int64(len(idx))
 			}
 			aAbs := math.Abs(alpha)
 			if aAbs <= alphaTol {
@@ -1243,7 +1420,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		if nFlip > 0 {
 			// One combined FTRAN applies every flip to the basic values:
 			// x_B -= B⁻¹·Σ f_j·A_j.
-			s.ftranDense(s.acc, w)
+			s.luFtran(s.acc, w, nil)
 			for i := 0; i < m; i++ {
 				s.x[s.basis[i]] -= w[i]
 			}

@@ -31,10 +31,12 @@
 #      on factorization quality (fill-in bounded relative to the basis,
 #      at least one refactorization, warm factor reuse firing) and
 #      baseline-relative gates on its iteration count, fill-in,
-#      refactorization count and eta terms (the eta-file entries its
-#      FTRAN/BTRAN eta passes visit), also failing on any increase (and
-#      also skipped for pre-LU baselines; the eta-terms gate for
-#      baselines without the field).
+#      refactorization count, eta terms (the eta-file entries its
+#      FTRAN/BTRAN eta passes visit), triangular terms (the stages and
+#      factor entries their L and U passes visit) and PRICE terms (the
+#      matrix entries PRICE visits), also failing on any increase (and
+#      also skipped for pre-LU baselines; each terms gate for baselines
+#      without its field).
 set -eu
 
 cd "$(dirname "$0")/.."
