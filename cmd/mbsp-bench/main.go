@@ -460,7 +460,7 @@ type degenerateJSON struct {
 // the former dense-inverse row ceiling (3000) enters tree search under a
 // binding node limit, and the factorization counters — fill-in,
 // refactorization count, eta updates, eta, triangular and PRICE terms
-// visited, hot/replay reuse, and the share of wall time spent in
+// and columns scanned, hot/replay reuse, and the share of wall time spent in
 // triangular solves — are tracked across PRs. The
 // node limit binds, so every count except the timings is deterministic.
 type luJSON struct {
@@ -477,6 +477,7 @@ type luJSON struct {
 	EtaTerms      int64   `json:"eta_terms"`   // eta entries the FTRAN/BTRAN eta passes visited
 	TriTerms      int64   `json:"tri_terms"`   // stages and factor entries the L and U passes visited
 	PriceTerms    int64   `json:"price_terms"` // matrix entries PRICE visited
+	ScanCols      int64   `json:"scan_cols"`   // columns pricing, the Devex update and the dual's entering scan visited
 	FillNnz       int64   `json:"fill_nnz"`
 	BasisNnz      int64   `json:"basis_nnz"`
 	FillRatio     float64 `json:"fill_ratio"`
@@ -763,6 +764,7 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 					{"eta terms", out.LU.EtaTerms, prev.LU.EtaTerms},
 					{"triangular terms", out.LU.TriTerms, prev.LU.TriTerms},
 					{"PRICE terms", out.LU.PriceTerms, prev.LU.PriceTerms},
+					{"scanned columns", out.LU.ScanCols, prev.LU.ScanCols},
 				} {
 					if c.prev > 0 && c.got > c.prev {
 						fatal(fmt.Errorf("solver experiment: LU leg regressed: %d %s vs %d in %s",
@@ -881,7 +883,7 @@ func runLULeg(out *solverJSON) {
 		BBNodes: stats.ILPNodes, SimplexIters: stats.SimplexIters,
 		Refactors: lu.Refactors, Replays: lu.Replays, HotSolves: lu.HotSolves,
 		EtaPivots: lu.EtaPivots, Ftrans: lu.Ftrans, Btrans: lu.Btrans,
-		EtaTerms: lu.EtaTerms, TriTerms: lu.TriTerms, PriceTerms: lu.PriceTerms,
+		EtaTerms: lu.EtaTerms, TriTerms: lu.TriTerms, PriceTerms: lu.PriceTerms, ScanCols: lu.ScanCols,
 		FillNnz: lu.FillNnz, BasisNnz: lu.BasisNnz,
 		FactorSeconds: float64(lu.FactorNanos) / 1e9,
 		SolveSeconds:  float64(lu.SolveNanos) / 1e9,
@@ -894,8 +896,8 @@ func runLULeg(out *solverJSON) {
 		l.FtranShare = l.SolveSeconds / l.Seconds
 	}
 	out.LU = l
-	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d refactors, %d etas, %d eta terms, %d triangular terms, %d PRICE terms, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN/BTRAN)\n",
-		l.Instance, l.ModelRows, l.BBNodes, l.SimplexIters, l.Refactors, l.EtaPivots, l.EtaTerms, l.TriTerms, l.PriceTerms,
+	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d refactors, %d etas, %d eta terms, %d triangular terms, %d PRICE terms, %d scanned columns, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN/BTRAN)\n",
+		l.Instance, l.ModelRows, l.BBNodes, l.SimplexIters, l.Refactors, l.EtaPivots, l.EtaTerms, l.TriTerms, l.PriceTerms, l.ScanCols,
 		l.HotSolves, l.Replays, l.FillNnz, l.BasisNnz, l.FillRatio,
 		l.FactorSeconds, l.SolveSeconds, l.Seconds, 100*l.FtranShare)
 	if !stats.UsedILP {

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 )
@@ -81,6 +82,7 @@ func NewKernelFixture(p *Problem, etas int) (*KernelFixture, error) {
 	k.colNZ, k.denseNZ, k.unitNZ, k.cbNZ = nzOf(k.col), nzOf(k.dense), nzOf(k.unit), nzOf(k.cb)
 	k.unitsNZ, k.bothNZ = nzOf(k.unit, k.unit2), nzOf(k.unit, k.cb)
 	k.nz = make([]int32, 0, m)
+	s.buildElig()
 	k.f.btran(slices.Clone(k.unit), k.rho, nzOf(k.unit))
 	k.f.etaTerms, k.f.triTerms, in.stats.PriceTerms = 0, 0, 0
 	return k, nil
@@ -145,7 +147,8 @@ func (k *KernelFixture) Btran2Dense() {
 
 // Price computes the pivot-row entries α_j = v·a_j of every column the
 // dual's entering scan reads, for v the pivot row or the dense vector,
-// as the scan does: by row when priceByRow says so.
+// as the scan does: by row when priceByRow says so, then over the
+// eligible columns it touched, else over every eligible column.
 func (k *KernelFixture) Price(dense bool) {
 	s, v := k.s, k.rho
 	if dense {
@@ -156,21 +159,25 @@ func (k *KernelFixture) Price(dense bool) {
 		s.rowAlphas(v)
 	}
 	sum := 0.0
-	for j := 0; j < s.n; j++ {
-		if s.stat[j] == basic || s.entryFixed(j) {
-			continue
-		}
-		alpha := 0.0
+	for wi, wd := range s.walkWords() {
 		if byRow {
-			alpha = s.dj[j]
-		} else {
-			idx, vals := s.col(j)
-			for k, row := range idx {
-				alpha += float64(v[row] * vals[k])
-			}
-			s.in.stats.PriceTerms += int64(len(idx))
+			wd &= s.touched[wi]
+			s.touched[wi] = 0
 		}
-		sum += alpha
+		for ; wd != 0; wd &= wd - 1 {
+			j := wi<<6 | bits.TrailingZeros64(wd)
+			alpha := 0.0
+			if byRow {
+				alpha = s.dj[j]
+			} else {
+				idx, vals := s.col(j)
+				for k, row := range idx {
+					alpha += float64(v[row] * vals[k])
+				}
+				s.in.stats.PriceTerms += int64(len(idx))
+			}
+			sum += alpha
+		}
 	}
 	k.sink = sum
 }
@@ -274,4 +281,94 @@ func (f *luFactor) btran2Full(c1, y1, c2, y2 []float64, lag int) {
 		c1[lv], c2[lv] = v1/piv, v2/piv
 	}
 	f.btranLU2(c1, y1, c2, y2, allPositions(m))
+}
+
+// priceFull, devexFull and enteringScanFull are the loops that the
+// column walks replaced: each visits every column and skips the basic
+// and entryFixed ones, with column-wise products.
+// TestColumnWalksMatchFullScans checks the walks against them.
+func (s *spx) priceFull(c []float64, useBland bool) (enter int, dir float64) {
+	enter = -1
+	bestScore := 0.0
+	for j := 0; j < s.n; j++ {
+		if s.stat[j] == basic || s.entryFixed(j) {
+			continue
+		}
+		d := s.reducedCost(c, j)
+		var viol, dd float64
+		switch {
+		case s.stat[j] == atLower && d < -eps:
+			viol, dd = -d, 1
+		case s.stat[j] == atLower && d > eps && math.IsInf(s.lb[j], -1):
+			viol, dd = d, -1
+		case s.stat[j] == atUpper && d > eps:
+			viol, dd = d, -1
+		default:
+			continue
+		}
+		if useBland {
+			return j, dd
+		}
+		if score := viol * viol / s.gamma[j]; score > bestScore {
+			bestScore, enter, dir = score, j, dd
+		}
+	}
+	return enter, dir
+}
+
+// devexFull reports the reset decision as the full scan made it: the
+// largest weight of an eligible column but lv, at least 1, above 1e10.
+func (s *spx) devexFull(lv int, ratio2 float64) bool {
+	maxGamma := 1.0
+	for j := 0; j < s.n; j++ {
+		if s.stat[j] == basic || j == lv || s.entryFixed(j) {
+			continue
+		}
+		if alpha := s.alpha(s.rho, j); alpha != 0 {
+			if cand := alpha * alpha * ratio2; cand > s.gamma[j] {
+				s.gamma[j] = cand
+			}
+		}
+		if s.gamma[j] > maxGamma {
+			maxGamma = s.gamma[j]
+		}
+	}
+	return maxGamma > 1e10
+}
+
+func (s *spx) enteringScanFull(rho []float64, below bool) (nanRatio bool) {
+	s.candJ, s.candA, s.candR = s.candJ[:0], s.candA[:0], s.candR[:0]
+	for j := 0; j < s.n; j++ {
+		if s.stat[j] == basic || s.entryFixed(j) {
+			continue
+		}
+		alpha := s.alpha(rho, j)
+		aAbs := math.Abs(alpha)
+		if aAbs <= alphaTol {
+			continue
+		}
+		if !(math.IsInf(s.lb[j], -1) && math.IsInf(s.ub[j], 1)) {
+			if below && (s.stat[j] == atLower && alpha >= 0 || s.stat[j] == atUpper && alpha <= 0) ||
+				!below && (s.stat[j] == atLower && alpha <= 0 || s.stat[j] == atUpper && alpha >= 0) {
+				continue
+			}
+		}
+		ratio := math.Abs(s.reducedCost(s.obj2, j)) / aAbs
+		nanRatio = nanRatio || ratio != ratio
+		s.candJ = append(s.candJ, int32(j))
+		s.candA = append(s.candA, aAbs)
+		s.candR = append(s.candR, ratio)
+	}
+	return nanRatio
+}
+
+// eligFull returns the elig bitmap that buildElig would build now.
+func (s *spx) eligFull() []uint64 {
+	e := make([]uint64, len(s.elig))
+	for j := 0; j < s.n; j++ {
+		if s.stat[j] != basic && !s.entryFixed(j) {
+			e[j>>6] |= 1 << (j & 63)
+		}
+	}
+	return e
 }

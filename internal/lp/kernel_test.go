@@ -854,7 +854,13 @@ func TestRowPriceMatchesColumnPrice(t *testing.T) {
 				if want := s.alpha(rho, j); math.Float64bits(s.dj[j]) != math.Float64bits(want) {
 					t.Fatalf("trial %d column %d of %d: row-wise α = %v, column-wise %v", trial, j, s.n, s.dj[j], want)
 				}
+				// Every artificial column is marked touched, and every
+				// other column that is not holds +0.
+				if s.touched[j>>6]>>(j&63)&1 == 0 && (j >= s.nTot || math.Float64bits(s.dj[j]) != 0) {
+					t.Fatalf("trial %d column %d of %d: α = %v but not marked touched", trial, j, s.n, s.dj[j])
+				}
 			}
+			clear(s.touched)
 		}
 		p.Rows[0].Coefs[0].Val = math.Inf(1)
 		if s := Prepare(p).workspace(&Options{}); s.priceByRow(kernelRHS(rng, s.m, true)) {

@@ -2,9 +2,24 @@ package lp
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 )
+
+// This file is the bounded-variable simplex over the sparse LU of lu.go:
+// a cold primal (phase 1 on artificials, then phase 2) and a warm dual
+// re-solve from a replayable basis snapshot.
+//
+// Each iteration's loops cost what can change their result, not m and
+// n. PRICE runs row by row over the nonzeros of y or ρ while they are
+// few (priceByRow). Pricing, the Devex update and the dual's entering
+// scan walk a bitmap of the eligible columns, the nonbasic ones that
+// are not entryFixed, and after a row-wise PRICE the last two walk only
+// the columns it touched (walkWords); the Devex reset test stays exact
+// because a skipped column's weight is bounded (devexUpdate). Every
+// result keeps its bits but for the signs of zeros, which nothing reads
+// (DESIGN.md, "Sparse LU core").
 
 // Instance is a prepared LP: the rows assembled once into sparse
 // column-major (CSC) storage, with bounds supplied per solve. It is the
@@ -69,6 +84,10 @@ type FactorStats struct {
 	// costs and pivot-row products). Both are deterministic work counts.
 	TriTerms   int64
 	PriceTerms int64
+	// ScanCols counts the columns that primal pricing, the Devex update
+	// and the dual's entering scan visit, a deterministic work count like
+	// the others.
+	ScanCols int64
 	// FactorNanos and SolveNanos split the time spent inside the LU
 	// kernel: factorizations vs triangular solves (the benchmark's "FTRAN
 	// time share" reads SolveNanos against the whole solve wall clock).
@@ -92,6 +111,7 @@ func (st *FactorStats) Add(o FactorStats) {
 	st.EtaTerms += o.EtaTerms
 	st.TriTerms += o.TriTerms
 	st.PriceTerms += o.PriceTerms
+	st.ScanCols += o.ScanCols
 	st.FactorNanos += o.FactorNanos
 	st.SolveNanos += o.SolveNanos
 	if o.FillNnz > 0 {
@@ -373,6 +393,14 @@ type spx struct {
 	dj               []float64 // row-wise PRICE output, per column
 	priceRows        []int32   // row-wise PRICE's rows, capacity m
 
+	// Column walks (see walkWords): elig has bit j set while column j
+	// is nonbasic and not entryFixed, the only columns pricing, the
+	// Devex update and the dual's entering scan read; primal and dual
+	// build it on entry, and every pivot updates it. touched has bit j
+	// set for each column rowAlphas wrote; the walk that reads them
+	// clears it.
+	elig, touched []uint64
+
 	// Dual ratio-test candidate scratch (the BFRT walk re-reads what the
 	// entering scan computed instead of re-scanning the columns).
 	candJ []int32
@@ -432,6 +460,7 @@ func (in *Instance) workspace(opts *Options) *spx {
 			xb: make([]float64, m),
 			dj: make([]float64, total), priceRows: make([]int32, 0, m),
 			gamma: make([]float64, total),
+			elig:  make([]uint64, (total+63)/64), touched: make([]uint64, (total+63)/64),
 			candJ: make([]int32, 0, total), candA: make([]float64, 0, total),
 			candR: make([]float64, 0, total),
 			acc:   make([]float64, m),
@@ -886,10 +915,12 @@ func (s *spx) rowReducedCosts(c []float64) {
 // rowAlphas sets s.dj[j] = α_j = ρ·a_j for every column, after
 // priceByRow(rho), in alpha's order of terms (see rowReducedCosts). Each
 // sum starts from +0 and a skipped term is ±0, which leaves +0 and every
-// other value as it is, so every α_j has alpha's bits.
+// other value as it is, so every α_j has alpha's bits. It marks in
+// s.touched every artificial column and each column j < nTot it writes
+// (every other one holds +0); the caller's column walk clears the marks.
 func (s *spx) rowAlphas(rho []float64) {
 	in := s.in
-	dj := s.dj[:s.n]
+	dj, touched := s.dj[:s.n], s.touched
 	clear(dj[:s.nTot])
 	terms := 0
 	for _, i := range s.priceRows {
@@ -899,12 +930,14 @@ func (s *spx) rowAlphas(rho []float64) {
 		vals = vals[:len(cols)]
 		for t, j := range cols {
 			dj[j] += float64(ri * vals[t])
+			touched[j>>6] |= 1 << (j & 63)
 		}
 		terms += len(cols)
 	}
 	in.stats.PriceTerms += int64(terms)
 	for j := s.nTot; j < s.n; j++ {
 		dj[j] = s.alpha(rho, j)
+		touched[j>>6] |= 1 << (j & 63)
 	}
 }
 
@@ -961,6 +994,11 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 	for j := 0; j < s.n; j++ {
 		s.gamma[j] = 1
 	}
+	s.buildElig()
+	// pend is the leaving column of the last Devex update, the one
+	// eligible column whose weight that update did not bound (see
+	// devexUpdate); −1 while every weight is 1.
+	pend := -1
 	degenerate := 0
 	nondegenRun := 0
 	useBland := false
@@ -979,44 +1017,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		} else {
 			s.duals(c)
 		}
-		// Pricing.
-		enter := -1
-		bestScore := 0.0
-		var dir float64 // +1 entering increases, −1 decreases
-		byRow := s.priceByRow(s.y)
-		if byRow {
-			s.rowReducedCosts(c)
-		}
-		for j := 0; j < s.n; j++ {
-			if s.stat[j] == basic || s.entryFixed(j) {
-				continue
-			}
-			var d float64
-			if byRow {
-				d = s.dj[j]
-			} else {
-				d = s.reducedCost(c, j)
-			}
-			var viol, dd float64
-			switch {
-			case s.stat[j] == atLower && d < -eps:
-				viol, dd = -d, 1
-			case s.stat[j] == atLower && d > eps && math.IsInf(s.lb[j], -1):
-				// Free column parked at 0 can also decrease.
-				viol, dd = d, -1
-			case s.stat[j] == atUpper && d > eps:
-				viol, dd = d, -1
-			default:
-				continue
-			}
-			if useBland {
-				enter, dir = j, dd
-				break
-			}
-			if score := viol * viol / s.gamma[j]; score > bestScore {
-				bestScore, enter, dir = score, j, dd
-			}
-		}
+		enter, dir := s.price(c, useBland)
 		if enter < 0 {
 			return Optimal, it
 		}
@@ -1099,6 +1100,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 					for j := 0; j < s.n; j++ {
 						s.gamma[j] = 1
 					}
+					pend = -1
 				}
 			}
 		}
@@ -1139,6 +1141,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		}
 		s.stat[enter] = basic
 		s.basis[leave] = enter
+		s.swapElig(enter, lv)
 		if !s.pivotUpdate(enter, leave, w) {
 			return IterLimit, it // excluded by the pre-pivot magnitude check
 		}
@@ -1149,41 +1152,13 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		if needRow {
 			// Devex reference-weight update from the pre-pivot row.
 			s.gamma[lv] = math.Max(gammaEnter/(alphaE*alphaE), 1)
-			ratio2 := gammaEnter / (alphaE * alphaE)
-			maxGamma := 1.0
-			byRow := s.priceByRow(s.rho)
-			if byRow {
-				s.rowAlphas(s.rho)
-			}
-			for j := 0; j < s.n; j++ {
-				if s.stat[j] == basic || j == lv || s.entryFixed(j) {
-					continue
-				}
-				alpha := 0.0
-				if byRow {
-					alpha = s.dj[j]
-				} else {
-					// alpha(s.rho, j), written out: the call is too large
-					// to inline, and this loop runs for every column.
-					idx, vals := s.col(j)
-					for k, row := range idx {
-						alpha += float64(s.rho[row] * vals[k])
-					}
-					s.in.stats.PriceTerms += int64(len(idx))
-				}
-				if alpha != 0 {
-					if cand := alpha * alpha * ratio2; cand > s.gamma[j] {
-						s.gamma[j] = cand
-					}
-				}
-				if s.gamma[j] > maxGamma {
-					maxGamma = s.gamma[j]
-				}
-			}
-			if maxGamma > 1e10 {
+			if s.devexUpdate(lv, gammaEnter/(alphaE*alphaE), pend) {
 				for j := 0; j < s.n; j++ {
 					s.gamma[j] = 1
 				}
+				pend = -1
+			} else {
+				pend = lv
 			}
 		}
 		if len(s.script) >= refactorEvery {
@@ -1232,58 +1207,170 @@ func (s *spx) ratioTest(w []float64, dir, tFlip float64) (tMax float64, leave in
 	return tMax, leave, toUpper
 }
 
-// dual runs bounded-variable dual simplex iterations on the phase-2
-// objective until primal feasibility is restored (Optimal), primal
-// infeasibility is proven (Infeasible), or the budget runs out
-// (IterLimit — the caller then falls back to a cold solve).
-func (s *spx) dual(maxIters int) (Status, int) {
-	if maxIters <= 0 {
-		return IterLimit, 0
+// buildElig sets elig's bit for every column j < n that is nonbasic and
+// not entryFixed and clears every other bit.
+func (s *spx) buildElig() {
+	clear(s.elig)
+	for j := 0; j < s.n; j++ {
+		if s.stat[j] != basic && !s.entryFixed(j) {
+			s.elig[j>>6] |= 1 << (j & 63)
+		}
 	}
-	m := s.m
-	w := s.w[:m]
-	rho := s.rho[:m]
-	for it := 0; it < maxIters; it++ {
-		if it%64 == 0 && s.checkAbort() {
-			return IterLimit, it
-		}
-		// Leaving row: the most primal-infeasible basic variable, measured
-		// relative to the bound's magnitude. The relative test matters under
-		// per-node perturbation: two seeds shift a bound b by amounts that
-		// differ by up to perturbScaleFactor·eps·(1+|b|), so an absolute
-		// test would chase sub-tolerance "violations" on large bounds after
-		// every warm handoff; scaling by boundScale keeps those invisible.
-		r := -1
-		worst := dualTol
-		below := false
-		for i := 0; i < m; i++ {
-			bi := s.basis[i]
-			if v := (s.lb[bi] - s.x[bi]) / boundScale(s.lb[bi]); v > worst {
-				worst, r, below = v, i, true
+}
+
+// swapElig updates elig for a pivot in which column enter became basic
+// and column leave nonbasic. Bound flips and refactorizations change no
+// basis and leave elig alone.
+func (s *spx) swapElig(enter, leave int) {
+	s.elig[enter>>6] &^= 1 << (enter & 63)
+	if !s.entryFixed(leave) {
+		s.elig[leave>>6] |= 1 << (leave & 63)
+	}
+}
+
+// eligible reports whether column j's elig bit is set.
+func (s *spx) eligible(j int) bool { return s.elig[j>>6]>>(j&63)&1 != 0 }
+
+// walkWords returns the elig words of columns 0..n−1, which the column
+// walks read (the bits of columns n and above are clear).
+//
+// The column walks visit only the columns that can change their result,
+// bit i of word k standing for column 64k+i. Pricing walks elig: every
+// loop that reads a column skips a basic or entryFixed one. After
+// rowAlphas, the Devex update and the dual's entering scan walk
+// touched & elig and clear touched as they go: an untouched column has
+// α_j = +0, which changes no Devex weight and fails the entering scan's
+// |α_j| > alphaTol. The walks take each word's bits lowest first, so
+// columns come in ascending order, the order of the full loops: pricing
+// keeps its first-maximum tie-break and Bland's lowest index, and the
+// entering scan its candidate order, which the BFRT's tie-break reads.
+func (s *spx) walkWords() []uint64 { return s.elig[:(s.n+63)>>6] }
+
+// price returns the entering column for objective c, priced from the
+// duals in s.y, and its direction (+1 increases, −1 decreases), or −1
+// when no column prices out: under Bland's rule the lowest-index
+// candidate, otherwise the Devex choice, the first largest d_j²/γ_j.
+func (s *spx) price(c []float64, useBland bool) (enter int, dir float64) {
+	enter = -1
+	bestScore := 0.0
+	byRow := s.priceByRow(s.y)
+	if byRow {
+		s.rowReducedCosts(c)
+	}
+	scan := 0
+walk:
+	for wi, wd := range s.walkWords() {
+		for ; wd != 0; wd &= wd - 1 {
+			j := wi<<6 | bits.TrailingZeros64(wd)
+			scan++
+			var d float64
+			if byRow {
+				d = s.dj[j]
+			} else {
+				d = s.reducedCost(c, j)
 			}
-			if v := (s.x[bi] - s.ub[bi]) / boundScale(s.ub[bi]); v > worst {
-				worst, r, below = v, i, false
-			}
-		}
-		if r < 0 {
-			return Optimal, it
-		}
-		s.rowAndDuals(r, rho, s.obj2, 0)
-		s.in.stats.Btrans++ // the duals half, read by the entering scan
-		// Entering scan: record every admissible nonbasic as a breakpoint
-		// (column, |α|, strict ratio |d|/|α|) for the bound-flipping ratio
-		// test below. An empty candidate set means no column can repair
-		// row r at all.
-		s.candJ, s.candA, s.candR = s.candJ[:0], s.candA[:0], s.candR[:0]
-		nanRatio := false
-		byRow := s.priceByRow(rho)
-		if byRow {
-			s.rowAlphas(rho)
-		}
-		for j := 0; j < s.n; j++ {
-			if s.stat[j] == basic || s.entryFixed(j) {
+			var viol, dd float64
+			switch {
+			case s.stat[j] == atLower && d < -eps:
+				viol, dd = -d, 1
+			case s.stat[j] == atLower && d > eps && math.IsInf(s.lb[j], -1):
+				// Free column parked at 0 can also decrease.
+				viol, dd = d, -1
+			case s.stat[j] == atUpper && d > eps:
+				viol, dd = d, -1
+			default:
 				continue
 			}
+			if useBland {
+				enter, dir = j, dd
+				break walk
+			}
+			if score := viol * viol / s.gamma[j]; score > bestScore {
+				bestScore, enter, dir = score, j, dd
+			}
+		}
+	}
+	s.in.stats.ScanCols += int64(scan)
+	return enter, dir
+}
+
+// devexUpdate raises the Devex weight γ_j of every eligible column j but
+// the leaving column lv to α_j²·ratio2 where that is larger, α_j read
+// from the pre-pivot row s.rho, and reports whether the weights need a
+// reset: whether an eligible column but lv now has γ_j > 1e10, as a scan
+// of them all would decide.
+//
+// It tests only the columns it visits, and pend. After an update that
+// does not reset, every eligible column but that update's lv has
+// γ_j ≤ 1e10: that is what its test checked. Until the next update, a
+// pivot makes only its leaving column eligible; bound flips change no
+// weight and no eligibility; Bland iterations skip the update but end
+// in a reset of every weight. So an eligible column the walk skips has
+// γ_j ≤ 1e10 unless it is pend, the previous update's lv: the caller
+// passes pend = lv after an update without a reset, and −1 after a
+// reset.
+func (s *spx) devexUpdate(lv int, ratio2 float64, pend int) bool {
+	rho := s.rho[:s.m]
+	byRow := s.priceByRow(rho)
+	if byRow {
+		s.rowAlphas(rho)
+	}
+	big, scan := false, 0
+	for wi, wd := range s.walkWords() {
+		if byRow {
+			wd &= s.touched[wi]
+			s.touched[wi] = 0
+		}
+		for ; wd != 0; wd &= wd - 1 {
+			j := wi<<6 | bits.TrailingZeros64(wd)
+			if j == lv {
+				continue
+			}
+			scan++
+			alpha := 0.0
+			if byRow {
+				alpha = s.dj[j]
+			} else {
+				// alpha(rho, j), written out: the call is too large to
+				// inline, and this loop runs for every eligible column.
+				idx, vals := s.col(j)
+				for k, row := range idx {
+					alpha += float64(rho[row] * vals[k])
+				}
+				s.in.stats.PriceTerms += int64(len(idx))
+			}
+			if alpha != 0 {
+				if cand := alpha * alpha * ratio2; cand > s.gamma[j] {
+					s.gamma[j] = cand
+				}
+			}
+			big = big || s.gamma[j] > 1e10
+		}
+	}
+	s.in.stats.ScanCols += int64(scan)
+	return big || pend >= 0 && pend != lv && s.eligible(pend) && s.gamma[pend] > 1e10
+}
+
+// enteringScan records every eligible column that can repair the dual's
+// leaving row, whose pivot row is rho, as a breakpoint (column, |α|,
+// strict ratio |d|/|α|) for the bound-flipping ratio test, in ascending
+// column order; below reports that the row's basic value is under its
+// lower bound. It reports whether a ratio is NaN.
+func (s *spx) enteringScan(rho []float64, below bool) (nanRatio bool) {
+	s.candJ, s.candA, s.candR = s.candJ[:0], s.candA[:0], s.candR[:0]
+	byRow := s.priceByRow(rho)
+	if byRow {
+		s.rowAlphas(rho)
+	}
+	scan := 0
+	for wi, wd := range s.walkWords() {
+		if byRow {
+			wd &= s.touched[wi]
+			s.touched[wi] = 0
+		}
+		for ; wd != 0; wd &= wd - 1 {
+			j := wi<<6 | bits.TrailingZeros64(wd)
+			scan++
 			alpha := 0.0
 			if byRow {
 				alpha = s.dj[j]
@@ -1327,6 +1414,53 @@ func (s *spx) dual(maxIters int) (Status, int) {
 			s.candA = append(s.candA, aAbs)
 			s.candR = append(s.candR, ratio)
 		}
+	}
+	s.in.stats.ScanCols += int64(scan)
+	return nanRatio
+}
+
+// dual runs bounded-variable dual simplex iterations on the phase-2
+// objective until primal feasibility is restored (Optimal), primal
+// infeasibility is proven (Infeasible), or the budget runs out
+// (IterLimit — the caller then falls back to a cold solve).
+func (s *spx) dual(maxIters int) (Status, int) {
+	if maxIters <= 0 {
+		return IterLimit, 0
+	}
+	m := s.m
+	w := s.w[:m]
+	rho := s.rho[:m]
+	s.buildElig()
+	for it := 0; it < maxIters; it++ {
+		if it%64 == 0 && s.checkAbort() {
+			return IterLimit, it
+		}
+		// Leaving row: the most primal-infeasible basic variable, measured
+		// relative to the bound's magnitude. The relative test matters under
+		// per-node perturbation: two seeds shift a bound b by amounts that
+		// differ by up to perturbScaleFactor·eps·(1+|b|), so an absolute
+		// test would chase sub-tolerance "violations" on large bounds after
+		// every warm handoff; scaling by boundScale keeps those invisible.
+		r := -1
+		worst := dualTol
+		below := false
+		for i := 0; i < m; i++ {
+			bi := s.basis[i]
+			if v := (s.lb[bi] - s.x[bi]) / boundScale(s.lb[bi]); v > worst {
+				worst, r, below = v, i, true
+			}
+			if v := (s.x[bi] - s.ub[bi]) / boundScale(s.ub[bi]); v > worst {
+				worst, r, below = v, i, false
+			}
+		}
+		if r < 0 {
+			return Optimal, it
+		}
+		s.rowAndDuals(r, rho, s.obj2, 0)
+		s.in.stats.Btrans++ // the duals half, read by the entering scan
+		// Entering scan: an empty candidate set means no column can
+		// repair row r at all.
+		nanRatio := s.enteringScan(rho, below)
 		// Bound-flipping ratio test (BFRT). The previous
 		// scheme picked ONE entering column per iteration and, when the
 		// repair step overshot its box, flipped it and returned to the
@@ -1467,6 +1601,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		}
 		s.stat[enter] = basic
 		s.basis[r] = enter
+		s.swapElig(enter, bi)
 		if !s.pivotUpdate(enter, r, w) {
 			if !s.refactor() {
 				return IterLimit, it

@@ -33,8 +33,10 @@
 #      baseline-relative gates on its iteration count, fill-in,
 #      refactorization count, eta terms (the eta-file entries its
 #      FTRAN/BTRAN eta passes visit), triangular terms (the stages and
-#      factor entries their L and U passes visit) and PRICE terms (the
-#      matrix entries PRICE visits), also failing on any increase (and
+#      factor entries their L and U passes visit), PRICE terms (the
+#      matrix entries PRICE visits) and scanned columns (the columns
+#      pricing, the Devex update and the dual's entering scan visit),
+#      also failing on any increase (and
 #      also skipped for pre-LU baselines; each terms gate for baselines
 #      without its field).
 set -eu
