@@ -54,7 +54,7 @@ func main() {
 		method    = flag.String("method", "ilp", "scheduler: base, cilk, ilp, dnc, exact")
 		p         = flag.Int("p", 4, "number of processors")
 		rfactor   = flag.Float64("rfactor", 3, "fast memory capacity as a multiple of r0")
-		rabs      = flag.Float64("r", 0, "absolute fast memory capacity (overrides -rfactor)")
+		rabs      = flag.Float64("r", 0, "absolute fast memory capacity, ≥ 0 (overrides -rfactor; 0: use -rfactor)")
 		gcost     = flag.Float64("g", 1, "communication cost per memory unit")
 		lcost     = flag.Float64("l", 10, "synchronization cost per superstep")
 		model     = flag.String("model", "sync", "cost model: sync or async")
@@ -82,6 +82,9 @@ func main() {
 	g, err := loadDAG(*dagFile, *instance)
 	if err != nil {
 		fatal(err)
+	}
+	if *rabs < 0 {
+		fatal(fmt.Errorf("bad -r %g: must be ≥ 0 (0: use -rfactor)", *rabs))
 	}
 	r := *rfactor * g.MinCache()
 	if *rabs > 0 {

@@ -166,15 +166,11 @@ func (k *KernelFixture) Price(dense bool) {
 		}
 		for ; wd != 0; wd &= wd - 1 {
 			j := wi<<6 | bits.TrailingZeros64(wd)
-			alpha := 0.0
+			var alpha float64
 			if byRow {
 				alpha = s.dj[j]
 			} else {
-				idx, vals := s.col(j)
-				for k, row := range idx {
-					alpha += float64(v[row] * vals[k])
-				}
-				s.in.stats.PriceTerms += int64(len(idx))
+				alpha = s.alpha(v, j)
 			}
 			sum += alpha
 		}
@@ -234,13 +230,14 @@ func allPositions(m int) []int32 {
 
 // btranFull and btran2Full are btran and btran2 with the full eta pass
 // the sparse one replaced: every eta's products over all of its own
-// entries, and the full U passes. TestSparseEtaPassMatchesFullPass
+// entries, and the full U passes; btranFull's first chain is all zero. TestSparseEtaPassMatchesFullPass
 // checks the kernels against them.
 func (f *luFactor) btranFull(c, y []float64) {
 	m := f.m
 	c, y = c[:m], y[:m]
 	f.btranEtasFull(c, 0, len(f.eLeave))
-	f.btranLU(c, y, allPositions(m))
+	z := make([]float64, m)
+	f.btranLU2(z, z, c, y, allPositions(m))
 }
 
 func (f *luFactor) btranEtasFull(c []float64, first, end int) {

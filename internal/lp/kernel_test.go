@@ -231,7 +231,9 @@ func (kc *kernelCheck) check(f *luFactor, b []float64) error {
 	if !sameBits(full, want) || !matchesFull(got, want) {
 		return fmt.Errorf("btran differs from the reference (full pass %v)", sameBits(full, want))
 	}
-	if refReach(f, f.btranEtas(slices.Clone(b), nzOf(b), 0, f.nEtas()), false) <= m/btranReachDiv {
+	c := slices.Clone(b)
+	f.btranEtasFull(c, 0, f.nEtas())
+	if refReach(f, nzOf(b, c), false) <= m/btranReachDiv {
 		kc.sparseB++
 	} else {
 		kc.fullB++
@@ -871,4 +873,162 @@ func TestRowPriceMatchesColumnPrice(t *testing.T) {
 	if arts == 0 || repeats == 0 || byRow == 0 || byRow == 800 {
 		t.Fatalf("generator lost its cases: %d artificial columns, %d repeated variables, %d inputs priced by row", arts, repeats, byRow)
 	}
+}
+
+// zeroChainCheck holds one right-hand side of TestBtranZeroChainInert
+// and its pattern with its reference: the kernel on (c, c) at lag 0,
+// whose chains agree, and the work counts of that call.
+type zeroChainCheck struct {
+	c, want       []float64
+	nz            []int32
+	etaTerms, tri int64
+	finite        bool // the factor and its etas are finite
+}
+
+// terms runs solve and returns the eta and triangular terms it counted.
+func terms(f *luFactor, solve func()) (eta, tri int64) {
+	e, t := f.etaTerms, f.triTerms
+	solve()
+	return f.etaTerms - e, f.triTerms - t
+}
+
+// pattern returns a copy of the check's pattern with capacity m.
+func (zc *zeroChainCheck) pattern() []int32 {
+	return append(make([]int32, 0, len(zc.c)), zc.nz...)
+}
+
+// reference solves c, whose pattern is nz, on both chains of f at lag 0.
+func reference(f *luFactor, c []float64, nz []int32) (zeroChainCheck, error) {
+	m := f.m
+	ref := zeroChainCheck{c: c, nz: nz, want: make([]float64, m), finite: !f.luNonFinite && !slices.Contains(f.eNonFinite, true)}
+	y1 := make([]float64, m)
+	ref.etaTerms, ref.tri = terms(f, func() { f.btran2(slices.Clone(c), y1, slices.Clone(c), ref.want, 0, ref.pattern()) })
+	if !sameBits(y1, ref.want) {
+		return ref, fmt.Errorf("btran2's chains differ on equal right-hand sides")
+	}
+	return ref, nil
+}
+
+// live compares one live chain with want: every nonzero bit for bit,
+// every zero as a zero, and on a finite factor the call's counts.
+func live(got, want []float64, finite bool, eta, tri, wantEta, wantTri int64) error {
+	if !matchesFull(got, want) {
+		return fmt.Errorf("live chain differs from the reference")
+	}
+	if finite && (eta != wantEta || tri != wantTri) {
+		return fmt.Errorf("counts %d eta and %d triangular terms, want %d and %d", eta, tri, wantEta, wantTri)
+	}
+	return nil
+}
+
+// TestBtranZeroChainInert: an all-zero chain of btran2 leaves the other
+// one as a one-chain kernel would compute it. On random factors carrying
+// 0 to 16 etas, btran (chain 1 zero) and btran2 with either chain zero
+// at lag 0 match the kernel on (c, c) in the live chain, every nonzero
+// bit for bit and every zero as a zero, and on a finite factor in the
+// call's eta and triangular terms too. The sparse right-hand sides'
+// patterns include their −0 entries, a superset as in a fused call, so
+// seeds whose live value is a zero of either sign run. At lag 1 a zero
+// chain 1 matches (c, c) at lag 0, and a live chain 1 matches it on the
+// factor before the newest eta, with the newest eta's visit added to
+// the eta terms.
+// Every other workspace first holds a factor with +Inf in U, and a
+// quarter of the etas hold ±Inf or NaN until the next one replaces
+// them, so the finite calls run after non-finite ones on the same
+// zero-chain scratch.
+func TestBtranZeroChainInert(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	nonFinite, finite := 0, 0
+	for trial := 0; trial < 24; trial++ {
+		m := 20 + rng.Intn(120)
+		f := newLUFactor(m)
+		for pass := trial % 2; pass < 2; pass++ {
+			_, col := randomSparseMatrix(rng, m, 2/float64(m))
+			if pass == 0 {
+				col = withInf(rng, m, col)
+			}
+			if !f.factor(col) {
+				continue
+			}
+			for ne := 0; ne <= 16; ne++ {
+				rhs := [][]float64{kernelRHS(rng, m, true), fewRHS(rng, m), sparseRHS(rng, m)}
+				nz := func(q int) []int32 {
+					if q < 2 {
+						return nzOf(rhs[q])
+					}
+					return slices.DeleteFunc(allPositions(m), func(i int32) bool { return rhs[q][i] == 0 && !math.Signbit(rhs[q][i]) })
+				}
+				var pre []zeroChainCheck
+				if ne > 0 {
+					for q, c := range rhs {
+						ref, err := reference(f, c, nz(q))
+						if err != nil {
+							t.Fatalf("trial %d pass %d etas=%d: %v", trial, pass, ne, err)
+						}
+						pre = append(pre, ref)
+					}
+					appendRandomEta(rng, f)
+					if rng.Intn(4) == 0 {
+						e := f.nEtas() - 1
+						f.eVal[f.ePtr[e]] = []float64{math.Inf(1), math.Inf(-1), math.NaN()}[rng.Intn(3)]
+						f.eNonFinite[e] = true
+					}
+				}
+				for q, c := range rhs {
+					ref, err := reference(f, c, nz(q))
+					if err == nil {
+						err = zeroChains(f, ref, pre, q)
+					}
+					if err != nil {
+						t.Fatalf("trial %d pass %d etas=%d rhs %d: %v", trial, pass, ne, q, err)
+					}
+					if ref.finite {
+						finite++
+					} else {
+						nonFinite++
+					}
+				}
+				if e := f.nEtas() - 1; e >= 0 && f.eNonFinite[e] {
+					f.truncateEtas(e)
+					appendRandomEta(rng, f)
+				}
+			}
+		}
+	}
+	t.Logf("%d finite and %d non-finite factor states checked", finite, nonFinite)
+	if finite < 500 || nonFinite < 150 {
+		t.Fatalf("generator lost its cases: %d finite, %d non-finite factor states", finite, nonFinite)
+	}
+}
+
+// zeroChains runs ref's right-hand side with the other chain zero, at
+// lag 0 and, when pre holds the references of the factor before the
+// newest eta, at lag 1.
+func zeroChains(f *luFactor, ref zeroChainCheck, pre []zeroChainCheck, q int) error {
+	m, c := f.m, ref.c
+	y, junk := make([]float64, m), make([]float64, m)
+	eta, tri := terms(f, func() { f.btran(slices.Clone(c), y, ref.pattern()) })
+	if err := live(y, ref.want, ref.finite, eta, tri, ref.etaTerms, ref.tri); err != nil {
+		return fmt.Errorf("btran: %v", err)
+	}
+	for lag := 0; lag <= min(1, len(pre)); lag++ {
+		eta, tri = terms(f, func() { f.btran2(make([]float64, m), junk, slices.Clone(c), y, lag, ref.pattern()) })
+		if err := live(y, ref.want, ref.finite, eta, tri, ref.etaTerms, ref.tri); err != nil {
+			return fmt.Errorf("btran2 on (0, c) at lag %d: %v", lag, err)
+		}
+		want, wantEta, wantTri := ref.want, ref.etaTerms, ref.tri
+		if lag == 1 {
+			e, nz := f.nEtas()-1, ref.nz
+			visit := int64(f.ePtr[e+1] - f.ePtr[e])
+			if f.sparseEta(e, nz) {
+				visit = int64(len(nz))
+			}
+			want, wantEta, wantTri = pre[q].want, pre[q].etaTerms+visit, pre[q].tri
+		}
+		eta, tri = terms(f, func() { f.btran2(slices.Clone(c), y, make([]float64, m), junk, lag, ref.pattern()) })
+		if err := live(y, want, ref.finite, eta, tri, wantEta, wantTri); err != nil {
+			return fmt.Errorf("btran2 on (c, 0) at lag %d: %v", lag, err)
+		}
+	}
+	return nil
 }

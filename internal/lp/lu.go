@@ -24,19 +24,27 @@ import (
 // feeds a sum is written float64(a*b), so no architecture fuses it into
 // a multiply-add that rounds once.
 //
-// BTRAN's eta pass is sparse. A BTRAN right-hand side (c_B, or e_r for
-// the leaving row) has a few nonzeros where the etas are a third dense,
-// and an eta transpose reads the right-hand side only through one dot
-// product. So btranEtas and btran2 carry nz, the ascending positions
-// where a right-hand side may be nonzero (seeded by the callers as they
-// fill it, grown when an eta writes a nonzero at its leave position),
-// and an eta with etaProbeCost times more entries than nz walks nz
-// instead, finding its value at each position through its pattern
-// index: a bitmap of m/64 words plus, per word, the eVal offset of its
-// first entry. A skipped product is a finite value times an exact zero,
-// ±0, so every nonzero of y and ρ keeps the full pass's bits and only a
-// zero can change sign. An eta holding ±Inf or NaN (Inf·0 is NaN) always
-// takes the full pass.
+// BTRAN has one kernel, btran2, which solves two right-hand sides (the
+// leaving row e_r and the duals c_B) as two chains over shared loads;
+// a single right-hand side runs it with the other chain all zero. On a
+// finite factor the zero chain computes only ±0, so it grows no pattern
+// and marks no stage, and the live chain does exactly a one-chain
+// kernel's operations and visits. On a factor holding ±Inf or NaN it
+// can compute NaN (Inf·0), which only widens the pattern and the marks
+// and so changes at most the sign of a zero in the live chain.
+//
+// BTRAN's eta pass is sparse. A BTRAN right-hand side has a few
+// nonzeros where the etas are a third dense, and an eta transpose reads
+// the right-hand side only through one dot product. So btran2 carries
+// nz, the ascending positions where a right-hand side may be nonzero
+// (seeded by the callers as they fill it, grown when an eta writes a
+// nonzero at its leave position), and an eta with etaProbeCost times
+// more entries than nz walks nz instead, finding its value at each
+// position through its pattern index: a bitmap of m/64 words plus, per
+// word, the eVal offset of its first entry. A skipped product is a
+// finite value times an exact zero, ±0, so every nonzero of y and ρ
+// keeps the full pass's bits and only a zero can change sign. An eta
+// holding ±Inf or NaN (Inf·0 is NaN) always takes the full pass.
 //
 // The triangular passes cost their nonzeros too. FTRAN's L pass and
 // BTRAN's Lᵀ pass walk lStages, the stages with an L column; the others
@@ -165,7 +173,8 @@ type luFactor struct {
 	elimRows []int32 // snapshot of the pivot column's rows
 	mergeInd []int32 // row-merge output scratch
 	mergeVal []float64
-	zs, zs2  []float64 // BTRAN stage scratch (zs2: btran2's second chain), zero between solves
+	zs, zs2  []float64 // btranLU2's stage scratch, one per chain, zero between solves
+	zc       []float64 // btran's all-zero first right-hand side, cleared before each use
 }
 
 func newLUFactor(m int) *luFactor {
@@ -189,6 +198,7 @@ func newLUFactor(m int) *luFactor {
 		touched:     make([]int32, 0, m),
 		zs:          make([]float64, m),
 		zs2:         make([]float64, m),
+		zc:          make([]float64, m),
 		stageOfRow:  make([]int32, m),
 		stageOfPos:  make([]int32, m),
 		mark:        make([]uint64, (m+63)/64),
@@ -811,98 +821,11 @@ func (f *luFactor) ftranL(b []float64, nz []int32) int {
 // btran solves Bᵀ·y = c in place: c is indexed by basis position
 // (destroyed), y receives the solution indexed by matrix row. nz lists,
 // ascending, a superset of the positions where c is nonzero; the eta
-// pass grows it in place (capacity m avoids a reallocation). Eta
-// transposes apply newest-first, then btranLU.
+// pass grows it in place (capacity m avoids a reallocation). It is
+// btran2 with c as the second right-hand side and an all-zero first one.
 func (f *luFactor) btran(c, y []float64, nz []int32) {
-	m := f.m
-	c, y = c[:m], y[:m]
-	nz = f.btranEtas(c, nz, 0, len(f.eLeave))
-	f.btranLU(c, y, nz)
-}
-
-// btranLU finishes btran once the eta transposes are applied to c (nz
-// covering its nonzeros): Uᵀ forward substitution, walking the marked
-// stages from the first when btranSeed allows (see markStages) or in
-// the full loop, then the reverse Lᵀ sweep into y over the stages with
-// an L column.
-func (f *luFactor) btranLU(c, y []float64, nz []int32) {
-	m := f.m
-	c, y = c[:m], y[:m]
-	zs := f.zs[:m]
-	prow, pcol, upiv := f.prow[:m], f.pcol[:m], f.upiv[:m]
-	ucPtr, ucStage, ucVal := f.ucPtr[:m+1], f.ucStage, f.ucVal
-	terms, next := 0, 0 // next: the first stage of the full loop
-	done := f.done[:0]
-	if marked := f.btranSeed(nz); marked > 0 {
-		// A stage never marked keeps the zero zs holds between solves.
-		mark, limit := f.mark, m/btranReachDiv
-		uPtr, uStage := f.uPtr[:m+1], f.uStage
-		next = m
-		for k, wi := popLow(mark, 0); k >= 0; k, wi = popLow(mark, wi) {
-			cpos := pcol[k]
-			v := c[cpos]
-			lo, hi := ucPtr[cpos], ucPtr[cpos+1]
-			stages, vals := ucStage[lo:hi], ucVal[lo:hi]
-			vals = vals[:len(stages)]
-			for q, st := range stages {
-				v -= float64(vals[q] * zs[st])
-			}
-			v /= upiv[k]
-			zs[k] = v
-			done = append(done, int32(k))
-			terms += 1 + len(stages)
-			if v != 0 {
-				readers := uStage[uPtr[k]:uPtr[k+1]]
-				marked += markStages(mark, readers, nil)
-				terms += len(readers)
-				if marked > limit {
-					clear(mark[wi:])
-					next = k + 1
-					break
-				}
-			}
-		}
-	}
-	for k := next; k < m; k++ {
-		cpos := pcol[k]
-		v := c[cpos]
-		lo, hi := ucPtr[cpos], ucPtr[cpos+1]
-		stages, vals := ucStage[lo:hi], ucVal[lo:hi]
-		vals = vals[:len(stages)]
-		for q, st := range stages {
-			v -= float64(vals[q] * zs[st])
-		}
-		zs[k] = v / upiv[k]
-		terms += 1 + len(stages)
-	}
-	if next < m {
-		for k, r := range prow {
-			y[r] = zs[k]
-		}
-		clear(zs)
-	} else {
-		clear(y)
-		for _, k := range done {
-			y[prow[k]], zs[k] = zs[k], 0
-		}
-	}
-	f.done = done
-	lPtr, lRow, lVal, ls := f.lPtr[:m+1], f.lRow, f.lVal, f.lStages
-	terms += len(ls)
-	for q := len(ls) - 1; q >= 0; q-- {
-		k := ls[q]
-		r := prow[k]
-		v := y[r]
-		lo, hi := lPtr[k], lPtr[k+1]
-		rows, vals := lRow[lo:hi], lVal[lo:hi]
-		vals = vals[:len(rows)]
-		for t, i := range rows {
-			v -= float64(vals[t] * y[i])
-		}
-		y[r] = v
-		terms += len(rows)
-	}
-	f.triTerms += int64(terms)
+	clear(f.zc)
+	f.btran2(f.zc, f.zc, c, y, 0, nz)
 }
 
 // etaProbeCost is what BTRAN's sparse eta pass pays per pattern
@@ -941,66 +864,27 @@ func (f *luFactor) etaAt(e int) (words []uint64, rank []int32) {
 	return f.eBits[lo : lo+f.nw], f.eRank[lo : lo+f.nw]
 }
 
-// btranEtas applies the transposes of etas first..end-1 to c,
-// newest-first, and returns nz (see btran) grown by the positions they
-// made nonzero. An eta reads c only through its dot product, and a
-// position outside nz contributes an exact zero to it, so sparseEta's
-// etas visit nz and find their values through the pattern index; the
-// products they skip are ±0, which leaves every nonzero result's bits
-// as the full pass computes them (see DESIGN.md, "Sparse LU core").
-func (f *luFactor) btranEtas(c []float64, nz []int32, first, end int) []int32 {
-	eLeave := f.eLeave[:end]
-	ePtr, eIdx, eVal, ePiv := f.ePtr[:end+1], f.eIdx, f.eVal, f.ePiv[:end]
-	terms := 0
-	for e := end - 1; e >= first; e-- {
-		lv := eLeave[e]
-		v := c[lv]
-		if f.sparseEta(e, nz) {
-			words, rank := f.etaAt(e)
-			for _, i := range nz {
-				wd, bit := words[i>>6], uint64(1)<<(i&63)
-				if wd&bit != 0 {
-					v -= float64(eVal[rank[i>>6]+int32(bits.OnesCount64(wd&(bit-1)))] * c[i])
-				}
-			}
-			terms += len(nz)
-		} else {
-			lo, hi := ePtr[e], ePtr[e+1]
-			idx, vals := eIdx[lo:hi], eVal[lo:hi]
-			vals = vals[:len(idx)]
-			for q, i := range idx {
-				v -= float64(vals[q] * c[i])
-			}
-			terms += int(hi - lo)
-		}
-		v /= ePiv[e]
-		c[lv] = v
-		if v != 0 {
-			nz = f.growPattern(nz, lv)
-		}
-	}
-	f.etaTerms += int64(terms)
-	return nz
-}
-
 // btran2 solves two transposed systems in one pass over the factor:
 // Bᵀ·y2 = c2 against the whole eta file, and Bᵀ·y1 = c1 against the
-// factor as it stood before the newest lag etas were appended. c2 first
-// passes through those lag etas alone; from there on the two right-hand
-// sides share every index and value load, running as two independent
-// accumulation chains (the eta dot products are latency-bound, so the
-// second chain is nearly free). nz lists, ascending, a superset of the
-// positions where c1 or c2 is nonzero, and is grown in place as in
-// btran. Each chain applies the operations of its own btran in the same
-// order, skipping only products with an exact zero, so y1 and y2 equal
-// btran on the pre-lag and full factors up to the sign of a zero. c1
-// and c2 are destroyed and must not alias.
+// factor as it stood before the newest lag etas were appended. The two
+// right-hand sides share every index and value load, running as two
+// independent accumulation chains (the eta dot products are
+// latency-bound, so the second chain is nearly free); on the newest lag
+// etas chain 1 is computed but neither stored nor grown into nz. nz
+// lists, ascending, a superset of the positions where c1 or c2 is
+// nonzero, and is grown in place as in btran. An eta reads a right-hand
+// side only through its dot product, and a position outside nz adds an
+// exact zero to it, so sparseEta's etas visit nz and find their values
+// through the pattern index; the products they skip are ±0. Each chain
+// thus applies the textbook operations in their order but for products
+// with an exact zero, and y1 and y2 equal the full passes on the pre-lag
+// and full factors up to the sign of a zero (see DESIGN.md, "Sparse LU
+// core"). c1 and c2 are destroyed and must not alias; y1 may be c1.
 func (f *luFactor) btran2(c1, y1, c2, y2 []float64, lag int, nz []int32) {
 	m := f.m
 	c1, y1, c2, y2 = c1[:m], y1[:m], c2[:m], y2[:m]
-	ne := len(f.eLeave) - lag
-	nz = f.btranEtas(c2, nz, ne, ne+lag)
-	eLeave := f.eLeave[:ne]
+	ne := len(f.eLeave)
+	eLeave := f.eLeave
 	ePtr, eIdx, eVal, ePiv := f.ePtr[:ne+1], f.eIdx, f.eVal, f.ePiv[:ne]
 	terms := 0
 	for e := ne - 1; e >= 0; e-- {
@@ -1030,7 +914,12 @@ func (f *luFactor) btran2(c1, y1, c2, y2 []float64, lag int, nz []int32) {
 		}
 		piv := ePiv[e]
 		v1, v2 = v1/piv, v2/piv
-		c1[lv], c2[lv] = v1, v2
+		if e < ne-lag {
+			c1[lv] = v1
+		} else {
+			v1 = 0 // a lag eta: chain 1 solves against the factor before it
+		}
+		c2[lv] = v2
 		if v1 != 0 || v2 != 0 {
 			nz = f.growPattern(nz, lv)
 		}
@@ -1039,8 +928,12 @@ func (f *luFactor) btran2(c1, y1, c2, y2 []float64, lag int, nz []int32) {
 	f.btranLU2(c1, y1, c2, y2, nz)
 }
 
-// btranLU2 is btranLU for btran2's two right-hand sides, as two chains
-// over shared loads; nz covers both, and a stage whose value is nonzero
+// btranLU2 finishes btran2 once the eta transposes are applied to c1
+// and c2 (nz covering their nonzeros): Uᵀ forward substitution, walking
+// the marked stages from the first when btranSeed allows (see
+// markStages) or in the full loop, then the reverse Lᵀ sweep into y1
+// and y2 over the stages with an L column. The two right-hand sides run
+// as two chains over shared loads, and a stage whose value is nonzero
 // on either side marks its readers.
 func (f *luFactor) btranLU2(c1, y1, c2, y2 []float64, nz []int32) {
 	m := f.m
@@ -1048,9 +941,11 @@ func (f *luFactor) btranLU2(c1, y1, c2, y2 []float64, nz []int32) {
 	z1, z2 := f.zs[:m], f.zs2[:m]
 	prow, pcol, upiv := f.prow[:m], f.pcol[:m], f.upiv[:m]
 	ucPtr, ucStage, ucVal := f.ucPtr[:m+1], f.ucStage, f.ucVal
-	terms, next := 0, 0
+	terms, next := 0, 0 // next: the first stage of the full loop
 	done := f.done[:0]
 	if marked := f.btranSeed(nz); marked > 0 {
+		// A stage never marked keeps the zero zs and zs2 hold between
+		// solves.
 		mark, limit := f.mark, m/btranReachDiv
 		uPtr, uStage := f.uPtr[:m+1], f.uStage
 		next = m

@@ -11,6 +11,10 @@ import (
 // a cold primal (phase 1 on artificials, then phase 2) and a warm dual
 // re-solve from a replayable basis snapshot.
 //
+// Every BTRAN goes through spx.btran, which fills the leaving row e_r,
+// the duals' c_B or both, with their pattern, and runs lu.go's one BTRAN
+// kernel on them; a primal pivot's row and the next duals share a call.
+//
 // Each iteration's loops cost what can change their result, not m and
 // n. PRICE runs row by row over the nonzeros of y or ρ while they are
 // few (priceByRow). Pricing, the Devex update and the dual's entering
@@ -387,7 +391,7 @@ type spx struct {
 	y, w, rho, resid []float64
 	gamma            []float64 // Devex reference weights
 	fscratch         []float64 // FTRAN/BTRAN right-hand-side scratch, length m
-	bscratch         []float64 // second BTRAN right-hand side (rowAndDuals), length m
+	bscratch         []float64 // second BTRAN right-hand side (spx.btran), length m
 	nz               []int32   // BTRAN right-hand-side pattern, capacity m
 	xb               []float64 // computeXB solution scratch, length m
 	dj               []float64 // row-wise PRICE output, per column
@@ -739,16 +743,6 @@ func (s *spx) luFtran(b, w []float64, nz []int32) {
 	s.solved(t0)
 }
 
-// luBtran solves Bᵀ·y = c (c indexed by basis position, destroyed; y by
-// row; nz the ascending positions where c may be nonzero) against the
-// live factorization, with stats bookkeeping.
-func (s *spx) luBtran(c, y []float64, nz []int32) {
-	t0 := time.Now()
-	s.lu.btran(c, y, nz)
-	s.in.stats.Btrans++
-	s.solved(t0)
-}
-
 // solved books a triangular solve that started at t0: its time and the
 // eta entries, stages and factor entries it visited.
 func (s *spx) solved(t0 time.Time) {
@@ -773,53 +767,39 @@ func (s *spx) ftran(j int, w []float64) {
 	s.luFtran(b, w, idx)
 }
 
-// duals computes y = c_B·B⁻¹ for the objective c.
-func (s *spx) duals(c []float64) {
-	m := s.m
-	b, nz := s.fscratch[:m], s.nz[:0]
-	for i := 0; i < m; i++ {
-		v := c[s.basis[i]]
-		b[i] = v
-		if v != 0 {
-			nz = append(nz, int32(i))
-		}
-	}
-	s.luBtran(b, s.y[:m], nz)
-}
-
-// btranRow computes y = (B⁻¹ row r)ᵀ = B⁻ᵀ·e_r — the leaving-row vector
-// the dual ratio test and the Devex update read.
-func (s *spx) btranRow(r int, y []float64) {
-	m := s.m
-	b := s.fscratch[:m]
-	for i := range b {
-		b[i] = 0
-	}
-	b[r] = 1
-	s.luBtran(b, y, append(s.nz[:0], int32(r)))
-}
-
-// rowAndDuals computes the leaving-row vector rho = B⁻ᵀ·e_r and the
-// duals y = c_B·B⁻¹ in one fused BTRAN (luFactor.btran2). With lag = 1
-// the row is taken against the factor before the newest eta — the
-// pre-pivot row of a primal iteration — while the duals see the whole
-// eta file and the updated basis. Both halves are bit-identical to
-// btranRow and duals on their factors. Only the row is counted in
-// Btrans; the caller counts the duals when it reads them.
-func (s *spx) rowAndDuals(r int, rho, c []float64, lag int) {
+// btran computes, in one BTRAN (luFactor.btran2), the leaving-row
+// vector rho = B⁻ᵀ·e_r when r ≥ 0 — the row the dual ratio test and the
+// Devex update read — and the duals y = c_B·B⁻¹ when c is not nil. With
+// lag = 1 the row is taken against the factor before the newest eta —
+// the pre-pivot row of a primal iteration — while the duals see the
+// whole eta file and the updated basis. A missing half is the kernel's
+// zero chain, and the live half's output goes only to rho or s.y. One
+// call counts one Btrans; when it computes both halves, the caller
+// counts the duals when it reads them.
+func (s *spx) btran(r int, rho, c []float64, lag int) {
 	m := s.m
 	er, cb, nz := s.fscratch[:m], s.bscratch[:m], s.nz[:0]
-	for i := range er {
-		er[i] = 0
-		v := c[s.basis[i]]
-		cb[i] = v
+	for i := 0; i < m; i++ {
+		v := 0.0
+		if c != nil {
+			v = c[s.basis[i]]
+		}
+		er[i], cb[i] = 0, v
 		if v != 0 || i == r {
 			nz = append(nz, int32(i))
 		}
 	}
-	er[r] = 1
 	t0 := time.Now()
-	s.lu.btran2(er, rho, cb, s.y[:m], lag, nz)
+	switch {
+	case r < 0:
+		s.lu.btran(cb, s.y[:m], nz)
+	case c == nil:
+		er[r] = 1
+		s.lu.btran(er, rho, nz)
+	default:
+		er[r] = 1
+		s.lu.btran2(er, rho, cb, s.y[:m], lag, nz)
+	}
 	s.in.stats.Btrans++
 	s.solved(t0)
 }
@@ -1015,7 +995,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 			s.in.stats.Btrans++
 			yReady = false
 		} else {
-			s.duals(c)
+			s.btran(-1, nil, c, 0)
 		}
 		enter, dir := s.price(c, useBland)
 		if enter < 0 {
@@ -1133,11 +1113,11 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 		alphaE := w[leave]
 		// Devex needs the pre-pivot row. Unless a refactorization follows
 		// this pivot, it is fused with the next iteration's duals: append
-		// the eta first, then btran2 with lag 1 (see rowAndDuals).
+		// the eta first, then btran2 with lag 1 (see spx.btran).
 		needRow := !useBland
 		fuse := needRow && len(s.script)+1 < refactorEvery
 		if needRow && !fuse {
-			s.btranRow(leave, s.rho[:m]) // pre-pivot row
+			s.btran(leave, s.rho[:m], nil, 0) // pre-pivot row
 		}
 		s.stat[enter] = basic
 		s.basis[leave] = enter
@@ -1146,7 +1126,7 @@ func (s *spx) primal(c []float64, maxIters int) (Status, int) {
 			return IterLimit, it // excluded by the pre-pivot magnitude check
 		}
 		if fuse {
-			s.rowAndDuals(leave, s.rho[:m], c, 1)
+			s.btran(leave, s.rho[:m], c, 1)
 			yReady = true
 		}
 		if needRow {
@@ -1327,17 +1307,11 @@ func (s *spx) devexUpdate(lv int, ratio2 float64, pend int) bool {
 				continue
 			}
 			scan++
-			alpha := 0.0
+			var alpha float64
 			if byRow {
 				alpha = s.dj[j]
 			} else {
-				// alpha(rho, j), written out: the call is too large to
-				// inline, and this loop runs for every eligible column.
-				idx, vals := s.col(j)
-				for k, row := range idx {
-					alpha += float64(rho[row] * vals[k])
-				}
-				s.in.stats.PriceTerms += int64(len(idx))
+				alpha = s.alpha(rho, j)
 			}
 			if alpha != 0 {
 				if cand := alpha * alpha * ratio2; cand > s.gamma[j] {
@@ -1371,16 +1345,11 @@ func (s *spx) enteringScan(rho []float64, below bool) (nanRatio bool) {
 		for ; wd != 0; wd &= wd - 1 {
 			j := wi<<6 | bits.TrailingZeros64(wd)
 			scan++
-			alpha := 0.0
+			var alpha float64
 			if byRow {
 				alpha = s.dj[j]
 			} else {
-				// alpha(rho, j), written out as in the Devex update.
-				idx, vals := s.col(j)
-				for k, row := range idx {
-					alpha += float64(rho[row] * vals[k])
-				}
-				s.in.stats.PriceTerms += int64(len(idx))
+				alpha = s.alpha(rho, j)
 			}
 			aAbs := math.Abs(alpha)
 			if aAbs <= alphaTol {
@@ -1456,7 +1425,7 @@ func (s *spx) dual(maxIters int) (Status, int) {
 		if r < 0 {
 			return Optimal, it
 		}
-		s.rowAndDuals(r, rho, s.obj2, 0)
+		s.btran(r, rho, s.obj2, 0)
 		s.in.stats.Btrans++ // the duals half, read by the entering scan
 		// Entering scan: an empty candidate set means no column can
 		// repair row r at all.

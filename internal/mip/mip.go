@@ -57,13 +57,6 @@ func (m *Model) AddBinary(name string, obj float64) int {
 	return j
 }
 
-// AddInt adds a general integer variable.
-func (m *Model) AddInt(name string, lo, hi, obj float64) int {
-	j := m.AddVar(name, lo, hi, obj)
-	m.integer[j] = true
-	return j
-}
-
 // AddRow appends the constraint Σ coefs ◦ rhs and returns its index.
 func (m *Model) AddRow(coefs []lp.Coef, sense lp.Sense, rhs float64) int {
 	return m.prob.AddRow(coefs, sense, rhs)

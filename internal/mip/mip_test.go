@@ -27,17 +27,6 @@ func TestKnapsack(t *testing.T) {
 	}
 }
 
-func TestIntegerRounding(t *testing.T) {
-	// min x st 2x ≥ 5, x integer → x=3.
-	m := NewModel()
-	x := m.AddInt("x", 0, 10, 1)
-	m.AddGE(5, lp.Coef{Var: x, Val: 2})
-	res := m.Solve(Options{})
-	if res.Status != Optimal || math.Abs(res.Obj-3) > 1e-6 {
-		t.Fatalf("res=%+v", res)
-	}
-}
-
 func TestInfeasibleMIP(t *testing.T) {
 	m := NewModel()
 	x := m.AddBinary("x", 1)
@@ -243,19 +232,6 @@ func TestNodeLimitReturnsFeasible(t *testing.T) {
 	}
 	if res.Obj > 0 {
 		t.Fatalf("obj=%g", res.Obj)
-	}
-}
-
-func TestGeneralIntegerBranching(t *testing.T) {
-	// max 3x+2y st x+y ≤ 7, 2x+y ≤ 10, integers → x=3,y=4: 17.
-	m := NewModel()
-	x := m.AddInt("x", 0, 10, -3)
-	y := m.AddInt("y", 0, 10, -2)
-	m.AddLE(7, lp.Coef{Var: x, Val: 1}, lp.Coef{Var: y, Val: 1})
-	m.AddLE(10, lp.Coef{Var: x, Val: 2}, lp.Coef{Var: y, Val: 1})
-	res := m.Solve(Options{})
-	if res.Status != Optimal || math.Abs(res.Obj+17) > 1e-6 {
-		t.Fatalf("res=%+v", res)
 	}
 }
 

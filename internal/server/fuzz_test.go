@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -19,8 +20,9 @@ import (
 // raw queries over a fixed small DAG body. parseRequest must never panic;
 // it fails only with an *httpError carrying 400, and every request it
 // accepts has between 1 and maxProcs processors, finite non-negative r,
-// g and L, a deadline within the compute budget, and a cache key that
-// parsing the same request again reproduces. The corpus is seeded with
+// g and L, exactly the query's r when that parses above 0, a deadline
+// within the compute budget, and a cache key that parsing the same
+// request again reproduces. The corpus is seeded with
 // the queries of the malformed-request table and a few valid ones.
 //
 //	go test -run '^$' -fuzz '^FuzzParseRequest$' -fuzztime 10s ./internal/server
@@ -61,6 +63,10 @@ func FuzzParseRequest(f *testing.F) {
 			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("query %q: accepted %v", raw, a)
 			}
+		}
+		u := url.URL{RawQuery: raw}
+		if r, err := strconv.ParseFloat(u.Query().Get("r"), 64); err == nil && r > 0 && a.R != r {
+			t.Fatalf("query %q: scheduled at r=%v, not the query's %v", raw, a.R, r)
 		}
 		if req.deadline < 0 || req.deadline > srv.cfg.ComputeTimeout {
 			t.Fatalf("query %q: deadline %v outside [0, %v]", raw, req.deadline, srv.cfg.ComputeTimeout)

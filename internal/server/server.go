@@ -327,9 +327,10 @@ func (s *Server) parseRequest(r *http.Request) (*request, error) {
 	if err != nil {
 		return nil, err
 	}
+	// r absent or 0 means rfactor·r0; a negative r is an error, not 0.
 	rabs, err := num("r", 0)
-	if err != nil {
-		return nil, err
+	if err != nil || rabs < 0 {
+		return nil, bad("r")
 	}
 	rv := rfac * g.MinCache()
 	if rabs > 0 {

@@ -627,6 +627,7 @@ var badRequests = []struct {
 	{"nan-rfactor", "p=2&rfactor=NaN", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 	{"inf-rfactor", "p=2&rfactor=Inf", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 	{"nan-r", "p=2&r=NaN", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
+	{"negative-r", "p=2&r=-5", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 	{"inf-l", "p=2&l=Inf", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 	{"trailing-g", "p=2&g=1x", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
 	{"nan-deadline", "p=2&deadline_ms=NaN", "dag x 1 0\nnode 0 1 1\n", http.StatusBadRequest},
