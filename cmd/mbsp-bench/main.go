@@ -461,13 +461,14 @@ type degenerateJSON struct {
 // binding node limit, and the factorization counters — fill-in,
 // refactorization count, eta updates, eta, triangular and PRICE terms
 // and columns scanned, hot/replay reuse, and the share of wall time spent in
-// triangular solves — are tracked across PRs. The
+// triangular solves — are tracked across PRs, with the tree's cold LPs. The
 // node limit binds, so every count except the timings is deterministic.
 type luJSON struct {
 	Instance      string  `json:"instance"`
 	ModelRows     int     `json:"model_rows"`
 	BBNodes       int     `json:"bb_nodes"`
 	SimplexIters  int     `json:"simplex_iters"`
+	ColdLPs       int     `json:"cold_lps"` // the cold root plus every warm re-solve that restarted cold
 	Refactors     int64   `json:"refactors"`
 	Replays       int64   `json:"replays"`
 	HotSolves     int64   `json:"hot_solves"`
@@ -765,6 +766,7 @@ func runSolver(insts []workloads.Instance, dataset string, timeout time.Duration
 					{"triangular terms", out.LU.TriTerms, prev.LU.TriTerms},
 					{"PRICE terms", out.LU.PriceTerms, prev.LU.PriceTerms},
 					{"scanned columns", out.LU.ScanCols, prev.LU.ScanCols},
+					{"cold LPs", int64(out.LU.ColdLPs), int64(prev.LU.ColdLPs)},
 				} {
 					if c.prev > 0 && c.got > c.prev {
 						fatal(fmt.Errorf("solver experiment: LU leg regressed: %d %s vs %d in %s",
@@ -880,7 +882,7 @@ func runLULeg(out *solverJSON) {
 	elapsed := time.Since(start)
 	l := &luJSON{
 		Instance: "spmv_N7-P4", ModelRows: stats.ModelRows,
-		BBNodes: stats.ILPNodes, SimplexIters: stats.SimplexIters,
+		BBNodes: stats.ILPNodes, SimplexIters: stats.SimplexIters, ColdLPs: stats.ColdLPs,
 		Refactors: lu.Refactors, Replays: lu.Replays, HotSolves: lu.HotSolves,
 		EtaPivots: lu.EtaPivots, Ftrans: lu.Ftrans, Btrans: lu.Btrans,
 		EtaTerms: lu.EtaTerms, TriTerms: lu.TriTerms, PriceTerms: lu.PriceTerms, ScanCols: lu.ScanCols,
@@ -896,8 +898,8 @@ func runLULeg(out *solverJSON) {
 		l.FtranShare = l.SolveSeconds / l.Seconds
 	}
 	out.LU = l
-	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d refactors, %d etas, %d eta terms, %d triangular terms, %d PRICE terms, %d scanned columns, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN/BTRAN)\n",
-		l.Instance, l.ModelRows, l.BBNodes, l.SimplexIters, l.Refactors, l.EtaPivots, l.EtaTerms, l.TriTerms, l.PriceTerms, l.ScanCols,
+	fmt.Printf("LU leg (%s, %d rows, %d nodes): %d simplex iters, %d cold LPs, %d refactors, %d etas, %d eta terms, %d triangular terms, %d PRICE terms, %d scanned columns, hot/replay=%d/%d, fill %d/%d (%.2fx), factor %.2fs + solves %.2fs of %.2fs (%.0f%% in FTRAN/BTRAN)\n",
+		l.Instance, l.ModelRows, l.BBNodes, l.SimplexIters, l.ColdLPs, l.Refactors, l.EtaPivots, l.EtaTerms, l.TriTerms, l.PriceTerms, l.ScanCols,
 		l.HotSolves, l.Replays, l.FillNnz, l.BasisNnz, l.FillRatio,
 		l.FactorSeconds, l.SolveSeconds, l.Seconds, 100*l.FtranShare)
 	if !stats.UsedILP {

@@ -265,7 +265,7 @@ func TestILPBSPFallsBackOnHugeModel(t *testing.T) {
 
 // ilpGoldenDigest is the SHA-256 over Proc and Step of every ILP schedule
 // TestILPGoldenDigest builds.
-const ilpGoldenDigest = "d55623d6cbfd2659c94fb42ba6b8978698723a966e73d636d5913d170dbb78f0"
+const ilpGoldenDigest = "0344bb0a4ff3c2e7c435f19bc53c72efc2f4592c4d38f36d328d18701f870a90"
 
 // TestILPGoldenDigest pins the ILP schedules of cases whose tree finishes
 // within its node budget in seconds; no clock runs, so the bytes are

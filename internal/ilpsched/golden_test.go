@@ -25,15 +25,15 @@ type goldenSolve struct {
 
 // goldenSolves pin the exact signature of three solves that exercise
 // every simplex path: a tree-dominated P=1 solve (warm dual re-solves,
-// Devex primal clean-ups), one whose tree falls back to cold solves
-// three times, and a root-dominated P=2 model whose cold root primal
-// is the whole search. The LP kernels promise bit-identical results for
-// a given input, so any change to pivot choice, floating-point operation
-// order or counter semantics shows up here. Deliberate changes to pivot
-// paths re-record the signatures.
+// Devex primal clean-ups), one whose warm duals run past m/4 iterations
+// and still finish warm, and a root-dominated P=2 model whose cold root
+// primal is the whole search. The LP kernels promise bit-identical
+// results for a given input, so any change to pivot choice,
+// floating-point operation order or counter semantics shows up here.
+// Deliberate changes to pivot paths re-record the signatures.
 var goldenSolves = []goldenSolve{
 	{"k-means", 1, 3, 20, "rows=903 nodes=20 lps=20 iters=1888 warm=19 cold=1 perturbed=20 cleanup=0 final=96 bound=0x3fc2492492492492 sched=0x268f3f7eea18631a refactors=26 etas=1886 ftrans=2740 btrans=3815"},
-	{"kNN_N4_K3", 1, 3, 20, "rows=1724 nodes=20 lps=20 iters=5511 warm=17 cold=3 perturbed=20 cleanup=0 final=81 bound=0x3f9fc3047257a99f sched=0x27da016c78d84041 refactors=57 etas=5510 ftrans=6571 btrans=11064"},
+	{"kNN_N4_K3", 1, 3, 20, "rows=1724 nodes=20 lps=20 iters=3128 warm=19 cold=1 perturbed=20 cleanup=0 final=81 bound=0x3f9fc3047257a99f sched=0x27da016c78d84041 refactors=38 etas=3127 ftrans=4175 btrans=6296"},
 	{"spmv_N6", 2, 3, 1, "rows=3215 nodes=1 lps=1 iters=4316 warm=0 cold=1 perturbed=1 cleanup=0 final=96 bound=0x3fb0690690690692 sched=0xceb55a3b50b9e494 refactors=34 etas=4310 ftrans=4350 btrans=8629"},
 }
 

@@ -170,11 +170,12 @@ type luFactor struct {
 
 	acc      []float64 // dense per-column gather scratch
 	touched  []int32
-	elimRows []int32 // snapshot of the pivot column's rows
-	mergeInd []int32 // row-merge output scratch
+	elimRows []int32   // snapshot of the pivot column's rows
+	colVals  []float64 // selectPivot's values of one column, by colRows order
+	mergeInd []int32   // row-merge output scratch
 	mergeVal []float64
 	zs, zs2  []float64 // btranLU2's stage scratch, one per chain, zero between solves
-	zc       []float64 // btran's all-zero first right-hand side, cleared before each use
+	zc       []float64 // btran's zero first right-hand side: ±0 between solves
 }
 
 func newLUFactor(m int) *luFactor {
@@ -196,6 +197,7 @@ func newLUFactor(m int) *luFactor {
 		buckets:     make([][]int32, m+1),
 		acc:         make([]float64, m),
 		touched:     make([]int32, 0, m),
+		colVals:     make([]float64, m),
 		zs:          make([]float64, m),
 		zs2:         make([]float64, m),
 		zc:          make([]float64, m),
@@ -427,9 +429,12 @@ func (f *luFactor) selectPivot() (int32, int32, float64) {
 	for cnt := 1; cnt <= f.m; cnt++ {
 		for _, c := range f.buckets[cnt] {
 			rows := f.colRows[c]
+			vals := f.colVals[:len(rows)]
 			colmax := 0.0
-			for _, i := range rows {
-				if a := math.Abs(f.value(int(i), c)); a > colmax {
+			for t, i := range rows {
+				v := f.value(int(i), c)
+				vals[t] = v
+				if a := math.Abs(v); a > colmax {
 					colmax = a
 				}
 			}
@@ -437,8 +442,8 @@ func (f *luFactor) selectPivot() (int32, int32, float64) {
 				continue // numerically empty column; unusable this stage
 			}
 			eligible := false
-			for _, i := range rows {
-				v := f.value(int(i), c)
+			for t, i := range rows {
+				v := vals[t]
 				a := math.Abs(v)
 				if a < luThreshold*colmax || a < luAbsPivot {
 					continue
@@ -822,10 +827,30 @@ func (f *luFactor) ftranL(b []float64, nz []int32) int {
 // (destroyed), y receives the solution indexed by matrix row. nz lists,
 // ascending, a superset of the positions where c is nonzero; the eta
 // pass grows it in place (capacity m avoids a reallocation). It is
-// btran2 with c as the second right-hand side and an all-zero first one.
+// btran2 with c as the second right-hand side and an all-zero first one,
+// f.zc. On a finite factor and eta file that chain computes only ±0,
+// which grows no pattern and marks no stage, so zc stays a zero chain;
+// a non-finite entry can leave NaN there, so only such a call clears it.
 func (f *luFactor) btran(c, y []float64, nz []int32) {
-	clear(f.zc)
 	f.btran2(f.zc, f.zc, c, y, 0, nz)
+	if f.nonFinite() {
+		clear(f.zc)
+	}
+}
+
+// nonFinite reports whether the factor or an eta, its pivot included,
+// holds ±Inf or NaN.
+func (f *luFactor) nonFinite() bool {
+	if f.luNonFinite || slices.Contains(f.eNonFinite, true) {
+		return true
+	}
+	for _, p := range f.ePiv {
+		// p−p is 0 for every finite p and NaN for ±Inf and NaN.
+		if p-p != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // etaProbeCost is what BTRAN's sparse eta pass pays per pattern
